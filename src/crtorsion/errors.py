@@ -49,6 +49,10 @@ class QuadratureError(CrTorsionError, ArithmeticError):
         self.partial = partial
 
 
+class ConvergenceError(CrTorsionError, ArithmeticError):
+    """A series continuation did not converge within its fixed term cap."""
+
+
 class TwoPathMismatchError(CrTorsionError, AssertionError):
     """Heat-kernel and direct zeta evaluations disagree beyond the error budget."""
 

@@ -149,7 +149,7 @@ def mellin_at_zero(
         noise_floor = (
             _EPS * abs(exp[0]) / (10.0 * max(cfg.abs_tol, 1e-13))
         ) ** (1.0 / k)
-        floor = max(floor, min(noise_floor, _model_ceiling(exp, k), 0.05))
+        floor = max(floor, min(noise_floor, 0.05))
     if inp.eval_floor > 0 and not has_extended:
         raise DomainError(
             "an evaluator with a positive trust floor needs extended expansion "
@@ -160,6 +160,7 @@ def mellin_at_zero(
     low = 0.0
     err_low = 0.0
     if floor > 0:
+        last = [0.0, 0.0]  # last nonzero term on the t^p and t^(p+1/2) ladders
         for j in range(2 * k + 1, len(exp)):
             e = (j - 2 * k) / 2.0
             term = exp[j] * floor ** e / e
@@ -168,6 +169,13 @@ def mellin_at_zero(
                 # the first omitted term is the usual asymptotic proxy; zero
                 # half-power slots must not mask it
                 err_low = abs(term)
+                last[j % 2] = abs(term)
+        if floor > _model_ceiling(exp, k):
+            # the floor stays above the cancellation noise even where the
+            # extended terms no longer decrease as a whole; the two ladders
+            # may then decay at different rates, so each one's last term
+            # stands in for its first omitted term
+            err_low = max(last)
 
     def p_of_t(t: float) -> float:
         u = math.sqrt(t)

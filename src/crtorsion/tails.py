@@ -16,8 +16,9 @@ independent tools are provided:
 * ``tail_bound`` - a certified integral-test bound used to decide where a
   truncated table may still be trusted.
 * ``zeta_log_tail`` - value and z-derivative at z = 0 of
-  sum_{k >= k0} mu(k) lam(k)^{-z}, via the binomial reduction to Hurwitz zeta
-  values (mpmath supplies zeta, its s-derivative, and digamma).
+  sum_{k >= k0} mu(k) lam(k)^{-z}: an explicit head up to a split index K,
+  then the binomial reduction of the tail to Hurwitz zeta values (mpmath
+  supplies zeta, its s-derivative, and digamma).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Tuple
 
 import mpmath as mp
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .series import HalfPowerSeries
 
 SQRT_PI = math.sqrt(math.pi)
@@ -252,37 +253,49 @@ def trust_floor(law: QuadraticLaw, k_start: int, tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def zeta_log_tail(
-    law: QuadraticLaw, k_start: int, rel_tol: float = 1e-18, max_terms: int = 8000
-) -> Tuple[float, float, float]:
-    """(Z(0), Z'(0), error) for Z(z) = sum_{k >= k_start} mu(k) lam(k)^{-z}.
+#: Hurwitz series terms allowed per precision level; with |rho| / (K+s)^2 at
+#: most 1/81 the series reaches 1e-18 relative in about ten.
+_SERIES_TERM_CAP = 64
+_SERIES_REL_TOL = 1e-18
 
-    Completing the square, lam = a2 [(k+s)^2 + rho]; the binomial expansion in
-    rho/(k+s)^2 turns Z into Hurwitz zeta values at shifted arguments, each of
-    which continues explicitly.  Requires |rho| < (k_start + s)^2 and positive
-    eigenvalues lam(k) for k >= k_start.
 
-    Hurwitz zeta at moderate order with a large second argument loses many
-    digits inside mpmath (observed ~16 at order 17, offset ~65), so the sum is
-    evaluated on a precision ladder until two consecutive levels agree; their
-    difference enters the reported error.
-    """
+def split_index(law: QuadraticLaw, k_start: int) -> int:
+    """First index K >= k_start of the continued tail: (K + s)^2 >= 81 |rho|,
+    so the binomial ratio |rho| / (K + s)^2 is at most 1/81.  For the circle
+    bundle law k (k + m + 1) this is K = 4 (m + 1)."""
     s = law.vertex_shift
     rho = law.vertex_value / law.a2
-    q = k_start + s
-    if q <= 0:
-        raise DomainError("k_start + a1/(2 a2) must be positive")
-    if abs(rho) >= q * q:
-        raise DomainError(
-            "binomial reduction needs |a0/a2 - (a1/2a2)^2| < (k_start + a1/2a2)^2"
-        )
-    if law.lam(k_start) <= 0:
-        raise DomainError("eigenvalues must be positive from k_start on")
+    return max(k_start, math.ceil(9.0 * math.sqrt(abs(rho)) - s))
+
+
+def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]:
+    """(Z(0), Z'(0), error) for Z(z) = sum_{k >= k_start} mu(k) lam(k)^{-z}.
+
+    The sum is split at K = ``split_index(law, k_start)``.  The head
+    k_start <= k < K contributes sum mu(k) to Z(0) and -sum mu(k) log lam(k)
+    to Z'(0), summed in mpmath.  On the tail, completing the square gives
+    lam = a2 [(k+s)^2 + rho], and the binomial expansion in rho/(k+s)^2 turns
+    the sum into Hurwitz zeta values at q = K + s, each of which continues
+    explicitly; since |rho| / q^2 <= 1/81, about ten terms suffice for any
+    law.  Head and tail are added in mpmath before conversion to float: a
+    float combination would lose ~eps K^2 log K to cancellation.  Any law
+    with lam(k) > 0 for all k >= k_start is accepted.
+
+    Hurwitz zeta at moderate order with a large second argument loses many
+    digits inside mpmath (observed ~16 at order 17, offset ~65), so the tail
+    is evaluated on a precision ladder until two consecutive levels agree;
+    their difference enters the reported error.  The head has no such loss
+    and is summed once, at the first level.
+    """
+    _require_positive(law, k_start)
+    K = split_index(law, k_start)
+    head = None
     prev = None
     for dps in (30, 60, 120, 240):
-        value, deriv, conv_err, scale = _zeta_log_tail_at(
-            law, q, rho, dps, rel_tol, max_terms
-        )
+        with mp.workdps(dps):
+            if head is None:
+                head = _head_sums(law, k_start, K)
+            value, deriv, conv_err, scale = _zeta_log_tail_at(law, K, head)
         if prev is not None:
             drift = abs(deriv - prev)
             if drift <= max(1e-13, 1e-13 * scale):
@@ -291,37 +304,59 @@ def zeta_log_tail(
     return value, deriv, conv_err + abs(deriv - prev) + 1e-15 * scale
 
 
-def _zeta_log_tail_at(
-    law: QuadraticLaw, q: float, rho: float, dps: int, rel_tol: float, max_terms: int
-):
-    with mp.workdps(dps):
-        mq = mp.mpf(q)
-        mrho = mp.mpf(rho)
-        m1 = mp.mpf(law.m1)
-        mu0t = mp.mpf(law.mu_const)
-        value = m1 * mp.zeta(-1, mq) + mu0t * mp.zeta(0, mq) - mrho * m1 / 2
-        deriv = (
-            2 * m1 * mp.zeta(-1, mq, 1)
-            + 2 * mu0t * mp.zeta(0, mq, 1)
-            + mrho * m1 * mp.digamma(mq)
-            - mrho * mu0t * mp.zeta(2, mq)
+def _require_positive(law: QuadraticLaw, k_start: int) -> None:
+    """DomainError unless lam(k) > 0 for every integer k >= k_start.
+
+    lam is smallest at the integers next to its vertex -s (or at k_start when
+    the vertex lies below it)."""
+    vertex = -law.vertex_shift
+    candidates = {k_start}
+    if vertex > k_start:
+        candidates.update((math.floor(vertex), math.ceil(vertex)))
+    if min(law.lam(k) for k in candidates) <= 0:
+        raise DomainError("eigenvalues must be positive from k_start on")
+
+
+def _head_sums(law: QuadraticLaw, k_start: int, K: int):
+    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < K, in mpmath."""
+    a2, a1, a0 = mp.mpf(law.a2), mp.mpf(law.a1), mp.mpf(law.a0)
+    m1, m0 = mp.mpf(law.m1), mp.mpf(law.m0)
+    ks = range(k_start, K)
+    mus = [m1 * k + m0 for k in ks]
+    logs = [mp.log((a2 * k + a1) * k + a0) for k in ks]
+    return mp.fsum(mus), -mp.fdot(mus, logs)
+
+
+def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
+    mq = K + mp.mpf(law.vertex_shift)
+    mrho = mp.mpf(law.vertex_value / law.a2)
+    m1 = mp.mpf(law.m1)
+    mu0t = mp.mpf(law.mu_const)
+    value = m1 * mp.zeta(-1, mq) + mu0t * mp.zeta(0, mq) - mrho * m1 / 2
+    deriv = (
+        2 * m1 * mp.zeta(-1, mq, 1)
+        + 2 * mu0t * mp.zeta(0, mq, 1)
+        + mrho * m1 * mp.digamma(mq)
+        - mrho * mu0t * mp.zeta(2, mq)
+    )
+    head_value, head_deriv = head
+    scale = abs(head_value + value) + abs(head_deriv + deriv) + 1
+    ratio = abs(mrho) / (mq * mq)
+    for i in range(2, _SERIES_TERM_CAP):
+        zodd = mp.zeta(2 * i - 1, mq)
+        zeven = mp.zeta(2 * i, mq)
+        term = ((-1) ** i) * mrho ** i / i * (m1 * zodd + mu0t * zeven)
+        deriv += term
+        if abs(term) < _SERIES_REL_TOL * scale and i > 4:
+            err = abs(term) / (1 - ratio)
+            break
+    else:
+        raise ConvergenceError(
+            f"Hurwitz series at q = {float(mq):.6g} did not reach "
+            f"{_SERIES_REL_TOL:g} relative in {_SERIES_TERM_CAP} terms"
         )
-        scale = abs(value) + abs(deriv) + 1
-        err = mp.mpf(0)
-        ratio = abs(mrho) / (mq * mq)
-        term = mp.mpf(0)
-        for i in range(2, max_terms):
-            zodd = mp.zeta(2 * i - 1, mq)
-            zeven = mp.zeta(2 * i, mq)
-            term = ((-1) ** i) * mrho ** i / i * (m1 * zodd + mu0t * zeven)
-            deriv += term
-            if abs(term) < rel_tol * scale and i > 4:
-                err = abs(term) / (1 - ratio)
-                break
-        else:
-            err = abs(term) / max(1 - ratio, 1e-6)
-        deriv = deriv - mp.log(law.a2) * value
-        return float(value), float(deriv), float(err), float(scale)
+    deriv = deriv - mp.log(law.a2) * value
+    return float(head_value + value), float(head_deriv + deriv), float(err), float(scale)
 
 
 def _doubled(trunc_order) -> int:

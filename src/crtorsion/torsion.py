@@ -205,25 +205,27 @@ def theta_prime_zero(
 # ---------------------------------------------------------------------------
 
 
-def theta_prime_zero_direct_result(
-    spec: SpectrumTable, tail_terms: int = 2000
-) -> Tuple[float, float]:
+def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
     """(theta'(0), error bound) via term-wise continuation.
 
     Listed lines contribute (-1)^q q mult log(lambda) exactly; a quadratic
-    tail adds the continued remainder through Hurwitz zeta values.  When the
-    tail law covers the listed lines, the continuation starts at the first law
-    index instead: splitting at a large k_next would pit two huge opposite
-    contributions against each other and lose ~eps * k_next^2 log(k_next) to
-    cancellation, while the law-anchored form is cancellation-free (and
-    independent of the table truncation, which tests verify separately).
+    tail adds the continued remainder from ``zeta_log_tail``.  When the tail
+    law covers the listed lines, the continuation starts at the first law
+    index instead of k_next: splitting at a large k_next in float would pit
+    two huge opposite contributions against each other and lose
+    ~eps * k_next^2 log(k_next) to cancellation.  ``zeta_log_tail`` itself
+    splits the law sum at K ~ 9 sqrt|rho| (K = 4 (m+1) for the circle bundle),
+    sums the head k < K explicitly and adds it to the Hurwitz tail in
+    mpmath, so the result carries no such cancellation, costs O(1) Hurwitz
+    evaluations at any m, and is independent of the table truncation (which
+    tests verify separately).
     """
     terms = []
     err = 0.0
     if isinstance(spec.tail, QuadraticTail):
         law = spec.tail.law
         k_anchor = spec.tail.k_first if spec.tail.covers_all_lines else spec.tail.k_next
-        _, deriv, zerr = zeta_log_tail(law, k_anchor, max_terms=max(tail_terms, 16))
+        _, deriv, zerr = zeta_log_tail(law, k_anchor)
         for q in spec.tail.degrees:
             if q < 1:
                 continue
@@ -242,8 +244,8 @@ def theta_prime_zero_direct_result(
     return total, err + 8e-16 * (scale + 1.0)
 
 
-def theta_prime_zero_direct(spec: SpectrumTable, tail_terms: int = 2000) -> float:
-    return theta_prime_zero_direct_result(spec, tail_terms)[0]
+def theta_prime_zero_direct(spec: SpectrumTable) -> float:
+    return theta_prime_zero_direct_result(spec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ class TestSelfcheck:
         assert all(v[0] == 0 for v in verdicts)
         assert len({v[1] for v in verdicts}) == 1
 
+    @pytest.mark.parametrize("seed", (17, 31))
+    def test_gamma_family_past_model_ceiling(self, seed):
+        # these seeds draw Gamma-family inputs whose extended terms stop
+        # decreasing below the cancellation-noise floor of the quadrature
+        code, checks = run_selfcheck(seed, 1e-9)
+        assert code == 0, [c["name"] for c in checks if not c["passed"]]
+
     def test_repeat_run_identical_report(self, tmp_path, capsys):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

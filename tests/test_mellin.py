@@ -97,6 +97,20 @@ class TestGammaFamily:
         assert deriv == pytest.approx(math.sqrt(math.pi))
         assert res.derivative0 == pytest.approx(deriv, abs=1e-9)
 
+    def test_model_ceiling_below_noise_floor(self):
+        # near-zero t^{1/2} slot: the extended terms stop decreasing below
+        # t ~ 1e-6, far under the cancellation-noise floor (~4e-4); the floor
+        # must stay above the noise and the estimate must still cover the error
+        coeffs = [
+            0.060122689975262045, 0.8408124789700939, -1.2025575467834884,
+            1.3091971858634261, -1.901009439432105, 0.5164506900434591,
+            1.368226832905759,
+        ]
+        inp, value, deriv = gamma_family(coeffs, 2)
+        res = mellin_at_zero(inp)
+        assert res.value0 == pytest.approx(value, abs=1e-12)
+        assert abs(res.derivative0 - deriv) <= res.error_estimate < 1e-9
+
     def test_singular_input_with_pole_terms(self):
         # f = t^{-1} e^{-t}: M(0) = -1, M'(0) = -H_1 = ... value (-1)^1/1! = -1
         inp, value, deriv = gamma_family([1.0], 1)

@@ -3,16 +3,37 @@ bounds, and the Hurwitz-zeta continuation used by the direct torsion route."""
 
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crtorsion.errors import DomainError
-from crtorsion.tails import QuadraticLaw, em_heat_series, tail_bound, trust_floor, zeta_log_tail
+from crtorsion import tails
+from crtorsion.errors import ConvergenceError, DomainError
+from crtorsion.tails import (
+    QuadraticLaw,
+    em_heat_series,
+    split_index,
+    tail_bound,
+    trust_floor,
+    zeta_log_tail,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
 # frozen via an independent high-precision evaluation (validated against the
 # classical round-sphere zeta determinant): d/dz at 0 of the m = 0 spectral sum
 ROUND_SPHERE_ZETA_PRIME = -1.1616845748018036
+
+# theta'(0) of the circle-bundle spectrum (the direct route, which is
+# Z'(0) of cp1_law(m) from k = 1), frozen from the law-anchored Hurwitz series
+# that continued from k = 1 without a split
+CP1_THETA_PRIME = {
+    8: 1.735827348453908,
+    16: 8.68507083909494,
+    32: 27.70265057513659,
+    64: 76.38480518574389,
+    128: 195.47728941176084,
+}
 
 
 def cp1_law(m: int) -> QuadraticLaw:
@@ -143,6 +164,100 @@ class TestZetaLogTail:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             zeta_log_tail(QuadraticLaw(1.0, 0.0, -10.0, 1.0, 1.0), 1)
+
+    def test_zero_eigenvalue_past_k_start_rejected(self):
+        # lam = (k - 5)^2 is positive at k_start = 1 but vanishes at k = 5
+        with pytest.raises(DomainError):
+            zeta_log_tail(QuadraticLaw(1.0, -10.0, 25.0, 0.0, 1.0), 1)
+
+    @pytest.mark.parametrize("a", (0.5, 3.0, 10.0, 100.0))
+    def test_shifted_squares_closed_form(self, a):
+        # prod_{k>=1} (k^2 + a) = 2 sinh(pi sqrt a) / sqrt a (zeta-regularized);
+        # a >= 1 lies outside |rho| < (k_start + s)^2, the old anchor's limit
+        law = QuadraticLaw(1.0, 0.0, a, 0.0, 1.0)
+        _, deriv, err = zeta_log_tail(law, 1)
+        r = math.sqrt(a)
+        want = -math.log(2.0 * math.sinh(math.pi * r) / r)
+        assert abs(deriv - want) <= max(err, 1e-14 * abs(want))
+        assert err < 1e-12
+
+    @pytest.mark.parametrize("m", sorted(CP1_THETA_PRIME))
+    def test_cp1_frozen_values(self, m):
+        _, deriv, err = zeta_log_tail(cp1_law(m), 1)
+        want = CP1_THETA_PRIME[m]
+        assert deriv == pytest.approx(want, rel=1e-13)
+        assert abs(deriv - want) <= err
+
+    def test_split_index_for_circle_bundle(self):
+        for m in (0, 1, 8, 128, 1024):
+            assert split_index(cp1_law(m), 1) == 4 * (m + 1)
+        assert split_index(cp1_law(8), 100) == 100
+
+    def test_hurwitz_calls_independent_of_m(self, monkeypatch):
+        calls = []
+        zeta = mpmath.zeta
+
+        def counting_zeta(*args, **kwargs):
+            calls.append(args)
+            return zeta(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "zeta", counting_zeta)
+        counts = {}
+        for m in (8, 512):
+            calls.clear()
+            zeta_log_tail(cp1_law(m), 1)
+            counts[m] = len(calls)
+        assert counts[8] > 0 and max(counts.values()) <= 64
+        assert abs(counts[512] - counts[8]) <= 6
+
+    def test_unconverged_series_raises(self, monkeypatch):
+        monkeypatch.setattr(tails, "_SERIES_TERM_CAP", 4)
+        with pytest.raises(ConvergenceError):
+            zeta_log_tail(cp1_law(8), 1)
+
+
+def _mp_head(law: QuadraticLaw, k_start: int, k_end: int):
+    with mpmath.workdps(40):
+        mus = [law.m1 * k + law.m0 for k in range(k_start, k_end)]
+        logs = [
+            mpmath.log((mpmath.mpf(law.a2) * k + law.a1) * k + law.a0)
+            for k in range(k_start, k_end)
+        ]
+        return (
+            float(mpmath.fsum(mus)),
+            float(-mpmath.fsum(mu * lg for mu, lg in zip(mus, logs))),
+        )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    a2=st.floats(0.25, 4.0),
+    k_start=st.integers(1, 60),
+    shift=st.floats(-40.0, 40.0),
+    rel_rho=st.floats(-3.0, 3.0),
+    m1=st.floats(0.0, 3.0),
+    m0=st.floats(-2.0, 5.0),
+    extra=st.integers(0, 200),
+)
+def test_additivity_on_random_laws(a2, k_start, shift, rel_rho, m1, m0, extra):
+    # rho = rel_rho * (k_start + s)^2 falls on both sides of |rho| < q^2
+    q = k_start + shift
+    rho = rel_rho * max(q * q, 1.0)
+    law = QuadraticLaw(a2, 2.0 * a2 * shift, a2 * (rho + shift * shift), m1, m0)
+    vertex = math.ceil(-shift) + 1
+    positive = all(law.lam(k) > 0 for k in range(k_start, max(k_start, vertex) + 1))
+    if not positive:
+        with pytest.raises(DomainError):
+            zeta_log_tail(law, k_start)
+        return
+    k_split = k_start + extra
+    full_val, full_deriv, full_err = zeta_log_tail(law, k_start)
+    tail_val, tail_deriv, tail_err = zeta_log_tail(law, k_split)
+    head_val, head_deriv = _mp_head(law, k_start, k_split)
+    # the float combination below rounds at ~eps of the summands
+    rounding = 4e-16 * (abs(head_deriv) + abs(tail_deriv) + abs(full_deriv))
+    assert abs(head_deriv + tail_deriv - full_deriv) <= full_err + tail_err + rounding
+    assert head_val + tail_val == pytest.approx(full_val, rel=1e-12, abs=1e-9)
 
 
 def test_law_validation():
