@@ -36,6 +36,10 @@ from .tails import QuadraticLaw, tail_bound, trust_floor
 CP1_LEVI_EIGENVALUE = 1.0
 CP1_VOLUME = 4.0 * math.pi ** 2
 
+#: Super-trace terms with lam t >= 745 are dropped: e^{-745} is the smallest
+#: subnormal float64 (5e-324), and e^{-x} rounds to exactly 0.0 past 745.14.
+_UNDERFLOW = 745.0
+
 
 class SpectrumLine(NamedTuple):
     q: int
@@ -118,6 +122,16 @@ class SpectrumTable:
         nweight = ((-1.0) ** qs) * qs
         return qs, lams, mults, nweight
 
+    @cached_property
+    def _supertrace_lines(self):
+        """(lams, weights) of the lines that can move STr[N e^{-t Box} perp]:
+        positive eigenvalues with nonzero weight (-1)^q q mult, sorted
+        ascending so the terms that survive at any t form a prefix."""
+        _, lams, mults, nweight = self._arrays
+        sel = (lams > 0.0) & (nweight != 0.0)
+        order = np.argsort(lams[sel], kind="stable")
+        return lams[sel][order], (nweight[sel] * mults[sel])[order]
+
     @property
     def min_nonzero_eigenvalue(self) -> float:
         _, lams, _, _ = self._arrays
@@ -141,23 +155,25 @@ def heat_supertrace_N(
     ``nonzero_only`` drops the zero modes (the projector-complement trace).
     For a quadratic tail policy the omitted-tail bound is attached; the value
     itself contains only the listed lines.
+
+    Costs O(lines with lam t < 745), not O(lines): degree-0 lines carry
+    weight zero, and beyond the cut e^{-lam t} is the smallest subnormal
+    or exactly 0.0 in float64, so the dropped terms do not reach the value.
     """
-    if t <= 0:
-        raise DomainError("heat_supertrace_N requires t > 0")
-    qs, lams, mults, w = spec._arrays
-    sel = lams > 0.0 if nonzero_only else np.ones_like(lams, dtype=bool)
-    x = lams[sel] * t
-    value = float(np.sum(w[sel] * mults[sel] * np.exp(-np.minimum(x, 745.0)) * (x < 745.0)))
-    bound = _supertrace_tail_bound(spec, t)
-    return TraceValue(value, bound)
+    _require_finite_positive(t, "heat_supertrace_N")
+    lams, weights = spec._supertrace_lines
+    n = int(np.searchsorted(lams, _UNDERFLOW / t))
+    value = float(np.dot(weights[:n], np.exp(-t * lams[:n])))
+    if not nonzero_only:
+        value += spec.supertrace_N_kernel()
+    return TraceValue(value, _supertrace_tail_bound(spec, t))
 
 
 def trace_degree(
     spec: SpectrumTable, q: int, t: float, nonzero_only: bool = True
 ) -> TraceValue:
     """Plain degree-q heat trace with tail bound."""
-    if t <= 0:
-        raise DomainError("trace_degree requires t > 0")
+    _require_finite_positive(t, "trace_degree")
     qs, lams, mults, _ = spec._arrays
     sel = qs == q
     if nonzero_only:
@@ -168,6 +184,11 @@ def trace_degree(
     if isinstance(spec.tail, QuadraticTail) and q in spec.tail.degrees:
         bound = tail_bound(spec.tail.law, spec.tail.k_next, t)
     return TraceValue(value, bound)
+
+
+def _require_finite_positive(t: float, what: str) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{what} requires 0 < t < inf, got t = {t!r}")
 
 
 def _supertrace_tail_bound(spec: SpectrumTable, t: float) -> float:
@@ -197,18 +218,19 @@ def spectral_gap(spec: SpectrumTable, q: int) -> float:
     return min(candidates)
 
 
-def decay_certificate(spec: SpectrumTable) -> Tuple[float, float]:
-    """(C, c) with |STr[N e^{-t Box} perp]| <= C e^{-c t} for t >= 1.
+def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, float]:
+    """(C, c) with |STr[N e^{-t Box} perp]| <= C e^{-c t} for t >= t_min.
 
-    Uses c = lambda_min / 2: each term e^{-lam t} <= e^{-lam_min t/2} e^{-lam/2}
-    for t >= 1, so C = sum q mult e^{-lam/2} plus the tail bound at t = 1/2.
+    Uses c = lambda_min / 2: each term e^{-lam t} <= e^{-lam_min t/2}
+    e^{-lam t_min/2} for t >= t_min, so C = sum q mult e^{-lam t_min/2} plus
+    the tail bound at t = t_min/2.
     """
     qs, lams, mults, _ = spec._arrays
     sel = lams > 0.0
     lam_min = spec.min_nonzero_eigenvalue
     c = lam_min / 2.0
-    C = float(np.sum(qs[sel] * mults[sel] * np.exp(-lams[sel] / 2.0)))
-    C += _supertrace_tail_bound(spec, 0.5)
+    C = float(np.sum(qs[sel] * mults[sel] * np.exp(-lams[sel] * t_min / 2.0)))
+    C += _supertrace_tail_bound(spec, t_min / 2.0)
     return C, c
 
 

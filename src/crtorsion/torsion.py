@@ -302,27 +302,12 @@ def _rescaled_theta_tilde(
     def f_tilde(t: float) -> float:
         return scale * heat_supertrace_N(spec, t / m, True).value
 
-    C, c = _decay_certificate_from(spec, t_min=1.0 / m)
+    C, c = decay_certificate(spec, t_min=1.0 / m)
     inp = MellinInput(
         f_tilde, n, tuple(expansion), (scale * C, c / m), floor_rescaled
     )
     res = mellin_at_zero(inp, cfg)
     return -res.value0, -res.derivative0, res.error_estimate
-
-
-def _decay_certificate_from(spec: SpectrumTable, t_min: float) -> Tuple[float, float]:
-    """(C, c) with |STr N e^{-t Box} perp| <= C e^{-c t} for t >= t_min."""
-    import numpy as np
-
-    qs, lams, mults, _ = spec._arrays
-    sel = lams > 0.0
-    lam_min = spec.min_nonzero_eigenvalue
-    c = lam_min / 2.0
-    C = float(np.sum(qs[sel] * mults[sel] * np.exp(-lams[sel] * t_min / 2.0)))
-    from .spectra import _supertrace_tail_bound
-
-    C += _supertrace_tail_bound(spec, t_min / 2.0)
-    return C, c
 
 
 @dataclass(frozen=True)

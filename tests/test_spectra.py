@@ -13,6 +13,7 @@ from crtorsion.spectra import (
     CP1_VOLUME,
     FiniteTail,
     GeometryModel,
+    QuadraticTail,
     SpectrumTable,
     cp1_geometry,
     cp1_spectrum,
@@ -25,6 +26,7 @@ from crtorsion.spectra import (
     supertrace_trust_floor,
     trace_degree,
 )
+from crtorsion.tails import tail_bound
 
 
 class TestIngest:
@@ -90,9 +92,52 @@ class TestHeatSupertrace:
             assert full - perp == pytest.approx(const, abs=1e-14)
 
     def test_invalid_t(self):
+        # nan passes a plain t <= 0 test; it must raise, not return nan
         spec = SpectrumTable.from_lines([(1, 1.0, 1)], n=1)
-        with pytest.raises(DomainError):
-            heat_supertrace_N(spec, 0.0, False)
+        for t in (math.nan, math.inf, 0.0, -1.0):
+            for nonzero_only in (False, True):
+                with pytest.raises(DomainError):
+                    heat_supertrace_N(spec, t, nonzero_only)
+            with pytest.raises(DomainError):
+                trace_degree(spec, 1, t)
+
+    @pytest.mark.parametrize("name", ["cp1_m0", "cp1_m8", "cp1_m128", "random_n2"])
+    def test_matches_fsum_reference(self, name):
+        # reference: exactly rounded sum over *all* listed lines under the
+        # lam t < 745 underflow mask; the tail bound is weight * tail_bound
+        if name == "random_n2":
+            rng = np.random.default_rng(41)
+            lines = [
+                (int(rng.integers(0, 3)), float(rng.uniform(0.3, 40.0)), int(rng.integers(1, 6)))
+                for _ in range(60)
+            ]
+            lines += [(0, 0.0, 3), (1, 0.0, 2), (2, 0.0, 2)]
+            spec = SpectrumTable.from_lines(lines, n=2)
+            assert {l.q for l in spec.lines if l.lam > 0} == {0, 1, 2}
+            assert spec.supertrace_N_kernel() == 2.0
+        else:
+            m = int(name[len("cp1_m"):])
+            spec = cp1_spectrum(m, max(1024, m * m))
+        lam_min = spec.min_nonzero_eigenvalue
+        t_dead = 1000.0 / lam_min  # every term underflows
+        for t in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e2, 1e3, t_dead):
+            if isinstance(spec.tail, QuadraticTail):
+                weight = sum(q for q in spec.tail.degrees if q >= 1)
+                want_bound = weight * tail_bound(spec.tail.law, spec.tail.k_next, t)
+            else:
+                want_bound = 0.0
+            for nonzero_only in (False, True):
+                terms = [
+                    (-1) ** l.q * l.q * l.mult * math.exp(-l.lam * t)
+                    for l in spec.lines
+                    if l.lam * t < 745.0 and not (nonzero_only and l.lam == 0.0)
+                ]
+                tv = heat_supertrace_N(spec, t, nonzero_only)
+                assert tv.tail_bound == want_bound
+                scale = math.fsum(abs(x) for x in terms)
+                assert abs(tv.value - math.fsum(terms)) <= 1e-13 * scale
+                if t == t_dead:
+                    assert tv.value == (0.0 if nonzero_only else spec.supertrace_N_kernel())
 
     def test_tail_consistency_between_truncations(self):
         coarse = cp1_spectrum(10, 2000)
@@ -124,6 +169,12 @@ class TestHeatSupertrace:
         C, c = decay_certificate(spec)
         for t in (1.0, 2.5, 7.0):
             assert abs(heat_supertrace_N(spec, t, True).value) <= C * math.exp(-c * t)
+        # the rescaled route certifies from t_min = 1/m
+        for m in (8, 64):
+            spec = cp1_spectrum(m, max(1024, m * m))
+            C, c = decay_certificate(spec, t_min=1.0 / m)
+            for t in (1.0 / m, 2.5 / m, 7.0 / m, 1.0, 3.0):
+                assert abs(heat_supertrace_N(spec, t, True).value) <= C * math.exp(-c * t)
 
     def test_trust_floor_certifies(self):
         spec = cp1_spectrum(8, 500)

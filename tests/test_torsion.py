@@ -348,6 +348,19 @@ class TestSweep:
             )
 
 
+class TestLargeWeight:
+    # frozen direct-route theta'(0) of cp1_spectrum(256, 65536)
+    DIRECT_M256 = 477.56641101962884
+
+    def test_report_beyond_the_sweep(self):
+        geom = cp1_geometry()
+        rep = torsion_report(cp1_spectrum(256, 65536), geom, 256)
+        rep128 = torsion_report(cp1_spectrum(128, 16384), geom, 128)
+        assert rep.scaling_identity_gap < 1e-8
+        assert abs(rep.residual) < abs(rep128.residual)
+        assert rep.theta_prime_0_direct == pytest.approx(self.DIRECT_M256, rel=1e-13)
+
+
 class TestLongTimeBound:
     def test_rescaled_degree_traces_uniformly_bounded(self):
         # fitted constants: with c = 1, c' = 0 the rescaled degree-1 traces
