@@ -53,8 +53,8 @@ from .torsion import (
     reports_to_csv,
     reports_to_json,
     residual_trend_ok,
-    theta_prime_zero,
-    theta_prime_zero_direct,
+    theta_prime_zero_direct_result,
+    theta_prime_zero_result,
     torsion_report,
 )
 
@@ -65,7 +65,7 @@ def _resolve_geometry(spec: str):
     if spec == "cp1":
         return cp1_geometry()
     path = Path(spec)
-    if not path.exists():
+    if not path.is_file():
         raise CrTorsionError(f"geometry file not found: {path}")
     return load_geometry(path)
 
@@ -74,11 +74,20 @@ def _default_kmax(m: int) -> int:
     return max(1024, m * m)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(args, json_text: str, csv_text: str) -> None:
+    """Write the report in the chosen ``--format`` to ``--out`` or stdout."""
+    text = json_text if args.format == "json" else csv_text
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _coefficients_csv(args, pairs, *comments: str) -> str:
+    """``exponent,coefficient`` rows under the metadata comment line."""
+    rows = ["# " + json.dumps(_metadata(args), default=str), *comments, "exponent,coefficient"]
+    rows += [f"{e},{format(float(c), '.17g')}" for e, c in pairs]
+    return "\n".join(rows) + "\n"
 
 
 def _metadata(args, extra: dict | None = None) -> dict:
@@ -203,19 +212,19 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     worst = 0.0
     for lam, mult in ((2.0, 1), (5.0, 3)):
         spec = SpectrumTable.from_lines([(1, lam, mult)], n=1)
-        got = theta_prime_zero(
+        got = theta_prime_zero_result(
             spec, 1, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
-        )
+        ).derivative0
         worst = max(worst, abs(got - (-mult * math.log(lam))))
     record("one_line_zeta", worst, 1e-9)
 
     worst = 0.0
     for _ in range(5):
         spec = _random_finite_spectrum(rng, n=int(rng.integers(1, 3)))
-        heat = theta_prime_zero(
+        heat = theta_prime_zero_result(
             spec, spec.n, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
-        )
-        direct = theta_prime_zero_direct(spec)
+        ).derivative0
+        direct = theta_prime_zero_direct_result(spec)[0]
         worst = max(worst, abs(heat - direct))
     record("two_path_finite", worst, 1e-8)
 
@@ -339,7 +348,7 @@ def _cmd_selfcheck(args) -> int:
     print(f"selfcheck: {'ok' if code == 0 else 'FAILED'} ({len(checks)} checks)")
     if args.out:
         payload = {"metadata": _metadata(args), "checks": checks, "exit_code": code}
-        _write_output(json.dumps(payload, indent=2), args.out)
+        Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return code
 
 
@@ -359,13 +368,8 @@ def _cmd_density(args) -> int:
             for s in wedge.per_subset
         },
     }
-    if args.format == "json":
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = ["# " + json.dumps(_metadata(args), default=str), "exponent,coefficient"]
-        for e, c in zip(stn.exponents(), stn.coeffs):
-            rows.append(f"{e},{format(float(c), '.17g')}")
-        _write_output("\n".join(rows) + "\n", args.out)
+    csv_text = _coefficients_csv(args, zip(stn.exponents(), stn.coeffs))
+    _emit(args, json.dumps(payload, indent=2), csv_text)
     return 0
 
 
@@ -379,30 +383,26 @@ def _series_dict(series: HalfPowerSeries) -> dict:
     }
 
 
-def _load_spectrum_arg(args, model) -> SpectrumTable:
-    if args.spectrum:
-        path = Path(args.spectrum)
-        if not path.exists():
-            raise CrTorsionError(f"spectrum file not found: {path}")
-        return ingest_spectrum(path.read_bytes(), n=model.n, m=args.m or 0)
-    if args.m is None:
-        raise CrTorsionError("either --spectrum or --m is required")
-    return cp1_spectrum(args.m, args.kmax or _default_kmax(args.m))
+def _read_spectrum(name: str, n: int, m: int | None) -> SpectrumTable:
+    path = Path(name)
+    if not path.is_file():
+        raise CrTorsionError(f"spectrum file not found: {path}")
+    return ingest_spectrum(path.read_bytes(), n=n, m=m or 0)
 
 
 def _cmd_torsion(args) -> int:
     model = _resolve_geometry(args.geometry)
-    spec = _load_spectrum_arg(args, model)
+    if args.spectrum:
+        spec = _read_spectrum(args.spectrum, model.n, args.m)
+    elif args.m is None:
+        raise CrTorsionError("either --spectrum or --m is required")
+    else:
+        spec = cp1_spectrum(args.m, args.kmax or _default_kmax(args.m))
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
     m = args.m or spec.m or 1
     report = torsion_report(spec, model, m, cfg)
     meta = _metadata(args, {"quadrature": asdict(cfg)})
-    text = (
-        reports_to_json([report], meta)
-        if args.format == "json"
-        else reports_to_csv([report], meta)
-    )
-    _write_output(text, args.out)
+    _emit(args, reports_to_json([report], meta), reports_to_csv([report], meta))
     return 0
 
 
@@ -416,12 +416,7 @@ def _cmd_sweep(args) -> int:
 
     reports = asympt_sweep(model, source, ms, cfg)
     meta = _metadata(args, {"quadrature": asdict(cfg)})
-    text = (
-        reports_to_json(reports, meta)
-        if args.format == "json"
-        else reports_to_csv(reports, meta)
-    )
-    _write_output(text, args.out)
+    _emit(args, reports_to_json(reports, meta), reports_to_csv(reports, meta))
     trend = residual_trend_ok(reports)
     resids = ", ".join(f"m={r.m}: {r.residual:+.6f}" for r in reports)
     print(f"residuals: {resids}")
@@ -430,12 +425,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if not args.spectrum:
-        raise CrTorsionError("--spectrum is required for fit")
-    path = Path(args.spectrum)
-    if not path.exists():
-        raise CrTorsionError(f"spectrum file not found: {path}")
-    spec = ingest_spectrum(path.read_bytes(), n=args.n, m=args.m or 0)
+    spec = _read_spectrum(args.spectrum, args.n, args.m)
     grid = np.geomspace(args.tmin, args.tmax, args.points)
     fit = extract_bhat(spec, args.n, args.terms, grid)
     payload = {
@@ -445,15 +435,11 @@ def _cmd_fit(args) -> int:
         "condition_number": fit.cond,
         "ill_conditioned": fit.ill_conditioned,
     }
-    if args.format == "json":
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = ["# " + json.dumps(_metadata(args), default=str)]
-        rows.append(f"# condition_number: {fit.cond:.6e}")
-        rows.append("exponent,coefficient")
-        for j, c in enumerate(fit.coeffs):
-            rows.append(f"{-args.n + j / 2.0},{format(c, '.17g')}")
-        _write_output("\n".join(rows) + "\n", args.out)
+    exponents = (-args.n + j / 2.0 for j in range(len(fit.coeffs)))
+    csv_text = _coefficients_csv(
+        args, zip(exponents, fit.coeffs), f"# condition_number: {fit.cond:.6e}"
+    )
+    _emit(args, json.dumps(payload, indent=2), csv_text)
     return 0
 
 
@@ -482,13 +468,8 @@ def _cmd_stratum(args) -> int:
             args.m, 1.0, math.sqrt(math.log(float(args.m)) / (0.5 * args.m)), 1.0, 0.5, 1
         ),
     }
-    if args.format == "json":
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = ["# " + json.dumps(_metadata(args), default=str), "exponent,coefficient"]
-        for e, c in zip(series.exponents(), series.coeffs):
-            rows.append(f"{e},{format(float(c), '.17g')}")
-        _write_output("\n".join(rows) + "\n", args.out)
+    csv_text = _coefficients_csv(args, zip(series.exponents(), series.coeffs))
+    _emit(args, json.dumps(payload, indent=2), csv_text)
     return 0
 
 
@@ -505,21 +486,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"crtorsion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, geometry=False):
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=1e-11, help="quadrature tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        if geometry:
-            p.add_argument(
-                "--geometry",
-                type=str,
-                default="cp1",
-                help="geometry JSON path or the builtin 'cp1'",
-            )
+    # each subcommand declares only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="output file path")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-11, help="quadrature tolerance")
+    geometry = argparse.ArgumentParser(add_help=False)
+    geometry.add_argument(
+        "--geometry", type=str, default="cp1", help="geometry JSON path or the builtin 'cp1'"
+    )
 
-    p = sub.add_parser("selfcheck", help="run the cross-module invariant battery")
-    common(p)
+    p = sub.add_parser(
+        "selfcheck", parents=[out, tol], help="run the cross-module invariant battery"
+    )
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument(
         "--mutate-gamma",
         action="store_true",
@@ -527,26 +509,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_selfcheck)
 
-    p = sub.add_parser("density", help="dump model density expansions")
-    common(p, geometry=True)
+    p = sub.add_parser(
+        "density", parents=[out, fmt, geometry], help="dump model density expansions"
+    )
     p.add_argument("--order", type=float, default=4.0, help="truncation order")
     p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("torsion", help="single torsion report")
-    common(p, geometry=True)
+    p = sub.add_parser("torsion", parents=[out, fmt, tol, geometry], help="single torsion report")
     p.add_argument("--spectrum", type=str, default=None, help="spectrum CSV path")
     p.add_argument("--m", type=int, default=None, help="Fourier weight")
     p.add_argument("--kmax", type=int, default=None, help="spectrum truncation")
     p.set_defaults(func=_cmd_torsion)
 
-    p = sub.add_parser("sweep", help="m-sweep with residual trend check")
-    common(p, geometry=True)
+    p = sub.add_parser(
+        "sweep", parents=[out, fmt, tol, geometry], help="m-sweep with residual trend check"
+    )
     p.add_argument("--ms", type=str, required=True, help="comma-separated weights, e.g. 8,16,32,64")
     p.add_argument("--kmax", type=int, default=None, help="fixed truncation (default max(1024, m^2))")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("fit", help="extract half-power expansion coefficients")
-    common(p)
+    p = sub.add_parser("fit", parents=[out, fmt], help="extract half-power expansion coefficients")
     p.add_argument("--spectrum", type=str, required=True)
     p.add_argument("--n", type=int, required=True, help="CR dimension parameter")
     p.add_argument("--m", type=int, default=None)
@@ -556,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=40)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("stratum", help="Gaussian stratum expansion and envelope")
-    common(p)
+    p = sub.add_parser(
+        "stratum", parents=[out, fmt], help="Gaussian stratum expansion and envelope"
+    )
     p.add_argument("--r", type=int, required=True, help="stratum codimension")
     p.add_argument("--c", type=float, default=1.0, help="quadratic form scale")
     p.add_argument("--m", type=int, default=16)

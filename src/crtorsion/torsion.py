@@ -152,22 +152,47 @@ def extract_bhat(
 # ---------------------------------------------------------------------------
 
 
-def _mellin_input_full(
-    spec: SpectrumTable, n: int, bhat: Sequence[float], cfg: QuadratureConfig
-) -> MellinInput:
-    kernel = spec.supertrace_N_kernel()
-    expansion = list(float(b) for b in bhat)
-    expansion[2 * n] = expansion[2 * n] - kernel
-    floor = supertrace_trust_floor(spec, tol=min(1e-13, cfg.abs_tol * 1e-2))
+def _theta_mellin(
+    spec: SpectrumTable,
+    n: int,
+    bhat: Sequence[float],
+    m: int,
+    cfg: QuadratureConfig,
+    gamma_prime_1: float = GAMMA_PRIME_1,
+) -> MellinResult:
+    """(theta(0), theta'(0), error) of the rescaled trace m^{-n} S(t/m), where
+    S(t) = STr[N e^{-t Box} perp] and theta(z) = -M[m^{-n} S(t/m)](z).
 
-    def f_perp(t: float) -> float:
-        return heat_supertrace_N(spec, t, True).value
+    The substitution t -> t/m turns the expansion coefficient of t^{-n+j/2}
+    into bhat_j m^{-j/2} (up to the overall m^{-n}), moves the trust floor to
+    m * floor and the decay certificate to t >= 1/m.  At m = 1 every
+    rescaling is exact, so this is the heat route itself.
+    """
+    if len(bhat) < 2 * n + 1:
+        raise ArityError(
+            f"bhat must supply the ladder through t^0: need {2 * n + 1} "
+            f"coefficients, got {len(bhat)}"
+        )
+    scale = float(m) ** (-n)
+    expansion = [float(b) * float(m) ** (-0.5 * j) for j, b in enumerate(bhat)]
+    expansion[2 * n] -= spec.supertrace_N_kernel() * scale
+    floor = m * supertrace_trust_floor(spec, tol=min(1e-13, cfg.abs_tol * 1e-2))
+    if floor >= 1.0:
+        raise DomainError(
+            f"m = {m}: the rescaled trust floor m*floor = {floor:.3g} reaches "
+            "t = 1; the spectrum table is too short for this weight"
+        )
+
+    def f(t: float) -> float:
+        return scale * heat_supertrace_N(spec, t / m, True).value
 
     try:
-        C, c = decay_certificate(spec)
+        C, c = decay_certificate(spec, t_min=1.0 / m)
     except EmptyDegreeError:
         C, c = 0.0, 1.0
-    return MellinInput(f_perp, n, tuple(expansion), (C, c), floor)
+    inp = MellinInput(f, n, tuple(expansion), (scale * C, c / m), floor)
+    res = mellin_at_zero(inp, cfg, gamma_prime_1=gamma_prime_1)
+    return MellinResult(-res.value0, -res.derivative0, res.error_estimate)
 
 
 def theta_prime_zero_result(
@@ -177,27 +202,8 @@ def theta_prime_zero_result(
     cfg: QuadratureConfig | None = None,
     gamma_prime_1: float = GAMMA_PRIME_1,
 ) -> MellinResult:
-    """Heat-kernel route with error estimate: theta'(0) = -M'[...](0)."""
-    if len(bhat) < 2 * n + 1:
-        raise ArityError(
-            f"bhat must supply the ladder through t^0: need {2 * n + 1} "
-            f"coefficients, got {len(bhat)}"
-        )
-    cfg = cfg or QuadratureConfig()
-    inp = _mellin_input_full(spec, n, bhat, cfg)
-    res = mellin_at_zero(inp, cfg, gamma_prime_1=gamma_prime_1)
-    return MellinResult(res.value0, -res.derivative0, res.error_estimate)
-
-
-def theta_prime_zero(
-    spec: SpectrumTable,
-    n: int,
-    bhat: Sequence[float],
-    cfg: QuadratureConfig | None = None,
-    gamma_prime_1: float = GAMMA_PRIME_1,
-) -> float:
-    """theta'(0) along the heat-kernel route (four-term formula)."""
-    return theta_prime_zero_result(spec, n, bhat, cfg, gamma_prime_1).derivative0
+    """Heat-kernel route: (theta(0), theta'(0), error) by the four-term formula."""
+    return _theta_mellin(spec, n, bhat, 1, cfg or QuadratureConfig(), gamma_prime_1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +250,6 @@ def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
     return total, err + 8e-16 * (scale + 1.0)
 
 
-def theta_prime_zero_direct(spec: SpectrumTable) -> float:
-    return theta_prime_zero_direct_result(spec)[0]
-
-
 # ---------------------------------------------------------------------------
 # Asymptotic right-hand side
 # ---------------------------------------------------------------------------
@@ -276,38 +278,8 @@ def torsion_rhs(model: GeometryModel, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rescaled quantities and the m-sweep
+# Reports and the m-sweep
 # ---------------------------------------------------------------------------
-
-
-def _rescaled_theta_tilde(
-    spec: SpectrumTable,
-    n: int,
-    bhat: Sequence[float],
-    m: int,
-    cfg: QuadratureConfig,
-) -> Tuple[float, float, float]:
-    """(theta~(0), theta~'(0), error) from the rescaled trace m^{-n} S(t/m).
-
-    The substitution t -> t/m turns the expansion coefficient of t^{-n+j/2}
-    into bhat_j m^{-j/2} (up to the overall m^{-n}).
-    """
-    kernel = spec.supertrace_N_kernel()
-    scale = float(m) ** (-n)
-    expansion = [float(b) * float(m) ** (-0.5 * j) for j, b in enumerate(bhat)]
-    expansion[2 * n] -= kernel * scale
-    floor = supertrace_trust_floor(spec, tol=min(1e-13, cfg.abs_tol * 1e-2))
-    floor_rescaled = min(floor * m, 0.5)
-
-    def f_tilde(t: float) -> float:
-        return scale * heat_supertrace_N(spec, t / m, True).value
-
-    C, c = decay_certificate(spec, t_min=1.0 / m)
-    inp = MellinInput(
-        f_tilde, n, tuple(expansion), (scale * C, c / m), floor_rescaled
-    )
-    res = mellin_at_zero(inp, cfg)
-    return -res.value0, -res.derivative0, res.error_estimate
 
 
 @dataclass(frozen=True)
@@ -352,8 +324,10 @@ def torsion_report(
     budget = 3.0 * (heat.error_estimate + err_direct) + 1e-9 * (1.0 + abs(direct))
     rhs = torsion_rhs(model, m)
     mn = float(m) ** n
-    tilde0, tilde_prime0, err_tilde = _rescaled_theta_tilde(spec, n, bhat, m, cfg)
-    gap = abs(heat.derivative0 / mn + math.log(m) * tilde0 - tilde_prime0)
+    # theta~ of m^{-n} S(t/m), built directly: theta_prime_zero_result is the
+    # heat route (m = 1) only
+    tilde = _theta_mellin(spec, n, bhat, m, cfg)
+    gap = abs(heat.derivative0 / mn + math.log(m) * tilde.value0 - tilde.derivative0)
     return TorsionReport(
         m=m,
         theta_prime_0=heat.derivative0,
@@ -362,8 +336,8 @@ def torsion_report(
         rhs=rhs,
         residual=(heat.derivative0 - rhs) / mn,
         error_budget=budget,
-        theta_tilde_0=tilde0,
-        theta_tilde_prime_0=tilde_prime0,
+        theta_tilde_0=tilde.value0,
+        theta_tilde_prime_0=tilde.derivative0,
         scaling_identity_gap=gap,
         supertrace_N_kernel=spec.supertrace_N_kernel(),
     )

@@ -149,6 +149,27 @@ class TestTorsionCommand:
         assert rep["theta_prime_0"] == pytest.approx(-math.log(2.0), abs=1e-9)
 
 
+    def test_table_too_short_for_weight(self, capsys):
+        code, _, err = run_cli(["torsion", "--m", "32", "--kmax", "16"], capsys)
+        assert code == 1
+        assert "m = 32" in err and "m*floor" in err
+
+
+@pytest.mark.parametrize(
+    "cargs",
+    [
+        ["torsion", "--m", "4", "--spectrum"],
+        ["fit", "--n", "1", "--spectrum"],
+        ["sweep", "--ms", "8", "--geometry"],
+    ],
+    ids=["torsion", "fit", "geometry"],
+)
+def test_directory_in_place_of_file(cargs, tmp_path, capsys):
+    code, _, err = run_cli(cargs + [str(tmp_path)], capsys)
+    assert code == 1
+    assert str(tmp_path) in err
+
+
 class TestFitCommand:
     def test_fit_on_written_table(self, tmp_path, capsys):
         rows = ["q,lambda,mult"]
@@ -207,3 +228,45 @@ class TestStratumCommand:
         data = json.loads(out.read_text())
         for entry in data["cross_check"].values():
             assert entry["closed_form"] == pytest.approx(entry["quadrature"], rel=1e-8)
+
+
+def _fit_table(tmp_path):
+    rows = ["q,lambda,mult"] + [f"1,{0.15 * k},2" for k in range(1, 40)]
+    spath = tmp_path / "s.csv"
+    spath.write_text("\n".join(rows) + "\n")
+    return ["fit", "--spectrum", str(spath), "--n", "1", "--terms", "3",
+            "--tmin", "0.05", "--tmax", "0.5"]
+
+
+def _series_coefficients(key):
+    def pick(data):
+        return {float(e): c for e, c in data[key]["coefficients"].items()}
+
+    return pick
+
+
+def _fit_coefficients(data):
+    base = data["base_order"]
+    return {base + j / 2.0: c for j, c in enumerate(data["coefficients"])}
+
+
+@pytest.mark.parametrize(
+    "make_args, coefficients",
+    [
+        (lambda tmp: ["density"], _series_coefficients("supertrace_series")),
+        (_fit_table, _fit_coefficients),
+        (lambda tmp: ["stratum", "--r", "1", "--m", "9"], _series_coefficients("series")),
+    ],
+    ids=["density", "fit", "stratum"],
+)
+def test_coefficient_csv_matches_json(make_args, coefficients, tmp_path, capsys):
+    cargs = make_args(tmp_path)
+    out_csv = tmp_path / "c.csv"
+    out_json = tmp_path / "c.json"
+    assert run_cli(cargs + ["--out", str(out_csv)], capsys)[0] == 0
+    assert run_cli(cargs + ["--format", "json", "--out", str(out_json)], capsys)[0] == 0
+    rows = [r for r in out_csv.read_text().splitlines() if r and not r.startswith("#")]
+    parsed = list(csv.DictReader(io.StringIO("\n".join(rows))))
+    assert parsed
+    got = {float(r["exponent"]): float(r["coefficient"]) for r in parsed}
+    assert got == coefficients(json.loads(out_json.read_text()))

@@ -21,8 +21,8 @@ from crtorsion.torsion import (
     reports_to_csv,
     reports_to_json,
     residual_trend_ok,
-    theta_prime_zero,
-    theta_prime_zero_direct,
+    theta_prime_zero_direct_result,
+    theta_prime_zero_result,
     torsion_report,
     torsion_rhs,
 )
@@ -113,19 +113,26 @@ class TestExtractBhat:
 class TestHeatRoute:
     def test_no_nonzero_modes_gives_zero(self):
         spec = SpectrumTable.from_lines([(0, 0.0, 4)], n=1)
-        got = theta_prime_zero(spec, 1, closed_form_bhat(spec))
+        got = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
         assert got == 0.0
 
     def test_one_line_zeta_oracle(self):
         for lam, mult in ((2.0, 1), (5.0, 3)):
             spec = SpectrumTable.from_lines([(1, lam, mult)], n=1)
-            got = theta_prime_zero(spec, 1, closed_form_bhat(spec))
+            got = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
             assert got == pytest.approx(-mult * math.log(lam), abs=1e-10)
+
+    @pytest.mark.parametrize("lam, mult", [(2.0, 1), (5.0, 3)])
+    def test_value_at_zero_is_theta0(self, lam, mult):
+        # theta(0) = -M[STr N e^{-t Box}](0) = -(-mult) for one degree-1 line
+        spec = SpectrumTable.from_lines([(1, lam, mult)], n=1)
+        res = theta_prime_zero_result(spec, 1, closed_form_bhat(spec))
+        assert res.value0 == mult
 
     def test_bhat_arity(self):
         spec = SpectrumTable.from_lines([(1, 2.0, 1)], n=1)
         with pytest.raises(ArityError):
-            theta_prime_zero(spec, 1, [0.0, 0.0])
+            theta_prime_zero_result(spec, 1, [0.0, 0.0]).derivative0
 
     def test_gamma_mutation_shifts_by_exact_amount(self):
         # replacing Gamma'(1) by 0 must change the result by exactly
@@ -133,8 +140,8 @@ class TestHeatRoute:
         rng = np.random.default_rng(77)
         spec = random_finite_spectrum(rng)
         bh = closed_form_bhat(spec)
-        base = theta_prime_zero(spec, 1, bh)
-        mutated = theta_prime_zero(spec, 1, bh, gamma_prime_1=0.0)
+        base = theta_prime_zero_result(spec, 1, bh).derivative0
+        mutated = theta_prime_zero_result(spec, 1, bh, gamma_prime_1=0.0).derivative0
         expected_shift = abs(
             GAMMA_PRIME_1 * (bh[2] - spec.supertrace_N_kernel())
         )
@@ -144,20 +151,20 @@ class TestHeatRoute:
 class TestDirectRoute:
     def test_single_line(self):
         spec = SpectrumTable.from_lines([(1, 2.0, 1)], n=1)
-        assert theta_prime_zero_direct(spec) == pytest.approx(-math.log(2.0))
+        assert theta_prime_zero_direct_result(spec)[0] == pytest.approx(-math.log(2.0))
 
     def test_log_additivity(self):
         spec = SpectrumTable.from_lines([(1, 2.0, 1), (1, 8.0, 1)], n=1)
-        assert theta_prime_zero_direct(spec) == pytest.approx(-math.log(16.0))
+        assert theta_prime_zero_direct_result(spec)[0] == pytest.approx(-math.log(16.0))
 
     def test_round_sphere_value(self):
         spec = cp1_spectrum(0, 512)
-        got = theta_prime_zero_direct(spec)
+        got = theta_prime_zero_direct_result(spec)[0]
         assert got == pytest.approx(ROUND_SPHERE_THETA_PRIME, abs=1e-10)
 
     def test_stable_under_kmax_doubling(self):
-        a = theta_prime_zero_direct(cp1_spectrum(10, 10_000))
-        b = theta_prime_zero_direct(cp1_spectrum(10, 20_000))
+        a = theta_prime_zero_direct_result(cp1_spectrum(10, 10_000))[0]
+        b = theta_prime_zero_direct_result(cp1_spectrum(10, 20_000))[0]
         assert abs(a - b) < 1e-6
 
 
@@ -166,14 +173,14 @@ class TestTwoPathConsistency:
         rng = np.random.default_rng(123)
         for _ in range(8):
             spec = random_finite_spectrum(rng, n=int(rng.integers(1, 3)))
-            heat = theta_prime_zero(spec, spec.n, closed_form_bhat(spec))
-            direct = theta_prime_zero_direct(spec)
+            heat = theta_prime_zero_result(spec, spec.n, closed_form_bhat(spec)).derivative0
+            direct = theta_prime_zero_direct_result(spec)[0]
             assert abs(heat - direct) < 1e-10
 
     def test_cp1_m10(self):
         spec = cp1_spectrum(10, 10_000)
-        heat = theta_prime_zero(spec, 1, closed_form_bhat(spec))
-        direct = theta_prime_zero_direct(spec)
+        heat = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
+        direct = theta_prime_zero_direct_result(spec)[0]
         assert abs(heat - direct) < 1e-5
 
     def test_positive_degree_kernel_bookkeeping(self):
@@ -183,15 +190,15 @@ class TestTwoPathConsistency:
             [(1, 0.0, 3), (1, 2.0, 1), (2, 5.0, 2), (0, 0.0, 4)], n=2
         )
         assert spec.supertrace_N_kernel() == -3.0
-        heat = theta_prime_zero(spec, 2, closed_form_bhat(spec))
-        direct = theta_prime_zero_direct(spec)
+        heat = theta_prime_zero_result(spec, 2, closed_form_bhat(spec)).derivative0
+        direct = theta_prime_zero_direct_result(spec)[0]
         want = -math.log(2.0) + 4.0 * math.log(5.0)
         assert direct == pytest.approx(want, rel=1e-15)
         assert abs(heat - direct) < 1e-10
 
     def test_round_sphere_heat_route(self):
         spec = cp1_spectrum(0, 2048)
-        heat = theta_prime_zero(spec, 1, closed_form_bhat(spec))
+        heat = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
         assert heat == pytest.approx(ROUND_SPHERE_THETA_PRIME, abs=1e-7)
 
     def test_coefficient_error_propagation(self):
@@ -205,15 +212,15 @@ class TestTwoPathConsistency:
         spec = cp1_spectrum(m, 4096)
         floor = supertrace_trust_floor(spec, 1e-13)
         bh = closed_form_bhat(spec)
-        base = theta_prime_zero(spec, 1, bh)
+        base = theta_prime_zero_result(spec, 1, bh).derivative0
         eps = 1e-3
         low = list(bh)
         low[0] += eps  # t^{-1} slot
-        shifted = theta_prime_zero(spec, 1, low)
+        shifted = theta_prime_zero_result(spec, 1, low).derivative0
         assert abs(shifted - base) == pytest.approx(eps / floor, rel=0.2)
         mid = list(bh)
         mid[2] += eps  # t^0 slot
-        shifted0 = theta_prime_zero(spec, 1, mid)
+        shifted0 = theta_prime_zero_result(spec, 1, mid).derivative0
         assert abs(shifted0 - base) == pytest.approx(
             eps * (math.log(1.0 / floor) - 0.5772156649), rel=0.2
         )
@@ -228,8 +235,8 @@ class TestTwoPathConsistency:
         fitted = list(extract_bhat(spec, 1, 5, grid).coeffs)
         bh = closed_form_bhat(spec)
         hybrid = fitted + list(bh[5:])  # extended floor-model terms stay exact
-        heat = theta_prime_zero(spec, 1, hybrid)
-        direct = theta_prime_zero_direct(spec)
+        heat = theta_prime_zero_result(spec, 1, hybrid).derivative0
+        direct = theta_prime_zero_direct_result(spec)[0]
         budget = 3.0 * (
             abs(fitted[0] - bh[0]) / floor
             + 2.0 * abs(fitted[1] - bh[1]) / math.sqrt(floor)
@@ -285,6 +292,23 @@ class TestScalingIdentity:
             assert r.theta_tilde_0 == pytest.approx(
                 -(m + 1) / (2 * m) - 1 / (6 * m), rel=1e-10
             )
+
+
+    def test_zero_modes_only_report(self):
+        # no nonzero line: both Mellin inputs fall back to the null decay
+        # certificate and both derivatives vanish
+        spec = SpectrumTable.from_lines([(1, 0.0, 2), (0, 0.0, 1)], n=1)
+        rep = torsion_report(spec, cp1_geometry(), 8)
+        assert rep.theta_prime_0 == 0.0
+        assert rep.theta_tilde_prime_0 == 0.0
+        assert rep.theta_prime_0_direct == 0.0
+
+    def test_tilde_floor_past_one_rejected(self):
+        # m * floor = 2.0 here: the rescaled table is not trusted anywhere
+        # on (0, 1], so the report must refuse rather than integrate it
+        spec = cp1_spectrum(32, 16)
+        with pytest.raises(DomainError, match=r"m = 32: .*m\*floor = 2"):
+            torsion_report(spec, cp1_geometry(), 32)
 
 
 class TestMetricRescaling:
