@@ -408,13 +408,12 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _resolve_geometry(args.geometry)
-    ms = [int(x) for x in args.ms.split(",") if x.strip()]
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
 
     def source(m: int) -> SpectrumTable:
         return cp1_spectrum(m, args.kmax or _default_kmax(m))
 
-    reports = asympt_sweep(model, source, ms, cfg)
+    reports = asympt_sweep(model, source, args.ms, cfg)
     meta = _metadata(args, {"quadrature": asdict(cfg)})
     _emit(args, reports_to_json(reports, meta), reports_to_csv(reports, meta))
     trend = residual_trend_ok(reports)
@@ -444,11 +443,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_stratum(args) -> int:
-    poly = (
-        {tuple(map(int, k.split())): float(v) for k, v in json.loads(args.poly).items()}
-        if args.poly
-        else {tuple([0] * args.r): 1.0}
-    )
+    poly = dict(args.poly) if args.poly else {tuple([0] * args.r): 1.0}
     integrand = StratumIntegrand(args.r, poly, args.c)
     # truncation must reach past the highest supplied monomial so the
     # quadrature cross-check compares like with like
@@ -476,6 +471,28 @@ def _cmd_stratum(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _int_list(text: str) -> list:
+    """``--ms``: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
+
+
+def _monomials(text: str) -> list:
+    """``--poly``: a JSON object {"a1 ... ar": coeff}, as (multi-index,
+    coefficient) pairs; a list keeps the report metadata plain JSON."""
+    try:
+        pairs = [(tuple(map(int, k.split())), float(v)) for k, v in json.loads(text).items()]
+    except (AttributeError, TypeError, ValueError):
+        pairs = []
+    if not pairs:
+        raise argparse.ArgumentTypeError(
+            f'expected a nonempty JSON object of {{"a1 ... ar": coeff}} monomials: {text!r}'
+        )
+    return pairs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", parents=[out, fmt, tol, geometry], help="m-sweep with residual trend check"
     )
-    p.add_argument("--ms", type=str, required=True, help="comma-separated weights, e.g. 8,16,32,64")
+    p.add_argument(
+        "--ms", type=_int_list, required=True, help="comma-separated weights, e.g. 8,16,32,64"
+    )
     p.add_argument("--kmax", type=int, default=None, help="fixed truncation (default max(1024, m^2))")
     p.set_defaults(func=_cmd_sweep)
 
@@ -547,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=float, default=4.0, help="extra orders beyond r/2")
     p.add_argument(
         "--poly",
-        type=str,
+        type=_monomials,
         default=None,
         help='JSON of {"a1 a2 ... ar": coeff} monomials, e.g. {"0": 1.0, "2": 0.5}',
     )

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Tuple
 
 from .errors import DomainError
-from .series import HalfPowerSeries, bose_factor
+from .series import HalfPowerSeries, _as_doubled, bose_factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,9 +154,7 @@ def model_density_coeffs(
             entry = core
         else:
             entry = core * HalfPowerSeries.exponential(-rate, work_order)
-        per_subset[subset] = entry.scale(pref).truncate2(
-            _doubled(trunc_order)
-        )
+        per_subset[subset] = entry.scale(pref).truncate2(_as_doubled(trunc_order, "trunc_order"))
     return WedgeDiagonalDensity(levi.n, per_subset)
 
 
@@ -192,7 +190,7 @@ def supertrace_N_density(
         )
         acc = term if acc is None else acc + term
     pref = scalar_density_norm(levi.n) if normalized else (Fraction(1) if exact else 1.0)
-    out = acc.scale(pref).truncate2(_doubled(trunc_order))
+    out = acc.scale(pref).truncate2(_as_doubled(trunc_order, "trunc_order"))
     return out.trimmed(rel_tol=0.0 if exact else 1e-9)
 
 
@@ -225,7 +223,7 @@ def rt_density_series(
     """
     levi.require_strongly_pseudoconvex("rt_density_series")
     exact = any(isinstance(a, Fraction) for a in levi.eigenvalues)
-    t2 = _doubled(trunc_order)
+    t2 = _as_doubled(trunc_order, "trunc_order")
     acc = None
     for a in levi.eigenvalues:
         one = Fraction(1) if exact else 1.0
@@ -296,11 +294,5 @@ def subset_sum_identity_residual(levi: LeviSpectrum, t: float) -> float:
     return abs(lhs - rhs)
 
 
-def _doubled(trunc_order) -> int:
-    from .series import _as_doubled
-
-    return _as_doubled(trunc_order, "trunc_order")
-
-
 def _plus(trunc_order, k: int):
-    return _doubled(trunc_order) / 2 + k
+    return _as_doubled(trunc_order, "trunc_order") / 2 + k

@@ -41,12 +41,6 @@ CP1_VOLUME = 4.0 * math.pi ** 2
 _UNDERFLOW = 745.0
 
 
-class SpectrumLine(NamedTuple):
-    q: int
-    lam: float
-    mult: int
-
-
 class TraceValue(NamedTuple):
     """A spectral sum together with the certified bound on the omitted tail."""
 
@@ -78,9 +72,15 @@ class QuadraticTail:
     kind: str = field(default="quadratic", init=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    lines: Tuple[SpectrumLine, ...]
+    """Spectrum lines plus a tail policy; build it through ``from_lines``.
+
+    ``lines`` is one read-only numpy record array with fields ``q``, ``lam``
+    and ``mult``, sorted by (q, lam) with duplicate (q, lam) keys merged.
+    """
+
+    lines: np.recarray
     n: int
     m: int = 0
     tail: FiniteTail | QuadraticTail = field(default_factory=FiniteTail)
@@ -88,63 +88,85 @@ class SpectrumTable:
     @classmethod
     def from_lines(
         cls,
-        lines: Iterable[Tuple[int, float, int]],
+        lines: Iterable[Tuple[int, float, int]] | np.ndarray,
         n: int,
         m: int = 0,
         tail: FiniteTail | QuadraticTail | None = None,
     ) -> "SpectrumTable":
-        merged: dict = {}
-        for q, lam, mult in lines:
-            q = int(q)
-            lam = float(lam)
-            mult = int(mult)
-            if not 0 <= q <= n:
-                raise DomainError(f"degree {q} outside [0, {n}]")
-            if lam < 0:
-                raise DomainError(f"negative eigenvalue {lam}")
-            if mult < 1:
-                raise DomainError(f"multiplicity {mult} < 1")
-            key = (q, lam)
-            merged[key] = merged.get(key, 0) + mult
-        ordered = tuple(
-            SpectrumLine(q, lam, merged[(q, lam)])
-            for (q, lam) in sorted(merged)
+        """Validate, merge and sort (q, lam, mult) rows: triples or an (N, 3) array."""
+        rows = np.asarray(lines if isinstance(lines, np.ndarray) else list(lines), float)
+        rows = rows.reshape(-1, 3)
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise DomainError(f"non-finite entry in line {tuple(rows[bad][0].tolist())}")
+        q, lam, mult = rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2].astype(np.int64)
+        if ((q < 0) | (q > n)).any():
+            raise DomainError(f"degree {q[(q < 0) | (q > n)][0]} outside [0, {n}]")
+        if (lam < 0).any():
+            raise DomainError(f"negative eigenvalue {lam[lam < 0][0]}")
+        if (mult < 1).any():
+            raise DomainError(f"multiplicity {mult[mult < 1][0]} < 1")
+        order = np.lexsort((lam, q))
+        q, lam, mult = q[order], lam[order], mult[order]
+        new_key = (np.diff(q, prepend=-1) != 0) | (np.diff(lam, prepend=-1.0) != 0)
+        first = np.flatnonzero(new_key)
+        merged = np.rec.fromarrays(
+            (q[first], lam[first], np.add.reduceat(mult, first)), names=("q", "lam", "mult")
         )
-        return cls(ordered, n, m, tail if tail is not None else FiniteTail())
+        merged.flags.writeable = False
+        return cls(merged, n, m, tail if tail is not None else FiniteTail())
 
     # -- cached numeric views -------------------------------------------
 
     @cached_property
-    def _arrays(self):
-        qs = np.array([l.q for l in self.lines], dtype=float)
-        lams = np.array([l.lam for l in self.lines], dtype=float)
-        mults = np.array([l.mult for l in self.lines], dtype=float)
-        nweight = ((-1.0) ** qs) * qs
-        return qs, lams, mults, nweight
+    def _weights(self) -> np.ndarray:
+        """(-1)^q q mult per line, its weight in STr[N e^{-t Box}]."""
+        q = self.lines.q
+        return (np.where(q % 2, -q, q) * self.lines.mult).astype(float)
 
     @cached_property
-    def _supertrace_lines(self):
-        """(lams, weights) of the lines that can move STr[N e^{-t Box} perp]:
-        positive eigenvalues with nonzero weight (-1)^q q mult, sorted
-        ascending so the terms that survive at any t form a prefix."""
-        _, lams, mults, nweight = self._arrays
-        sel = (lams > 0.0) & (nweight != 0.0)
-        order = np.argsort(lams[sel], kind="stable")
-        return lams[sel][order], (nweight[sel] * mults[sel])[order]
+    def _supertrace(self):
+        """(lams, weights, kernel) of STr[N e^{-t Box}]: the positive
+        eigenvalues with nonzero weight, sorted ascending so the terms that
+        survive at any t form a prefix, their weights, and the t-independent
+        zero-mode part."""
+        lam, w = self.lines.lam, self._weights
+        zero = lam == 0.0
+        sel = ~zero & (w != 0.0)
+        order = np.argsort(lam[sel], kind="stable")
+        return lam[sel][order], w[sel][order], float(np.sum(w[zero]))
+
+    @cached_property
+    def _outside_law(self):
+        """(lams, weights), in table order, of the lines with nonzero weight
+        that are not among the tail law's lines k_first..k_next-1.
+
+        Matched by inverting the quadratic with a relative tolerance, so
+        tables rebuilt through a rescaled law still match despite float
+        rounding.
+        """
+        lam, tail = self.lines.lam, self.tail
+        keep = self._weights != 0.0
+        if isinstance(tail, QuadraticTail) and tail.covers_all_lines:
+            law = tail.law
+            disc = law.a1 * law.a1 + 4.0 * law.a2 * (lam - law.a0)
+            k = np.rint((-law.a1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * law.a2))
+            covered = np.isin(self.lines.q, tail.degrees) & (disc >= 0)
+            covered &= (tail.k_first <= k) & (k < tail.k_next)
+            covered &= np.abs(law.lam(k) - lam) <= 1e-9 * (1.0 + np.abs(lam))
+            keep &= ~covered
+        return lam[keep], self._weights[keep]
 
     @property
     def min_nonzero_eigenvalue(self) -> float:
-        _, lams, _, _ = self._arrays
-        nz = lams[lams > 0]
+        nz = self.lines.lam[self.lines.lam > 0]
         if nz.size == 0:
             raise EmptyDegreeError("spectrum has no nonzero eigenvalues")
         return float(nz.min())
 
     def supertrace_N_kernel(self) -> float:
         """STr[N] restricted to the zero modes (t-independent)."""
-        qs, lams, mults, w = self._arrays
-        sel = lams == 0.0
-        return float(np.sum(w[sel] * mults[sel]))
+        return self._supertrace[2]
 
 
 def heat_supertrace_N(
@@ -161,7 +183,7 @@ def heat_supertrace_N(
     or exactly 0.0 in float64, so the dropped terms do not reach the value.
     """
     _require_finite_positive(t, "heat_supertrace_N")
-    lams, weights = spec._supertrace_lines
+    lams, weights, _ = spec._supertrace
     n = int(np.searchsorted(lams, _UNDERFLOW / t))
     value = float(np.dot(weights[:n], np.exp(-t * lams[:n])))
     if not nonzero_only:
@@ -174,12 +196,9 @@ def trace_degree(
 ) -> TraceValue:
     """Plain degree-q heat trace with tail bound."""
     _require_finite_positive(t, "trace_degree")
-    qs, lams, mults, _ = spec._arrays
-    sel = qs == q
-    if nonzero_only:
-        sel = sel & (lams > 0.0)
-    x = lams[sel] * t
-    value = float(np.sum(mults[sel] * np.exp(-np.minimum(x, 745.0)) * (x < 745.0)))
+    lines = spec.lines[(spec.lines.q == q) & ((spec.lines.lam > 0.0) | (not nonzero_only))]
+    x = lines.lam * t
+    value = float(np.sum(lines.mult * np.exp(-np.minimum(x, 745.0)) * (x < 745.0)))
     bound = 0.0
     if isinstance(spec.tail, QuadraticTail) and q in spec.tail.degrees:
         bound = tail_bound(spec.tail.law, spec.tail.k_next, t)
@@ -212,10 +231,10 @@ def supertrace_trust_floor(spec: SpectrumTable, tol: float) -> float:
 
 def spectral_gap(spec: SpectrumTable, q: int) -> float:
     """Smallest nonzero eigenvalue in degree q."""
-    candidates = [l.lam for l in spec.lines if l.q == q and l.lam > 0]
-    if not candidates:
+    candidates = spec.lines.lam[(spec.lines.q == q) & (spec.lines.lam > 0)]
+    if candidates.size == 0:
         raise EmptyDegreeError(f"no nonzero eigenvalue in degree {q}")
-    return min(candidates)
+    return float(candidates.min())
 
 
 def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, float]:
@@ -225,11 +244,10 @@ def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, f
     e^{-lam t_min/2} for t >= t_min, so C = sum q mult e^{-lam t_min/2} plus
     the tail bound at t = t_min/2.
     """
-    qs, lams, mults, _ = spec._arrays
-    sel = lams > 0.0
+    lines = spec.lines[spec.lines.lam > 0.0]
     lam_min = spec.min_nonzero_eigenvalue
     c = lam_min / 2.0
-    C = float(np.sum(qs[sel] * mults[sel] * np.exp(-lams[sel] * t_min / 2.0)))
+    C = float(np.sum(lines.q * lines.mult * np.exp(-lines.lam * t_min / 2.0)))
     C += _supertrace_tail_bound(spec, t_min / 2.0)
     return C, c
 
@@ -251,12 +269,11 @@ def cp1_spectrum(m: int, k_max: int) -> SpectrumTable:
         raise DomainError("m must be >= 0")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    lines = [(0, 0.0, m + 1)]
-    for k in range(1, k_max + 1):
-        lam = float(k) * (k + m + 1)
-        mult = m + 2 * k + 1
-        lines.append((0, lam, mult))
-        lines.append((1, lam, mult))
+    k = np.arange(1, k_max + 1)
+    lam = k.astype(float) * (k + m + 1)
+    mult = m + 2 * k + 1
+    q = np.repeat([0, 1], k_max)
+    lines = np.column_stack((np.r_[0, q], np.r_[0.0, lam, lam], np.r_[m + 1, mult, mult]))
     law = QuadraticLaw(a2=1.0, a1=float(m + 1), a0=0.0, m1=2.0, m0=float(m + 1))
     tail = QuadraticTail(
         k_next=k_max + 1, law=law, degrees=(0, 1), covers_all_lines=True, k_first=1
@@ -362,6 +379,8 @@ def ingest_spectrum(source, n: int, m: int = 0) -> SpectrumTable:
             raise ParseError(lineno, str(exc)) from exc
         if not 0 <= q <= n:
             raise ParseError(lineno, f"degree {q} outside [0, {n}]")
+        if not math.isfinite(lam):
+            raise ParseError(lineno, f"non-finite eigenvalue {lam}")
         if lam < 0:
             raise ParseError(lineno, f"negative eigenvalue {lam}")
         if mult < 1:

@@ -30,7 +30,7 @@ from typing import List, Tuple
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError
-from .series import HalfPowerSeries
+from .series import HalfPowerSeries, _as_doubled
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -146,7 +146,7 @@ def em_heat_series(
     Euler-Maclaurin orders); the default number of correction terms is chosen
     so that every represented coefficient is final.
     """
-    t2 = _doubled(trunc_order)
+    t2 = _as_doubled(trunc_order, "trunc_order")
     top = max(1, math.ceil(t2 / 2) + 1)
     p = em_terms if em_terms is not None else top + 2
     if p > len(_BERNOULLI_EVEN):
@@ -357,9 +357,3 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
         )
     deriv = deriv - mp.log(law.a2) * value
     return float(head_value + value), float(head_deriv + deriv), float(err), float(scale)
-
-
-def _doubled(trunc_order) -> int:
-    from .series import _as_doubled
-
-    return _as_doubled(trunc_order, "trunc_order")

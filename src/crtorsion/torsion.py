@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     ArityError,
     DomainError,
@@ -51,27 +53,6 @@ DEFAULT_JMAX_EXTRA = 8
 # ---------------------------------------------------------------------------
 # Expansion coefficients of the heat super trace
 # ---------------------------------------------------------------------------
-
-
-def _covered_by_law(spec: SpectrumTable, line) -> bool:
-    """Whether a listed line is one of the quadratic-law lines k_first..k_next-1.
-
-    Matched by inverting the quadratic with a relative tolerance, so tables
-    rebuilt through a rescaled law still match despite float rounding.
-    """
-    tail = spec.tail
-    if not (isinstance(tail, QuadraticTail) and tail.covers_all_lines):
-        return False
-    if line.q not in tail.degrees:
-        return False
-    law = tail.law
-    disc = law.a1 * law.a1 + 4.0 * law.a2 * (line.lam - law.a0)
-    if disc < 0:
-        return False
-    k = round((-law.a1 + math.sqrt(disc)) / (2.0 * law.a2))
-    if not tail.k_first <= k < tail.k_next:
-        return False
-    return abs(law.lam(k) - line.lam) <= 1e-9 * (1.0 + abs(line.lam))
 
 
 def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[float]:
@@ -106,16 +87,13 @@ def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[floa
             "tail law does not cover the listed lines; use extract_bhat"
         )
 
-    for line in spec.lines:
-        if line.q == 0 or _covered_by_law(spec, line):
-            continue
-        w = line.q if line.q % 2 == 0 else -line.q
-        # e^{-lam t} Taylor lands on integer exponents p >= 0, i.e. j = 2n + 2p
-        p = 0
-        while 2 * n + 2 * p <= j_max:
-            term = (-line.lam) ** p / math.factorial(p) if p else 1.0
-            coeffs[2 * n + 2 * p] += w * line.mult * term
-            p += 1
+    lam, w = spec._outside_law
+    # e^{-lam t} Taylor lands on integer exponents p >= 0, i.e. j = 2n + 2p;
+    # cumsum keeps the rounding of a line-by-line running sum (np.sum pairs)
+    for p in range((j_max - 2 * n) // 2 + 1):
+        term = (-lam) ** p / math.factorial(p) if p else 1.0
+        j = 2 * n + 2 * p
+        coeffs[j] = float(np.cumsum(np.r_[coeffs[j], w * term])[-1])
     return coeffs
 
 
@@ -240,11 +218,8 @@ def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
             err += abs(w) * zerr
     elif not isinstance(spec.tail, FiniteTail):
         raise UnsupportedTailError(f"unsupported tail policy {spec.tail!r}")
-    for line in spec.lines:
-        if line.lam <= 0.0 or line.q == 0 or _covered_by_law(spec, line):
-            continue
-        w = line.q if line.q % 2 == 0 else -line.q
-        terms.append(w * line.mult * math.log(line.lam))
+    lam, w = spec._outside_law
+    terms.extend((w[lam > 0.0] * np.log(lam[lam > 0.0])).tolist())
     total = math.fsum(terms)
     scale = math.fsum(abs(x) for x in terms)
     return total, err + 8e-16 * (scale + 1.0)

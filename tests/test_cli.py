@@ -170,7 +170,32 @@ def test_directory_in_place_of_file(cargs, tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize(
+    "cargs",
+    [
+        ["sweep", "--ms", "8,abc"],
+        ["stratum", "--r", "1", "--poly", "notjson"],
+        ["stratum", "--r", "1", "--poly", "[1]"],
+        ["stratum", "--r", "1", "--poly", '{"a": 1}'],
+    ],
+    ids=["ms", "poly-notjson", "poly-list", "poly-key"],
+)
+def test_bad_flag_value_is_usage_error(cargs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(cargs)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and cargs[-2] in err
+
+
 class TestFitCommand:
+    def test_non_finite_row_fails(self, tmp_path, capsys):
+        spath = tmp_path / "s.csv"
+        spath.write_text("q,lambda,mult\n1,0.5,2\n1,nan,2\n")
+        code, _, err = run_cli(["fit", "--spectrum", str(spath), "--n", "1"], capsys)
+        assert code == 1
+        assert "row 3" in err and "nan" in err
+
     def test_fit_on_written_table(self, tmp_path, capsys):
         rows = ["q,lambda,mult"]
         for k in range(1, 40):

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crtorsion.errors import DomainError, EmptyDegreeError, ParseError
 from crtorsion.spectra import (
@@ -32,13 +33,20 @@ from crtorsion.tails import tail_bound
 class TestIngest:
     def test_roundtrip_single_row(self):
         spec = ingest_spectrum(b"q,lambda,mult\n1,3.0,4\n", n=1)
-        assert spec.lines == ((1, 3.0, 4),)
+        assert spec.lines.tolist() == [(1, 3.0, 4)]
         assert isinstance(spec.tail, FiniteTail)
 
     def test_negative_eigenvalue_rejected_with_row(self):
         with pytest.raises(ParseError) as err:
             ingest_spectrum("q,lambda,mult\n0,-1.0,2\n", n=1)
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_eigenvalue_rejected_with_row(self, bad):
+        # nan passes a plain lam < 0 test; the sums would then drop the line
+        with pytest.raises(ParseError) as err:
+            ingest_spectrum(f"q,lambda,mult\n1,3.0,1\n1,{bad},2\n", n=1)
+        assert err.value.row == 3
 
     def test_bad_mult_and_degree(self):
         with pytest.raises(ParseError):
@@ -48,12 +56,12 @@ class TestIngest:
 
     def test_duplicates_merged(self):
         spec = ingest_spectrum("q,lambda,mult\n1,3.0,2\n1,3.0,3\n", n=1)
-        assert spec.lines == ((1, 3.0, 5),)
+        assert spec.lines.tolist() == [(1, 3.0, 5)]
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\nq,lambda,mult\n\n0,1.5,2\n# trailing\n"
         spec = ingest_spectrum(io.BytesIO(text.encode()), n=1)
-        assert spec.lines == ((0, 1.5, 2),)
+        assert spec.lines.tolist() == [(0, 1.5, 2)]
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -64,6 +72,62 @@ class TestIngest:
             "q,lambda,mult\n1,2.0,1\n0,5.0,1\n0,1.0,1\n", n=1
         )
         assert [(l.q, l.lam) for l in spec.lines] == [(0, 1.0), (0, 5.0), (1, 2.0)]
+
+
+def _dict_merge(rows):
+    """Reference table: merge duplicate (q, lam) keys in a dict, line by
+    line, then sort the keys."""
+    merged = {}
+    for q, lam, mult in rows:
+        merged[(q, lam)] = merged.get((q, lam), 0) + mult
+    return [(q, lam, merged[(q, lam)]) for (q, lam) in sorted(merged)]
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        # a small pool forces duplicate keys and zero eigenvalues
+        st.one_of(st.sampled_from([0.0, 1.5, 2.0, 7.25]), st.floats(0.0, 1e6)),
+        st.integers(1, 9),
+    ),
+    max_size=40,
+)
+
+
+class TestFromLines:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rows=_ROWS, data=st.data())
+    def test_matches_dict_merge(self, rows, data):
+        shuffled = data.draw(st.permutations(rows))
+        want = _dict_merge(shuffled)
+        assert SpectrumTable.from_lines(shuffled, n=2).lines.tolist() == want
+        columns = np.array(shuffled, dtype=float).reshape(-1, 3)
+        assert SpectrumTable.from_lines(columns, n=2).lines.tolist() == want
+
+    def test_columns_are_read_only(self):
+        spec = cp1_spectrum(3, 4)
+        with pytest.raises(ValueError):
+            spec.lines.lam[0] = 1.0
+        with pytest.raises(ValueError):
+            spec.lines["mult"][:] = 1
+        with pytest.raises(ValueError):
+            spec.lines.q = 0
+        assert spec.lines.tolist() == cp1_spectrum(3, 4).lines.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        with pytest.raises(DomainError):
+            SpectrumTable.from_lines([(1, 3.0, 1), (1, bad, 2)], n=1)
+
+    def test_invalid_lines_rejected(self):
+        for row in ((2, 1.0, 1), (-1, 1.0, 1), (1, -1.0, 1), (1, 1.0, 0)):
+            with pytest.raises(DomainError):
+                SpectrumTable.from_lines([(0, 1.0, 1), row], n=1)
+
+    def test_empty_table(self):
+        spec = SpectrumTable.from_lines([], n=1)
+        assert spec.lines.tolist() == []
+        assert spec.supertrace_N_kernel() == 0.0
 
 
 class TestHeatSupertrace:
@@ -214,6 +278,13 @@ class TestCp1Model:
             assert zero_lines[0].q == 0
             assert zero_lines[0].mult == m + 1
             assert spec.supertrace_N_kernel() == 0.0
+
+    @pytest.mark.parametrize("m", [0, 3, 37])
+    def test_rows_match_closed_form(self, m):
+        k_max = 60
+        law = [(float(k) * (k + m + 1), m + 2 * k + 1) for k in range(1, k_max + 1)]
+        want = [(0, 0.0, m + 1)] + [(0, *row) for row in law] + [(1, *row) for row in law]
+        assert cp1_spectrum(m, k_max).lines.tolist() == want
 
     def test_m0_is_round_sphere_law(self):
         spec = cp1_spectrum(0, 6)

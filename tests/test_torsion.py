@@ -73,6 +73,60 @@ class TestClosedFormBhat:
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+def _taylor_loop(lines, n, j_max):
+    """Reference: Taylor coefficients of sum (-1)^q q mult e^{-lam t},
+    accumulated line by line, with each slot's sum of |terms|."""
+    coeffs, scale = [0.0] * (j_max + 1), [0.0] * (j_max + 1)
+    for q, lam, mult in lines:
+        w = q if q % 2 == 0 else -q
+        for p in range((j_max - 2 * n) // 2 + 1):
+            term = w * mult * ((-lam) ** p / math.factorial(p) if p else 1.0)
+            coeffs[2 * n + 2 * p] += term
+            scale[2 * n + 2 * p] += abs(term)
+    return coeffs, scale
+
+
+def _log_loop(lines):
+    """Reference: sum of (-1)^q q mult log(lam) line by line, and sum |terms|."""
+    terms = [(q if q % 2 == 0 else -q) * mult * math.log(lam) for q, lam, mult in lines if lam > 0]
+    return math.fsum(terms), math.fsum(abs(x) for x in terms)
+
+
+class TestLinesOutsideLaw:
+    # closed_form_bhat and the direct route sum the lines outside the tail
+    # law with numpy; the loops above are the reference (numpy's pow and log
+    # may differ from libm's by an ulp, hence the eps-sized tolerances)
+
+    def test_finite_tables_match_loops(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3):
+            spec = random_finite_spectrum(rng, n=n)
+            j_max = 2 * n + 8
+            want, scale = _taylor_loop(spec.lines.tolist(), n, j_max)
+            got = closed_form_bhat(spec, j_max)
+            for g, w, s in zip(got, want, scale):
+                assert abs(g - w) <= 1e-14 * s
+            want, scale = _log_loop(spec.lines.tolist())
+            assert abs(theta_prime_zero_direct_result(spec)[0] - want) <= 1e-15 * scale
+
+    def test_law_mask_keeps_only_extra_lines(self):
+        from crtorsion.spectra import QuadraticTail
+
+        m, k_max = 5, 40
+        base = cp1_spectrum(m, k_max)
+        # off the law k(k+6), on it but past k_max, degree 0 (weight zero),
+        # and a degree-1 zero mode
+        extra = [(1, 7.5, 2), (1, 51.0 * 57.0, 1), (0, 3.3, 4), (1, 0.0, 1)]
+        tail = QuadraticTail(k_max + 1, base.tail.law, (0, 1), covers_all_lines=True)
+        spec = SpectrumTable.from_lines(base.lines.tolist() + extra, n=1, m=m, tail=tail)
+        want, scale = _taylor_loop(extra, 1, 10)
+        for g, b, w, s in zip(closed_form_bhat(spec), closed_form_bhat(base), want, scale):
+            assert abs((g - b) - w) <= 1e-14 * (abs(b) + s)
+        direct, base_direct = (theta_prime_zero_direct_result(x)[0] for x in (spec, base))
+        want, scale = _log_loop(extra)
+        assert abs((direct - base_direct) - want) <= 1e-14 * (abs(base_direct) + scale)
+
+
 class TestExtractBhat:
     def test_cp1_fit_matches_closed_form(self):
         m = 20
@@ -383,6 +437,15 @@ class TestLargeWeight:
         assert rep.scaling_identity_gap < 1e-8
         assert abs(rep.residual) < abs(rep128.residual)
         assert rep.theta_prime_0_direct == pytest.approx(self.DIRECT_M256, rel=1e-13)
+
+    # frozen direct-route theta'(0) of cp1_spectrum(512, 262144)
+    DIRECT_M512 = 1130.0078237935431
+
+    def test_report_at_m512(self):
+        rep = torsion_report(cp1_spectrum(512, 512 * 512), cp1_geometry(), 512)
+        assert abs(rep.theta_prime_0 - rep.theta_prime_0_direct) <= rep.error_budget
+        assert rep.scaling_identity_gap < 1e-8
+        assert rep.theta_prime_0_direct == pytest.approx(self.DIRECT_M512, rel=1e-13)
 
 
 class TestLongTimeBound:
