@@ -99,6 +99,11 @@ class SpectrumTable:
         bad = ~np.isfinite(rows).all(axis=1)
         if bad.any():
             raise DomainError(f"non-finite entry in line {tuple(rows[bad][0].tolist())}")
+        bad = (np.rint(rows[:, ::2]) != rows[:, ::2]).any(axis=1)
+        if bad.any():
+            raise DomainError(
+                f"non-integer degree or multiplicity in line {tuple(rows[bad][0].tolist())}"
+            )
         q, lam, mult = rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2].astype(np.int64)
         if ((q < 0) | (q > n)).any():
             raise DomainError(f"degree {q[(q < 0) | (q > n)][0]} outside [0, {n}]")

@@ -124,6 +124,18 @@ class TestFromLines:
             with pytest.raises(DomainError):
                 SpectrumTable.from_lines([(0, 1.0, 1), row], n=1)
 
+    @pytest.mark.parametrize(
+        "row, ok",
+        [((1.5, 3.0, 2), False), ((1, 3.0, 2.7), False), ((1.0, 3.0, 2.0), True)],
+    )
+    def test_non_integer_degree_or_multiplicity_rejected(self, row, ok):
+        if ok:
+            spec = SpectrumTable.from_lines([row], n=1)
+            assert spec.lines.tolist() == [(1, 3.0, 2)]
+        else:
+            with pytest.raises(DomainError, match="non-integer"):
+                SpectrumTable.from_lines([(0, 1.0, 1), row], n=1)
+
     def test_empty_table(self):
         spec = SpectrumTable.from_lines([], n=1)
         assert spec.lines.tolist() == []
@@ -184,6 +196,7 @@ class TestHeatSupertrace:
             spec = cp1_spectrum(m, max(1024, m * m))
         lam_min = spec.min_nonzero_eigenvalue
         t_dead = 1000.0 / lam_min  # every term underflows
+        rows = spec.lines.tolist()
         for t in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e2, 1e3, t_dead):
             if isinstance(spec.tail, QuadraticTail):
                 weight = sum(q for q in spec.tail.degrees if q >= 1)
@@ -192,9 +205,9 @@ class TestHeatSupertrace:
                 want_bound = 0.0
             for nonzero_only in (False, True):
                 terms = [
-                    (-1) ** l.q * l.q * l.mult * math.exp(-l.lam * t)
-                    for l in spec.lines
-                    if l.lam * t < 745.0 and not (nonzero_only and l.lam == 0.0)
+                    (-1) ** q * q * mult * math.exp(-lam * t)
+                    for q, lam, mult in rows
+                    if lam * t < 745.0 and not (nonzero_only and lam == 0.0)
                 ]
                 tv = heat_supertrace_N(spec, t, nonzero_only)
                 assert tv.tail_bound == want_bound
