@@ -132,8 +132,8 @@ def validate_eigenvalues(m: int, num_eigs: int = 10, basis_factor: int = 4) -> f
 def validate_kernel_dimension(m: int, K: int = 6, zero_tol: float = 1e-8) -> int:
     """Count zero modes across all difference-vector blocks.
 
-    Blocks with d1_offset outside [-2, m+2] are provably empty of zero modes in
-    this range check; the expected total is m + 1.
+    Blocks with d1_offset outside [-(m+2), 2] are provably empty of zero modes
+    in this range check; the expected total is m + 1.
     """
     count = 0
     for off in range(-2, m + 3):

@@ -17,15 +17,17 @@ independent tools are provided:
   truncated table may still be trusted.
 * ``zeta_log_tail`` - value and z-derivative at z = 0 of
   sum_{k >= k0} mu(k) lam(k)^{-z}: an explicit head up to a split index K,
-  then the binomial reduction of the tail to Hurwitz zeta values (mpmath
-  supplies zeta, its s-derivative, and digamma).
+  then the binomial reduction of the tail to Hurwitz zeta values (the
+  integer orders from one shared Euler-Maclaurin evaluation; mpmath supplies
+  the orders -1 and 0, zeta'(-1, q), digamma and log Gamma).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import mpmath as mp
 
@@ -112,12 +114,16 @@ def _poly_eval(p: List[float], x: float) -> float:
     return acc
 
 
-def _endpoint_derivative_tpoly(law: QuadraticLaw, order: int, x0: float) -> List[float]:
-    """Coefficients (in powers of t) of P_order(x0; t) where
-    d^k/dx^k [mu e^{-t lam}] = P_k e^{-t lam}."""
+def _endpoint_derivative_tpolys(
+    law: QuadraticLaw, order: int, x0: float
+) -> List[List[float]]:
+    """Coefficients (in powers of t) of P_k(x0; t) for k = 0 .. order, where
+    d^k/dx^k [mu e^{-t lam}] = P_k e^{-t lam}; one pass of the chain
+    P_{k+1} = P_k' - t lam' P_k."""
     lamp = [law.a1, 2.0 * law.a2]  # lam'(x)
     # P as list over t-powers of x-polynomials; P_0 = mu(x).
     p: List[List[float]] = [[law.m0, law.m1]]
+    out = [[_poly_eval(poly, x0) for poly in p]]
     for _ in range(order):
         nxt: List[List[float]] = []
         for r in range(len(p) + 1):
@@ -134,7 +140,8 @@ def _endpoint_derivative_tpoly(law: QuadraticLaw, order: int, x0: float) -> List
                 ]
             nxt.append(term)
         p = nxt
-    return [_poly_eval(poly, x0) for poly in p]
+        out.append([_poly_eval(poly, x0) for poly in p])
+    return out
 
 
 def em_heat_series(
@@ -187,8 +194,9 @@ def em_heat_series(
 
     # endpoint value term + Bernoulli corrections
     acc = acc + exp_lam0.scale(0.5 * law.mult(x0))
+    tpolys = _endpoint_derivative_tpolys(law, 2 * p - 1, x0)
     for j in range(1, p + 1):
-        tpoly = _endpoint_derivative_tpoly(law, 2 * j - 1, x0)
+        tpoly = tpolys[2 * j - 1]
         poly_series = HalfPowerSeries.from_terms(
             {r: c for r, c in enumerate(tpoly)}, work
         )
@@ -281,11 +289,14 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
     float combination would lose ~eps K^2 log K to cancellation.  Any law
     with lam(k) > 0 for all k >= k_start is accepted.
 
-    Hurwitz zeta at moderate order with a large second argument loses many
-    digits inside mpmath (observed ~16 at order 17, offset ~65), so the tail
-    is evaluated on a precision ladder until two consecutive levels agree;
-    their difference enters the reported error.  The head has no such loss
-    and is summed once, at the first level.
+    The integer-order values zeta(j, q), j = 2, 3, ..., come from one shared
+    Euler-Maclaurin evaluation per precision level (``_HurwitzFamily``), each
+    order carried only to eps of the partial Z'(0) after its binomial weight.
+    mpmath supplies zeta(-1, q), zeta(0, q), zeta'(-1, q), digamma(q) and
+    log Gamma(q) (for zeta'(0, q) = log Gamma(q) - log(2 pi) / 2): three zeta
+    calls per precision level.  The tail is evaluated on a precision
+    ladder until two consecutive levels agree; their difference enters the
+    reported error.  The head is summed once, at the first level.
     """
     _require_positive(law, k_start)
     K = split_index(law, k_start)
@@ -333,18 +344,28 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
     m1 = mp.mpf(law.m1)
     mu0t = mp.mpf(law.mu_const)
     value = m1 * mp.zeta(-1, mq) + mu0t * mp.zeta(0, mq) - mrho * m1 / 2
+    # zeta'(0, q) = log Gamma(q) - log(2 pi) / 2 (Lerch)
     deriv = (
         2 * m1 * mp.zeta(-1, mq, 1)
-        + 2 * mu0t * mp.zeta(0, mq, 1)
+        + 2 * mu0t * (mp.loggamma(mq) - mp.log(2 * mp.pi) / 2)
         + mrho * m1 * mp.digamma(mq)
-        - mrho * mu0t * mp.zeta(2, mq)
     )
     head_value, head_deriv = head
+    family = _HurwitzFamily(mq)
+    # zeta(2i-1, q) and zeta(2i, q) enter Z'(0) weighted by rho^i / i times m1
+    # and mu0t; each needs only eps of the partial Z'(0) after weighting
+    budget = mp.eps * (abs(head_value + value) + abs(head_deriv + deriv) + 1)
+
+    def hurwitz(i, coeff):
+        weight = abs(mrho) ** i / i * abs(coeff)
+        return family.next(budget / weight if weight else mp.inf)
+
+    deriv -= mrho * mu0t * hurwitz(1, mu0t)
     scale = abs(head_value + value) + abs(head_deriv + deriv) + 1
     ratio = abs(mrho) / (mq * mq)
     for i in range(2, _SERIES_TERM_CAP):
-        zodd = mp.zeta(2 * i - 1, mq)
-        zeven = mp.zeta(2 * i, mq)
+        zodd = hurwitz(i, m1)
+        zeven = hurwitz(i, mu0t)
         term = ((-1) ** i) * mrho ** i / i * (m1 * zodd + mu0t * zeven)
         deriv += term
         if abs(term) < _SERIES_REL_TOL * scale and i > 4:
@@ -357,3 +378,94 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
         )
     deriv = deriv - mp.log(law.a2) * value
     return float(head_value + value), float(head_deriv + deriv), float(err), float(scale)
+
+
+#: The shared Euler-Maclaurin evaluation shifts q to Q >= _EM_SHIFT_PER_BIT
+#: * mp.mp.prec, where its terms for orders up to ~40 fall below mp.eps within
+#: _EM_TERM_CAP corrections at every ladder level.
+_EM_SHIFT_PER_BIT = 0.3
+_EM_TERM_CAP = 128
+
+
+@functools.lru_cache(maxsize=None)
+def _tangent_numbers() -> Tuple[int, ...]:
+    """T_0 .. T_n for n = _EM_TERM_CAP, by the integer recurrence of Brent
+    and Harvey (2011)."""
+    n = _EM_TERM_CAP
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
+
+
+#: prec -> B_2i / (2i)! for i = 1, 2, ..., each rounded once at that working
+#: precision; extended on demand and kept across calls.
+_BERNOULLI_RATIOS: Dict[int, List] = {}
+
+
+def _bernoulli_ratio(i: int):
+    """B_2i / (2i)! = (-1)^(i-1) 2i T_i / (4^i (4^i - 1) (2i)!) at the working
+    precision, 1 <= i <= _EM_TERM_CAP."""
+    table = _BERNOULLI_RATIOS.setdefault(mp.mp.prec, [])
+    t = _tangent_numbers()
+    while len(table) < i:
+        k = len(table) + 1
+        table.append(
+            mp.mpf((-1) ** (k - 1) * 2 * k * t[k])
+            / (4 ** k * (4 ** k - 1) * math.factorial(2 * k))
+        )
+    return table[i - 1]
+
+
+class _HurwitzFamily:
+    """zeta(j, q) for j = 2, 3, ... in turn, at the working precision, from one
+    Euler-Maclaurin evaluation shared by every order.
+
+    With Q = q + N the first shift past _EM_SHIFT_PER_BIT * mp.mp.prec (N = 0
+    when q is past it already),
+
+        zeta(j, q) = sum_{k<N} (q+k)^{-j} + Q^{1-j} / (j-1) + Q^{-j} / 2
+                     + sum_{i>=1} B_2i / (2i)! (j)_{2i-1} Q^{-j-2i+1},
+
+    with (j)_r the rising factorial.  The head powers and Q^{-j} advance from
+    the previous order by one division by an exact divisor each; the series
+    reads one table of B_2i / (2i)! Q^{1-2i}.  As x^{-j} is completely
+    monotone, the first omitted term bounds the remainder, so ``next(tol)``
+    stops at the first term below ``tol`` and raises ConvergenceError if the
+    Bernoulli table runs out first.
+    """
+
+    def __init__(self, q):
+        shift = max(0, math.ceil(_EM_SHIFT_PER_BIT * mp.mp.prec - q))
+        self._bases = [q + k for k in range(shift)]
+        self._head = [1 / x for x in self._bases]  # (q+k)^{1-j}, next order j
+        self._big_q = q + shift
+        self._q_power = 1 / self._big_q  # Q^{1-j}, next order j
+        self._order = 1
+        self._table: List = []  # B_2i / (2i)! Q^{1-2i}
+        self._table_power = self._q_power  # Q^{1-2i}, next entry i
+
+    def next(self, tol):
+        """zeta(j, q) for the next order j, to within ``tol``."""
+        self._order = j = self._order + 1
+        self._head = [p / x for p, x in zip(self._head, self._bases)]
+        big_q, lead = self._big_q, self._q_power / (j - 1)
+        self._q_power = q_j = self._q_power / big_q
+        terms = self._head + [lead, q_j / 2]
+        rising = j  # (j)_{2i-1}
+        for i in range(1, _EM_TERM_CAP + 1):
+            if i > len(self._table):
+                self._table.append(_bernoulli_ratio(i) * self._table_power)
+                self._table_power /= big_q * big_q
+            term = q_j * rising * self._table[i - 1]
+            if abs(term) < tol:
+                return mp.fsum(terms)
+            terms.append(term)
+            rising *= (j + 2 * i - 1) * (j + 2 * i)
+        raise ConvergenceError(
+            f"Euler-Maclaurin series of zeta({j}, {float(big_q):.6g}) did "
+            f"not reach {mp.nstr(tol, 3)} in {_EM_TERM_CAP} terms"
+        )

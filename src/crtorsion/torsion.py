@@ -270,6 +270,7 @@ class TorsionReport:
     error_budget: float
     theta_tilde_0: float = 0.0
     theta_tilde_prime_0: float = 0.0
+    theta_tilde_error: float = 0.0
     scaling_identity_gap: float = 0.0
     supertrace_N_kernel: float = 0.0
 
@@ -313,6 +314,7 @@ def torsion_report(
         error_budget=budget,
         theta_tilde_0=tilde.value0,
         theta_tilde_prime_0=tilde.derivative0,
+        theta_tilde_error=tilde.error_estimate,
         scaling_identity_gap=gap,
         supertrace_N_kernel=spec.supertrace_N_kernel(),
     )
@@ -390,6 +392,7 @@ def reports_to_json(reports: Sequence[TorsionReport], metadata: dict | None = No
                 "error_budget": r.error_budget,
                 "theta_tilde_0": r.theta_tilde_0,
                 "theta_tilde_prime_0": r.theta_tilde_prime_0,
+                "theta_tilde_error": r.theta_tilde_error,
                 "scaling_identity_gap": r.scaling_identity_gap,
                 "supertrace_N_kernel": r.supertrace_N_kernel,
             }

@@ -5,7 +5,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crtorsion import tails
 from crtorsion.errors import ConvergenceError, DomainError
@@ -50,6 +50,30 @@ def brute_sum(law: QuadraticLaw, k_start: int, t: float) -> float:
         total += law.mult(k) * math.exp(-x)
         k += 1
     return total
+
+
+def _endpoint_derivative_tpoly_reference(law: QuadraticLaw, order: int, x0: float):
+    """t-coefficients of P_order(x0; t), d^k/dx^k [mu e^{-t lam}] = P_k e^{-t lam},
+    rebuilding the chain P_0 .. P_order anew for each order."""
+    lamp = [law.a1, 2.0 * law.a2]
+    p = [[law.m0, law.m1]]
+    for _ in range(order):
+        nxt = []
+        for r in range(len(p) + 1):
+            term = [0.0]
+            if r < len(p):
+                term = tails._poly_deriv(p[r])
+            if r >= 1:
+                prod = tails._poly_mul(lamp, p[r - 1])
+                n = max(len(term), len(prod))
+                term = [
+                    (term[i] if i < len(term) else 0.0)
+                    - (prod[i] if i < len(prod) else 0.0)
+                    for i in range(n)
+                ]
+            nxt.append(term)
+        p = nxt
+    return [tails._poly_eval(poly, x0) for poly in p]
 
 
 class TestEmHeatSeries:
@@ -101,6 +125,22 @@ class TestEmHeatSeries:
         law = QuadraticLaw(1.0, 1.0, 0.0, 0.0, 3.0)  # mu const: Gaussian ladder
         series = em_heat_series(law, 1, 2)
         assert abs(float(series.coefficient(-0.5))) > 0.1
+
+    @pytest.mark.parametrize(
+        "law, x0",
+        (
+            (cp1_law(6), 1.0),
+            (cp1_law(127), 1.0),
+            (QuadraticLaw(2.0, 3.0, 1.0, 1.0, 2.0), 2.0),
+            (QuadraticLaw(0.7, -3.1, 9.4, 0.0, 1.3), 5.0),
+        ),
+    )
+    def test_derivative_chain_matches_per_order_reference(self, law, x0):
+        # one pass of the chain performs the per-order operations in order
+        chain = tails._endpoint_derivative_tpolys(law, 21, x0)
+        assert len(chain) == 22
+        for order, tpoly in enumerate(chain):
+            assert tpoly == _endpoint_derivative_tpoly_reference(law, order, x0)
 
 
 class TestTailBound:
@@ -210,6 +250,21 @@ class TestZetaLogTail:
         assert counts[8] > 0 and max(counts.values()) <= 64
         assert abs(counts[512] - counts[8]) <= 6
 
+    def test_circle_bundle_settles_on_second_ladder_level(self, monkeypatch):
+        # the first level is already accurate: 30 and 60 digits agree
+        levels = []
+        workdps = mpmath.workdps
+
+        def counting_workdps(dps):
+            levels.append(dps)
+            return workdps(dps)
+
+        monkeypatch.setattr(mpmath, "workdps", counting_workdps)
+        for m in (8, 128, 1024):
+            levels.clear()
+            zeta_log_tail(cp1_law(m), 1)
+            assert levels == [30, 60]
+
     def test_unconverged_series_raises(self, monkeypatch):
         monkeypatch.setattr(tails, "_SERIES_TERM_CAP", 4)
         with pytest.raises(ConvergenceError):
@@ -229,23 +284,32 @@ def _mp_head(law: QuadraticLaw, k_start: int, k_end: int):
         )
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(
+#: Random quadratic laws lam = a2 [(k + shift)^2 + rho] with
+#: rho = rel_rho * (k_start + shift)^2, on both sides of |rho| < q^2.
+RANDOM_LAWS = dict(
     a2=st.floats(0.25, 4.0),
     k_start=st.integers(1, 60),
     shift=st.floats(-40.0, 40.0),
     rel_rho=st.floats(-3.0, 3.0),
     m1=st.floats(0.0, 3.0),
     m0=st.floats(-2.0, 5.0),
-    extra=st.integers(0, 200),
 )
-def test_additivity_on_random_laws(a2, k_start, shift, rel_rho, m1, m0, extra):
-    # rho = rel_rho * (k_start + s)^2 falls on both sides of |rho| < q^2
+
+
+def _random_law(a2, k_start, shift, rel_rho, m1, m0):
+    """(law, whether lam(k) > 0 for every k >= k_start)."""
     q = k_start + shift
     rho = rel_rho * max(q * q, 1.0)
     law = QuadraticLaw(a2, 2.0 * a2 * shift, a2 * (rho + shift * shift), m1, m0)
     vertex = math.ceil(-shift) + 1
     positive = all(law.lam(k) > 0 for k in range(k_start, max(k_start, vertex) + 1))
+    return law, positive
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(extra=st.integers(0, 200), **RANDOM_LAWS)
+def test_additivity_on_random_laws(a2, k_start, shift, rel_rho, m1, m0, extra):
+    law, positive = _random_law(a2, k_start, shift, rel_rho, m1, m0)
     if not positive:
         with pytest.raises(DomainError):
             zeta_log_tail(law, k_start)
@@ -258,6 +322,91 @@ def test_additivity_on_random_laws(a2, k_start, shift, rel_rho, m1, m0, extra):
     rounding = 4e-16 * (abs(head_deriv) + abs(tail_deriv) + abs(full_deriv))
     assert abs(head_deriv + tail_deriv - full_deriv) <= full_err + tail_err + rounding
     assert head_val + tail_val == pytest.approx(full_val, rel=1e-12, abs=1e-9)
+
+
+def _per_call_reference(law: QuadraticLaw, k_start: int):
+    """(Z(0), Z'(0)) at 120 digits: the same split, head and binomial series as
+    ``zeta_log_tail``, but one mpmath Hurwitz zeta call per order and every
+    series run to 1e-40 relative."""
+    with mpmath.workdps(120):
+        K = split_index(law, k_start)
+        a2, a1, a0 = (mpmath.mpf(x) for x in (law.a2, law.a1, law.a0))
+        m1, m0 = mpmath.mpf(law.m1), mpmath.mpf(law.m0)
+        mus = [m1 * k + m0 for k in range(k_start, K)]
+        head_value = mpmath.fsum(mus)
+        head_deriv = -mpmath.fsum(
+            mu * mpmath.log((a2 * k + a1) * k + a0) for mu, k in zip(mus, range(k_start, K))
+        )
+        q = K + mpmath.mpf(law.vertex_shift)
+        rho = mpmath.mpf(law.vertex_value / law.a2)
+        mu0t = mpmath.mpf(law.mu_const)
+        value = m1 * mpmath.zeta(-1, q) + mu0t * mpmath.zeta(0, q) - rho * m1 / 2
+        deriv = (
+            2 * m1 * mpmath.zeta(-1, q, 1)
+            + 2 * mu0t * mpmath.zeta(0, q, 1)
+            + rho * m1 * mpmath.digamma(q)
+            - rho * mu0t * mpmath.zeta(2, q)
+        )
+        scale = abs(head_deriv + deriv) + 1
+        for i in range(2, 200):
+            term = (-rho) ** i / i * (m1 * mpmath.zeta(2 * i - 1, q) + mu0t * mpmath.zeta(2 * i, q))
+            deriv += term
+            if abs(term) < 1e-40 * scale:
+                break
+        else:
+            raise AssertionError("reference series did not converge")
+        deriv -= mpmath.log(a2) * value
+        return float(head_value + value), float(head_deriv + deriv)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**RANDOM_LAWS)
+def test_matches_per_call_reference_on_random_laws(a2, k_start, shift, rel_rho, m1, m0):
+    law, positive = _random_law(a2, k_start, shift, rel_rho, m1, m0)
+    assume(positive)
+    val, deriv, err = zeta_log_tail(law, k_start)
+    want_val, want_deriv = _per_call_reference(law, k_start)
+    assert abs(deriv - want_deriv) <= err
+    assert val == pytest.approx(want_val, rel=1e-13, abs=1e-12)
+
+
+class TestHurwitzFamily:
+    # mpmath's Hurwitz zeta loses about (j - 1) log10 q digits, so the
+    # reference runs with that many guard digits on top of 250
+    @pytest.mark.parametrize("q", ("0.5", "3", "40.5", "292.5", "1e4"))
+    def test_against_mpmath_at_every_ladder_level(self, q):
+        orders = range(2, 41)
+        want = {}
+        for j in orders:
+            guard = math.ceil((j - 1) * math.log10(max(float(q), 1.0)))
+            with mpmath.workdps(250 + guard):
+                want[j] = mpmath.zeta(j, mpmath.mpf(q))
+        shifts = set()
+        for dps in (30, 60, 120, 240):
+            with mpmath.workdps(dps):
+                eps = +mpmath.eps
+                family = tails._HurwitzFamily(mpmath.mpf(q))
+                shifts.add(len(family._bases))
+                got = {j: family.next(eps * abs(want[j])) for j in orders}
+            with mpmath.workdps(260):
+                for j in orders:
+                    assert abs(got[j] - want[j]) <= 6 * eps * want[j], (dps, j)
+        # (unshifted, shifted) branches taken: 40.5 is shifted from 60 digits on
+        branches = {"0.5": (False, True), "3": (False, True), "40.5": (True, True)}
+        assert (0 in shifts, max(shifts) > 0) == branches.get(q, (True, False))
+
+    def test_table_exhaustion_raises(self):
+        with mpmath.workdps(30):
+            family = tails._HurwitzFamily(mpmath.mpf(3))
+            with pytest.raises(ConvergenceError):
+                family.next(mpmath.mpf(0))
+
+    def test_bernoulli_ratios_exact(self):
+        with mpmath.workdps(50):
+            for i in (1, 2, 7, 30, tails._EM_TERM_CAP):
+                p, d = mpmath.bernfrac(2 * i)
+                want = mpmath.mpf(p) / (d * math.factorial(2 * i))
+                assert abs(tails._bernoulli_ratio(i) - want) <= mpmath.eps * abs(want)
 
 
 def test_law_validation():

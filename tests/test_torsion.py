@@ -328,6 +328,8 @@ class TestScalingIdentity:
         rep = torsion_report(cp1_spectrum(m, max(1024, m * m)), cp1_geometry(), m)
         assert rep.scaling_identity_gap < 1e-8
         assert rep.supertrace_N_kernel == 0.0
+        # the theta~ quadrature's own estimate is carried, not yet enforced
+        assert 0.0 < rep.theta_tilde_error < 1e-10
 
     def test_tilde_limits(self):
         # theta~(0) -> -1/2 and theta~'(0) -> -log(2 pi)/2 as m grows
@@ -499,6 +501,8 @@ class TestSerialization:
                 io.StringIO("\n".join(r for r in text.splitlines() if not r.startswith("#")))
             )
         )
-        for jrow, crow in zip(data["reports"], rows):
+        for jrow, crow, rep in zip(data["reports"], rows, reports):
             for key in ("theta_prime_0", "theta_prime_0_direct", "rhs", "residual"):
                 assert float(crow[key]) == jrow[key]
+            assert jrow["theta_tilde_error"] == rep.theta_tilde_error
+            assert "theta_tilde_error" not in crow
