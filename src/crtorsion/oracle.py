@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .density import LeviSpectrum, model_density_coeffs
 from .errors import DomainError
@@ -51,6 +52,8 @@ def galerkin_block_eigenvalues(
     """
     if m < 0 or K < 1:
         raise DomainError("need m >= 0 and K >= 1")
+    if not 0 < null_tol < 1:
+        raise DomainError(f"need 0 < null_tol < 1, got {null_tol}")
     d1, d2 = m + d1_offset, -d1_offset
     tot = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
     b1 = np.arange(tot.size) - tot * (tot + 1) // 2
@@ -82,10 +85,18 @@ def galerkin_block_eigenvalues(
         return np.exp(out, out=out)
 
     gram = moments(np.empty(idx.shape))
-    w, v = np.linalg.eigh(gram)
+    # On the sphere |z1|^2 + |z2|^2 = 1 makes every lower-degree monomial a
+    # combination of degree-K ones, so the Gram matrix has rank <= K + 1.
+    # Pivoted Cholesky finds that range; Rayleigh-Ritz on its orthonormal
+    # basis gives the eigenpairs (the SVD of the factor is less accurate).
+    chol, piv, rank, _ = lapack.dpstrf(gram, lower=1)
+    basis = np.empty((gram.shape[0], rank))
+    basis[piv - 1] = np.tril(chol[:, :rank])
+    del chol
+    q = np.linalg.qr(basis)[0]
+    w, y = np.linalg.eigh(q.T @ gram @ q)
     keep = w > null_tol * w.max()
-    proj = v[:, keep] / np.sqrt(w[keep])
-    del v
+    proj = (q @ y[:, keep]) / np.sqrt(w[keep])
     # The quadratic form is assembled entry by entry before it is projected:
     # its terms nearly cancel, and reducing each term on its own loses
     # digits.  It is built in the Gram matrix's room, with one scratch table.
@@ -152,6 +163,8 @@ def validate_heat_coefficients(
     vol * (2 pi)^{-2} * a/(1 - e^{-a t}) with a = 1 as m grows; in this
     convention the t^{-1} coefficient is 1 and the t^0 coefficient is 1/2.
     """
+    if m < 1:
+        raise DomainError(f"need weight m >= 1, got m={m}")
     if k_max is None:
         k_max = max(2048, 4 * m)
     spec = cp1_spectrum(m, k_max)
@@ -183,6 +196,8 @@ def validate_cp1(
     heat_tol: float = 0.02,
 ) -> OracleReport:
     """Full validation gate for the closed-form circle-bundle spectrum."""
+    if not m_eigs:
+        raise DomainError("m_eigs must name at least one weight")
     eig_err = max(validate_eigenvalues(m, num_eigs, basis_factor) for m in m_eigs)
     dims = tuple(validate_kernel_dimension(m) for m in m_kernel)
     dims_expected = tuple(m + 1 for m in m_kernel)

@@ -1,6 +1,7 @@
 """Galerkin validation gate for the circle-bundle closed-form spectrum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,47 @@ def _loop_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
     return np.sort(np.linalg.eigvalsh(proj.T @ quad @ proj))
 
 
+def _eigh_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
+    """Reference: the full-eigh route.  The block's moment assembly in plain
+    numpy, with the null space cut from an eigendecomposition of the whole
+    Gram matrix rather than of its pivoted-Cholesky range."""
+    d1, d2 = m + d1_offset, -d1_offset
+    pairs = [
+        (b1, tot - b1)
+        for tot in range(K + 1)
+        for b1 in range(tot + 1)
+        if b1 + d1 >= 0 and tot - b1 + d2 >= 0
+    ]
+    if not pairs:
+        return np.array([])
+    b1, b2 = np.array(pairs).T
+    B1, B2 = np.add.outer(b1, b1) + d1, np.add.outer(b2, b2) + d2
+    log_fact = np.array([math.lgamma(k + 1) for k in range(B1.max() + B2.max() + 3)])
+
+    def log_moment(g1, g2):
+        out = np.full(g1.shape, -np.inf)
+        ok = (g1 >= 0) & (g2 >= 0)
+        g1, g2 = g1[ok], g2[ok]
+        out[ok] = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
+        return out
+
+    log_norm = -0.5 * log_moment(B1.diagonal(), B2.diagonal())
+
+    def moment(s1, s2):
+        return np.exp(log_moment(B1 + s1, B2 + s2) + log_norm[:, None] + log_norm)
+
+    gram = moment(0, 0)
+    quad = (
+        np.outer(b1, b1) * moment(-1, 1)
+        - (np.outer(b1, b2) + np.outer(b2, b1)) * gram
+        + np.outer(b2, b2) * moment(1, -1)
+    )
+    w, v = np.linalg.eigh(gram)
+    keep = w > null_tol * w.max()
+    proj = v[:, keep] / np.sqrt(w[keep])
+    return np.sort(np.linalg.eigvalsh(proj.T @ quad @ proj))
+
+
 class TestGalerkinBlocks:
     def test_principal_block_matches_closed_form(self):
         for m in (0, 2, 5):
@@ -111,6 +153,29 @@ class TestGalerkinBlocks:
         with pytest.raises(DomainError, match="keeps 23 .* 30 requested"):
             validate_eigenvalues(1, num_eigs=30, basis_factor=1)
 
+    @pytest.mark.parametrize(
+        "m, K, off",
+        [(1, 40, 0), (5, 40, 0)]
+        + [(m, K, off) for m in (1, 5) for K in (20, 30) for off in (0, 2, -2)],
+    )
+    def test_matches_full_eigh_route(self, m, K, off):
+        want = _eigh_block_eigenvalues(m, K, off)
+        got = galerkin_block_eigenvalues(m, K, off)
+        # the Gram matrix has rank <= K + 1 on the sphere
+        assert len(got) == len(want) <= K + 1
+        n = 10  # num_eigs at the criterion-10 settings
+        low = np.abs(got[:n] - want[:n]) / np.maximum(np.abs(want[:n]), 1.0)
+        assert low.max() < 1e-12
+        # The top Ritz values sit next to the null-space cut: a half-ulp
+        # symmetric jitter of the reference's own Gram entries moves them by
+        # up to ~7e-8 relative at these K, so 1e-9 would test roundoff.
+        np.testing.assert_allclose(got[n:], want[n:], rtol=1e-6)
+
+    @pytest.mark.parametrize("null_tol", [0.0, 1.0, math.nan, -1.0])
+    def test_null_tol_outside_unit_interval_rejected(self, null_tol):
+        with pytest.raises(DomainError, match="null_tol"):
+            galerkin_block_eigenvalues(1, 5, null_tol=null_tol)
+
 
 class TestKernelDimension:
     def test_matches_holomorphic_section_count(self):
@@ -128,6 +193,17 @@ class TestHeatCoefficients:
         e32 = validate_heat_coefficients(32)
         e128 = validate_heat_coefficients(128)
         assert e128[1] < e32[1]
+
+    def test_zero_weight_rejected_before_dividing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="m >= 1"):
+                validate_heat_coefficients(0)
+
+
+def test_gate_without_eigenvalue_weights_rejected():
+    with pytest.raises(DomainError, match="m_eigs"):
+        validate_cp1(m_eigs=())
 
 
 def test_criterion_10_report_pinned():
