@@ -32,7 +32,7 @@ from .density import (
 from .errors import CrTorsionError, TwoPathMismatchError
 from .mellin import GAMMA_PRIME_1, MellinInput, QuadratureConfig, mellin_at_zero, riemann_zeta_check
 from .oracle import validate_eigenvalues, validate_kernel_dimension
-from .series import HalfPowerSeries, bose_factor, fit_half_powers, sample_series
+from .series import HalfPowerSeries, bose_factor, fit_half_powers
 from .spectra import (
     SpectrumTable,
     cp1_geometry,
@@ -151,7 +151,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
         base = -1
         series = HalfPowerSeries(2 * base, tuple(coeffs), 2 * base + n_terms)
         grid = np.geomspace(0.02, 0.4, 40)
-        fit = fit_half_powers(sample_series(series, grid), base, n_terms)
+        fit = fit_half_powers([(float(t), series(float(t))) for t in grid], base, n_terms)
         scale = max(1.0, float(np.max(np.abs(coeffs))))
         worst = max(worst, float(np.max(np.abs(np.array(fit.coeffs) - coeffs))) / scale)
     record("series_fit_roundtrip", worst, 1e-8)

@@ -69,6 +69,14 @@ class LeviSpectrum:
             out = out * a
         return out
 
+    @property
+    def det_norm(self) -> float:
+        """prod_j a_j / (2 pi) = det(R / 2 pi), in floats."""
+        out = 1.0
+        for a in self.eigenvalues:
+            out *= float(a) / TWO_PI
+        return out
+
 
 @dataclass(frozen=True)
 class WedgeDiagonalDensity:
@@ -163,7 +171,8 @@ def supertrace_N_density(
 ) -> HalfPowerSeries:
     """Scalar series (2 pi)^{-n} det * STr[N e^{t gamma}] / det(1 - e^{-t R}).
 
-    Equals sum_J (-1)^|J| |J| (2 pi)^{-n} prod_j[a_j bose(a_j)] e^{-t sum_J a_j};
+    Equals sum_J (-1)^|J| |J| (2 pi)^{-n} prod_j[a_j bose(a_j)] e^{-t sum_J a_j},
+    the degree-weighted subset sum of the unnormalized rank-one wedge density;
     by the super-trace identity this collapses to the expansion of the scalar
     trace density, so the returned series has base order exactly -1.
     The leading (more singular) coefficients cancel arithmetically and are
@@ -171,27 +180,9 @@ def supertrace_N_density(
     """
     levi.require_strongly_pseudoconvex("supertrace_N_density")
     exact = any(isinstance(a, Fraction) for a in levi.eigenvalues)
-    guard = levi.n + 1
-    work_order = _plus(trunc_order, guard)
-    factors = [
-        _per_eigenvalue_factor(a, work_order, exact) for a in levi.eigenvalues
-    ]
-    core = factors[0]
-    for f in factors[1:]:
-        core = core * f
-    acc = None
-    for subset in _subsets(levi.n):
-        q = len(subset)
-        if q == 0:
-            continue
-        rate = sum(levi.eigenvalues[j - 1] for j in subset)
-        term = (core * HalfPowerSeries.exponential(-rate, work_order)).scale(
-            q if q % 2 == 0 else -q
-        )
-        acc = term if acc is None else acc + term
+    acc = model_density_coeffs(levi, 1, trunc_order, normalized=False).supertrace_N()
     pref = scalar_density_norm(levi.n) if normalized else (Fraction(1) if exact else 1.0)
-    out = acc.scale(pref).truncate2(_as_doubled(trunc_order, "trunc_order"))
-    return out.trimmed(rel_tol=0.0 if exact else 1e-9)
+    return acc.scale(pref).trimmed(rel_tol=0.0 if exact else 1e-9)
 
 
 def rt_density(levi: LeviSpectrum, t: float) -> float:
@@ -202,14 +193,11 @@ def rt_density(levi: LeviSpectrum, t: float) -> float:
     levi.require_strongly_pseudoconvex("rt_density")
     if t <= 0:
         raise DomainError("rt_density requires t > 0")
-    det_norm = 1.0
-    for a in levi.eigenvalues:
-        det_norm *= float(a) / TWO_PI
     acc = 0.0
     for a in levi.eigenvalues:
         x = math.exp(-float(a) * t)
         acc += -x / (1.0 - x)
-    return det_norm * acc
+    return levi.det_norm * acc
 
 
 def rt_density_series(
@@ -217,34 +205,18 @@ def rt_density_series(
 ) -> HalfPowerSeries:
     """Small-t expansion of the scalar trace density.
 
-    Each eigenvalue contributes the expansion of 1/(1 - e^{a t}), computed by
-    direct series inversion of (1 - e^{a t}); the sum is weighted by
-    det(R)/(2 pi)^n (det(R) only when ``normalized=False``).
+    Each eigenvalue contributes the expansion of 1/(1 - e^{a t}), read off
+    ``bose_factor`` through 1/(1 - e^{a t}) = 1 - 1/(1 - e^{-a t}); the sum is
+    weighted by det(R/2pi) (det(R) only when ``normalized=False``).
     """
     levi.require_strongly_pseudoconvex("rt_density_series")
     exact = any(isinstance(a, Fraction) for a in levi.eigenvalues)
-    t2 = _as_doubled(trunc_order, "trunc_order")
     acc = None
     for a in levi.eigenvalues:
-        one = Fraction(1) if exact else 1.0
-        # 1 - e^{at} = -(at + (at)^2/2! + ...) ; invert.
-        bracket_trunc2 = 2 * (t2 + 4)
-        terms = {}
-        term = -a * one
-        k = 1
-        while 2 * (k - 1) < bracket_trunc2:
-            terms[k - 1] = term
-            k += 1
-            term = term * a / k
-        bracket = HalfPowerSeries.from_terms(terms, bracket_trunc2 / 2)
-        contrib = bracket.inverse().shift(-1).truncate2(t2)
+        one = Fraction(1) if isinstance(a, Fraction) else 1.0
+        contrib = HalfPowerSeries.constant(one, trunc_order) - bose_factor(a, trunc_order)
         acc = contrib if acc is None else acc + contrib
-    det = levi.det()
-    pref = (
-        float(det) * scalar_density_norm(levi.n)
-        if normalized
-        else det * (Fraction(1) if exact else 1.0)
-    )
+    pref = levi.det_norm if normalized else levi.det() * (Fraction(1) if exact else 1.0)
     return acc.scale(pref)
 
 
@@ -257,9 +229,7 @@ def hatA_coeffs(levi: LeviSpectrum) -> Tuple[float, float]:
     All coefficients below order -1 vanish identically.
     """
     levi.require_strongly_pseudoconvex("hatA_coeffs")
-    det_norm = 1.0
-    for a in levi.eigenvalues:
-        det_norm *= float(a) / TWO_PI
+    det_norm = levi.det_norm
     inv_sum = sum(1.0 / float(a) for a in levi.eigenvalues)
     return (-det_norm * inv_sum, 0.5 * levi.n * det_norm)
 

@@ -128,6 +128,10 @@ def validate_eigenvalues(m: int, num_eigs: int = 10, basis_factor: int = 4) -> f
     Raises DomainError when the null-space cut keeps fewer than ``num_eigs``
     eigenvalues, rather than checking only those it kept.
     """
+    if num_eigs < 1:
+        raise DomainError(f"need num_eigs >= 1, got num_eigs={num_eigs}")
+    if basis_factor < 1:
+        raise DomainError(f"need basis_factor >= 1, got basis_factor={basis_factor}")
     K = basis_factor * num_eigs
     eigs = galerkin_block_eigenvalues(m, K)
     if len(eigs) < num_eigs:
@@ -148,7 +152,7 @@ def validate_kernel_dimension(m: int, K: int = 6, zero_tol: float = 1e-8) -> int
     """
     count = 0
     for off in range(-2, m + 3):
-        eigs = galerkin_block_eigenvalues(m, K, d1_offset=-off + 0)
+        eigs = galerkin_block_eigenvalues(m, K, d1_offset=-off)
         count += int(np.sum(np.abs(eigs) < zero_tol))
     return count
 
@@ -198,6 +202,8 @@ def validate_cp1(
     """Full validation gate for the closed-form circle-bundle spectrum."""
     if not m_eigs:
         raise DomainError("m_eigs must name at least one weight")
+    if not m_kernel:
+        raise DomainError("m_kernel must name at least one weight")
     eig_err = max(validate_eigenvalues(m, num_eigs, basis_factor) for m in m_eigs)
     dims = tuple(validate_kernel_dimension(m) for m in m_kernel)
     dims_expected = tuple(m + 1 for m in m_kernel)

@@ -257,23 +257,6 @@ def _as_doubled(x, name: str) -> int:
     return int(round(two))
 
 
-def series_arith(op: str, a: HalfPowerSeries, b: HalfPowerSeries | None = None) -> HalfPowerSeries:
-    """Dispatch formal arithmetic: op in {'add', 'mul', 'inv'}."""
-    if op == "add":
-        if b is None:
-            raise ArityError("add requires two operands")
-        return a + b
-    if op == "mul":
-        if b is None:
-            raise ArityError("mul requires two operands")
-        return a * b
-    if op == "inv":
-        if b is not None:
-            raise ArityError("inv takes a single operand")
-        return a.inverse()
-    raise DomainError(f"unknown series operation {op!r}")
-
-
 def bose_factor(a: Number, trunc_order, exact: bool | None = None) -> HalfPowerSeries:
     """Laurent expansion of 1/(1 - exp(-a t)) about t = 0.
 
@@ -289,7 +272,9 @@ def bose_factor(a: Number, trunc_order, exact: bool | None = None) -> HalfPowerS
         raise DomainError("bose_factor requires a > 0")
     t2 = _as_doubled(trunc_order, "trunc_order")
     # 1 - e^{-at} = t * (a - a^2 t/2 + ...); invert the bracket, shift by t^{-1}.
-    bracket_trunc2 = t2 + 2 + (t2 + 2)  # enough slack for the inv propagation
+    # Inverse coefficient k reads bracket terms 0..k only, so t2 + 2 slots
+    # give exactly the t2 + 2 coefficients below t^{trunc_order} after the shift.
+    bracket_trunc2 = t2 + 2
     one = Fraction(1) if exact else 1.0
     terms = {}
     term = a * one
@@ -299,7 +284,7 @@ def bose_factor(a: Number, trunc_order, exact: bool | None = None) -> HalfPowerS
         k += 1
         term = term * a / k
     bracket = HalfPowerSeries.from_terms(terms, bracket_trunc2 / 2)
-    return bracket.inverse().shift(-1).truncate2(t2)
+    return bracket.inverse().shift(-1)
 
 
 @dataclass(frozen=True)
@@ -362,7 +347,3 @@ def fit_half_powers(
         )
     return FitResult(tuple(float(c) for c in coeffs), cond, ill)
 
-
-def sample_series(series: HalfPowerSeries, grid: Sequence[float]) -> list:
-    """Evaluate a series on a grid, returning (t, value) sample pairs."""
-    return [(float(t), series(float(t))) for t in grid]

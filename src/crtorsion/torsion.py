@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -238,16 +238,13 @@ def torsion_rhs(model: GeometryModel, m: int) -> float:
     if m < 1:
         raise DomainError("m must be >= 1")
     model.levi.require_strongly_pseudoconvex("torsion_rhs")
-    det_norm = 1.0
-    for a in model.levi.eigenvalues:
-        det_norm *= float(a) / TWO_PI
     log_sum = sum(math.log(m * float(a) / TWO_PI) for a in model.levi.eigenvalues)
     return (
         model.rank_e
         / (4.0 * math.pi)
         * float(m) ** model.n
         * log_sum
-        * det_norm
+        * model.levi.det_norm
         * model.volume
     )
 
@@ -365,39 +362,14 @@ def reports_to_csv(reports: Sequence[TorsionReport], metadata: dict | None = Non
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in sorted(reports, key=lambda r: r.m):
-        writer.writerow(
-            [
-                r.m,
-                _fmt(r.theta_prime_0),
-                _fmt(r.theta_prime_0_direct),
-                _fmt(r.rhs),
-                _fmt(r.residual),
-                _fmt(r.error_budget),
-            ]
-        )
+        writer.writerow([r.m, *(_fmt(getattr(r, c)) for c in CSV_COLUMNS[1:])])
     return buf.getvalue()
 
 
 def reports_to_json(reports: Sequence[TorsionReport], metadata: dict | None = None) -> str:
     payload = {
         "metadata": metadata or {},
-        "reports": [
-            {
-                "m": r.m,
-                "theta_prime_0": r.theta_prime_0,
-                "theta_prime_0_direct": r.theta_prime_0_direct,
-                "bhat": list(r.bhat),
-                "rhs": r.rhs,
-                "residual": r.residual,
-                "error_budget": r.error_budget,
-                "theta_tilde_0": r.theta_tilde_0,
-                "theta_tilde_prime_0": r.theta_tilde_prime_0,
-                "theta_tilde_error": r.theta_tilde_error,
-                "scaling_identity_gap": r.scaling_identity_gap,
-                "supertrace_N_kernel": r.supertrace_N_kernel,
-            }
-            for r in sorted(reports, key=lambda r: r.m)
-        ],
+        "reports": [asdict(r) for r in sorted(reports, key=lambda r: r.m)],
     }
     return json.dumps(payload, indent=2)
 

@@ -20,6 +20,7 @@ from crtorsion.density import (
     supertrace_N_density,
 )
 from crtorsion.errors import DomainError
+from crtorsion.series import HalfPowerSeries
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,6 +33,30 @@ def random_levi(rng, n=None, exact=False):
         )
         return LeviSpectrum(n, eigs)
     return LeviSpectrum(n, tuple(rng.uniform(0.5, 3.0, size=n)))
+
+
+def inverted_rt_density_series(levi, trunc_order, normalized=True):
+    """Reference: rt_density_series by inverting the bracket of
+    1 - e^{a t} = -(a t + (a t)^2/2! + ...) term by term, apart from
+    bose_factor."""
+    exact = any(isinstance(a, Fraction) for a in levi.eigenvalues)
+    one = Fraction(1) if exact else 1.0
+    t2 = round(2 * trunc_order)
+    acc = None
+    for a in levi.eigenvalues:
+        bracket_trunc2 = 2 * (t2 + 4)
+        terms = {}
+        term = -a * one
+        k = 1
+        while 2 * (k - 1) < bracket_trunc2:
+            terms[k - 1] = term
+            k += 1
+            term = term * a / k
+        bracket = HalfPowerSeries.from_terms(terms, bracket_trunc2 / 2)
+        contrib = bracket.inverse().shift(-1).truncate2(t2)
+        acc = contrib if acc is None else acc + contrib
+    det = levi.det()
+    return acc.scale(float(det) * scalar_density_norm(levi.n) if normalized else det * one)
 
 
 class TestLeviSpectrum:
@@ -173,6 +198,27 @@ class TestRtDensity:
             rt_density(LeviSpectrum(1, (1.0,)), 0.0)
         with pytest.raises(DomainError):
             rt_density(LeviSpectrum(1, (0.0,)), 1.0)
+
+    @pytest.mark.parametrize("order", [2, 4.5, 7])
+    def test_series_equals_bracket_inversion_exactly(self, order):
+        rng = np.random.default_rng(43)
+        for _ in range(6):
+            levi = random_levi(rng, exact=True)
+            got = rt_density_series(levi, order, normalized=False)
+            want = inverted_rt_density_series(levi, order, normalized=False)
+            assert (got.base2, got.trunc2) == (want.base2, want.trunc2)
+            assert got.coeffs == want.coeffs
+            assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+    def test_series_matches_bracket_inversion_float(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            levi = random_levi(rng)
+            for normalized in (False, True):
+                got = rt_density_series(levi, 7, normalized)
+                want = inverted_rt_density_series(levi, 7, normalized)
+                scale = max(abs(c) for c in want.coeffs)
+                assert got.max_abs_coeff_diff(want) / scale <= 1e-15
 
     def test_series_matches_pointwise(self):
         rng = np.random.default_rng(3)

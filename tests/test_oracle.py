@@ -206,6 +206,21 @@ def test_gate_without_eigenvalue_weights_rejected():
         validate_cp1(m_eigs=())
 
 
+def test_gate_without_kernel_weights_rejected():
+    # () == () would otherwise pass the zero-mode count vacuously
+    with pytest.raises(DomainError, match="m_kernel"):
+        validate_cp1(m_kernel=())
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"num_eigs": 0}, "num_eigs"),
+    ({"basis_factor": 0}, "basis_factor"),
+])
+def test_eigenvalue_check_names_bad_argument(kwargs, name):
+    with pytest.raises(DomainError, match=name):
+        validate_eigenvalues(1, **kwargs)
+
+
 def test_criterion_10_report_pinned():
     # values of the entry-by-entry assembly at the criterion-10 settings
     report = validate_cp1()

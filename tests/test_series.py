@@ -7,13 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crtorsion
 from crtorsion.errors import ArityError, DomainError, SingularLeadError
 from crtorsion.series import (
     HalfPowerSeries,
     bose_factor,
     fit_half_powers,
-    sample_series,
-    series_arith,
 )
 
 
@@ -47,20 +46,20 @@ class TestArithmetic:
     def test_mul_shifts_base(self):
         a = HalfPowerSeries.from_terms({-1: 1.0, 0: 1.0}, 3)  # t^{-1} + 1
         b = HalfPowerSeries.from_terms({1: 1.0}, 4)  # t
-        prod = series_arith("mul", a, b)
+        prod = a * b
         assert prod.coefficient(0) == 1.0
         assert prod.coefficient(1) == 1.0
         assert prod.base_order == 0.0
 
     def test_inv_geometric(self):
         a = HalfPowerSeries.from_terms({0: 1.0, 1: 1.0}, 3.5)  # 1 + t
-        inv = series_arith("inv", a)
+        inv = a.inverse()
         for p, want in [(0, 1.0), (1, -1.0), (2, 1.0), (3, -1.0)]:
             assert inv.coefficient(p) == pytest.approx(want, abs=1e-15)
 
     def test_half_power_product(self):
         a = HalfPowerSeries.from_terms({0.5: 1.0}, 2)
-        prod = series_arith("mul", a, a)
+        prod = a * a
         assert prod.coefficient(1) == 1.0
         assert prod.base_order == 1.0
 
@@ -75,15 +74,6 @@ class TestArithmetic:
         a = HalfPowerSeries.from_terms({0: 0.0, 1: 1.0}, 3)
         with pytest.raises(SingularLeadError):
             a.inverse()
-
-    def test_series_arith_dispatch_errors(self):
-        a = HalfPowerSeries.constant(1.0, 2)
-        with pytest.raises(ArityError):
-            series_arith("add", a)
-        with pytest.raises(ArityError):
-            series_arith("inv", a, a)
-        with pytest.raises(DomainError):
-            series_arith("pow", a, a)
 
     def test_rational_arithmetic_is_exact(self):
         a = HalfPowerSeries.from_terms(
@@ -154,6 +144,18 @@ class TestBoseFactor:
             unit = HalfPowerSeries.constant(1.0, prod.trunc2 / 2.0)
             assert prod.max_abs_coeff_diff(unit) < 1e-12
 
+    @pytest.mark.parametrize("T", [1, 2.5, 7, 12])
+    @pytest.mark.parametrize("a", [0.37, 2.9, Fraction(5, 3), Fraction(1, 7)])
+    def test_truncation_order_changes_no_coefficient(self, a, T):
+        # coefficient k of the inverse reads bracket terms 0..k only, so a
+        # deeper expansion truncated to T is the same series, bit for bit
+        got = bose_factor(a, T)
+        assert got.trunc_order == T
+        deep = bose_factor(a, T + 3).truncate2(got.trunc2)
+        assert (got.base2, got.trunc2) == (deep.base2, deep.trunc2)
+        assert got.coeffs == deep.coeffs
+        assert all(type(c) is type(d) for c, d in zip(got.coeffs, deep.coeffs))
+
 
 class TestFit:
     def test_planted_model_in_span(self):
@@ -191,7 +193,7 @@ class TestFit:
             coeffs = rng.uniform(-4, 4, size=n_terms)
             series = HalfPowerSeries(-2, tuple(coeffs), -2 + n_terms)
             grid = np.geomspace(0.02, 0.5, 36)
-            fit = fit_half_powers(sample_series(series, grid), -1, n_terms)
+            fit = fit_half_powers([(float(t), series(float(t))) for t in grid], -1, n_terms)
             scale = max(1e-12, float(np.max(np.abs(coeffs))))
             assert np.max(np.abs(np.asarray(fit.coeffs) - coeffs)) / scale < 1e-8
 
@@ -218,3 +220,10 @@ class TestSeriesEvaluation:
         t = s.trimmed(rel_tol=1e-12)
         assert t.base_order == -1.0
         assert t.coefficient(-1) == 1.0
+
+
+def test_package_exports_resolve():
+    # import * raises AttributeError for a name in __all__ that is not bound
+    namespace = {}
+    exec("from crtorsion import *", namespace)
+    assert set(crtorsion.__all__) <= set(namespace)

@@ -3,6 +3,7 @@ routes to the regularized derivative at zero, the asymptotic right-hand side,
 the rescaled scaling identity, and report serialization."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -506,3 +507,9 @@ class TestSerialization:
                 assert float(crow[key]) == jrow[key]
             assert jrow["theta_tilde_error"] == rep.theta_tilde_error
             assert "theta_tilde_error" not in crow
+
+    def test_json_report_keys_are_the_report_fields(self):
+        data = json.loads(reports_to_json(self._reports()))
+        fields = [f.name for f in dataclasses.fields(TorsionReport)]
+        for jrow in data["reports"]:
+            assert list(jrow) == fields
