@@ -202,12 +202,16 @@ class HalfPowerSeries:
         if n <= 0:
             return HalfPowerSeries(trunc2, (), trunc2)
         out = [_zero_like(self.coeffs[0]) if self.coeffs else 0.0] * n
-        for i, ci in enumerate(self.coeffs):
-            if i >= n:
-                break
-            lim = min(len(other.coeffs), n - i)
-            for j in range(lim):
-                out[i + j] = out[i + j] + ci * other.coeffs[j]
+        # zero slots (the half powers of exponentials, Bose factors and their
+        # products) contribute nothing; skip them on both sides
+        nonzero = [(j, cj) for j, cj in enumerate(other.coeffs[:n]) if cj != 0]
+        for i, ci in enumerate(self.coeffs[:n]):
+            if ci == 0:
+                continue
+            for j, cj in nonzero:
+                if i + j >= n:
+                    break
+                out[i + j] = out[i + j] + ci * cj
         return HalfPowerSeries(base2, tuple(out), trunc2)
 
     def inverse(self) -> "HalfPowerSeries":

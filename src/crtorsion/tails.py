@@ -16,15 +16,16 @@ independent tools are provided:
 * ``tail_bound`` - a certified integral-test bound used to decide where a
   truncated table may still be trusted.
 * ``zeta_log_tail`` - value and z-derivative at z = 0 of
-  sum_{k >= k0} mu(k) lam(k)^{-z}: an explicit head up to a split index K,
-  then the binomial reduction of the tail to Hurwitz zeta values (the
-  integer orders from one shared Euler-Maclaurin evaluation; mpmath supplies
-  the orders -1 and 0, zeta'(-1, q), digamma and log Gamma).
+  sum_{k >= k0} mu(k) lam(k)^{-z}: a head up to a split index K (in closed
+  form when lam has real roots past k0), then the binomial reduction of the
+  tail to Hurwitz zeta values.  Every Hurwitz value (zeta(j, q), zeta'(-1, q),
+  zeta'(0, q), digamma(q)) comes from one Euler-Maclaurin table per q.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -281,7 +282,7 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
 
     The sum is split at K = ``split_index(law, k_start)``.  The head
     k_start <= k < K contributes sum mu(k) to Z(0) and -sum mu(k) log lam(k)
-    to Z'(0), summed in mpmath.  On the tail, completing the square gives
+    to Z'(0) (``_head_sums``).  On the tail, completing the square gives
     lam = a2 [(k+s)^2 + rho], and the binomial expansion in rho/(k+s)^2 turns
     the sum into Hurwitz zeta values at q = K + s, each of which continues
     explicitly; since |rho| / q^2 <= 1/81, about ten terms suffice for any
@@ -289,14 +290,15 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
     float combination would lose ~eps K^2 log K to cancellation.  Any law
     with lam(k) > 0 for all k >= k_start is accepted.
 
-    The integer-order values zeta(j, q), j = 2, 3, ..., come from one shared
-    Euler-Maclaurin evaluation per precision level (``_HurwitzFamily``), each
-    order carried only to eps of the partial Z'(0) after its binomial weight.
-    mpmath supplies zeta(-1, q), zeta(0, q), zeta'(-1, q), digamma(q) and
-    log Gamma(q) (for zeta'(0, q) = log Gamma(q) - log(2 pi) / 2): three zeta
-    calls per precision level.  The tail is evaluated on a precision
-    ladder until two consecutive levels agree; their difference enters the
-    reported error.  The head is summed once, at the first level.
+    Every Hurwitz value comes from one shared Euler-Maclaurin evaluation per
+    q and precision level (``_HurwitzFamily``): zeta'(-1, q), zeta'(0, q) and
+    digamma(q) from their Stirling forms, and zeta(j, q), j = 2, 3, ..., each
+    order carried only to eps of the partial Z'(0) after its binomial weight;
+    zeta(-1, q) and zeta(0, q) are polynomials.  No mpmath zeta, log Gamma or
+    digamma is called.  The tail is evaluated on a precision ladder until two
+    consecutive levels agree; their difference enters the reported error.
+    The head is summed once, at the first level, in closed form when lam has
+    real roots past k_start (O(1) work in K) and term by term otherwise.
     """
     _require_positive(law, k_start)
     K = split_index(law, k_start)
@@ -328,14 +330,50 @@ def _require_positive(law: QuadraticLaw, k_start: int) -> None:
         raise DomainError("eigenvalues must be positive from k_start on")
 
 
+def _real_roots(law: QuadraticLaw):
+    """(r1, r2), r1 <= r2, with lam(k) = a2 (k + r1)(k + r2), in mpmath from
+    the law's coefficients (the root of larger size first, the other from the
+    product r1 r2 = a0 / a2, so neither cancels: k (k + m + 1) gives r1 = 0
+    exactly); None when the roots are complex."""
+    s = mp.mpf(law.a1) / (2 * mp.mpf(law.a2))
+    product = mp.mpf(law.a0) / law.a2
+    disc = s * s - product
+    if disc < 0:
+        return None
+    big = s + mp.sqrt(disc) if s >= 0 else s - mp.sqrt(disc)
+    small = product / big if big else big
+    return (small, big) if small <= big else (big, small)
+
+
 def _head_sums(law: QuadraticLaw, k_start: int, K: int):
-    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < K, in mpmath."""
-    a2, a1, a0 = mp.mpf(law.a2), mp.mpf(law.a1), mp.mpf(law.a0)
+    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < K, in mpmath.
+
+    When lam = a2 (k + r1)(k + r2) with k_start + r1 > 0, the sums close
+    (Quine, Heydari and Song, Trans. AMS 338, 1993): with
+    mu(k) = m1 (k + r) + (m0 - m1 r) for each root r,
+
+        sum (k + r) log(k + r) = zeta'(-1, K + r) - zeta'(-1, k_start + r),
+        sum log(k + r)         = zeta'(0, K + r) - zeta'(0, k_start + r),
+
+    four Hurwitz families at any K.  Other laws (complex roots, or both
+    factors negative at k_start) are summed term by term.
+    """
     m1, m0 = mp.mpf(law.m1), mp.mpf(law.m0)
-    ks = range(k_start, K)
-    mus = [m1 * k + m0 for k in ks]
-    logs = [mp.log((a2 * k + a1) * k + a0) for k in ks]
-    return mp.fsum(mus), -mp.fdot(mus, logs)
+    roots = _real_roots(law)
+    if roots is None or k_start + roots[0] <= 0:
+        a2, a1, a0 = mp.mpf(law.a2), mp.mpf(law.a1), mp.mpf(law.a0)
+        ks = range(k_start, K)
+        mus = [m1 * k + m0 for k in ks]
+        logs = [mp.log((a2 * k + a1) * k + a0) for k in ks]
+        return mp.fsum(mus), -mp.fdot(mus, logs)
+    total = m1 * ((K * (K - 1) - k_start * (k_start - 1)) // 2) + m0 * (K - k_start)
+    deriv = -mp.log(law.a2) * total
+    for r in roots:
+        hi, lo = _HurwitzFamily(K + r), _HurwitzFamily(k_start + r)
+        deriv -= m1 * (hi.zeta_prime_m1() - lo.zeta_prime_m1()) + (m0 - m1 * r) * (
+            hi.zeta_prime_0() - lo.zeta_prime_0()
+        )
+    return total, deriv
 
 
 def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
@@ -343,15 +381,19 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
     mrho = mp.mpf(law.vertex_value / law.a2)
     m1 = mp.mpf(law.m1)
     mu0t = mp.mpf(law.mu_const)
-    value = m1 * mp.zeta(-1, mq) + mu0t * mp.zeta(0, mq) - mrho * m1 / 2
-    # zeta'(0, q) = log Gamma(q) - log(2 pi) / 2 (Lerch)
+    family = _HurwitzFamily(mq)
+    # zeta(-1, q) = -(q^2 - q + 1/6) / 2 and zeta(0, q) = 1/2 - q
+    value = (
+        -m1 * ((mq - 1) * mq + mp.mpf(1) / 6) / 2
+        + mu0t * (mp.mpf(1) / 2 - mq)
+        - mrho * m1 / 2
+    )
     deriv = (
-        2 * m1 * mp.zeta(-1, mq, 1)
-        + 2 * mu0t * (mp.loggamma(mq) - mp.log(2 * mp.pi) / 2)
-        + mrho * m1 * mp.digamma(mq)
+        2 * m1 * family.zeta_prime_m1()
+        + 2 * mu0t * family.zeta_prime_0()
+        + mrho * m1 * family.digamma()
     )
     head_value, head_deriv = head
-    family = _HurwitzFamily(mq)
     # zeta(2i-1, q) and zeta(2i, q) enter Z'(0) weighted by rho^i / i times m1
     # and mu0t; each needs only eps of the partial Z'(0) after weighting
     budget = mp.eps * (abs(head_value + value) + abs(head_deriv + deriv) + 1)
@@ -388,10 +430,9 @@ _EM_TERM_CAP = 128
 
 
 @functools.lru_cache(maxsize=None)
-def _tangent_numbers() -> Tuple[int, ...]:
-    """T_0 .. T_n for n = _EM_TERM_CAP, by the integer recurrence of Brent
-    and Harvey (2011)."""
-    n = _EM_TERM_CAP
+def _tangent_numbers(n: int) -> Tuple[int, ...]:
+    """T_0 .. T_n by the integer recurrence of Brent and Harvey (2011), whose
+    T_k do not depend on n; the cost grows like n^2."""
     t = [0, 1] + [0] * (n - 1)
     for k in range(2, n + 1):
         t[k] = (k - 1) * t[k - 1]
@@ -410,7 +451,8 @@ def _bernoulli_ratio(i: int):
     """B_2i / (2i)! = (-1)^(i-1) 2i T_i / (4^i (4^i - 1) (2i)!) at the working
     precision, 1 <= i <= _EM_TERM_CAP."""
     table = _BERNOULLI_RATIOS.setdefault(mp.mp.prec, [])
-    t = _tangent_numbers()
+    # in blocks of 32: the first two ladder levels read at most 23 entries
+    t = _tangent_numbers(min(_EM_TERM_CAP, 32 * -(-i // 32)))
     while len(table) < i:
         k = len(table) + 1
         table.append(
@@ -421,8 +463,9 @@ def _bernoulli_ratio(i: int):
 
 
 class _HurwitzFamily:
-    """zeta(j, q) for j = 2, 3, ... in turn, at the working precision, from one
-    Euler-Maclaurin evaluation shared by every order.
+    """Hurwitz zeta values at one q, at the working precision, from one
+    Euler-Maclaurin evaluation: zeta(j, q) for j = 2, 3, ... in turn, and
+    zeta'(-1, q), zeta'(0, q) = log Gamma(q) - log(2 pi) / 2 and digamma(q).
 
     With Q = q + N the first shift past _EM_SHIFT_PER_BIT * mp.mp.prec (N = 0
     when q is past it already),
@@ -430,16 +473,28 @@ class _HurwitzFamily:
         zeta(j, q) = sum_{k<N} (q+k)^{-j} + Q^{1-j} / (j-1) + Q^{-j} / 2
                      + sum_{i>=1} B_2i / (2i)! (j)_{2i-1} Q^{-j-2i+1},
 
-    with (j)_r the rising factorial.  The head powers and Q^{-j} advance from
-    the previous order by one division by an exact divisor each; the series
-    reads one table of B_2i / (2i)! Q^{1-2i}.  As x^{-j} is completely
-    monotone, the first omitted term bounds the remainder, so ``next(tol)``
-    stops at the first term below ``tol`` and raises ConvergenceError if the
-    Bernoulli table runs out first.
+    with (j)_r the rising factorial, and at Q the Stirling forms
+
+        zeta'(-1, Q) = (Q^2/2 - Q/2 + 1/12) log Q - Q^2/4 + 1/12
+                       - sum_{i>=2} B_2i / ((2i)(2i-1)(2i-2)) Q^{2-2i},
+        zeta'(0, Q)  = (Q - 1/2) log Q - Q + sum_{i>=1} B_2i / ((2i)(2i-1)) Q^{1-2i},
+        digamma(Q)   = log Q - 1/(2Q) - sum_{i>=1} B_2i / (2i) Q^{-2i},
+
+    from which the shift terms (q+k) log(q+k), log(q+k) and 1/(q+k) are
+    subtracted.  The head powers and Q^{-j} advance from the previous order
+    by one division by an exact divisor each; every series reads one table
+    of B_2i / (2i)! Q^{1-2i}.  The first omitted term bounds each remainder,
+    so a series stops at its first term below its tolerance (``tol`` for
+    ``next``, eps of the value for the other three) and raises
+    ConvergenceError if the Bernoulli table runs out first.  A shifted
+    zeta'(-1, q) cancels up to ~Q^2 log Q of its size against its shift
+    terms, so the three special values sum their leading and shift terms
+    from exact q+k and Q with 3 log2 Q + 8 guard bits.
     """
 
     def __init__(self, q):
         shift = max(0, math.ceil(_EM_SHIFT_PER_BIT * mp.mp.prec - q))
+        self._q = q
         self._bases = [q + k for k in range(shift)]
         self._head = [1 / x for x in self._bases]  # (q+k)^{1-j}, next order j
         self._big_q = q + shift
@@ -447,25 +502,80 @@ class _HurwitzFamily:
         self._order = 1
         self._table: List = []  # B_2i / (2i)! Q^{1-2i}
         self._table_power = self._q_power  # Q^{1-2i}, next entry i
+        self._guard = 3 * int(self._big_q).bit_length() + 8
+
+    def _series(self, factors, tol, name):
+        """The terms f_i B_2i / (2i)! Q^{1-2i}, (i, f_i) from ``factors``, that
+        come before the first term below ``tol``."""
+        big_q, terms = self._big_q, []
+        for i, factor in factors:
+            if i > _EM_TERM_CAP:
+                raise ConvergenceError(
+                    f"Euler-Maclaurin series of {name} at q + N = {float(big_q):.6g}"
+                    f" did not reach {mp.nstr(tol, 3)} in {_EM_TERM_CAP} terms"
+                )
+            while i > len(self._table):
+                self._table.append(_bernoulli_ratio(len(self._table) + 1) * self._table_power)
+                self._table_power /= big_q * big_q
+            term = factor * self._table[i - 1]
+            if abs(term) < tol:
+                return terms
+            terms.append(term)
 
     def next(self, tol):
         """zeta(j, q) for the next order j, to within ``tol``."""
         self._order = j = self._order + 1
         self._head = [p / x for p, x in zip(self._head, self._bases)]
-        big_q, lead = self._big_q, self._q_power / (j - 1)
-        self._q_power = q_j = self._q_power / big_q
-        terms = self._head + [lead, q_j / 2]
-        rising = j  # (j)_{2i-1}
-        for i in range(1, _EM_TERM_CAP + 1):
-            if i > len(self._table):
-                self._table.append(_bernoulli_ratio(i) * self._table_power)
-                self._table_power /= big_q * big_q
-            term = q_j * rising * self._table[i - 1]
-            if abs(term) < tol:
-                return mp.fsum(terms)
-            terms.append(term)
-            rising *= (j + 2 * i - 1) * (j + 2 * i)
-        raise ConvergenceError(
-            f"Euler-Maclaurin series of zeta({j}, {float(big_q):.6g}) did "
-            f"not reach {mp.nstr(tol, 3)} in {_EM_TERM_CAP} terms"
-        )
+        lead = self._q_power / (j - 1)
+        self._q_power = q_j = self._q_power / self._big_q
+        series = self._series(_rising_factors(q_j, j), tol, f"zeta({j}, q)")
+        return mp.fsum(self._head + [lead, q_j / 2] + series)
+
+    @functools.cached_property
+    def _guarded(self):
+        """Q, log Q, the q+k, k < N, and their logs, all rounded at the
+        guarded precision (entered by the caller)."""
+        bases = [self._q + k for k in range(len(self._bases))]
+        big_q = self._q + len(bases)
+        return big_q, mp.log(big_q), bases, [mp.log(x) for x in bases]
+
+    def _stirling(self, base, factors, name):
+        """base + the series over ``factors``, to eps of the value."""
+        return mp.fsum([base] + self._series(factors, mp.eps * abs(base), name))
+
+    def zeta_prime_m1(self):
+        """zeta'(-1, q)."""
+        with mp.extraprec(self._guard):
+            big_q, log_q, bases, logs = self._guarded
+            base = (
+                ((big_q - 1) * big_q / 2 + mp.mpf(1) / 12) * log_q
+                - big_q * big_q / 4
+                + mp.mpf(1) / 12
+                - mp.fdot(bases, logs)
+            )
+        factors = ((i, -self._big_q * math.factorial(2 * i - 3)) for i in itertools.count(2))
+        return self._stirling(base, factors, "zeta'(-1, q)")
+
+    def zeta_prime_0(self):
+        """zeta'(0, q) = log Gamma(q) - log(2 pi) / 2."""
+        with mp.extraprec(self._guard):
+            big_q, log_q, _, logs = self._guarded
+            base = (big_q - mp.mpf(1) / 2) * log_q - big_q - mp.fsum(logs)
+        factors = ((i, math.factorial(2 * i - 2)) for i in itertools.count(1))
+        return self._stirling(base, factors, "zeta'(0, q)")
+
+    def digamma(self):
+        """digamma(q)."""
+        with mp.extraprec(self._guard):
+            big_q, log_q, bases, _ = self._guarded
+            base = log_q - 1 / (2 * big_q) - mp.fsum(1 / x for x in bases)
+        factors = ((i, -math.factorial(2 * i - 1) / self._big_q) for i in itertools.count(1))
+        return self._stirling(base, factors, "digamma(q)")
+
+
+def _rising_factors(scale, j):
+    """(i, scale (j)_{2i-1}) for i = 1, 2, ..."""
+    rising = j
+    for i in itertools.count(1):
+        yield i, scale * rising
+        rising *= (j + 2 * i - 1) * (j + 2 * i)

@@ -233,22 +233,35 @@ class TestZetaLogTail:
             assert split_index(cp1_law(m), 1) == 4 * (m + 1)
         assert split_index(cp1_law(8), 100) == 100
 
-    def test_hurwitz_calls_independent_of_m(self, monkeypatch):
-        calls = []
-        zeta = mpmath.zeta
-
-        def counting_zeta(*args, **kwargs):
-            calls.append(args)
-            return zeta(*args, **kwargs)
-
-        monkeypatch.setattr(mpmath, "zeta", counting_zeta)
+    def test_no_mpmath_zeta_and_log_count_independent_of_m(self, monkeypatch):
+        # every Hurwitz value comes from the shared Euler-Maclaurin tables and
+        # the circle-bundle head is summed in closed form: no mpmath zeta,
+        # log Gamma or digamma call, and a log count that stops growing with m
         counts = {}
-        for m in (8, 512):
-            calls.clear()
+        for name in ("zeta", "loggamma", "digamma", "log"):
+            original = getattr(mpmath, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mpmath, name, counting)
+        logs = {}
+        for m in (0, 8, 128, 512, 1024, 16384):
+            counts.clear()
             zeta_log_tail(cp1_law(m), 1)
-            counts[m] = len(calls)
-        assert counts[8] > 0 and max(counts.values()) <= 64
-        assert abs(counts[512] - counts[8]) <= 6
+            logs[m] = counts.pop("log", 0)
+            assert counts == {}, m
+        assert logs[128] == logs[1024] == logs[16384]
+        assert max(logs.values()) <= 256
+
+    @pytest.mark.parametrize(
+        "m, want", ((4096, 13275.691709107743), (16384, 64445.577867662316))
+    )
+    def test_large_weight_values_match_explicit_head(self, m, want):
+        # frozen from the term-by-term head of 4 (m+1) logarithms
+        _, deriv, err = zeta_log_tail(cp1_law(m), 1)
+        assert abs(deriv - want) <= err
 
     def test_circle_bundle_settles_on_second_ladder_level(self, monkeypatch):
         # the first level is already accurate: 30 and 60 digits agree
@@ -272,16 +285,16 @@ class TestZetaLogTail:
 
 
 def _mp_head(law: QuadraticLaw, k_start: int, k_end: int):
+    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < k_end, term by
+    term at 40 digits."""
     with mpmath.workdps(40):
-        mus = [law.m1 * k + law.m0 for k in range(k_start, k_end)]
+        m1, m0 = mpmath.mpf(law.m1), mpmath.mpf(law.m0)
+        mus = [m1 * k + m0 for k in range(k_start, k_end)]
         logs = [
             mpmath.log((mpmath.mpf(law.a2) * k + law.a1) * k + law.a0)
             for k in range(k_start, k_end)
         ]
-        return (
-            float(mpmath.fsum(mus)),
-            float(-mpmath.fsum(mu * lg for mu, lg in zip(mus, logs))),
-        )
+        return mpmath.fsum(mus), -mpmath.fsum(mu * lg for mu, lg in zip(mus, logs))
 
 
 #: Random quadratic laws lam = a2 [(k + shift)^2 + rho] with
@@ -317,11 +330,90 @@ def test_additivity_on_random_laws(a2, k_start, shift, rel_rho, m1, m0, extra):
     k_split = k_start + extra
     full_val, full_deriv, full_err = zeta_log_tail(law, k_start)
     tail_val, tail_deriv, tail_err = zeta_log_tail(law, k_split)
-    head_val, head_deriv = _mp_head(law, k_start, k_split)
+    head_val, head_deriv = map(float, _mp_head(law, k_start, k_split))
     # the float combination below rounds at ~eps of the summands
     rounding = 4e-16 * (abs(head_deriv) + abs(tail_deriv) + abs(full_deriv))
     assert abs(head_deriv + tail_deriv - full_deriv) <= full_err + tail_err + rounding
     assert head_val + tail_val == pytest.approx(full_val, rel=1e-12, abs=1e-9)
+
+
+#: Laws a2 (k + r1)(k + r2) with both factors positive from k_start on:
+#: k_start + r1 = lead, r2 = r1 + gap (double roots are tested separately:
+#: in float coefficients they round to complex pairs or split).
+REAL_ROOT_LAWS = dict(
+    a2=st.floats(0.25, 4.0),
+    k_start=st.integers(1, 60),
+    lead=st.floats(0.01, 50.0),
+    gap=st.floats(0.01, 300.0),
+    m1=st.floats(0.0, 3.0),
+    m0=st.floats(-2.0, 5.0),
+)
+
+
+def _closed_head(law: QuadraticLaw, k_start: int, K: int):
+    """``_head_sums`` at the first ladder level, asserting it takes the
+    closed form."""
+    with mpmath.workdps(30):
+        roots = tails._real_roots(law)
+        assert roots is not None and k_start + roots[0] > 0
+        return tails._head_sums(law, k_start, K)
+
+
+def _assert_heads_agree(got, want):
+    with mpmath.workdps(40):
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-25 * abs(w)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(extra=st.integers(0, 3000), **REAL_ROOT_LAWS)
+def test_closed_form_head_matches_explicit_head(a2, k_start, lead, gap, m1, m0, extra):
+    r1 = lead - k_start
+    r2 = r1 + gap
+    law = QuadraticLaw(a2, a2 * (r1 + r2), a2 * r1 * r2, m1, m0)
+    K = k_start + extra
+    got = _closed_head(law, k_start, K)
+    want = _mp_head(law, k_start, K)
+    _assert_heads_agree(got, want)
+
+
+@pytest.mark.parametrize("a2, r, k_start", ((1.0, 0.5, 1), (3.0, 0.75, 4), (0.5, -2.25, 3)))
+def test_closed_form_head_on_double_root(a2, r, k_start):
+    # rho = 0: lam = a2 (k + r)^2, both factors from the same root
+    law = QuadraticLaw(a2, 2 * a2 * r, a2 * r * r, 1.5, 0.7)
+    assert law.vertex_value == 0.0
+    K = split_index(law, k_start) + 200
+    got = _closed_head(law, k_start, K)
+    want = _mp_head(law, k_start, K)
+    _assert_heads_agree(got, want)
+
+
+def test_circle_bundle_roots_are_exact():
+    with mpmath.workdps(30):
+        for m in (0, 8, 16384):
+            assert tails._real_roots(cp1_law(m)) == (0, m + 1)
+
+
+def test_head_with_both_factors_negative_is_explicit(monkeypatch):
+    # (k - 5.3)(k - 5.6) from k_start = 1: both factors are negative up to
+    # k = 5, so the head is summed term by term; from k_start = 6 it closes
+    law = QuadraticLaw(1.0, -10.9, 29.68, 1.0, 2.0)
+    families = []
+    family = tails._HurwitzFamily
+
+    def counting_family(q):
+        families.append(q)
+        return family(q)
+
+    monkeypatch.setattr(tails, "_HurwitzFamily", counting_family)
+    with mpmath.workdps(30):
+        got = tails._head_sums(law, 1, 40)
+    assert families == []
+    want = _mp_head(law, 1, 40)
+    _assert_heads_agree(got, want)
+    with mpmath.workdps(30):
+        tails._head_sums(law, 6, 40)
+    assert len(families) == 4
 
 
 def _per_call_reference(law: QuadraticLaw, k_start: int):
@@ -394,6 +486,28 @@ class TestHurwitzFamily:
         # (unshifted, shifted) branches taken: 40.5 is shifted from 60 digits on
         branches = {"0.5": (False, True), "3": (False, True), "40.5": (True, True)}
         assert (0 in shifts, max(shifts) > 0) == branches.get(q, (True, False))
+
+    @pytest.mark.parametrize("q", ("0.5", "3", "40.5", "292.5", "1e4"))
+    def test_special_values_against_mpmath_at_every_ladder_level(self, q):
+        with mpmath.workdps(250):
+            x = mpmath.mpf(q)
+            want = {
+                "zeta'(-1, q)": mpmath.zeta(-1, x, 1),
+                "zeta'(0, q)": mpmath.loggamma(x) - mpmath.log(2 * mpmath.pi) / 2,
+                "digamma(q)": mpmath.digamma(x),
+            }
+        for dps in (30, 60, 120, 240):
+            with mpmath.workdps(dps):
+                eps = +mpmath.eps
+                family = tails._HurwitzFamily(mpmath.mpf(q))
+                got = {
+                    "zeta'(-1, q)": family.zeta_prime_m1(),
+                    "zeta'(0, q)": family.zeta_prime_0(),
+                    "digamma(q)": family.digamma(),
+                }
+            with mpmath.workdps(260):
+                for name, value in got.items():
+                    assert abs(value - want[name]) <= 4 * eps * abs(want[name]), (dps, name)
 
     def test_table_exhaustion_raises(self):
         with mpmath.workdps(30):
