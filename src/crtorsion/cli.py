@@ -29,7 +29,7 @@ from .density import (
     subset_sum_identity_residual,
     supertrace_N_density,
 )
-from .errors import CrTorsionError, TwoPathMismatchError
+from .errors import CrTorsionError, DomainError, TwoPathMismatchError
 from .mellin import GAMMA_PRIME_1, MellinInput, QuadratureConfig, mellin_at_zero, riemann_zeta_check
 from .oracle import validate_eigenvalues, validate_kernel_dimension
 from .series import HalfPowerSeries, bose_factor, fit_half_powers
@@ -271,9 +271,9 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     record("strata_quadrature", worst, 1e-8)
     record("strata_half_power_parity", 0.0 if parity_ok else 1.0, 0.5)
 
-    env0 = stratum_suppression_envelope(16, 1.0, 0.0, 2.0, 0.1, 2)
-    env1 = stratum_suppression_envelope(16, 1.0, 0.5, 2.0, 0.1, 2)
-    env2 = stratum_suppression_envelope(16, 1.0, 1.0, 2.0, 0.1, 2)
+    env0 = stratum_suppression_envelope(16, 0.0, 2.0, 0.1, 2)
+    env1 = stratum_suppression_envelope(16, 0.5, 2.0, 0.1, 2)
+    env2 = stratum_suppression_envelope(16, 1.0, 2.0, 0.1, 2)
     env_ok = env0 == 2.0 * 16 ** 2 and env0 > env1 > env2
     record("suppression_envelope", 0.0 if env_ok else 1.0, 0.5)
 
@@ -424,6 +424,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if not (args.tmin > 0 and args.tmax > 0):
+        raise DomainError(f"--tmin and --tmax must be positive: {args.tmin:g}, {args.tmax:g}")
     spec = _read_spectrum(args.spectrum, args.n, args.m)
     grid = np.geomspace(args.tmin, args.tmax, args.points)
     fit = extract_bhat(spec, args.n, args.terms, grid)
@@ -460,7 +462,7 @@ def _cmd_stratum(args) -> int:
         "series": _series_dict(series),
         "cross_check": refs,
         "envelope_at_crossover": stratum_suppression_envelope(
-            args.m, 1.0, math.sqrt(math.log(float(args.m)) / (0.5 * args.m)), 1.0, 0.5, 1
+            args.m, math.sqrt(math.log(float(args.m)) / (0.5 * args.m)), 1.0, 0.5, 1
         ),
     }
     csv_text = _coefficients_csv(args, zip(series.exponents(), series.coeffs))

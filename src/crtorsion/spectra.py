@@ -316,12 +316,12 @@ def cp1_geometry(rank_e: int = 1) -> GeometryModel:
 
 def load_geometry(path_or_stream) -> GeometryModel:
     """Read the geometry JSON format: n, eigenvalues, volume, rank_e."""
-    if hasattr(path_or_stream, "read"):
-        data = json.load(path_or_stream)
-    else:
-        with open(path_or_stream, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
     try:
+        if hasattr(path_or_stream, "read"):
+            data = json.load(path_or_stream)
+        else:
+            with open(path_or_stream, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
         n = int(data["n"])
         eigenvalues = tuple(float(a) for a in data["eigenvalues"])
         volume = float(data["volume"])
@@ -352,13 +352,17 @@ def ingest_spectrum(source, n: int, m: int = 0) -> SpectrumTable:
     """Parse the CSV spectrum format: header ``q,lambda,mult``, UTF-8,
     ``#``-comments ignored; validates, merges duplicates, sorts.
     """
+    if hasattr(source, "read"):
+        source = source.read()
     if isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8")
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                source.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}"
+            ) from exc
     elif isinstance(source, str):
         text = source
-    elif hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
     else:
         raise DomainError(f"unsupported spectrum source {type(source)!r}")
     rows = []

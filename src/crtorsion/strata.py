@@ -82,14 +82,9 @@ def gaussian_stratum_expansion(
     return HalfPowerSeries.from_terms(terms, trunc_order)
 
 
-def stratum_suppression_envelope(
-    m: int, t: float, d: float, C: float, eps: float, n: int
-) -> float:
-    """The off-stratum correction bound C m^n exp(-eps m d^2).
-
-    Monotone decreasing in d and in m d^2; t is accepted for interface
-    symmetry with the heat-kernel bounds but does not enter the envelope.
-    """
+def stratum_suppression_envelope(m: int, d: float, C: float, eps: float, n: int) -> float:
+    """The off-stratum correction bound C m^n exp(-eps m d^2), monotone
+    decreasing in d and in m d^2."""
     if m < 1:
         raise DomainError("m must be a positive integer")
     if C <= 0 or eps <= 0:

@@ -28,7 +28,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from fractions import Fraction
+from typing import List, Tuple
 
 import mpmath as mp
 
@@ -36,21 +37,6 @@ from .errors import ConvergenceError, DomainError
 from .series import HalfPowerSeries, _as_doubled
 
 SQRT_PI = math.sqrt(math.pi)
-
-# Bernoulli numbers B_2, B_4, ..., B_22.
-_BERNOULLI_EVEN = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
-    854513.0 / 138,
-)
 
 
 @dataclass(frozen=True)
@@ -96,72 +82,40 @@ class QuadraticLaw:
 # ---------------------------------------------------------------------------
 
 
-def _poly_deriv(p: List[float]) -> List[float]:
-    return [i * c for i, c in enumerate(p)][1:] or [0.0]
+def _endpoint_derivative_tpoly(law: QuadraticLaw, r: int, x0: float) -> List[float]:
+    """t-coefficients of P_r(x0; t), where d^r/dx^r [mu e^{-t lam}] = P_r e^{-t lam}.
+
+    With y = x - x0 and b = lam'(x0), mu e^{-t (lam - lam(x0))} is
+    (mu(x0) + m1 y) e^{-t (b y + a2 y^2)}, and the y^s t^p coefficient of the
+    exponential is the single term (-1)^p b^{2p-s} a2^{s-p} / ((2p-s)! (s-p)!),
+    nonzero for s/2 <= p <= s.  P_r is r! times the y^r coefficient of the
+    product; r! / ((2p-s)! (s-p)!) is an integer for s = r and s = r - 1.
+    """
+    b, mu0 = law.lam_prime(x0), law.mult(x0)
+
+    def exp_coeff(s, p):  # r! times the y^s t^p coefficient of the exponential
+        if not p <= s <= 2 * p:
+            return 0.0
+        count = math.factorial(r) // (math.factorial(2 * p - s) * math.factorial(s - p))
+        return (-1) ** p * count * b ** (2 * p - s) * law.a2 ** (s - p)
+
+    return [mu0 * exp_coeff(r, p) + law.m1 * exp_coeff(r - 1, p) for p in range(r + 1)]
 
 
-def _poly_mul(p: List[float], q: List[float]) -> List[float]:
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_eval(p: List[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _endpoint_derivative_tpolys(
-    law: QuadraticLaw, order: int, x0: float
-) -> List[List[float]]:
-    """Coefficients (in powers of t) of P_k(x0; t) for k = 0 .. order, where
-    d^k/dx^k [mu e^{-t lam}] = P_k e^{-t lam}; one pass of the chain
-    P_{k+1} = P_k' - t lam' P_k."""
-    lamp = [law.a1, 2.0 * law.a2]  # lam'(x)
-    # P as list over t-powers of x-polynomials; P_0 = mu(x).
-    p: List[List[float]] = [[law.m0, law.m1]]
-    out = [[_poly_eval(poly, x0) for poly in p]]
-    for _ in range(order):
-        nxt: List[List[float]] = []
-        for r in range(len(p) + 1):
-            term = [0.0]
-            if r < len(p):
-                term = _poly_deriv(p[r])
-            if r >= 1:
-                prod = _poly_mul(lamp, p[r - 1])
-                n = max(len(term), len(prod))
-                term = [
-                    (term[i] if i < len(term) else 0.0)
-                    - (prod[i] if i < len(prod) else 0.0)
-                    for i in range(n)
-                ]
-            nxt.append(term)
-        p = nxt
-        out.append([_poly_eval(poly, x0) for poly in p])
-    return out
-
-
-def em_heat_series(
-    law: QuadraticLaw, k_start: int, trunc_order, em_terms: int | None = None
-) -> HalfPowerSeries:
+def em_heat_series(law: QuadraticLaw, k_start: int, trunc_order) -> HalfPowerSeries:
     """Small-t asymptotic expansion of sum_{k >= k_start} mu(k) e^{-t lam(k)}.
 
-    The coefficients are exact (each receives contributions from finitely many
-    Euler-Maclaurin orders); the default number of correction terms is chosen
-    so that every represented coefficient is final.
+    The coefficients are exact: correction j first touches t^{j-1}, and the
+    corrections run two orders past the last represented one.  Correction j
+    is the closed-form endpoint derivative P_{2j-1}
+    (``_endpoint_derivative_tpoly``) weighted by the exact B_2j / (2j)! that
+    the direct route's Hurwitz evaluations also read
+    (``_bernoulli_over_factorial``), so the order has no cap.  Each correction
+    is multiplied by e^{-t lam(x0)} on its own: summing them into one
+    t-polynomial first costs the large-weight coefficients digits.
     """
     t2 = _as_doubled(trunc_order, "trunc_order")
-    top = max(1, math.ceil(t2 / 2) + 1)
-    p = em_terms if em_terms is not None else top + 2
-    if p > len(_BERNOULLI_EVEN):
-        raise DomainError(
-            f"requested {p} Euler-Maclaurin corrections; only "
-            f"{len(_BERNOULLI_EVEN)} Bernoulli numbers are tabled"
-        )
+    p = max(1, math.ceil(t2 / 2) + 1) + 2
     work = t2 / 2 + 1
     x0 = float(k_start)
     lam0 = law.lam(x0)
@@ -195,13 +149,10 @@ def em_heat_series(
 
     # endpoint value term + Bernoulli corrections
     acc = acc + exp_lam0.scale(0.5 * law.mult(x0))
-    tpolys = _endpoint_derivative_tpolys(law, 2 * p - 1, x0)
     for j in range(1, p + 1):
-        tpoly = tpolys[2 * j - 1]
-        poly_series = HalfPowerSeries.from_terms(
-            {r: c for r, c in enumerate(tpoly)}, work
-        )
-        weight = -_BERNOULLI_EVEN[j - 1] / math.factorial(2 * j)
+        tpoly = _endpoint_derivative_tpoly(law, 2 * j - 1, x0)
+        poly_series = HalfPowerSeries.from_terms(dict(enumerate(tpoly)), work)
+        weight = -float(_bernoulli_over_factorial(j))
         acc = acc + (poly_series * exp_lam0).scale(weight)
     return acc.truncate2(t2)
 
@@ -442,24 +393,22 @@ def _tangent_numbers(n: int) -> Tuple[int, ...]:
     return tuple(t)
 
 
-#: prec -> B_2i / (2i)! for i = 1, 2, ..., each rounded once at that working
-#: precision; extended on demand and kept across calls.
-_BERNOULLI_RATIOS: Dict[int, List] = {}
-
-
-def _bernoulli_ratio(i: int):
-    """B_2i / (2i)! = (-1)^(i-1) 2i T_i / (4^i (4^i - 1) (2i)!) at the working
-    precision, 1 <= i <= _EM_TERM_CAP."""
-    table = _BERNOULLI_RATIOS.setdefault(mp.mp.prec, [])
+@functools.lru_cache(maxsize=None)
+def _bernoulli_over_factorial(i: int) -> Fraction:
+    """B_2i / (2i)! = (-1)^(i-1) 2i T_i / (4^i (4^i - 1) (2i)!), exact, i >= 1;
+    the one Bernoulli source of both the heat and the direct route."""
     # in blocks of 32: the first two ladder levels read at most 23 entries
-    t = _tangent_numbers(min(_EM_TERM_CAP, 32 * -(-i // 32)))
-    while len(table) < i:
-        k = len(table) + 1
-        table.append(
-            mp.mpf((-1) ** (k - 1) * 2 * k * t[k])
-            / (4 ** k * (4 ** k - 1) * math.factorial(2 * k))
-        )
-    return table[i - 1]
+    t = _tangent_numbers(32 * -(-i // 32))
+    return Fraction(
+        (-1) ** (i - 1) * 2 * i * t[i], 4 ** i * (4 ** i - 1) * math.factorial(2 * i)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_ratio(i: int, prec: int):
+    """``_bernoulli_over_factorial(i)`` rounded once to ``prec`` bits."""
+    ratio = _bernoulli_over_factorial(i)
+    return mp.fdiv(ratio.numerator, ratio.denominator, prec=prec)
 
 
 class _HurwitzFamily:
@@ -515,7 +464,9 @@ class _HurwitzFamily:
                     f" did not reach {mp.nstr(tol, 3)} in {_EM_TERM_CAP} terms"
                 )
             while i > len(self._table):
-                self._table.append(_bernoulli_ratio(len(self._table) + 1) * self._table_power)
+                self._table.append(
+                    _bernoulli_ratio(len(self._table) + 1, mp.mp.prec) * self._table_power
+                )
                 self._table_power /= big_q * big_q
             term = factor * self._table[i - 1]
             if abs(term) < tol:

@@ -49,6 +49,10 @@ TWO_PI = 2.0 * math.pi
 #: Default number of half-power slots (exponents -n .. -n + j_max/2).
 DEFAULT_JMAX_EXTRA = 8
 
+#: Largest truncation-tail bound, relative to the sampled value + 1, that a
+#: fitted grid point may carry.
+FIT_TAIL_REL_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Expansion coefficients of the heat super trace
@@ -102,7 +106,6 @@ def extract_bhat(
     n: int,
     num_terms: int,
     t_grid: Sequence[float],
-    tail_rel_tol: float = 1e-9,
 ) -> FitResult:
     """Fit the expansion coefficients from sampled super traces.
 
@@ -112,12 +115,10 @@ def extract_bhat(
     if num_terms > 2 * n + 2 + DEFAULT_JMAX_EXTRA:
         raise ArityError(f"num_terms {num_terms} beyond supported ladder")
     samples = []
-    scale = 0.0
     for t in t_grid:
         tv = heat_supertrace_N(spec, float(t), False)
         samples.append((float(t), tv.value))
-        scale = max(scale, abs(tv.value))
-        if tv.tail_bound > tail_rel_tol * (abs(tv.value) + 1.0):
+        if tv.tail_bound > FIT_TAIL_REL_TOL * (abs(tv.value) + 1.0):
             raise DomainError(
                 f"t = {t:.3g} lies below the trusted floor of the truncated "
                 f"table (tail bound {tv.tail_bound:.2e})"

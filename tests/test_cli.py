@@ -171,6 +171,25 @@ def test_directory_in_place_of_file(cargs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "cargs, name, content, message",
+    [
+        (["torsion", "--m", "4", "--spectrum"], "s.csv", b"q,lambda,mult\n1,2.0,\xff\n",
+         "row 2: not UTF-8"),
+        (["sweep", "--ms", "8", "--geometry"], "g.json", b'{"n": 1,', "invalid geometry file"),
+        (["fit", "--n", "1", "--tmin", "0", "--spectrum"], "s.csv", b"q,lambda,mult\n1,2.0,1\n",
+         "--tmin and --tmax must be positive"),
+    ],
+    ids=["spectrum-not-utf8", "geometry-malformed-json", "fit-tmin-zero"],
+)
+def test_bad_input_is_named_error(cargs, name, content, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, _, err = run_cli(cargs + [str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
     "cargs",
     [
         ["sweep", "--ms", "8,abc"],

@@ -109,35 +109,35 @@ class TestQuadratureCrossCheck:
 
 class TestEnvelope:
     def test_on_stratum_value(self):
-        assert stratum_suppression_envelope(16, 1.0, 0.0, 2.5, 0.3, 2) == pytest.approx(
+        assert stratum_suppression_envelope(16, 0.0, 2.5, 0.3, 2) == pytest.approx(
             2.5 * 16 ** 2
         )
 
     def test_crossover_scale(self):
         m, eps, C, n = 32, 0.4, 1.7, 3
         d = math.sqrt(math.log(float(m) ** n) / (eps * m))
-        assert stratum_suppression_envelope(m, 1.0, d, C, eps, n) == pytest.approx(C, rel=1e-12)
+        assert stratum_suppression_envelope(m, d, C, eps, n) == pytest.approx(C, rel=1e-12)
 
     def test_quadrupling_m_eventually_decreases(self):
         C, eps, n, d = 1.0, 0.2, 2, 0.8
         m = 64
-        a = stratum_suppression_envelope(m, 1.0, d, C, eps, n)
-        b = stratum_suppression_envelope(4 * m, 1.0, d, C, eps, n)
+        a = stratum_suppression_envelope(m, d, C, eps, n)
+        b = stratum_suppression_envelope(4 * m, d, C, eps, n)
         assert b < a
         assert b / a == pytest.approx(4 ** n * math.exp(-3 * eps * m * d * d), rel=1e-12)
 
     def test_monotone_in_distance(self):
         vals = [
-            stratum_suppression_envelope(10, 1.0, d, 1.0, 0.5, 1)
+            stratum_suppression_envelope(10, d, 1.0, 0.5, 1)
             for d in (0.0, 0.3, 0.9, 2.0)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            stratum_suppression_envelope(0, 1.0, 0.0, 1.0, 1.0, 1)
+            stratum_suppression_envelope(0, 0.0, 1.0, 1.0, 1)
         with pytest.raises(DomainError):
-            stratum_suppression_envelope(1, 1.0, -1.0, 1.0, 1.0, 1)
+            stratum_suppression_envelope(1, -1.0, 1.0, 1.0, 1)
         with pytest.raises(DomainError):
             StratumIntegrand(0, {}, 1.0)
         with pytest.raises(DomainError):

@@ -2,6 +2,8 @@
 bounds, and the Hurwitz-zeta continuation used by the direct torsion route."""
 
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -52,28 +54,26 @@ def brute_sum(law: QuadraticLaw, k_start: int, t: float) -> float:
     return total
 
 
-def _endpoint_derivative_tpoly_reference(law: QuadraticLaw, order: int, x0: float):
-    """t-coefficients of P_order(x0; t), d^k/dx^k [mu e^{-t lam}] = P_k e^{-t lam},
-    rebuilding the chain P_0 .. P_order anew for each order."""
-    lamp = [law.a1, 2.0 * law.a2]
-    p = [[law.m0, law.m1]]
-    for _ in range(order):
-        nxt = []
-        for r in range(len(p) + 1):
-            term = [0.0]
-            if r < len(p):
-                term = tails._poly_deriv(p[r])
-            if r >= 1:
-                prod = tails._poly_mul(lamp, p[r - 1])
-                n = max(len(term), len(prod))
-                term = [
-                    (term[i] if i < len(term) else 0.0)
-                    - (prod[i] if i < len(prod) else 0.0)
-                    for i in range(n)
-                ]
-            nxt.append(term)
-        p = nxt
-    return [tails._poly_eval(poly, x0) for poly in p]
+def _exact_endpoint_derivatives(law: QuadraticLaw, order: int, x0: float):
+    """t-coefficients of P_0(x0; t) .. P_order(x0; t), where
+    d^k/dx^k [mu e^{-t lam}] = P_k e^{-t lam}, in exact rationals from the chain
+    P_{k+1} = P_k' - t lam' P_k on the t^p x^i coefficients of P_k."""
+    a2, a1, m1, m0, x0 = map(Fraction, (law.a2, law.a1, law.m1, law.m0, x0))
+    poly = {(0, 0): m0, (0, 1): m1}
+    out = []
+    for k in range(order + 1):
+        tcoeffs = [Fraction(0)] * (k + 1)
+        for (p, i), c in poly.items():
+            tcoeffs[p] += c * x0 ** i
+        out.append(tcoeffs)
+        nxt = defaultdict(Fraction)
+        for (p, i), c in poly.items():
+            if i:
+                nxt[p, i - 1] += i * c
+            nxt[p + 1, i] -= a1 * c
+            nxt[p + 1, i + 1] -= 2 * a2 * c
+        poly = nxt
+    return out
 
 
 class TestEmHeatSeries:
@@ -135,12 +135,23 @@ class TestEmHeatSeries:
             (QuadraticLaw(0.7, -3.1, 9.4, 0.0, 1.3), 5.0),
         ),
     )
-    def test_derivative_chain_matches_per_order_reference(self, law, x0):
-        # one pass of the chain performs the per-order operations in order
-        chain = tails._endpoint_derivative_tpolys(law, 21, x0)
-        assert len(chain) == 22
-        for order, tpoly in enumerate(chain):
-            assert tpoly == _endpoint_derivative_tpoly_reference(law, order, x0)
+    def test_endpoint_derivatives_match_exact_chain(self, law, x0):
+        # within a few eps of every exact coefficient through r = 21
+        exact = _exact_endpoint_derivatives(law, 21, x0)
+        for r, want in enumerate(exact):
+            got = tails._endpoint_derivative_tpoly(law, r, x0)
+            assert len(got) == len(want) == r + 1
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= Fraction(1e-14) * abs(w), (r, g, w)
+
+    def test_matches_brute_sum_at_high_order(self):
+        # trunc order 8.5 needs 12 Bernoulli corrections: the residual falls
+        # like t^8.5 down to rounding
+        for law in (cp1_law(6), QuadraticLaw(2.0, 3.0, 1.0, 1.0, 2.0)):
+            series = em_heat_series(law, 1, 8.5)
+            for t in (5e-2, 2e-2, 1e-2):
+                want = brute_sum(law, 1, t)
+                assert abs(series(t) - want) <= (t ** 8.5 + 4e-15) * want
 
 
 class TestTailBound:
@@ -520,7 +531,7 @@ class TestHurwitzFamily:
             for i in (1, 2, 7, 30, tails._EM_TERM_CAP):
                 p, d = mpmath.bernfrac(2 * i)
                 want = mpmath.mpf(p) / (d * math.factorial(2 * i))
-                assert abs(tails._bernoulli_ratio(i) - want) <= mpmath.eps * abs(want)
+                assert abs(tails._bernoulli_ratio(i, mpmath.mp.prec) - want) <= mpmath.eps * abs(want)
 
 
 def test_law_validation():

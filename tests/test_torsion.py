@@ -73,6 +73,15 @@ class TestClosedFormBhat:
         b = closed_form_bhat(cp1_spectrum(7, 4096))
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("m", (8, 128, 16384))
+    def test_long_ladder_extends_default(self, m):
+        # j_max = 2 + 16 needs 12 Euler-Maclaurin corrections; the ladder
+        # only grows, and the shared coefficients do not move
+        spec = cp1_spectrum(m, 4 * m)
+        long = closed_form_bhat(spec, j_max=2 + 16)
+        assert len(long) == 19
+        assert long[:11] == closed_form_bhat(spec)
+
 
 def _taylor_loop(lines, n, j_max):
     """Reference: Taylor coefficients of sum (-1)^q q mult e^{-lam t},
