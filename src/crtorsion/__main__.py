@@ -1,0 +1,7 @@
+"""``python -m crtorsion``: the ``crtorsion`` command without an installed entry point."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -31,7 +31,7 @@ import numpy as np
 
 from .density import LeviSpectrum
 from .errors import DomainError, EmptyDegreeError, ParseError, UnsupportedTailError
-from .tails import QuadraticLaw, tail_bound, trust_floor
+from .tails import QuadraticLaw, _require_positive, tail_bound, trust_floor
 
 CP1_LEVI_EIGENVALUE = 1.0
 CP1_VOLUME = 4.0 * math.pi ** 2
@@ -74,16 +74,22 @@ class QuadraticTail:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Spectrum lines plus a tail policy; build it through ``from_lines``.
+    """Spectrum lines plus a tail policy; build it through ``from_lines`` or
+    ``from_law``.
 
-    ``lines`` is one read-only numpy record array with fields ``q``, ``lam``
+    ``stored`` is one read-only numpy record array with fields ``q``, ``lam``
     and ``mult``, sorted by (q, lam) with duplicate (q, lam) keys merged.
+    When ``implied`` is set (``from_law``), the tail law's lines
+    k_first..k_next-1 in each of its degrees belong to the table as well, but
+    are read from the law (``_law_block``) and never stored; otherwise that
+    block is empty.  ``lines`` is the whole table either way.
     """
 
-    lines: np.recarray
+    stored: np.recarray
     n: int
     m: int = 0
     tail: FiniteTail | QuadraticTail = field(default_factory=FiniteTail)
+    implied: bool = False
 
     @classmethod
     def from_lines(
@@ -93,78 +99,126 @@ class SpectrumTable:
         m: int = 0,
         tail: FiniteTail | QuadraticTail | None = None,
     ) -> "SpectrumTable":
-        """Validate, merge and sort (q, lam, mult) rows: triples or an (N, 3) array."""
-        rows = np.asarray(lines if isinstance(lines, np.ndarray) else list(lines), float)
-        rows = rows.reshape(-1, 3)
-        bad = ~np.isfinite(rows).all(axis=1)
-        if bad.any():
-            raise DomainError(f"non-finite entry in line {tuple(rows[bad][0].tolist())}")
-        bad = (np.rint(rows[:, ::2]) != rows[:, ::2]).any(axis=1)
-        if bad.any():
+        """Validate, merge and sort (q, lam, mult) rows: triples or an (N, 3)
+        array.  Every row is stored."""
+        tail = tail if tail is not None else FiniteTail()
+        return cls(_merged(*_validated(lines, n)), n, m, tail)
+
+    @classmethod
+    def from_law(
+        cls,
+        lines: Iterable[Tuple[int, float, int]] | np.ndarray,
+        n: int,
+        m: int,
+        tail: QuadraticTail,
+    ) -> "SpectrumTable":
+        """The rows ``lines`` plus the lines k = k_first..k_next-1 of ``tail``'s
+        law in each degree of ``tail.degrees``, which the law implies and the
+        table does not store.  ``lines`` may hold no line of that block."""
+        if not (isinstance(tail, QuadraticTail) and tail.covers_all_lines):
+            raise DomainError("from_law needs a quadratic tail that covers the listed lines")
+        if not all(0 <= q <= n for q in tail.degrees):
+            raise DomainError(f"tail degrees {tail.degrees} outside [0, {n}]")
+        law = tail.law
+        if tail.k_next > tail.k_first:
+            _require_positive(law, tail.k_first)
+            # mult is linear in k: integer and >= 1 at both ends covers the block
+            for k in (tail.k_first, tail.k_next - 1):
+                if law.mult(k) < 1 or law.mult(k) != round(law.mult(k)):
+                    raise DomainError(
+                        f"law multiplicity {law.mult(k)} at k = {k} is not a positive integer"
+                    )
+        stored = _merged(*_validated(lines, n))
+        covered = _law_covered(stored, tail)
+        if covered.any():
             raise DomainError(
-                f"non-integer degree or multiplicity in line {tuple(rows[bad][0].tolist())}"
+                f"line {tuple(stored[covered][0].tolist())} is implied by the tail law"
             )
-        q, lam, mult = rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2].astype(np.int64)
-        if ((q < 0) | (q > n)).any():
-            raise DomainError(f"degree {q[(q < 0) | (q > n)][0]} outside [0, {n}]")
-        if (lam < 0).any():
-            raise DomainError(f"negative eigenvalue {lam[lam < 0][0]}")
-        if (mult < 1).any():
-            raise DomainError(f"multiplicity {mult[mult < 1][0]} < 1")
-        order = np.lexsort((lam, q))
-        q, lam, mult = q[order], lam[order], mult[order]
-        new_key = (np.diff(q, prepend=-1) != 0) | (np.diff(lam, prepend=-1.0) != 0)
-        first = np.flatnonzero(new_key)
-        merged = np.rec.fromarrays(
-            (q[first], lam[first], np.add.reduceat(mult, first)), names=("q", "lam", "mult")
-        )
-        merged.flags.writeable = False
-        return cls(merged, n, m, tail if tail is not None else FiniteTail())
+        return cls(stored, n, m, tail, implied=True)
 
     # -- cached numeric views -------------------------------------------
 
     @cached_property
+    def lines(self) -> np.recarray:
+        """Every line, stored and implied, as one read-only record array sorted
+        by (q, lam) with duplicate keys merged; built on first read."""
+        if not self.implied:
+            return self.stored
+        lam, mult = self._law_block()
+        degrees = np.asarray(self.tail.degrees, dtype=np.int64)
+        return _merged(
+            np.r_[self.stored.q, np.repeat(degrees, lam.size)],
+            np.r_[self.stored.lam, np.tile(lam, degrees.size)],
+            np.r_[self.stored.mult, np.tile(mult.astype(np.int64), degrees.size)],
+        )
+
+    def _law_block(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Fresh (lam(k), mult(k)) arrays over k = k_first..k_next-1, shared by
+        every tail degree; both empty unless the table is ``implied``.  Not
+        cached: the views built from them are.  Exact for the integer
+        circle-bundle law while k (k + m + 1) < 2^53."""
+        if not self.implied:
+            return np.empty(0), np.empty(0)
+        k = np.arange(self.tail.k_first, self.tail.k_next, dtype=float)
+        return self.tail.law.lam(k), self.tail.law.mult(k)
+
+    @property
+    def _block_degrees(self) -> Tuple[int, ...]:
+        return self.tail.degrees if self.implied else ()
+
+    @cached_property
     def _weights(self) -> np.ndarray:
-        """(-1)^q q mult per line, its weight in STr[N e^{-t Box}]."""
-        q = self.lines.q
-        return (np.where(q % 2, -q, q) * self.lines.mult).astype(float)
+        """(-1)^q q mult per stored line, its weight in STr[N e^{-t Box}]."""
+        q = self.stored.q
+        return (np.where(q % 2, -q, q) * self.stored.mult).astype(float)
 
     @cached_property
     def _supertrace(self):
         """(lams, weights, kernel) of STr[N e^{-t Box}]: the positive
         eigenvalues with nonzero weight, sorted ascending so the terms that
         survive at any t form a prefix, their weights, and the t-independent
-        zero-mode part."""
-        lam, w = self.lines.lam, self._weights
+        zero-mode part.  An implied line k enters once, with the weight
+        sum_q (-1)^q q mult(k) of all its degrees."""
+        lam, w = self.stored.lam, self._weights
         zero = lam == 0.0
         sel = ~zero & (w != 0.0)
-        order = np.argsort(lam[sel], kind="stable")
-        return lam[sel][order], w[sel][order], float(np.sum(w[zero]))
+        lam_b, mult_b = self._law_block()  # lam > 0 on the block (from_law)
+        block_weight = float(sum(q if q % 2 == 0 else -q for q in self._block_degrees))
+        if block_weight == 0.0:
+            lam_b = mult_b = lam_b[:0]
+        lams = np.r_[lam[sel], lam_b]
+        weights = np.r_[w[sel], block_weight * mult_b]
+        if (lams[1:] < lams[:-1]).any():
+            order = np.argsort(lams, kind="stable")
+            lams, weights = lams[order], weights[order]
+        return lams, weights, float(np.sum(w[zero]))
+
+    def _supertrace_value(self, t: float) -> float:
+        """sum over the positive lines of (-1)^q q mult e^{-lam t}, t > 0.
+
+        Costs O(lines with lam t < 745), not O(lines): degree-0 lines carry
+        weight zero, and beyond the cut e^{-lam t} is the smallest subnormal
+        or exactly 0.0 in float64, so the dropped terms do not reach the value.
+        """
+        lams, weights, _ = self._supertrace
+        n = int(np.searchsorted(lams, _UNDERFLOW / t))
+        return float(np.dot(weights[:n], np.exp(-t * lams[:n])))
 
     @cached_property
     def _outside_law(self):
         """(lams, weights), in table order, of the lines with nonzero weight
-        that are not among the tail law's lines k_first..k_next-1.
-
-        Matched by inverting the quadratic with a relative tolerance, so
-        tables rebuilt through a rescaled law still match despite float
-        rounding.
-        """
-        lam, tail = self.lines.lam, self.tail
+        that are not among the tail law's lines k_first..k_next-1: the stored
+        lines that ``_law_covered`` does not match (implied lines are among
+        the law's by construction)."""
         keep = self._weights != 0.0
-        if isinstance(tail, QuadraticTail) and tail.covers_all_lines:
-            law = tail.law
-            disc = law.a1 * law.a1 + 4.0 * law.a2 * (lam - law.a0)
-            k = np.rint((-law.a1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * law.a2))
-            covered = np.isin(self.lines.q, tail.degrees) & (disc >= 0)
-            covered &= (tail.k_first <= k) & (k < tail.k_next)
-            covered &= np.abs(law.lam(k) - lam) <= 1e-9 * (1.0 + np.abs(lam))
-            keep &= ~covered
-        return lam[keep], self._weights[keep]
+        if isinstance(self.tail, QuadraticTail) and self.tail.covers_all_lines:
+            keep &= ~_law_covered(self.stored, self.tail)
+        return self.stored.lam[keep], self._weights[keep]
 
-    @property
+    @cached_property
     def min_nonzero_eigenvalue(self) -> float:
-        nz = self.lines.lam[self.lines.lam > 0]
+        lam = np.r_[self.stored.lam, self._law_block()[0]]
+        nz = lam[lam > 0]
         if nz.size == 0:
             raise EmptyDegreeError("spectrum has no nonzero eigenvalues")
         return float(nz.min())
@@ -174,6 +228,56 @@ class SpectrumTable:
         return self._supertrace[2]
 
 
+def _validated(lines, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, lam, mult) columns of (q, lam, mult) rows, each row checked."""
+    rows = np.asarray(lines if isinstance(lines, np.ndarray) else list(lines), float)
+    rows = rows.reshape(-1, 3)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise DomainError(f"non-finite entry in line {tuple(rows[bad][0].tolist())}")
+    bad = (np.rint(rows[:, ::2]) != rows[:, ::2]).any(axis=1)
+    if bad.any():
+        raise DomainError(
+            f"non-integer degree or multiplicity in line {tuple(rows[bad][0].tolist())}"
+        )
+    q, lam, mult = rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2].astype(np.int64)
+    if ((q < 0) | (q > n)).any():
+        raise DomainError(f"degree {q[(q < 0) | (q > n)][0]} outside [0, {n}]")
+    if (lam < 0).any():
+        raise DomainError(f"negative eigenvalue {lam[lam < 0][0]}")
+    if (mult < 1).any():
+        raise DomainError(f"multiplicity {mult[mult < 1][0]} < 1")
+    return q, lam, mult
+
+
+def _law_covered(rows: np.recarray, tail: QuadraticTail) -> np.ndarray:
+    """Mask of the rows that are among the tail law's lines k_first..k_next-1
+    in its degrees.  Matched by inverting the quadratic with a relative
+    tolerance, so tables rebuilt through a rescaled law still match despite
+    float rounding."""
+    law, lam = tail.law, rows.lam
+    disc = law.a1 * law.a1 + 4.0 * law.a2 * (lam - law.a0)
+    k = np.rint((-law.a1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * law.a2))
+    covered = np.isin(rows.q, tail.degrees) & (disc >= 0)
+    covered &= (tail.k_first <= k) & (k < tail.k_next)
+    covered &= np.abs(law.lam(k) - lam) <= 1e-9 * (1.0 + np.abs(lam))
+    return covered
+
+
+def _merged(q: np.ndarray, lam: np.ndarray, mult: np.ndarray) -> np.recarray:
+    """The read-only record array of the lines sorted by (q, lam), with the
+    multiplicities of equal (q, lam) keys added."""
+    order = np.lexsort((lam, q))
+    q, lam, mult = q[order], lam[order], mult[order]
+    new_key = (np.diff(q, prepend=-1) != 0) | (np.diff(lam, prepend=-1.0) != 0)
+    first = np.flatnonzero(new_key)
+    merged = np.rec.fromarrays(
+        (q[first], lam[first], np.add.reduceat(mult, first)), names=("q", "lam", "mult")
+    )
+    merged.flags.writeable = False
+    return merged
+
+
 def heat_supertrace_N(
     spec: SpectrumTable, t: float, nonzero_only: bool
 ) -> TraceValue:
@@ -181,16 +285,10 @@ def heat_supertrace_N(
 
     ``nonzero_only`` drops the zero modes (the projector-complement trace).
     For a quadratic tail policy the omitted-tail bound is attached; the value
-    itself contains only the listed lines.
-
-    Costs O(lines with lam t < 745), not O(lines): degree-0 lines carry
-    weight zero, and beyond the cut e^{-lam t} is the smallest subnormal
-    or exactly 0.0 in float64, so the dropped terms do not reach the value.
+    itself contains only the table's lines (``SpectrumTable._supertrace_value``).
     """
     _require_finite_positive(t, "heat_supertrace_N")
-    lams, weights, _ = spec._supertrace
-    n = int(np.searchsorted(lams, _UNDERFLOW / t))
-    value = float(np.dot(weights[:n], np.exp(-t * lams[:n])))
+    value = spec._supertrace_value(t)
     if not nonzero_only:
         value += spec.supertrace_N_kernel()
     return TraceValue(value, _supertrace_tail_bound(spec, t))
@@ -247,12 +345,25 @@ def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, f
 
     Uses c = lambda_min / 2: each term e^{-lam t} <= e^{-lam_min t/2}
     e^{-lam t_min/2} for t >= t_min, so C = sum q mult e^{-lam t_min/2} plus
-    the tail bound at t = t_min/2.
+    the tail bound at t = t_min/2.  The terms are summed in table order, the
+    implied lines degree by degree after the stored ones.
     """
-    lines = spec.lines[spec.lines.lam > 0.0]
     lam_min = spec.min_nonzero_eigenvalue
     c = lam_min / 2.0
-    C = float(np.sum(lines.q * lines.mult * np.exp(-lines.lam * t_min / 2.0)))
+    rows = spec.stored[spec.stored.lam > 0.0]
+    lam, mult = spec._law_block()
+    # zeros where q = 0: the layout, not only the values, fixes np.sum's rounding
+    terms = np.zeros(rows.size + lam.size * len(spec._block_degrees))
+    terms[: rows.size] = rows.q * rows.mult * np.exp(-rows.lam * t_min / 2.0)
+    decay = np.negative(lam, out=lam)  # e^{-lam t_min / 2}, rounded as above
+    decay *= t_min
+    decay /= 2.0
+    np.exp(decay, out=decay)
+    for i, q in enumerate(spec._block_degrees):
+        if q:
+            start = rows.size + i * lam.size
+            np.multiply(q * mult, decay, out=terms[start : start + lam.size])
+    C = float(np.sum(terms))
     C += _supertrace_tail_bound(spec, t_min / 2.0)
     return C, c
 
@@ -268,22 +379,19 @@ def cp1_spectrum(m: int, k_max: int) -> SpectrumTable:
     Closed forms (validated by the Galerkin oracle): degree-0 eigenvalues
     k(k+m+1) with multiplicity m+2k+1 for k = 0..k_max (k = 0 is the
     (m+1)-dimensional kernel), degree-1 equal to the nonzero degree-0 lines.
-    The omitted k > k_max lines are recorded as a quadratic tail law.
+    The omitted k > k_max lines are recorded as a quadratic tail law, and
+    the lines k = 1..k_max are implied by the same law: only the kernel row
+    is stored.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    k = np.arange(1, k_max + 1)
-    lam = k.astype(float) * (k + m + 1)
-    mult = m + 2 * k + 1
-    q = np.repeat([0, 1], k_max)
-    lines = np.column_stack((np.r_[0, q], np.r_[0.0, lam, lam], np.r_[m + 1, mult, mult]))
     law = QuadraticLaw(a2=1.0, a1=float(m + 1), a0=0.0, m1=2.0, m0=float(m + 1))
     tail = QuadraticTail(
         k_next=k_max + 1, law=law, degrees=(0, 1), covers_all_lines=True, k_first=1
     )
-    return SpectrumTable.from_lines(lines, n=1, m=m, tail=tail)
+    return SpectrumTable.from_law([(0, 0.0, m + 1)], n=1, m=m, tail=tail)
 
 
 @dataclass(frozen=True)

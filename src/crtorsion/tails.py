@@ -90,6 +90,7 @@ def _endpoint_derivative_tpoly(law: QuadraticLaw, r: int, x0: float) -> List[flo
     exponential is the single term (-1)^p b^{2p-s} a2^{s-p} / ((2p-s)! (s-p)!),
     nonzero for s/2 <= p <= s.  P_r is r! times the y^r coefficient of the
     product; r! / ((2p-s)! (s-p)!) is an integer for s = r and s = r - 1.
+    Raises DomainError once a coefficient leaves the float range.
     """
     b, mu0 = law.lam_prime(x0), law.mult(x0)
 
@@ -99,7 +100,15 @@ def _endpoint_derivative_tpoly(law: QuadraticLaw, r: int, x0: float) -> List[flo
         count = math.factorial(r) // (math.factorial(2 * p - s) * math.factorial(s - p))
         return (-1) ** p * count * b ** (2 * p - s) * law.a2 ** (s - p)
 
-    return [mu0 * exp_coeff(r, p) + law.m1 * exp_coeff(r - 1, p) for p in range(r + 1)]
+    try:
+        poly = [mu0 * exp_coeff(r, p) + law.m1 * exp_coeff(r - 1, p) for p in range(r + 1)]
+    except OverflowError:
+        poly = [math.inf]
+    if not all(map(math.isfinite, poly)):
+        raise DomainError(
+            f"the order-{r} endpoint derivative of {law} at x = {x0:g} leaves the float range"
+        )
+    return poly
 
 
 def em_heat_series(law: QuadraticLaw, k_start: int, trunc_order) -> HalfPowerSeries:
@@ -320,11 +329,19 @@ def _head_sums(law: QuadraticLaw, k_start: int, K: int):
     total = m1 * ((K * (K - 1) - k_start * (k_start - 1)) // 2) + m0 * (K - k_start)
     deriv = -mp.log(law.a2) * total
     for r in roots:
-        hi, lo = _HurwitzFamily(K + r), _HurwitzFamily(k_start + r)
-        deriv -= m1 * (hi.zeta_prime_m1() - lo.zeta_prime_m1()) + (m0 - m1 * r) * (
-            hi.zeta_prime_0() - lo.zeta_prime_0()
-        )
+        hi_m1, hi_0 = _zeta_primes(K + r)
+        lo_m1, lo_0 = _zeta_primes(k_start + r)
+        deriv -= m1 * (hi_m1 - lo_m1) + (m0 - m1 * r) * (hi_0 - lo_0)
     return total, deriv
+
+
+def _zeta_primes(q):
+    """(zeta'(-1, q), zeta'(0, q)); at q = 1 the constants 1/12 - log A
+    (A the Glaisher-Kinkelin constant) and -log(2 pi) / 2."""
+    if q == 1:
+        return mp.mpf(1) / 12 - mp.log(mp.glaisher), -mp.log(2 * mp.pi) / 2
+    family = _HurwitzFamily(q)
+    return family.zeta_prime_m1(), family.zeta_prime_0()
 
 
 def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):

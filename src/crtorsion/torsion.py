@@ -76,7 +76,10 @@ def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[floa
 
     if isinstance(spec.tail, QuadraticTail) and spec.tail.covers_all_lines:
         law = spec.tail.law
-        series = em_heat_series(law, spec.tail.k_first, trunc)
+        try:
+            series = em_heat_series(law, spec.tail.k_first, trunc)
+        except DomainError as exc:
+            raise DomainError(f"closed_form_bhat with j_max = {j_max}: {exc}") from exc
         for q in spec.tail.degrees:
             if q < 1:
                 continue
@@ -162,8 +165,10 @@ def _theta_mellin(
             "t = 1; the spectrum table is too short for this weight"
         )
 
+    # the trust floor above certifies the omitted tail once for every node,
+    # so the integrand reads values only
     def f(t: float) -> float:
-        return scale * heat_supertrace_N(spec, t / m, True).value
+        return scale * spec._supertrace_value(t / m)
 
     try:
         C, c = decay_certificate(spec, t_min=1.0 / m)

@@ -1,6 +1,7 @@
 """Spectrum tables: CSV ingestion, heat super-traces with certified tail
 bounds, spectral gaps, and the built-in circle-bundle model."""
 
+import dataclasses
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from crtorsion.spectra import (
     supertrace_trust_floor,
     trace_degree,
 )
-from crtorsion.tails import tail_bound
+from crtorsion.tails import QuadraticLaw, tail_bound
 
 
 class TestIngest:
@@ -282,6 +283,11 @@ class TestSpectralGap:
         assert np.all(gaps >= slope * ms - (slope * ms - gaps).max() - 1e-9)
 
 
+def _flat(views):
+    """The arrays and scalars of ``views``, tuples unpacked."""
+    return [x for v in views for x in (v if isinstance(v, tuple) else (v,))]
+
+
 class TestCp1Model:
     def test_kernel_dimension_and_purity(self):
         for m in (0, 1, 5):
@@ -315,6 +321,56 @@ class TestCp1Model:
             cp1_spectrum(-1, 4)
         with pytest.raises(DomainError):
             cp1_spectrum(3, 0)
+
+    @pytest.mark.parametrize("k_max", [1, 4, 1024])
+    @pytest.mark.parametrize("m", [0, 1, 8, 128])
+    def test_law_backed_table_matches_stored_rows(self, m, k_max):
+        # only the kernel row is stored; every view of the law block agrees
+        # exactly with a table that stores all rows
+        spec = cp1_spectrum(m, k_max)
+        assert spec.stored.tolist() == [(0, 0.0, m + 1)]
+        views = (
+            spec._supertrace,
+            spec._outside_law,
+            decay_certificate(spec, 1.0),
+            decay_certificate(spec, 1.0 / max(m, 1)),
+            spec.min_nonzero_eigenvalue,
+            spec.supertrace_N_kernel(),
+        )
+        assert "lines" not in vars(spec)
+        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, m=m, tail=spec.tail)
+        assert stored.lines.dtype == spec.lines.dtype
+        assert np.array_equal(stored.lines, spec.lines)
+        want = (
+            stored._supertrace,
+            stored._outside_law,
+            decay_certificate(stored, 1.0),
+            decay_certificate(stored, 1.0 / max(m, 1)),
+            stored.min_nonzero_eigenvalue,
+            stored.supertrace_N_kernel(),
+        )
+        for got, ref in zip(_flat(views), _flat(want), strict=True):
+            assert np.array_equal(got, ref)
+
+    def test_from_law_validation(self):
+        law = QuadraticLaw(a2=1.0, a1=3.0, a0=0.0, m1=2.0, m0=3.0)
+        tail = QuadraticTail(k_next=5, law=law, degrees=(0, 1), covers_all_lines=True)
+        assert SpectrumTable.from_law([], n=1, m=2, tail=tail).lines.size == 8
+        bad_tails = (
+            dataclasses.replace(tail, covers_all_lines=False),
+            dataclasses.replace(tail, degrees=(0, 2)),
+            dataclasses.replace(tail, law=dataclasses.replace(law, m0=2.5)),
+            dataclasses.replace(tail, law=dataclasses.replace(law, m0=-3.0)),
+            dataclasses.replace(tail, law=dataclasses.replace(law, a1=-3.0)),
+        )
+        for bad in bad_tails:
+            with pytest.raises(DomainError):
+                SpectrumTable.from_law([], n=1, m=2, tail=bad)
+        with pytest.raises(DomainError):
+            SpectrumTable.from_law([], n=1, m=2, tail=FiniteTail())
+        # a stored line of the implied block would count twice
+        with pytest.raises(DomainError, match="implied by the tail law"):
+            SpectrumTable.from_law([(1, 10.0, 7)], n=1, m=2, tail=tail)
 
     def test_rescaled_trace_approaches_model_density(self):
         # m^{-1} Tr^(0)[e^{-(t/m) Box}] -> vol (2 pi)^{-2} / (1 - e^{-t})

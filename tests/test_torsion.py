@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from crtorsion.errors import ArityError, DomainError, TwoPathMismatchError
-from crtorsion.mellin import GAMMA_PRIME_1
+from crtorsion.mellin import GAMMA_PRIME_1, QuadratureConfig
 from crtorsion.spectra import SpectrumTable, cp1_geometry, cp1_spectrum, trace_degree
 from crtorsion.torsion import (
     TorsionReport,
@@ -82,6 +82,14 @@ class TestClosedFormBhat:
         assert len(long) == 19
         assert long[:11] == closed_form_bhat(spec)
 
+    def test_float_range_is_a_named_error(self):
+        # at m = 16384 the endpoint derivatives of order ~70 leave the float
+        # range; 2 + 60 still fits
+        spec = cp1_spectrum(16384, 65536)
+        assert all(map(math.isfinite, closed_form_bhat(spec, j_max=2 + 60)))
+        with pytest.raises(DomainError, match=r"j_max = 82: the order-\d+ endpoint.*QuadraticLaw"):
+            closed_form_bhat(spec, j_max=2 + 80)
+
 
 def _taylor_loop(lines, n, j_max):
     """Reference: Taylor coefficients of sum (-1)^q q mult e^{-lam t},
@@ -135,6 +143,11 @@ class TestLinesOutsideLaw:
         direct, base_direct = (theta_prime_zero_direct_result(x)[0] for x in (spec, base))
         want, scale = _log_loop(extra)
         assert abs((direct - base_direct) - want) <= 1e-14 * (abs(base_direct) + scale)
+        # the same table with the law lines implied, not stored
+        implied = SpectrumTable.from_law([(0, 0.0, m + 1)] + extra, n=1, m=m, tail=tail)
+        assert np.array_equal(implied.lines, spec.lines)
+        assert closed_form_bhat(implied) == closed_form_bhat(spec)
+        assert theta_prime_zero_direct_result(implied) == theta_prime_zero_direct_result(spec)
 
 
 class TestExtractBhat:
@@ -436,6 +449,55 @@ class TestSweep:
                 residual=0.0,
                 error_budget=1e-6,
             )
+
+
+def _report_or_error(spec, m):
+    try:
+        return dataclasses.asdict(torsion_report(spec, cp1_geometry(), m))
+    except DomainError as exc:
+        return repr(exc)
+
+
+class TestLawBackedReports:
+    @pytest.mark.parametrize("k_max", [1, 4, 1024])
+    @pytest.mark.parametrize("m", [0, 1, 8, 128])
+    def test_same_report_as_stored_rows(self, m, k_max):
+        spec = cp1_spectrum(m, k_max)
+        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, m=m, tail=spec.tail)
+        assert _report_or_error(cp1_spectrum(m, k_max), m) == _report_or_error(stored, m)
+
+    def test_report_never_builds_lines(self):
+        spec = cp1_spectrum(128, 128 * 128)
+        torsion_report(spec, cp1_geometry(), 128)
+        assert "lines" not in vars(spec)
+        assert spec.stored.size == 1
+
+    def test_tail_bound_calls_do_not_follow_the_nodes(self, monkeypatch):
+        # the trust floor certifies the omitted tail once per Mellin call;
+        # the integrand itself reads values only
+        from crtorsion import spectra, tails
+
+        calls = {"tail_bound": 0, "nodes": 0}
+        tail_bound, value = tails.tail_bound, SpectrumTable._supertrace_value
+
+        def counting_bound(*args):
+            calls["tail_bound"] += 1
+            return tail_bound(*args)
+
+        def counting_value(self, t):
+            calls["nodes"] += 1
+            return value(self, t)
+
+        monkeypatch.setattr(tails, "tail_bound", counting_bound)
+        monkeypatch.setattr(spectra, "tail_bound", counting_bound)
+        monkeypatch.setattr(SpectrumTable, "_supertrace_value", counting_value)
+        seen = []
+        for cfg in (QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9), QuadratureConfig()):
+            calls.update(tail_bound=0, nodes=0)
+            torsion_report(cp1_spectrum(32, 1024), cp1_geometry(), 32, cfg)
+            seen.append(dict(calls))
+        assert seen[0]["nodes"] < seen[1]["nodes"]
+        assert seen[0]["tail_bound"] == seen[1]["tail_bound"] > 0
 
 
 class TestLargeWeight:
