@@ -28,15 +28,23 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    getcontext,
+    localcontext,
+)
 from fractions import Fraction
 from typing import List, Tuple
-
-import mpmath as mp
 
 from .errors import ConvergenceError, DomainError
 from .series import HalfPowerSeries, _as_doubled
 
 SQRT_PI = math.sqrt(math.pi)
+_LOG10_2 = math.log10(2.0)
 
 
 @dataclass(frozen=True)
@@ -227,6 +235,41 @@ def trust_floor(law: QuadraticLaw, k_start: int, tol: float) -> float:
 _SERIES_TERM_CAP = 64
 _SERIES_REL_TOL = 1e-18
 
+#: Precision levels of the ladder, in decimal digits.
+_LADDER = (30, 60, 120, 240)
+
+
+def _context(dps: int) -> Context:
+    """The decimal context of ladder level ``dps``: dps + 2 significant
+    digits, so its unit roundoff 10^(-1-dps) is no larger than that of a
+    binary float carrying dps digits (1.97e-31 at 30), and an exponent range
+    that no product of the head leaves."""
+    return Context(prec=dps + 2, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_INF = Decimal("Infinity")
+
+
+def _fsum(terms) -> Decimal:
+    """The exact sum of the Decimal ``terms``, rounded once to the current
+    context.  Only additions run in the unbounded context."""
+    terms = list(terms)
+    with localcontext(_EXACT):
+        total = sum(terms, Decimal(0))
+    return +total
+
+
+def _ln(x: Decimal) -> Decimal:
+    """Natural logarithm at the current precision; every logarithm of the
+    direct route is taken here."""
+    return x.ln()
+
+
+def _eps() -> Decimal:
+    """Unit roundoff bound 10^(1 - prec) of the current context."""
+    return Decimal(1).scaleb(1 - getcontext().prec)
+
 
 def split_index(law: QuadraticLaw, k_start: int) -> int:
     """First index K >= k_start of the continued tail: (K + s)^2 >= 81 |rho|,
@@ -246,26 +289,26 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
     lam = a2 [(k+s)^2 + rho], and the binomial expansion in rho/(k+s)^2 turns
     the sum into Hurwitz zeta values at q = K + s, each of which continues
     explicitly; since |rho| / q^2 <= 1/81, about ten terms suffice for any
-    law.  Head and tail are added in mpmath before conversion to float: a
-    float combination would lose ~eps K^2 log K to cancellation.  Any law
-    with lam(k) > 0 for all k >= k_start is accepted.
+    law.  Head and tail are added in decimal arithmetic before conversion to
+    float: a float combination would lose ~eps K^2 log K to cancellation.
+    Any law with lam(k) > 0 for all k >= k_start is accepted.
 
     Every Hurwitz value comes from one shared Euler-Maclaurin evaluation per
     q and precision level (``_HurwitzFamily``): zeta'(-1, q), zeta'(0, q) and
     digamma(q) from their Stirling forms, and zeta(j, q), j = 2, 3, ..., each
     order carried only to eps of the partial Z'(0) after its binomial weight;
-    zeta(-1, q) and zeta(0, q) are polynomials.  No mpmath zeta, log Gamma or
-    digamma is called.  The tail is evaluated on a precision ladder until two
-    consecutive levels agree; their difference enters the reported error.
-    The head is summed once, at the first level, in closed form when lam has
-    real roots past k_start (O(1) work in K) and term by term otherwise.
+    zeta(-1, q) and zeta(0, q) are polynomials.  The tail is evaluated on a
+    precision ladder (``_context``) until two consecutive levels agree; their
+    difference enters the reported error.  The head is summed once, at the
+    first level, in closed form when lam has real roots past k_start (O(1)
+    work in K) and from two logarithms of products otherwise.
     """
     _require_positive(law, k_start)
     K = split_index(law, k_start)
     head = None
     prev = None
-    for dps in (30, 60, 120, 240):
-        with mp.workdps(dps):
+    for dps in _LADDER:
+        with localcontext(_context(dps)):
             if head is None:
                 head = _head_sums(law, k_start, K)
             value, deriv, conv_err, scale = _zeta_log_tail_at(law, K, head)
@@ -291,22 +334,22 @@ def _require_positive(law: QuadraticLaw, k_start: int) -> None:
 
 
 def _real_roots(law: QuadraticLaw):
-    """(r1, r2), r1 <= r2, with lam(k) = a2 (k + r1)(k + r2), in mpmath from
+    """(r1, r2), r1 <= r2, with lam(k) = a2 (k + r1)(k + r2), in decimal from
     the law's coefficients (the root of larger size first, the other from the
     product r1 r2 = a0 / a2, so neither cancels: k (k + m + 1) gives r1 = 0
     exactly); None when the roots are complex."""
-    s = mp.mpf(law.a1) / (2 * mp.mpf(law.a2))
-    product = mp.mpf(law.a0) / law.a2
+    s = Decimal(law.a1) / (2 * Decimal(law.a2))
+    product = Decimal(law.a0) / Decimal(law.a2)
     disc = s * s - product
     if disc < 0:
         return None
-    big = s + mp.sqrt(disc) if s >= 0 else s - mp.sqrt(disc)
+    big = s + disc.sqrt() if s >= 0 else s - disc.sqrt()
     small = product / big if big else big
     return (small, big) if small <= big else (big, small)
 
 
 def _head_sums(law: QuadraticLaw, k_start: int, K: int):
-    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < K, in mpmath.
+    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < K, in decimal.
 
     When lam = a2 (k + r1)(k + r2) with k_start + r1 > 0, the sums close
     (Quine, Heydari and Song, Trans. AMS 338, 1993): with
@@ -316,18 +359,19 @@ def _head_sums(law: QuadraticLaw, k_start: int, K: int):
         sum log(k + r)         = zeta'(0, K + r) - zeta'(0, k_start + r),
 
     four Hurwitz families at any K.  Other laws (complex roots, or both
-    factors negative at k_start) are summed term by term.
+    factors negative at k_start) take mu(k) = mu(k_start) + m1 (k - k_start)
+    and the two logarithms of ``_log_moments``.
     """
-    m1, m0 = mp.mpf(law.m1), mp.mpf(law.m0)
+    m1, m0 = Decimal(law.m1), Decimal(law.m0)
+    total = m1 * ((K * (K - 1) - k_start * (k_start - 1)) // 2) + m0 * (K - k_start)
     roots = _real_roots(law)
     if roots is None or k_start + roots[0] <= 0:
-        a2, a1, a0 = mp.mpf(law.a2), mp.mpf(law.a1), mp.mpf(law.a0)
-        ks = range(k_start, K)
-        mus = [m1 * k + m0 for k in ks]
-        logs = [mp.log((a2 * k + a1) * k + a0) for k in ks]
-        return mp.fsum(mus), -mp.fdot(mus, logs)
-    total = m1 * ((K * (K - 1) - k_start * (k_start - 1)) // 2) + m0 * (K - k_start)
-    deriv = -mp.log(law.a2) * total
+        a2, a1, a0 = map(Decimal, (law.a2, law.a1, law.a0))
+        logs, moments = _log_moments(
+            lambda i: (a2 * (k_start + i) + a1) * (k_start + i) + a0, K - k_start
+        )
+        return total, -((m1 * k_start + m0) * logs + m1 * moments)
+    deriv = -_ln(Decimal(law.a2)) * total
     for r in roots:
         hi_m1, hi_0 = _zeta_primes(K + r)
         lo_m1, lo_0 = _zeta_primes(k_start + r)
@@ -335,25 +379,57 @@ def _head_sums(law: QuadraticLaw, k_start: int, K: int):
     return total, deriv
 
 
+def _log_moments(x, n: int):
+    """(sum_{i<n} log x(i), sum_{i<n} i log x(i)) for positive x(i), from two
+    logarithms (none when n = 0): ln prod x(i), and ln prod_{j>=1} S_j with
+    the suffix products S_j = prod_{j<=i<n} x(i).  The x(i) and the products
+    carry 2 log10 n + 4 guard digits: the n^2 / 2 roundings in prod S_j each
+    cost one unit of that precision."""
+    if not n:
+        return Decimal(0), Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec += 2 * len(str(n)) + 4
+        suffix = moments = Decimal(1)
+        for i in range(n - 1, 0, -1):
+            suffix *= x(i)
+            moments *= suffix
+        return _ln(suffix * x(0)), _ln(moments)
+
+
+#: zeta'(-1, 1) = 1/12 - log A (A the Glaisher-Kinkelin constant) and
+#: zeta'(0, 1) = -log(2 pi) / 2, to 260 digits.
+_ZETA_PRIME_M1_AT_1 = Decimal(
+    "-0.16542114370045092921391966024278064276403638033520178366652230635"
+    "73596996665771727595251003325087555383771201878848931122162119125117"
+    "97248364987182258879359946190409353647531780827341622694584598894742"
+    "86319181153676673944873081002959361712905843907198843135866"
+)
+_ZETA_PRIME_0_AT_1 = Decimal(
+    "-0.91893853320467274178032973640561763986139747363778341281715154048"
+    "27656959272603976947432986359541976220056466246343374463668628818407"
+    "93572155875915222681393603560742547358669046395905991380805630163234"
+    "87309462737462551825169495447741009585935139198161159813057"
+)
+
+
 def _zeta_primes(q):
-    """(zeta'(-1, q), zeta'(0, q)); at q = 1 the constants 1/12 - log A
-    (A the Glaisher-Kinkelin constant) and -log(2 pi) / 2."""
+    """(zeta'(-1, q), zeta'(0, q)); at q = 1 the stored constants."""
     if q == 1:
-        return mp.mpf(1) / 12 - mp.log(mp.glaisher), -mp.log(2 * mp.pi) / 2
+        return +_ZETA_PRIME_M1_AT_1, +_ZETA_PRIME_0_AT_1
     family = _HurwitzFamily(q)
     return family.zeta_prime_m1(), family.zeta_prime_0()
 
 
 def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
-    mq = K + mp.mpf(law.vertex_shift)
-    mrho = mp.mpf(law.vertex_value / law.a2)
-    m1 = mp.mpf(law.m1)
-    mu0t = mp.mpf(law.mu_const)
+    mq = K + Decimal(law.vertex_shift)
+    mrho = Decimal(law.vertex_value / law.a2)
+    m1 = Decimal(law.m1)
+    mu0t = Decimal(law.mu_const)
     family = _HurwitzFamily(mq)
     # zeta(-1, q) = -(q^2 - q + 1/6) / 2 and zeta(0, q) = 1/2 - q
     value = (
-        -m1 * ((mq - 1) * mq + mp.mpf(1) / 6) / 2
-        + mu0t * (mp.mpf(1) / 2 - mq)
+        -m1 * ((mq - 1) * mq + Decimal(1) / 6) / 2
+        + mu0t * (Decimal(1) / 2 - mq)
         - mrho * m1 / 2
     )
     deriv = (
@@ -364,21 +440,22 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
     head_value, head_deriv = head
     # zeta(2i-1, q) and zeta(2i, q) enter Z'(0) weighted by rho^i / i times m1
     # and mu0t; each needs only eps of the partial Z'(0) after weighting
-    budget = mp.eps * (abs(head_value + value) + abs(head_deriv + deriv) + 1)
+    budget = _eps() * (abs(head_value + value) + abs(head_deriv + deriv) + 1)
 
     def hurwitz(i, coeff):
         weight = abs(mrho) ** i / i * abs(coeff)
-        return family.next(budget / weight if weight else mp.inf)
+        return family.next(budget / weight if weight else _INF)
 
     deriv -= mrho * mu0t * hurwitz(1, mu0t)
     scale = abs(head_value + value) + abs(head_deriv + deriv) + 1
     ratio = abs(mrho) / (mq * mq)
+    rel_tol = Decimal(_SERIES_REL_TOL)
     for i in range(2, _SERIES_TERM_CAP):
         zodd = hurwitz(i, m1)
         zeven = hurwitz(i, mu0t)
         term = ((-1) ** i) * mrho ** i / i * (m1 * zodd + mu0t * zeven)
         deriv += term
-        if abs(term) < _SERIES_REL_TOL * scale and i > 4:
+        if abs(term) < rel_tol * scale and i > 4:
             err = abs(term) / (1 - ratio)
             break
     else:
@@ -386,13 +463,14 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
             f"Hurwitz series at q = {float(mq):.6g} did not reach "
             f"{_SERIES_REL_TOL:g} relative in {_SERIES_TERM_CAP} terms"
         )
-    deriv = deriv - mp.log(law.a2) * value
+    deriv = deriv - _ln(Decimal(law.a2)) * value
     return float(head_value + value), float(head_deriv + deriv), float(err), float(scale)
 
 
 #: The shared Euler-Maclaurin evaluation shifts q to Q >= _EM_SHIFT_PER_BIT
-#: * mp.mp.prec, where its terms for orders up to ~40 fall below mp.eps within
-#: _EM_TERM_CAP corrections at every ladder level.
+#: times the working precision in bits (prec / log10 2), where its terms for
+#: orders up to ~40 fall below the unit roundoff within _EM_TERM_CAP
+#: corrections at every ladder level.
 _EM_SHIFT_PER_BIT = 0.3
 _EM_TERM_CAP = 128
 
@@ -422,10 +500,10 @@ def _bernoulli_over_factorial(i: int) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _bernoulli_ratio(i: int, prec: int):
-    """``_bernoulli_over_factorial(i)`` rounded once to ``prec`` bits."""
+def _bernoulli_ratio(i: int, prec: int) -> Decimal:
+    """``_bernoulli_over_factorial(i)`` rounded once to ``prec`` digits."""
     ratio = _bernoulli_over_factorial(i)
-    return mp.fdiv(ratio.numerator, ratio.denominator, prec=prec)
+    return Context(prec=prec).divide(ratio.numerator, ratio.denominator)
 
 
 class _HurwitzFamily:
@@ -433,8 +511,8 @@ class _HurwitzFamily:
     Euler-Maclaurin evaluation: zeta(j, q) for j = 2, 3, ... in turn, and
     zeta'(-1, q), zeta'(0, q) = log Gamma(q) - log(2 pi) / 2 and digamma(q).
 
-    With Q = q + N the first shift past _EM_SHIFT_PER_BIT * mp.mp.prec (N = 0
-    when q is past it already),
+    With Q = q + N the first shift past _EM_SHIFT_PER_BIT times the working
+    precision in bits (N = 0 when q is past it already),
 
         zeta(j, q) = sum_{k<N} (q+k)^{-j} + Q^{1-j} / (j-1) + Q^{-j} / 2
                      + sum_{i>=1} B_2i / (2i)! (j)_{2i-1} Q^{-j-2i+1},
@@ -447,28 +525,30 @@ class _HurwitzFamily:
         digamma(Q)   = log Q - 1/(2Q) - sum_{i>=1} B_2i / (2i) Q^{-2i},
 
     from which the shift terms (q+k) log(q+k), log(q+k) and 1/(q+k) are
-    subtracted.  The head powers and Q^{-j} advance from the previous order
-    by one division by an exact divisor each; every series reads one table
-    of B_2i / (2i)! Q^{1-2i}.  The first omitted term bounds each remainder,
-    so a series stops at its first term below its tolerance (``tol`` for
-    ``next``, eps of the value for the other three) and raises
-    ConvergenceError if the Bernoulli table runs out first.  A shifted
-    zeta'(-1, q) cancels up to ~Q^2 log Q of its size against its shift
-    terms, so the three special values sum their leading and shift terms
-    from exact q+k and Q with 3 log2 Q + 8 guard bits.
+    subtracted; the N logarithms sum from two (``_log_moments``), since
+    sum (q+k) log(q+k) = q sum log(q+k) + sum k log(q+k).  The head powers
+    and Q^{-j} advance from the previous order by one division by an exact
+    divisor each; every series reads one table of B_2i / (2i)! Q^{1-2i}.  The
+    first omitted term bounds each remainder, so a series stops at its first
+    term below its tolerance (``tol`` for ``next``, eps of the value for the
+    other three) and raises ConvergenceError if the Bernoulli table runs out
+    first.  A shifted zeta'(-1, q) cancels up to ~Q^2 log Q of its size
+    against its shift terms, so the three special values sum their leading
+    and shift terms from exact q+k and Q with 3 log10 Q + 3 guard digits.
     """
 
     def __init__(self, q):
-        shift = max(0, math.ceil(_EM_SHIFT_PER_BIT * mp.mp.prec - q))
+        bits = getcontext().prec / _LOG10_2
+        shift = max(0, math.ceil(Decimal(_EM_SHIFT_PER_BIT * bits) - q))
         self._q = q
         self._bases = [q + k for k in range(shift)]
         self._head = [1 / x for x in self._bases]  # (q+k)^{1-j}, next order j
         self._big_q = q + shift
         self._q_power = 1 / self._big_q  # Q^{1-j}, next order j
         self._order = 1
-        self._table: List = []  # B_2i / (2i)! Q^{1-2i}
+        self._table: List[Decimal] = []  # B_2i / (2i)! Q^{1-2i}
         self._table_power = self._q_power  # Q^{1-2i}, next entry i
-        self._guard = 3 * int(self._big_q).bit_length() + 8
+        self._guard = 3 * len(str(int(self._big_q))) + 3
 
     def _series(self, factors, tol, name):
         """The terms f_i B_2i / (2i)! Q^{1-2i}, (i, f_i) from ``factors``, that
@@ -478,11 +558,12 @@ class _HurwitzFamily:
             if i > _EM_TERM_CAP:
                 raise ConvergenceError(
                     f"Euler-Maclaurin series of {name} at q + N = {float(big_q):.6g}"
-                    f" did not reach {mp.nstr(tol, 3)} in {_EM_TERM_CAP} terms"
+                    f" did not reach {tol:.3g} in {_EM_TERM_CAP} terms"
                 )
             while i > len(self._table):
                 self._table.append(
-                    _bernoulli_ratio(len(self._table) + 1, mp.mp.prec) * self._table_power
+                    _bernoulli_ratio(len(self._table) + 1, getcontext().prec)
+                    * self._table_power
                 )
                 self._table_power /= big_q * big_q
             term = factor * self._table[i - 1]
@@ -497,46 +578,51 @@ class _HurwitzFamily:
         lead = self._q_power / (j - 1)
         self._q_power = q_j = self._q_power / self._big_q
         series = self._series(_rising_factors(q_j, j), tol, f"zeta({j}, q)")
-        return mp.fsum(self._head + [lead, q_j / 2] + series)
+        return _fsum(self._head + [lead, q_j / 2] + series)
 
     @functools.cached_property
     def _guarded(self):
-        """Q, log Q, the q+k, k < N, and their logs, all rounded at the
-        guarded precision (entered by the caller)."""
-        bases = [self._q + k for k in range(len(self._bases))]
-        big_q = self._q + len(bases)
-        return big_q, mp.log(big_q), bases, [mp.log(x) for x in bases]
+        """Q, log Q, sum log(q+k) and sum (q+k) log(q+k) over k < N, at the
+        guarded precision (entered by the caller) or finer."""
+        n = len(self._bases)
+        big_q = self._q + n
+        logs, moments = _log_moments(lambda k: self._q + k, n)
+        return big_q, _ln(big_q), logs, self._q * logs + moments
 
     def _stirling(self, base, factors, name):
         """base + the series over ``factors``, to eps of the value."""
-        return mp.fsum([base] + self._series(factors, mp.eps * abs(base), name))
+        return _fsum([base] + self._series(factors, _eps() * abs(base), name))
 
     def zeta_prime_m1(self):
         """zeta'(-1, q)."""
-        with mp.extraprec(self._guard):
-            big_q, log_q, bases, logs = self._guarded
+        with localcontext() as ctx:
+            ctx.prec += self._guard
+            big_q, log_q, _, weighted_logs = self._guarded
             base = (
-                ((big_q - 1) * big_q / 2 + mp.mpf(1) / 12) * log_q
+                ((big_q - 1) * big_q / 2 + Decimal(1) / 12) * log_q
                 - big_q * big_q / 4
-                + mp.mpf(1) / 12
-                - mp.fdot(bases, logs)
+                + Decimal(1) / 12
+                - weighted_logs
             )
         factors = ((i, -self._big_q * math.factorial(2 * i - 3)) for i in itertools.count(2))
         return self._stirling(base, factors, "zeta'(-1, q)")
 
     def zeta_prime_0(self):
         """zeta'(0, q) = log Gamma(q) - log(2 pi) / 2."""
-        with mp.extraprec(self._guard):
-            big_q, log_q, _, logs = self._guarded
-            base = (big_q - mp.mpf(1) / 2) * log_q - big_q - mp.fsum(logs)
+        with localcontext() as ctx:
+            ctx.prec += self._guard
+            big_q, log_q, logs, _ = self._guarded
+            base = (big_q - Decimal(1) / 2) * log_q - big_q - logs
         factors = ((i, math.factorial(2 * i - 2)) for i in itertools.count(1))
         return self._stirling(base, factors, "zeta'(0, q)")
 
     def digamma(self):
         """digamma(q)."""
-        with mp.extraprec(self._guard):
-            big_q, log_q, bases, _ = self._guarded
-            base = log_q - 1 / (2 * big_q) - mp.fsum(1 / x for x in bases)
+        with localcontext() as ctx:
+            ctx.prec += self._guard
+            big_q, log_q, _, _ = self._guarded
+            reciprocals = [1 / (self._q + k) for k in range(len(self._bases))]
+            base = log_q - 1 / (2 * big_q) - _fsum(reciprocals)
         factors = ((i, -math.factorial(2 * i - 1) / self._big_q) for i in itertools.count(1))
         return self._stirling(base, factors, "digamma(q)")
 

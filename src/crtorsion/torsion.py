@@ -205,8 +205,8 @@ def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
     two huge opposite contributions against each other and lose
     ~eps * k_next^2 log(k_next) to cancellation.  ``zeta_log_tail`` itself
     splits the law sum at K ~ 9 sqrt|rho| (K = 4 (m+1) for the circle bundle)
-    and adds the head k < K to the Hurwitz tail in mpmath, so the result
-    carries no such cancellation.  The head of a law with real roots (the
+    and adds the head k < K to the Hurwitz tail in decimal arithmetic, so
+    the result carries no such cancellation.  The head of a law with real roots (the
     circle bundle's lam = k (k + m + 1) among them) is summed in closed form
     from Hurwitz values, so the route costs O(1) work at any m; it is
     independent of the table truncation (which tests verify separately).

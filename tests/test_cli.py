@@ -32,6 +32,16 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: crtorsion")
 
 
+def test_cli_import_leaves_mpmath_unloaded():
+    # the direct route runs on the standard library's decimal module
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, crtorsion.cli; print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestSelfcheck:
     def test_passes_with_zeta_line(self, capsys):
         code, out, _ = run_cli(["selfcheck", "--seed", "0"], capsys)

@@ -3,6 +3,7 @@ bounds, and the Hurwitz-zeta continuation used by the direct torsion route."""
 
 import math
 from collections import defaultdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -247,21 +248,25 @@ class TestZetaLogTail:
     def test_no_mpmath_zeta_and_log_count_independent_of_m(self, monkeypatch):
         # every Hurwitz value comes from the shared Euler-Maclaurin tables and
         # the circle-bundle head is summed in closed form: no mpmath zeta,
-        # log Gamma or digamma call, and a log count that stops growing with m
+        # log Gamma, digamma or log call, and a count of decimal logarithms
+        # (all taken through ``tails._ln``) that stops growing with m
         counts = {}
+
+        def count(name, original):
+            def counting(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return counting
+
         for name in ("zeta", "loggamma", "digamma", "log"):
-            original = getattr(mpmath, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(mpmath, name, counting)
+            monkeypatch.setattr(mpmath, name, count(f"mpmath.{name}", getattr(mpmath, name)))
+        monkeypatch.setattr(tails, "_ln", count("ln", tails._ln))
         logs = {}
         for m in (0, 8, 128, 512, 1024, 16384):
             counts.clear()
             zeta_log_tail(cp1_law(m), 1)
-            logs[m] = counts.pop("log", 0)
+            logs[m] = counts.pop("ln", 0)
             assert counts == {}, m
         assert logs[128] == logs[1024] == logs[16384]
         assert max(logs.values()) <= 256
@@ -279,13 +284,13 @@ class TestZetaLogTail:
     def test_circle_bundle_settles_on_second_ladder_level(self, monkeypatch):
         # the first level is already accurate: 30 and 60 digits agree
         levels = []
-        workdps = mpmath.workdps
+        context = tails._context
 
-        def counting_workdps(dps):
+        def counting_context(dps):
             levels.append(dps)
-            return workdps(dps)
+            return context(dps)
 
-        monkeypatch.setattr(mpmath, "workdps", counting_workdps)
+        monkeypatch.setattr(tails, "_context", counting_context)
         for m in (8, 128, 1024):
             levels.clear()
             zeta_log_tail(cp1_law(m), 1)
@@ -366,16 +371,23 @@ REAL_ROOT_LAWS = dict(
 def _closed_head(law: QuadraticLaw, k_start: int, K: int):
     """``_head_sums`` at the first ladder level, asserting it takes the
     closed form."""
-    with mpmath.workdps(30):
+    with localcontext(tails._context(30)):
         roots = tails._real_roots(law)
         assert roots is not None and k_start + roots[0] > 0
         return tails._head_sums(law, k_start, K)
 
 
+def _mp(x: Decimal):
+    """A Decimal as an mpmath number, at 260 digits."""
+    with mpmath.workdps(260):
+        return mpmath.mpf(str(x))
+
+
 def _assert_heads_agree(got, want):
+    """Decimal ``got`` within 1e-25 relative of the mpmath ``want``."""
     with mpmath.workdps(40):
         for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-25 * abs(w)
+            assert abs(_mp(g) - w) <= 1e-25 * abs(w)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -402,7 +414,7 @@ def test_closed_form_head_on_double_root(a2, r, k_start):
 
 
 def test_circle_bundle_roots_are_exact():
-    with mpmath.workdps(30):
+    with localcontext(tails._context(30)):
         for m in (0, 8, 16384):
             assert tails._real_roots(cp1_law(m)) == (0, m + 1)
 
@@ -419,14 +431,49 @@ def test_head_with_both_factors_negative_is_explicit(monkeypatch):
         return family(q)
 
     monkeypatch.setattr(tails, "_HurwitzFamily", counting_family)
-    with mpmath.workdps(30):
+    with localcontext(tails._context(30)):
         got = tails._head_sums(law, 1, 40)
     assert families == []
     want = _mp_head(law, 1, 40)
     _assert_heads_agree(got, want)
-    with mpmath.workdps(30):
+    with localcontext(tails._context(30)):
         tails._head_sums(law, 6, 40)
     assert len(families) == 4
+
+
+@pytest.mark.parametrize("rho", (1e4, 1e6))
+def test_complex_root_head_at_large_split(rho, monkeypatch):
+    # lam = k^2 + rho has complex roots, so the head is summed from the two
+    # logarithms of products, however many terms K = 9 sqrt(rho) it has
+    law = QuadraticLaw(1.0, 0.0, rho, 2.0, 1.0)
+    K = split_index(law, 1)
+    assert K == round(9 * math.sqrt(rho))
+    logs = []
+    ln = tails._ln
+    monkeypatch.setattr(tails, "_ln", lambda x: logs.append(x) or ln(x))
+    with localcontext(tails._context(30)):
+        assert tails._real_roots(law) is None
+        got = tails._head_sums(law, 1, K)
+    assert len(logs) <= 2
+    _assert_heads_agree(got, _mp_head(law, 1, K))
+
+
+@pytest.mark.parametrize(
+    "name, reference",
+    (
+        ("_ZETA_PRIME_M1_AT_1", lambda: mpmath.mpf(1) / 12 - mpmath.log(mpmath.glaisher)),
+        ("_ZETA_PRIME_0_AT_1", lambda: -mpmath.log(2 * mpmath.pi) / 2),
+    ),
+)
+def test_stored_constants_correct_to_every_digit(name, reference):
+    # zeta'(-1, 1) and zeta'(0, 1) are stored, not computed: each stored
+    # digit is checked, and there are enough for the top ladder level
+    stored = getattr(tails, name)
+    digits = len(stored.as_tuple().digits)
+    assert digits >= 250
+    with mpmath.workdps(300):
+        half_ulp = mpmath.mpf(10) ** stored.as_tuple().exponent / 2
+        assert abs(mpmath.mpf(str(stored)) - reference()) <= half_ulp
 
 
 def _per_call_reference(law: QuadraticLaw, k_start: int):
@@ -487,15 +534,17 @@ class TestHurwitzFamily:
             with mpmath.workdps(250 + guard):
                 want[j] = mpmath.zeta(j, mpmath.mpf(q))
         shifts = set()
-        for dps in (30, 60, 120, 240):
-            with mpmath.workdps(dps):
-                eps = +mpmath.eps
-                family = tails._HurwitzFamily(mpmath.mpf(q))
+        for dps in tails._LADDER:
+            with localcontext(tails._context(dps)):
+                eps = tails._eps()
+                family = tails._HurwitzFamily(Decimal(q))
                 shifts.add(len(family._bases))
-                got = {j: family.next(eps * abs(want[j])) for j in orders}
+                got = {
+                    j: family.next(eps * Decimal(mpmath.nstr(want[j], 20))) for j in orders
+                }
             with mpmath.workdps(260):
                 for j in orders:
-                    assert abs(got[j] - want[j]) <= 6 * eps * want[j], (dps, j)
+                    assert abs(_mp(got[j]) - want[j]) <= 6 * _mp(eps) * want[j], (dps, j)
         # (unshifted, shifted) branches taken: 40.5 is shifted from 60 digits on
         branches = {"0.5": (False, True), "3": (False, True), "40.5": (True, True)}
         assert (0 in shifts, max(shifts) > 0) == branches.get(q, (True, False))
@@ -509,10 +558,10 @@ class TestHurwitzFamily:
                 "zeta'(0, q)": mpmath.loggamma(x) - mpmath.log(2 * mpmath.pi) / 2,
                 "digamma(q)": mpmath.digamma(x),
             }
-        for dps in (30, 60, 120, 240):
-            with mpmath.workdps(dps):
-                eps = +mpmath.eps
-                family = tails._HurwitzFamily(mpmath.mpf(q))
+        for dps in tails._LADDER:
+            with localcontext(tails._context(dps)):
+                eps = tails._eps()
+                family = tails._HurwitzFamily(Decimal(q))
                 got = {
                     "zeta'(-1, q)": family.zeta_prime_m1(),
                     "zeta'(0, q)": family.zeta_prime_0(),
@@ -520,20 +569,25 @@ class TestHurwitzFamily:
                 }
             with mpmath.workdps(260):
                 for name, value in got.items():
-                    assert abs(value - want[name]) <= 4 * eps * abs(want[name]), (dps, name)
+                    err = abs(_mp(value) - want[name])
+                    assert err <= 4 * _mp(eps) * abs(want[name]), (dps, name)
 
     def test_table_exhaustion_raises(self):
-        with mpmath.workdps(30):
-            family = tails._HurwitzFamily(mpmath.mpf(3))
+        with localcontext(tails._context(30)):
+            family = tails._HurwitzFamily(Decimal(3))
             with pytest.raises(ConvergenceError):
-                family.next(mpmath.mpf(0))
+                family.next(Decimal(0))
 
     def test_bernoulli_ratios_exact(self):
-        with mpmath.workdps(50):
+        for dps in tails._LADDER:
+            prec = tails._context(dps).prec
             for i in (1, 2, 7, 30, tails._EM_TERM_CAP):
-                p, d = mpmath.bernfrac(2 * i)
-                want = mpmath.mpf(p) / (d * math.factorial(2 * i))
-                assert abs(tails._bernoulli_ratio(i, mpmath.mp.prec) - want) <= mpmath.eps * abs(want)
+                got = tails._bernoulli_ratio(i, prec)
+                with mpmath.workdps(260):
+                    p, d = mpmath.bernfrac(2 * i)
+                    want = mpmath.mpf(p) / (d * math.factorial(2 * i))
+                    eps = _mp(Decimal(1).scaleb(1 - prec))
+                    assert abs(_mp(got) - want) <= eps * abs(want), (prec, i)
 
 
 def test_law_validation():
