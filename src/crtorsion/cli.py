@@ -70,8 +70,9 @@ def _resolve_geometry(spec: str):
     return load_geometry(path)
 
 
-def _default_kmax(m: int) -> int:
-    return max(1024, m * m)
+def _kmax(args, m: int) -> int:
+    """``--kmax`` as given (0 included), else the default max(1024, m^2)."""
+    return args.kmax if args.kmax is not None else max(1024, m * m)
 
 
 def _emit(args, json_text: str, csv_text: str) -> None:
@@ -290,9 +291,9 @@ def _gamma_family_input(c, k: int):
     """
     c = list(map(float, c))
 
-    def f(t: float) -> float:
-        u = math.sqrt(t)
-        return sum(ci * u ** (j - 2 * k) for j, ci in enumerate(c)) * math.exp(-t)
+    def f(t: np.ndarray) -> np.ndarray:
+        u = np.sqrt(t)
+        return sum(ci * u ** (j - 2 * k) for j, ci in enumerate(c)) * np.exp(-t)
 
     # certificate: coefficients of t^{-k+j/2} of f include the e^{-t} smearing
     j_top = len(c) + 6
@@ -397,9 +398,9 @@ def _cmd_torsion(args) -> int:
     elif args.m is None:
         raise CrTorsionError("either --spectrum or --m is required")
     else:
-        spec = cp1_spectrum(args.m, args.kmax or _default_kmax(args.m))
+        spec = cp1_spectrum(args.m, _kmax(args, args.m))
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
-    m = args.m or spec.m or 1
+    m = 1 if args.m is None else args.m
     report = torsion_report(spec, model, m, cfg)
     meta = _metadata(args, {"quadrature": asdict(cfg)})
     _emit(args, reports_to_json([report], meta), reports_to_csv([report], meta))
@@ -411,7 +412,7 @@ def _cmd_sweep(args) -> int:
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
 
     def source(m: int) -> SpectrumTable:
-        return cp1_spectrum(m, args.kmax or _default_kmax(m))
+        return cp1_spectrum(m, _kmax(args, m))
 
     reports = asympt_sweep(model, source, args.ms, cfg)
     meta = _metadata(args, {"quadrature": asdict(cfg)})

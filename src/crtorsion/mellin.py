@@ -15,16 +15,19 @@ quadrature.  Half-power cusps on (0,1] are removed by the substitution
 t = u^2.  Evaluators backed by truncated spectral sums declare a trust floor;
 below it the regularized integrand is integrated in closed form from the
 certificate's extended terms.
+
+Both integrals, over [sqrt(floor), 1] in u and over [1, T] in t, go through
+one globally adaptive rule on QUADPACK's 21-point Gauss-Kronrod panels that
+evaluates every panel of a bisection round in a single call of the integrand.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Tuple
 
-from scipy.integrate import IntegrationWarning, quad
+import numpy as np
 
 from .errors import ArityError, DomainError, QuadratureError
 from .series import bose_factor
@@ -45,8 +48,10 @@ class QuadratureConfig:
     tail_cutoff_tol: float = 1e-13
 
     def __post_init__(self):
-        if min(self.abs_tol, self.rel_tol, self.tail_cutoff_tol) <= 0:
-            raise DomainError("tolerances must be positive")
+        for name in ("abs_tol", "rel_tol", "tail_cutoff_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also rejects nan
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if self.max_subdivisions < 10:
             raise DomainError("max_subdivisions must be >= 10")
 
@@ -60,10 +65,11 @@ class MellinInput:
     terms; they model the segment (0, eval_floor] when the evaluator cannot be
     trusted there (truncated spectral sums), and sharpen the cancellation
     floor otherwise.  ``decay = (C, c)`` certifies |f(t)| <= C e^{-c t} for
-    t >= 1.
+    t >= 1.  ``f`` maps a 1-D float64 array of nodes t > 0 to the 1-D float64
+    array of f(t); the quadrature calls it once per round of panels.
     """
 
-    f: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
     k: int
     expansion: Tuple[float, ...]
     decay: Tuple[float, float]
@@ -77,12 +83,18 @@ class MellinInput:
                 f"expansion needs at least {2 * self.k + 1} entries (through t^0), "
                 f"got {len(self.expansion)}"
             )
+        expansion = tuple(float(x) for x in self.expansion)
+        bad = [j for j, x in enumerate(expansion) if not math.isfinite(x)]
+        if bad:
+            raise DomainError(f"expansion[{bad[0]}] is not finite: {expansion[bad[0]]!r}")
         C, c = self.decay
+        if not (math.isfinite(C) and math.isfinite(c)):
+            raise DomainError(f"decay certificate (C, c) must be finite, got {self.decay!r}")
         if c <= 0 or C < 0:
             raise DomainError("decay certificate requires c > 0 and C >= 0")
-        if self.eval_floor < 0 or self.eval_floor >= 1.0:
-            raise DomainError("eval_floor must lie in [0, 1)")
-        object.__setattr__(self, "expansion", tuple(float(x) for x in self.expansion))
+        if not 0.0 <= self.eval_floor < 1.0:  # also rejects nan
+            raise DomainError(f"eval_floor must lie in [0, 1), got {self.eval_floor!r}")
+        object.__setattr__(self, "expansion", expansion)
 
 
 class MellinResult(NamedTuple):
@@ -91,33 +103,129 @@ class MellinResult(NamedTuple):
     error_estimate: float
 
 
-def _quad_checked(fn, a, b, cfg: QuadratureConfig, partial: float):
-    """scipy quad with the package error policy.
+#: QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1]: the Kronrod
+#: abscissae from 1 down to 0 (the 10-point Gauss nodes sit at the odd
+#: positions), the Kronrod weights, and the Gauss weights of those nodes.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208980209175,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+#: The 21 nodes in ascending order, with their Kronrod and Gauss weights (the
+#: Gauss weight is 0 at the 11 Kronrod-only nodes).
+_NODES = np.r_[np.negative(_XGK[:-1]), _XGK[::-1]]
+_KRONROD = np.r_[_WGK[:-1], _WGK[::-1]]
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[11:20:2] = _WG[::-1]
+_RULES = np.stack([_KRONROD, _GAUSS], axis=1)
+#: QUADPACK's d1mach(4) and d1mach(1)
+_EPMACH, _UFLOW = np.finfo(float).eps, np.finfo(float).tiny
 
-    Accepts roundoff-limited results whose reported error is still small;
-    raises QuadratureError (carrying the partial estimate) otherwise.
+
+def _qk21(fn, panels: Sequence[Tuple[float, float]]):
+    """Lists (value, error, bisectable) of the 21-point rule on each panel
+    (a, b), from one call of ``fn`` on all their nodes.  The error follows
+    QUADPACK's qk21; a panel whose error is its roundoff floor, or too narrow
+    to halve, is not bisectable."""
+    ch = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in panels])
+    fv = fn((ch[:, :1] + ch[:, 1:] * _NODES).ravel()).reshape(-1, 21)
+    rules = fv @ _RULES  # Kronrod and Gauss sums on [-1, 1]
+    spread = np.abs(fv - 0.5 * rules[:, :1]) @ _KRONROD
+    out = ([], [], [])
+    for (a, b), (_, half), (kronrod, gauss), asc, absk in zip(
+        panels, ch.tolist(), rules.tolist(), spread.tolist(), (np.abs(fv) @ _KRONROD).tolist()
+    ):
+        h = abs(half)
+        err, resasc, resabs = abs(kronrod - gauss) * h, asc * h, absk * h
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        floor = 50.0 * _EPMACH * resabs if resabs > _UFLOW / (50.0 * _EPMACH) else 0.0
+        out[0].append(kronrod * half)
+        out[1].append(max(floor, err))
+        out[2].append(err > floor and b - a > 200.0 * _EPMACH * max(abs(a), abs(b)))
+    return out
+
+
+def _gauss_kronrod(fn, edges: Sequence[float], cfg: QuadratureConfig, partial: float):
+    """Globally adaptive integral of ``fn`` over [edges[0], edges[-1]].
+
+    ``fn`` maps a 1-D float array of nodes to the array of its values.  The
+    panels between consecutive ``edges`` start the panel list.  Each round
+    bisects, in one batch, the fewest worst bisectable panels whose errors
+    cover the excess over max(abs_tol, rel_tol |value|), and evaluates all
+    their nodes in one call of ``fn``.  At most ``cfg.max_subdivisions``
+    rounds, and at most that many panels per starting panel.
+
+    Returns (value, error), each the exact sum over the panels.  A result that
+    misses the tolerance is kept when finite and within 1e5 times it
+    (roundoff-limited); otherwise raises QuadratureError carrying
+    ``partial + value``.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(
-            fn,
-            a,
-            b,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-            full_output=1,
+    panels = list(zip(edges[:-1], edges[1:]))
+    val, err, live = _qk21(fn, panels)
+    cap = cfg.max_subdivisions * len(panels)
+    for _ in range(cfg.max_subdivisions):
+        value, error = math.fsum(val), math.fsum(err)
+        if not (math.isfinite(value) and math.isfinite(error)):
+            break
+        excess = error - max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        if excess <= 0.0:
+            return value, error
+        sel, covered = [], 0.0
+        for i in sorted(range(len(panels)), key=err.__getitem__, reverse=True):
+            if covered >= excess or len(panels) + len(sel) >= cap:
+                break
+            if live[i]:
+                sel.append(i)
+                covered += err[i]
+        if not sel:
+            break
+        halves = []
+        for i in sorted(sel, reverse=True):
+            a, b = panels.pop(i)
+            del val[i], err[i], live[i]
+            mid = 0.5 * (a + b)
+            halves += [(a, mid), (mid, b)]
+        panels += halves
+        for old, new in zip((val, err, live), _qk21(fn, halves)):
+            old += new
+    value, error = math.fsum(val), math.fsum(err)
+    if not (math.isfinite(value) and error <= 1e5 * max(cfg.abs_tol, cfg.rel_tol * abs(value))):
+        raise QuadratureError(
+            f"quadrature on [{edges[0]:.3g}, {edges[-1]:.3g}] did not converge: "
+            f"error estimate {error:.3g} over {len(panels)} panels",
+            partial=partial + value,
         )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # message present: tolerance not met
-        if not math.isfinite(value) or abserr > 1e5 * max(
-            cfg.abs_tol, cfg.rel_tol * abs(value)
-        ):
-            raise QuadratureError(
-                f"quadrature on [{a:.3g}, {b:.3g}] did not converge: {out[3]}",
-                partial=partial + value,
-            )
-    return value, abserr
+    return value, error
 
 
 def mellin_at_zero(
@@ -177,29 +285,26 @@ def mellin_at_zero(
             # stands in for its first omitted term
             err_low = max(last)
 
-    def p_of_t(t: float) -> float:
-        u = math.sqrt(t)
-        return sum(exp[j] * u ** j for j in range(2 * k + 1)) * t ** (-k)
-
-    def integrand_u(u: float) -> float:
+    def integrand_u(u: np.ndarray) -> np.ndarray:
         t = u * u
-        return (inp.f(t) - p_of_t(t)) * 2.0 / u
+        p = np.full_like(u, exp[2 * k])
+        for j in range(2 * k - 1, -1, -1):  # Horner in u = sqrt(t)
+            p *= u
+            p += exp[j]
+        return (inp.f(t) - p * t ** -k) * 2.0 / u
 
-    mid, err_mid = _quad_checked(
-        integrand_u, math.sqrt(floor), 1.0, cfg, partial=low + pole_sum
+    mid, err_mid = _gauss_kronrod(
+        integrand_u, (math.sqrt(floor), 1.0), cfg, partial=low + pole_sum
     )
 
     C, c = inp.decay
     T = _tail_cutoff(C, c, cfg.tail_cutoff_tol)
-    tail = 0.0
-    err_tail = 0.0
-    a = 1.0
-    while a < T:
-        b = min(2.0 * a, T)
-        v, e = _quad_checked(lambda t: inp.f(t) / t, a, b, cfg, partial=low + mid + tail)
-        tail += v
-        err_tail += e
-        a = b
+    edges = [1.0]
+    while edges[-1] < T:
+        edges.append(min(2.0 * edges[-1], T))
+    tail, err_tail = _gauss_kronrod(
+        lambda t: inp.f(t) / t, edges, cfg, partial=low + mid + pole_sum
+    )
     tail_cut = C * math.exp(-c * T) / (c * max(T, 1.0))
 
     # residual cancellation noise on [floor, 1]
@@ -263,8 +368,8 @@ def riemann_zeta_check(cfg: QuadratureConfig | None = None) -> Tuple[float, floa
             coeff -= 1.0  # f = bose - 1
         expansion.append(float(coeff))
 
-    def f(t: float) -> float:
-        return math.exp(-t) / (-math.expm1(-t))
+    def f(t: np.ndarray) -> np.ndarray:
+        return np.exp(-t) / -np.expm1(-t)
 
     C = 1.0 / (-math.expm1(-1.0))
     inp = MellinInput(f, 1, tuple(expansion), (C, 1.0), 0.0)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .density import LeviSpectrum, model_density_coeffs
 from .errors import DomainError
@@ -89,11 +88,7 @@ def galerkin_block_eigenvalues(
     # combination of degree-K ones, so the Gram matrix has rank <= K + 1.
     # Pivoted Cholesky finds that range; Rayleigh-Ritz on its orthonormal
     # basis gives the eigenpairs (the SVD of the factor is less accurate).
-    chol, piv, rank, _ = lapack.dpstrf(gram, lower=1)
-    basis = np.empty((gram.shape[0], rank))
-    basis[piv - 1] = np.tril(chol[:, :rank])
-    del chol
-    q = np.linalg.qr(basis)[0]
+    q = np.linalg.qr(_pivoted_cholesky(gram))[0]
     w, y = np.linalg.eigh(q.T @ gram @ q)
     keep = w > null_tol * w.max()
     proj = (q @ y[:, keep]) / np.sqrt(w[keep])
@@ -110,6 +105,47 @@ def galerkin_block_eigenvalues(
         scratch *= b
         quad += scratch
     return np.sort(np.linalg.eigvalsh(proj.T @ quad @ proj))
+
+
+def _pivoted_cholesky(a: np.ndarray) -> np.ndarray:
+    """Factor L, rows in the order of ``a``, with a = L L^T on the range of
+    the positive semidefinite ``a``: rank columns, by Cholesky with diagonal
+    pivoting that reads the lower triangle of ``a`` only.
+
+    LAPACK's dpstrf at its default tolerance, step for step: each step takes
+    the largest remaining diagonal a_ii - sum_k L_ik^2 as pivot (the first on
+    ties, in dpstrf's swap order) and stops once it is at most
+    n * u * max_i a_ii, u = 2^-53; the pivot's column is its column of ``a``
+    less the product of the earlier columns with the pivot's row, times
+    1 / sqrt(pivot).  Columns are stored as the rows of L^T.
+    """
+    n = a.shape[0]
+    diag = a.diagonal()
+    sumsq = np.zeros(n)
+    perm = np.arange(n)  # dpstrf's row order, for its tie-breaking
+    lt = np.empty((n, n))  # only the rows of finished steps are touched
+    stop = n * (np.finfo(float).eps / 2.0) * diag.max()
+    rank = 0
+    for j in range(n):
+        rest = (diag - sumsq)[perm[j:]]
+        p = j + int(rest.argmax())
+        ajj = float(rest[p - j])
+        if not ajj > stop:  # also stops on nan
+            break
+        pivot = int(perm[p])
+        perm[p], perm[j] = perm[j], pivot
+        ajj = math.sqrt(ajj)
+        col = np.concatenate((a[pivot, :pivot], a[pivot:, pivot]))
+        if j:
+            col -= lt[:j].T @ lt[:j, pivot]
+        col *= 1.0 / ajj
+        col[perm[:j]] = 0.0
+        col[pivot] = ajj
+        lt[j] = col
+        col *= col
+        sumsq += col
+        rank = j + 1
+    return lt[:rank].T
 
 
 @dataclass(frozen=True)

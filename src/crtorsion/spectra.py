@@ -40,6 +40,12 @@ CP1_VOLUME = 4.0 * math.pi ** 2
 #: subnormal float64 (5e-324), and e^{-x} rounds to exactly 0.0 past 745.14.
 _UNDERFLOW = 745.0
 
+#: Largest e^{-lam t} block the super-trace kernel builds: 2^18 float64 (2 MB).
+_BLOCK = 1 << 18
+#: Below 2^12 elements a block's fixed numpy call overhead outweighs the
+#: zeros it would save, so nodes keep joining it past the factor-2 rule.
+_MIN_BLOCK = 1 << 12
+
 
 class TraceValue(NamedTuple):
     """A spectral sum together with the certified bound on the omitted tail."""
@@ -186,23 +192,63 @@ class SpectrumTable:
         block_weight = float(sum(q if q % 2 == 0 else -q for q in self._block_degrees))
         if block_weight == 0.0:
             lam_b = mult_b = lam_b[:0]
-        lams = np.r_[lam[sel], lam_b]
-        weights = np.r_[w[sel], block_weight * mult_b]
+        lams = np.concatenate((lam[sel], lam_b))
+        weights = np.concatenate((w[sel], block_weight * mult_b))
         if (lams[1:] < lams[:-1]).any():
             order = np.argsort(lams, kind="stable")
             lams, weights = lams[order], weights[order]
         return lams, weights, float(np.sum(w[zero]))
 
-    def _supertrace_value(self, t: float) -> float:
-        """sum over the positive lines of (-1)^q q mult e^{-lam t}, t > 0.
+    def _supertrace_value(self, t: np.ndarray) -> np.ndarray:
+        """sum over the positive lines of (-1)^q q mult e^{-lam t}, for each
+        node of the 1-D array ``t > 0`` (any order, repeats allowed).
 
-        Costs O(lines with lam t < 745), not O(lines): degree-0 lines carry
-        weight zero, and beyond the cut e^{-lam t} is the smallest subnormal
-        or exactly 0.0 in float64, so the dropped terms do not reach the value.
+        Costs O(lines with lam t < 745) per node, not O(lines): degree-0 lines
+        carry weight zero, and beyond the cut e^{-lam t} is the smallest
+        subnormal or exactly 0.0 in float64, so the dropped terms do not reach
+        the value.  Each node keeps its own cut.  Nodes sorted by cut share
+        one e^{-lam t} block, as wide as its largest cut, with every node whose
+        cut is at least half that (or while the block stays under
+        ``_MIN_BLOCK`` elements); blocks hold at most ``_BLOCK`` elements.  A
+        node's terms past its cut are zero in the block, and each node's row
+        is summed pairwise (``np.sum`` along the row).
         """
         lams, weights, _ = self._supertrace
-        n = int(np.searchsorted(lams, _UNDERFLOW / t))
-        return float(np.dot(weights[:n], np.exp(-t * lams[:n])))
+        t = np.asarray(t, dtype=float)
+        bound = _UNDERFLOW / t
+        cut = np.searchsorted(lams, bound)  # lam < bound exactly on the prefix
+        order = np.argsort(-cut, kind="stable")
+        cuts, bound, negt = cut[order], bound[order], -t[order]
+        sums = np.zeros(cut.size)
+        i, n = 0, int(np.count_nonzero(cuts))
+        buf = np.empty(min(_BLOCK, n * int(cuts[0]))) if n else None
+        while i < n:
+            top = int(cuts[i])
+            j = int(np.searchsorted(-cuts, -((top + 1) // 2), side="right"))
+            j = min(n, max(j, i + _MIN_BLOCK // top))
+            width = min(top, _BLOCK)
+            step = max(1, _BLOCK // width)
+            for r in range(i, j, step):
+                r2 = min(j, r + step)
+                for c in range(0, top, width):
+                    lam = lams[c : c + width]
+                    block = buf[: (r2 - r) * lam.size].reshape(r2 - r, lam.size)
+                    np.multiply.outer(negt[r:r2], lam, out=block)
+                    keep = None
+                    if cuts[r2 - 1] < c + lam.size:
+                        # past its own cut a row's terms are 0: e^0 keeps exp
+                        # off its slow underflow path, the mask drops them
+                        keep = lam < bound[r:r2, None]
+                        block *= keep
+                    np.exp(block, out=block)
+                    block *= weights[c : c + width]
+                    if keep is not None:
+                        block *= keep
+                    sums[r:r2] += block.sum(axis=1)
+            i = j
+        out = np.empty(cut.size)
+        out[order] = sums
+        return out
 
     @cached_property
     def _outside_law(self):
@@ -216,12 +262,21 @@ class SpectrumTable:
         return self.stored.lam[keep], self._weights[keep]
 
     @cached_property
+    def _positive_stored(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(lam, q mult) of the stored lines with lam > 0, in table order."""
+        pos = self.stored.lam > 0.0
+        return self.stored.lam[pos], (self.stored.q * self.stored.mult)[pos]
+
+    @cached_property
     def min_nonzero_eigenvalue(self) -> float:
-        lam = np.r_[self.stored.lam, self._law_block()[0]]
-        nz = lam[lam > 0]
-        if nz.size == 0:
+        """Smallest positive eigenvalue; O(stored lines), the implied block's
+        minimum read from the law (``_law_min``)."""
+        candidates = self._positive_stored[0].tolist()
+        if self.implied and self.tail.k_next > self.tail.k_first:
+            candidates.append(_law_min(self.tail))
+        if not candidates:
             raise EmptyDegreeError("spectrum has no nonzero eigenvalues")
-        return float(nz.min())
+        return float(min(candidates))
 
     def supertrace_N_kernel(self) -> float:
         """STr[N] restricted to the zero modes (t-independent)."""
@@ -288,7 +343,7 @@ def heat_supertrace_N(
     itself contains only the table's lines (``SpectrumTable._supertrace_value``).
     """
     _require_finite_positive(t, "heat_supertrace_N")
-    value = spec._supertrace_value(t)
+    value = float(spec._supertrace_value(np.array([t]))[0])
     if not nonzero_only:
         value += spec.supertrace_N_kernel()
     return TraceValue(value, _supertrace_tail_bound(spec, t))
@@ -313,7 +368,9 @@ def _require_finite_positive(t: float, what: str) -> None:
         raise DomainError(f"{what} requires 0 < t < inf, got t = {t!r}")
 
 
-def _supertrace_tail_bound(spec: SpectrumTable, t: float) -> float:
+def _supertrace_tail_bound(spec: SpectrumTable, t: float, k_start: int | None = None) -> float:
+    """Bound on the super-trace terms of the law lines k >= k_start (default
+    k_next, the lines the table omits) in every tail degree."""
     if isinstance(spec.tail, FiniteTail):
         return 0.0
     if not isinstance(spec.tail, QuadraticTail):  # pragma: no cover
@@ -321,7 +378,8 @@ def _supertrace_tail_bound(spec: SpectrumTable, t: float) -> float:
     weight = sum(q for q in spec.tail.degrees if q >= 1)
     if weight == 0:
         return 0.0
-    return weight * tail_bound(spec.tail.law, spec.tail.k_next, t)
+    k_start = spec.tail.k_next if k_start is None else k_start
+    return weight * tail_bound(spec.tail.law, k_start, t)
 
 
 def supertrace_trust_floor(spec: SpectrumTable, tol: float) -> float:
@@ -345,27 +403,71 @@ def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, f
 
     Uses c = lambda_min / 2: each term e^{-lam t} <= e^{-lam_min t/2}
     e^{-lam t_min/2} for t >= t_min, so C = sum q mult e^{-lam t_min/2} plus
-    the tail bound at t = t_min/2.  The terms are summed in table order, the
-    implied lines degree by degree after the stored ones.
+    bounds for what is not summed.  Only lines with lam t_min / 2 < 745 are
+    summed, in table order, the implied lines degree by degree after the
+    stored ones; a stored line past that cut adds q mult e^{-744}, and the law
+    lines from the first one past it (``_law_cut``) on, implied or omitted,
+    add the tail bound at t = t_min/2.  The cost is O(lines below the cut),
+    not O(k_max).
     """
     lam_min = spec.min_nonzero_eigenvalue
     c = lam_min / 2.0
-    rows = spec.stored[spec.stored.lam > 0.0]
-    lam, mult = spec._law_block()
-    # zeros where q = 0: the layout, not only the values, fixes np.sum's rounding
-    terms = np.zeros(rows.size + lam.size * len(spec._block_degrees))
-    terms[: rows.size] = rows.q * rows.mult * np.exp(-rows.lam * t_min / 2.0)
+    lam_s, qm = spec._positive_stored
+    x = -lam_s * t_min / 2.0
+    keep = x > -_UNDERFLOW
+    dropped = float(np.sum(qm[~keep]))
+    k_start = None
+    lam = mult = np.empty(0)
+    if spec.implied:
+        k_start = _law_cut(spec.tail, t_min / 2.0)
+        k = np.arange(spec.tail.k_first, k_start, dtype=float)
+        lam, mult = spec.tail.law.lam(k), spec.tail.law.mult(k)
+    # zeros where q = 0: the layout, not only the values, fixes np.sum's
+    # rounding, and a table that stores the law's lines gets the same layout
+    nrows = int(np.count_nonzero(keep))
+    terms = np.zeros(nrows + lam.size * len(spec._block_degrees))
+    terms[:nrows] = qm[keep] * np.exp(x[keep])
     decay = np.negative(lam, out=lam)  # e^{-lam t_min / 2}, rounded as above
     decay *= t_min
     decay /= 2.0
     np.exp(decay, out=decay)
     for i, q in enumerate(spec._block_degrees):
         if q:
-            start = rows.size + i * lam.size
+            start = nrows + i * lam.size
             np.multiply(q * mult, decay, out=terms[start : start + lam.size])
     C = float(np.sum(terms))
-    C += _supertrace_tail_bound(spec, t_min / 2.0)
+    C += math.exp(-744.0) * dropped
+    C += _supertrace_tail_bound(spec, t_min / 2.0, k_start)
     return C, c
+
+
+def _law_min(tail: QuadraticTail) -> float:
+    """Smallest law eigenvalue over k = k_first..k_next-1 (a nonempty range):
+    at an end of the range or at an integer next to the vertex."""
+    law = tail.law
+    vertex = -law.vertex_shift
+    ks = {tail.k_first, tail.k_next - 1, math.floor(vertex), math.ceil(vertex)}
+    return min(law.lam(float(k)) for k in ks if tail.k_first <= k < tail.k_next)
+
+
+def _law_cut(tail: QuadraticTail, t: float) -> int:
+    """First k in [k_first, k_next] from which on every law line has
+    lam t >= 745, or k_next.  Not below floor(vertex) + 2, so that the lines
+    from it on decrease and ``tail_bound`` applies."""
+    law = tail.law
+    k_lo = min(max(tail.k_first, math.floor(-law.vertex_shift) + 2), tail.k_next)
+    disc = law.a1 * law.a1 - 4.0 * law.a2 * (law.a0 - _UNDERFLOW / t)
+    root = (-law.a1 + math.sqrt(max(disc, 0.0))) / (2.0 * law.a2)
+    k = min(max(k_lo, math.ceil(min(root, tail.k_next))), tail.k_next)
+
+    def under(k: int) -> bool:  # same rounding as the summed terms
+        return -law.lam(float(k)) * t <= -_UNDERFLOW
+
+    while k > k_lo and under(k - 1):
+        k -= 1
+    while k < tail.k_next and not under(k):
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

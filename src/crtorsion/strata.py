@@ -19,10 +19,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from .errors import DomainError
+from .mellin import QuadratureConfig, _gauss_kronrod
 from .series import HalfPowerSeries
 
 MultiIndex = Tuple[int, ...]
+
+_REFERENCE_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=200)
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,8 @@ def quadrature_reference(
     over the box |y_i| <= radius_sigmas * sqrt(t/(m c)).
 
     Tensorizes per monomial, so each factor is a 1-d integral
-    int y^a e^{-s y^2} dy handled by QUADPACK.
+    int y^a e^{-s y^2} dy, taken by the package's adaptive Gauss-Kronrod rule.
     """
-    from scipy.integrate import quad
-
     if t <= 0:
         raise DomainError("t must be positive")
     s = m * integrand.c / t
@@ -117,15 +120,12 @@ def quadrature_reference(
             if a % 2:
                 cache[a] = 0.0
             else:
-                val, _ = quad(
-                    lambda y: y ** a * math.exp(-s * y * y),
-                    -half_width,
-                    half_width,
-                    epsabs=1e-14,
-                    epsrel=1e-12,
-                    limit=200,
-                )
-                cache[a] = val
+                cache[a] = _gauss_kronrod(
+                    lambda y: y ** a * np.exp(-s * y * y),
+                    (-half_width, half_width),
+                    _REFERENCE_QUADRATURE,
+                    partial=0.0,
+                )[0]
         return cache[a]
 
     for alpha, coeff in integrand.poly.items():

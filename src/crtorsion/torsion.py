@@ -167,7 +167,7 @@ def _theta_mellin(
 
     # the trust floor above certifies the omitted tail once for every node,
     # so the integrand reads values only
-    def f(t: float) -> float:
+    def f(t: np.ndarray) -> np.ndarray:
         return scale * spec._supertrace_value(t / m)
 
     try:

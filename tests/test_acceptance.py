@@ -137,7 +137,7 @@ def test_criterion_4_mellin_formula():
     assert worst_ratio <= 1.0
     from crtorsion.mellin import MellinInput
 
-    res = mellin_at_zero(MellinInput(lambda t: math.exp(-t), 0, (1.0,), (1.0, 1.0)))
+    res = mellin_at_zero(MellinInput(lambda t: np.exp(-t), 0, (1.0,), (1.0, 1.0)))
     assert res.value0 == 1.0
     assert abs(res.derivative0) < 1e-10
     announce(

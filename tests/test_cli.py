@@ -42,6 +42,16 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # quadrature and the oracle's factorization run on numpy alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, crtorsion.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestSelfcheck:
     def test_passes_with_zeta_line(self, capsys):
         code, out, _ = run_cli(["selfcheck", "--seed", "0"], capsys)
@@ -178,6 +188,32 @@ class TestTorsionCommand:
         code, _, err = run_cli(["torsion", "--m", "32", "--kmax", "16"], capsys)
         assert code == 1
         assert "m = 32" in err and "m*floor" in err
+
+
+@pytest.mark.parametrize(
+    "cargs, message",
+    [
+        (["torsion", "--m", "0"], "m must be >= 1"),
+        (["sweep", "--ms", "0,8"], "m must be >= 1"),
+        (["torsion", "--m", "8", "--kmax", "0"], "k_max must be >= 1"),
+        (["torsion", "--m", "8", "--kmax", "-5"], "k_max must be >= 1"),
+        (["sweep", "--ms", "8,16", "--kmax", "0"], "k_max must be >= 1"),
+        (["torsion", "--m", "8", "--tol", "nan"], "abs_tol must be positive and finite"),
+        (["sweep", "--ms", "8,16", "--tol", "inf"], "abs_tol must be positive and finite"),
+        (["selfcheck", "--tol", "nan"], "abs_tol must be positive and finite"),
+    ],
+    ids=[
+        "torsion-m0", "sweep-m0", "torsion-kmax0", "torsion-kmax-neg", "sweep-kmax0",
+        "torsion-tol-nan", "sweep-tol-inf", "selfcheck-tol-nan",
+    ],
+)
+def test_zero_or_non_finite_value_is_named_error(cargs, message, capsys):
+    # 0 is a value, not "use the default": --m 0 and --kmax 0 fail like any
+    # other value out of range, and a nan tolerance fails before any report
+    code, out, err = run_cli(cargs, capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(

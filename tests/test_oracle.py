@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from crtorsion import oracle
 from crtorsion.errors import DomainError
 from crtorsion.oracle import (
     galerkin_block_eigenvalues,
@@ -175,6 +177,68 @@ class TestGalerkinBlocks:
     def test_null_tol_outside_unit_interval_rejected(self, null_tol):
         with pytest.raises(DomainError, match="null_tol"):
             galerkin_block_eigenvalues(1, 5, null_tol=null_tol)
+
+
+def _dpstrf_factor(gram):
+    """Reference: LAPACK's pivoted Cholesky at its default tolerance, its
+    factor's first rank columns with the rows put back in input order."""
+    chol, piv, rank, _ = lapack.dpstrf(gram, lower=1)
+    basis = np.empty((gram.shape[0], rank))
+    basis[piv - 1] = np.tril(chol[:, :rank])
+    return basis
+
+
+#: every block the criterion-10 gate factors: the eigenvalue blocks
+#: (m, K = 4 * 10, principal) and the kernel-count blocks (m = 0..8, K = 6,
+#: d1_offset = -(m + 2)..2)
+CRITERION_10_BLOCKS = [(m, 40, 0) for m in (1, 5)] + [
+    (m, 6, -off) for m in range(9) for off in range(-2, m + 3)
+]
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize(
+        "m, K, off",
+        CRITERION_10_BLOCKS
+        + [(m, K, off) for m in (1, 5) for K in (6, 20, 40) for off in (0, 2, -2)],
+    )
+    def test_matches_dpstrf(self, m, K, off, monkeypatch):
+        grams = []
+        factor = oracle._pivoted_cholesky
+
+        def keep_gram(gram):
+            grams.append(gram.copy())
+            return factor(gram)
+
+        monkeypatch.setattr(oracle, "_pivoted_cholesky", keep_gram)
+        got = galerkin_block_eigenvalues(m, K, off)
+        if not grams:  # an empty block has no Gram matrix
+            assert got.size == 0
+            return
+        # The last pivots sit at the n u max(diag) stop, on roundoff: there
+        # the order of dgemv's sums inside LAPACK decides, and the rank may
+        # differ by one.  The null-space cut discards those directions.
+        rank, rank_lapack = factor(grams[0]).shape[1], _dpstrf_factor(grams[0]).shape[1]
+        assert abs(rank - rank_lapack) <= 1
+        monkeypatch.setattr(oracle, "_pivoted_cholesky", _dpstrf_factor)
+        want = galerkin_block_eigenvalues(m, K, off)
+        assert got.shape == want.shape
+        assert np.array_equal(np.abs(got) < 1e-8, np.abs(want) < 1e-8)
+        # the first num_eigs = 10 at the criterion-10 settings, short of the
+        # top Ritz value, which sits next to the null-space cut (see
+        # test_matches_full_eigh_route)
+        low = min(10, got.size - 1)
+        rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+        assert rel[:low].max(initial=0.0) < 1e-12
+        assert rel.max() < 1e-6
+
+    def test_reconstructs_a_low_rank_matrix(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 7))
+        a = x @ x.T
+        basis = oracle._pivoted_cholesky(a)
+        assert basis.shape == (30, 7)
+        np.testing.assert_allclose(basis @ basis.T, a, atol=1e-12 * np.abs(a).max())
 
 
 class TestKernelDimension:

@@ -217,6 +217,60 @@ class TestHeatSupertrace:
                 if t == t_dead:
                     assert tv.value == (0.0 if nonzero_only else spec.supertrace_N_kernel())
 
+    @pytest.mark.parametrize("name", ["cp1_m8", "cp1_m128", "random_n2"])
+    def test_array_kernel_matches_fsum_reference(self, name):
+        # one call on an unsorted array with repeats and an all-underflow
+        # node: each node keeps its own lam t < 745 cut
+        if name == "random_n2":
+            rng = np.random.default_rng(41)
+            lines = [
+                (int(rng.integers(0, 3)), float(rng.uniform(0.3, 40.0)), int(rng.integers(1, 6)))
+                for _ in range(60)
+            ]
+            spec = SpectrumTable.from_lines(lines + [(1, 0.0, 2)], n=2)
+        else:
+            m = int(name[len("cp1_m"):])
+            spec = cp1_spectrum(m, max(1024, m * m))
+        t_dead = 1000.0 / spec.min_nonzero_eigenvalue
+        t = np.array([0.1, 1e-6, 10.0, t_dead, 1e-3, 0.1, 3e-5, 1.0, 1e-6, 2e-2])
+        got = spec._supertrace_value(t)
+        assert got.shape == t.shape and got.dtype == np.float64
+        rows = spec.lines.tolist()
+        for ti, value in zip(t.tolist(), got.tolist()):
+            terms = [
+                (-1) ** q * q * mult * math.exp(-lam * ti)
+                for q, lam, mult in rows
+                if lam > 0.0 and lam * ti < 745.0
+            ]
+            scale = math.fsum(abs(x) for x in terms)
+            assert abs(value - math.fsum(terms)) <= 1e-13 * scale
+        assert got[3] == 0.0
+        assert got[0] == got[5] and got[1] == got[8]
+        # a one-node call reads the same terms (its block may be narrower,
+        # which moves the pairwise sum's rounding only)
+        for ti, value in zip(t.tolist(), got.tolist()):
+            assert heat_supertrace_N(spec, ti, True).value == pytest.approx(value, rel=1e-13, abs=0)
+
+    def test_array_kernel_temporaries_stay_under_cap(self):
+        # at m = 512 the floor nodes keep all 2^18 law lines; the kernel's
+        # temporaries are one float64 block and its bool mask, <= _BLOCK
+        # elements each, plus per-node arrays and numpy's 8192-element
+        # casting buffer
+        import tracemalloc
+
+        from crtorsion.spectra import _BLOCK
+
+        spec = cp1_spectrum(512, 512 * 512)
+        spec._supertrace  # the cached line arrays are not temporaries
+        t = np.geomspace(1e-9, 10.0, 200)
+        tracemalloc.start()
+        try:
+            spec._supertrace_value(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * _BLOCK + (1 << 17)
+
     def test_tail_consistency_between_truncations(self):
         coarse = cp1_spectrum(10, 2000)
         fine = cp1_spectrum(10, 4000)

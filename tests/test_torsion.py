@@ -515,6 +515,28 @@ class TestLargeWeight:
     # frozen direct-route theta'(0) of cp1_spectrum(512, 262144)
     DIRECT_M512 = 1130.0078237935431
 
+    def test_tilde_at_m512_evaluates_no_more_nodes_than_heat(self, monkeypatch):
+        # QUADPACK's extrapolation spent 1 071 nodes on the rescaled trace
+        # here, against 210 for the heat route
+        from crtorsion import torsion
+
+        spec = cp1_spectrum(512, 512 * 512)
+        bhat = closed_form_bhat(spec)
+        nodes = []
+        value = SpectrumTable._supertrace_value
+
+        def counting_value(self, t):
+            nodes[-1] += np.size(t)
+            return value(self, t)
+
+        monkeypatch.setattr(SpectrumTable, "_supertrace_value", counting_value)
+        nodes.append(0)
+        theta_prime_zero_result(spec, 1, bhat)
+        nodes.append(0)
+        torsion._theta_mellin(spec, 1, bhat, 512, QuadratureConfig())
+        heat, tilde = nodes
+        assert 0 < tilde <= heat
+
     def test_report_at_m512(self):
         rep = torsion_report(cp1_spectrum(512, 512 * 512), cp1_geometry(), 512)
         assert abs(rep.theta_prime_0 - rep.theta_prime_0_direct) <= rep.error_budget
