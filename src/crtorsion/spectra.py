@@ -168,10 +168,6 @@ class SpectrumTable:
         k = np.arange(self.tail.k_first, self.tail.k_next, dtype=float)
         return self.tail.law.lam(k), self.tail.law.mult(k)
 
-    @property
-    def _block_degrees(self) -> Tuple[int, ...]:
-        return self.tail.degrees if self.implied else ()
-
     @cached_property
     def _weights(self) -> np.ndarray:
         """(-1)^q q mult per stored line, its weight in STr[N e^{-t Box}]."""
@@ -180,16 +176,18 @@ class SpectrumTable:
 
     @cached_property
     def _supertrace(self):
-        """(lams, weights, kernel) of STr[N e^{-t Box}]: the positive
-        eigenvalues with nonzero weight, sorted ascending so the terms that
-        survive at any t form a prefix, their weights, and the t-independent
-        zero-mode part.  An implied line k enters once, with the weight
-        sum_q (-1)^q q mult(k) of all its degrees."""
+        """(lams, weights, kernel, abs_weight) of STr[N e^{-t Box}]: the
+        positive eigenvalues with nonzero weight, sorted ascending so the
+        terms that survive at any t form a prefix, their weights, the
+        t-independent zero-mode part, and the sum of |weights|.  An implied
+        line k enters once, with the weight sum_q (-1)^q q mult(k) of all its
+        degrees."""
         lam, w = self.stored.lam, self._weights
         zero = lam == 0.0
         sel = ~zero & (w != 0.0)
         lam_b, mult_b = self._law_block()  # lam > 0 on the block (from_law)
-        block_weight = float(sum(q if q % 2 == 0 else -q for q in self._block_degrees))
+        degrees = self.tail.degrees if self.implied else ()
+        block_weight = float(sum(q if q % 2 == 0 else -q for q in degrees))
         if block_weight == 0.0:
             lam_b = mult_b = lam_b[:0]
         lams = np.concatenate((lam[sel], lam_b))
@@ -197,7 +195,8 @@ class SpectrumTable:
         if (lams[1:] < lams[:-1]).any():
             order = np.argsort(lams, kind="stable")
             lams, weights = lams[order], weights[order]
-        return lams, weights, float(np.sum(w[zero]))
+        abs_weight = float(np.sum(np.abs(weights)))
+        return lams, weights, float(np.sum(w[zero])), abs_weight
 
     def _supertrace_value(self, t: np.ndarray) -> np.ndarray:
         """sum over the positive lines of (-1)^q q mult e^{-lam t}, for each
@@ -213,7 +212,7 @@ class SpectrumTable:
         node's terms past its cut are zero in the block, and each node's row
         is summed pairwise (``np.sum`` along the row).
         """
-        lams, weights, _ = self._supertrace
+        lams, weights = self._supertrace[:2]
         t = np.asarray(t, dtype=float)
         bound = _UNDERFLOW / t
         cut = np.searchsorted(lams, bound)  # lam < bound exactly on the prefix
@@ -262,21 +261,9 @@ class SpectrumTable:
         return self.stored.lam[keep], self._weights[keep]
 
     @cached_property
-    def _positive_stored(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(lam, q mult) of the stored lines with lam > 0, in table order."""
-        pos = self.stored.lam > 0.0
-        return self.stored.lam[pos], (self.stored.q * self.stored.mult)[pos]
-
-    @cached_property
-    def min_nonzero_eigenvalue(self) -> float:
-        """Smallest positive eigenvalue; O(stored lines), the implied block's
-        minimum read from the law (``_law_min``)."""
-        candidates = self._positive_stored[0].tolist()
-        if self.implied and self.tail.k_next > self.tail.k_first:
-            candidates.append(_law_min(self.tail))
-        if not candidates:
-            raise EmptyDegreeError("spectrum has no nonzero eigenvalues")
-        return float(min(candidates))
+    def _trust_floors(self) -> dict:
+        """``supertrace_trust_floor`` by tolerance, filled on first use."""
+        return {}
 
     def supertrace_N_kernel(self) -> float:
         """STr[N] restricted to the zero modes (t-independent)."""
@@ -368,9 +355,9 @@ def _require_finite_positive(t: float, what: str) -> None:
         raise DomainError(f"{what} requires 0 < t < inf, got t = {t!r}")
 
 
-def _supertrace_tail_bound(spec: SpectrumTable, t: float, k_start: int | None = None) -> float:
-    """Bound on the super-trace terms of the law lines k >= k_start (default
-    k_next, the lines the table omits) in every tail degree."""
+def _supertrace_tail_bound(spec: SpectrumTable, t: float) -> float:
+    """Bound on the super-trace terms of the law lines k >= k_next, the lines
+    the table omits, in every tail degree."""
     if isinstance(spec.tail, FiniteTail):
         return 0.0
     if not isinstance(spec.tail, QuadraticTail):  # pragma: no cover
@@ -378,16 +365,20 @@ def _supertrace_tail_bound(spec: SpectrumTable, t: float, k_start: int | None = 
     weight = sum(q for q in spec.tail.degrees if q >= 1)
     if weight == 0:
         return 0.0
-    k_start = spec.tail.k_next if k_start is None else k_start
-    return weight * tail_bound(spec.tail.law, k_start, t)
+    return weight * tail_bound(spec.tail.law, spec.tail.k_next, t)
 
 
 def supertrace_trust_floor(spec: SpectrumTable, tol: float) -> float:
-    """Smallest t at which the truncated super trace is certified to ``tol``."""
+    """Smallest t at which the truncated super trace is certified to ``tol``;
+    bisected once per table and ``tol``, so the heat and rescaled routes of a
+    report share one bisection."""
     if isinstance(spec.tail, FiniteTail):
         return 0.0
-    weight = max(1, sum(q for q in spec.tail.degrees if q >= 1))
-    return trust_floor(spec.tail.law, spec.tail.k_next, tol / weight)
+    floors = spec._trust_floors
+    if tol not in floors:
+        weight = max(1, sum(q for q in spec.tail.degrees if q >= 1))
+        floors[tol] = trust_floor(spec.tail.law, spec.tail.k_next, tol / weight)
+    return floors[tol]
 
 
 def spectral_gap(spec: SpectrumTable, q: int) -> float:
@@ -401,73 +392,23 @@ def spectral_gap(spec: SpectrumTable, q: int) -> float:
 def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, float]:
     """(C, c) with |STr[N e^{-t Box} perp]| <= C e^{-c t} for t >= t_min.
 
-    Uses c = lambda_min / 2: each term e^{-lam t} <= e^{-lam_min t/2}
-    e^{-lam t_min/2} for t >= t_min, so C = sum q mult e^{-lam t_min/2} plus
-    bounds for what is not summed.  Only lines with lam t_min / 2 < 745 are
-    summed, in table order, the implied lines degree by degree after the
-    stored ones; a stored line past that cut adds q mult e^{-744}, and the law
-    lines from the first one past it (``_law_cut``) on, implied or omitted,
-    add the tail bound at t = t_min/2.  The cost is O(lines below the cut),
-    not O(k_max).
+    Reads the sorted weighted lines of ``SpectrumTable._supertrace``: with
+    c = lams[0] / 2, each term obeys e^{-lam t} <= e^{-lam t_min/2} e^{-c t}
+    for t >= t_min, so C = sum |w| e^{-lam t_min/2}.  The sum stops at the
+    underflow cut lam t_min / 2 < 745, as the heat integrand's does; the
+    lines past it add e^{-744} times the table's total |w|, and the omitted
+    law lines add their tail bound at t_min / 2.  A table with no weighted
+    line gives (0, 1).
     """
-    lam_min = spec.min_nonzero_eigenvalue
-    c = lam_min / 2.0
-    lam_s, qm = spec._positive_stored
-    x = -lam_s * t_min / 2.0
-    keep = x > -_UNDERFLOW
-    dropped = float(np.sum(qm[~keep]))
-    k_start = None
-    lam = mult = np.empty(0)
-    if spec.implied:
-        k_start = _law_cut(spec.tail, t_min / 2.0)
-        k = np.arange(spec.tail.k_first, k_start, dtype=float)
-        lam, mult = spec.tail.law.lam(k), spec.tail.law.mult(k)
-    # zeros where q = 0: the layout, not only the values, fixes np.sum's
-    # rounding, and a table that stores the law's lines gets the same layout
-    nrows = int(np.count_nonzero(keep))
-    terms = np.zeros(nrows + lam.size * len(spec._block_degrees))
-    terms[:nrows] = qm[keep] * np.exp(x[keep])
-    decay = np.negative(lam, out=lam)  # e^{-lam t_min / 2}, rounded as above
-    decay *= t_min
-    decay /= 2.0
-    np.exp(decay, out=decay)
-    for i, q in enumerate(spec._block_degrees):
-        if q:
-            start = nrows + i * lam.size
-            np.multiply(q * mult, decay, out=terms[start : start + lam.size])
-    C = float(np.sum(terms))
-    C += math.exp(-744.0) * dropped
-    C += _supertrace_tail_bound(spec, t_min / 2.0, k_start)
-    return C, c
-
-
-def _law_min(tail: QuadraticTail) -> float:
-    """Smallest law eigenvalue over k = k_first..k_next-1 (a nonempty range):
-    at an end of the range or at an integer next to the vertex."""
-    law = tail.law
-    vertex = -law.vertex_shift
-    ks = {tail.k_first, tail.k_next - 1, math.floor(vertex), math.ceil(vertex)}
-    return min(law.lam(float(k)) for k in ks if tail.k_first <= k < tail.k_next)
-
-
-def _law_cut(tail: QuadraticTail, t: float) -> int:
-    """First k in [k_first, k_next] from which on every law line has
-    lam t >= 745, or k_next.  Not below floor(vertex) + 2, so that the lines
-    from it on decrease and ``tail_bound`` applies."""
-    law = tail.law
-    k_lo = min(max(tail.k_first, math.floor(-law.vertex_shift) + 2), tail.k_next)
-    disc = law.a1 * law.a1 - 4.0 * law.a2 * (law.a0 - _UNDERFLOW / t)
-    root = (-law.a1 + math.sqrt(max(disc, 0.0))) / (2.0 * law.a2)
-    k = min(max(k_lo, math.ceil(min(root, tail.k_next))), tail.k_next)
-
-    def under(k: int) -> bool:  # same rounding as the summed terms
-        return -law.lam(float(k)) * t <= -_UNDERFLOW
-
-    while k > k_lo and under(k - 1):
-        k -= 1
-    while k < tail.k_next and not under(k):
-        k += 1
-    return k
+    lams, weights, _, abs_weight = spec._supertrace
+    if not lams.size:
+        return 0.0, 1.0
+    t = t_min / 2.0
+    cut = np.searchsorted(lams, _UNDERFLOW / t)
+    C = float(np.sum(np.abs(weights[:cut]) * np.exp(-lams[:cut] * t)))
+    C += math.exp(-744.0) * abs_weight
+    C += _supertrace_tail_bound(spec, t)
+    return C, float(lams[0]) / 2.0
 
 
 # ---------------------------------------------------------------------------

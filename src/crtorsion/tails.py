@@ -193,20 +193,33 @@ def tail_bound(law: QuadraticLaw, k_start: int, t: float) -> float:
     # decreasing iff m1 < t lam'(x) mu(x) for all x >= x0 (lhs const, rhs incr.)
     if t * law.lam_prime(x0) * law.mult(x0) <= law.m1:
         return math.inf
-    part1 = law.m1 / (2.0 * law.a2 * t) * math.exp(-t * law.lam(x0))
+    try:
+        decay = math.exp(-t * law.lam(x0))
+    except OverflowError:  # lam(x0) < 0: no bound in the float range
+        return math.inf
+    part1 = law.m1 / (2.0 * law.a2 * t) * decay
     mu0t = law.mu_const
     part2 = 0.0
     if mu0t != 0.0:
-        beta = x0 + law.vertex_shift
-        z = math.sqrt(law.a2 * t) * beta
-        part2 = (
-            mu0t
-            * SQRT_PI
-            / (2.0 * math.sqrt(law.a2 * t))
-            * math.exp(-t * law.vertex_value)
-            * math.erfc(z)
-        )
+        # e^{-t vertex_value} erfc(z) = e^{-t lam(x0)} erfcx(z): the left side
+        # overflows once -t vertex_value > 709, the right does not
+        z = math.sqrt(law.a2 * t) * (x0 + law.vertex_shift)
+        part2 = mu0t * SQRT_PI / (2.0 * math.sqrt(law.a2 * t)) * decay * _erfcx(z)
     return part1 + max(part2, 0.0) if mu0t >= 0 else max(part1 + part2, 0.0)
+
+
+def _erfcx(z: float) -> float:
+    """The scaled complementary error function e^{z^2} erfc(z), z >= 0.
+
+    Below z = 5 the product itself; above, 24 terms of the continued fraction
+    erfc(z) = e^{-z^2} / sqrt(pi) / (z + (1/2) / (z + 1 / (z + (3/2) / ...))),
+    evaluated from the back (15 already reach float precision at z = 5)."""
+    if z < 5.0:
+        return math.exp(z * z) * math.erfc(z)
+    acc = z
+    for k in range(24, 0, -1):
+        acc = z + 0.5 * k / acc
+    return 1.0 / (SQRT_PI * acc)
 
 
 def trust_floor(law: QuadraticLaw, k_start: int, tol: float) -> float:

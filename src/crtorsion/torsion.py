@@ -24,13 +24,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ArityError,
-    DomainError,
-    EmptyDegreeError,
-    TwoPathMismatchError,
-    UnsupportedTailError,
-)
+from .errors import ArityError, DomainError, TwoPathMismatchError, UnsupportedTailError
 from .mellin import GAMMA_PRIME_1, MellinInput, MellinResult, QuadratureConfig, mellin_at_zero
 from .series import FitResult, fit_half_powers
 from .spectra import (
@@ -100,7 +94,7 @@ def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[floa
     for p in range((j_max - 2 * n) // 2 + 1):
         term = (-lam) ** p / math.factorial(p) if p else 1.0
         j = 2 * n + 2 * p
-        coeffs[j] = float(np.cumsum(np.r_[coeffs[j], w * term])[-1])
+        coeffs[j] = float(np.cumsum(np.concatenate(([coeffs[j]], w * term)))[-1])
     return coeffs
 
 
@@ -158,23 +152,21 @@ def _theta_mellin(
     scale = float(m) ** (-n)
     expansion = [float(b) * float(m) ** (-0.5 * j) for j, b in enumerate(bhat)]
     expansion[2 * n] -= spec.supertrace_N_kernel() * scale
-    floor = m * supertrace_trust_floor(spec, tol=min(1e-13, cfg.abs_tol * 1e-2))
-    if floor >= 1.0:
-        raise DomainError(
-            f"m = {m}: the rescaled trust floor m*floor = {floor:.3g} reaches "
-            "t = 1; the spectrum table is too short for this weight"
-        )
+    floor = supertrace_trust_floor(spec, tol=min(1e-13, cfg.abs_tol * 1e-2))
+    if m * floor >= 1.0:
+        k_next = spec.tail.k_next
+        what = f"the trust floor t = {floor:.3g} of a table that stops at k_next = {k_next}"
+        if m > 1:
+            what = f"m = {m}: {what}, rescaled to m*floor = {m * floor:.3g},"
+        raise DomainError(f"{what} reaches t = 1; the spectrum table is too short for this weight")
 
     # the trust floor above certifies the omitted tail once for every node,
     # so the integrand reads values only
     def f(t: np.ndarray) -> np.ndarray:
         return scale * spec._supertrace_value(t / m)
 
-    try:
-        C, c = decay_certificate(spec, t_min=1.0 / m)
-    except EmptyDegreeError:
-        C, c = 0.0, 1.0
-    inp = MellinInput(f, n, tuple(expansion), (scale * C, c / m), floor)
+    C, c = decay_certificate(spec, t_min=1.0 / m)
+    inp = MellinInput(f, n, tuple(expansion), (scale * C, c / m), m * floor)
     res = mellin_at_zero(inp, cfg, gamma_prime_1=gamma_prime_1)
     return MellinResult(-res.value0, -res.derivative0, res.error_estimate)
 

@@ -188,6 +188,21 @@ class TestTorsionCommand:
         code, _, err = run_cli(["torsion", "--m", "32", "--kmax", "16"], capsys)
         assert code == 1
         assert "m = 32" in err and "m*floor" in err
+        assert (
+            "m = 32: the trust floor t = 0.0625 of a table that stops at k_next = 17, "
+            "rescaled to m*floor = 2, reaches t = 1" in err
+        )
+
+    def test_table_too_short_for_the_heat_route(self, capsys):
+        # the heat route refuses first and has no rescale: the message names
+        # the floor and the table's k_next = kmax + 1, not an internal m = 1
+        code, _, err = run_cli(["torsion", "--m", "8", "--kmax", "1"], capsys)
+        assert code == 1
+        assert (
+            "the trust floor t = 4 of a table that stops at k_next = 2 reaches t = 1; "
+            "the spectrum table is too short for this weight" in err
+        )
+        assert "m = 1" not in err and "m*floor" not in err
 
 
 @pytest.mark.parametrize(

@@ -195,7 +195,7 @@ class TestHeatSupertrace:
         else:
             m = int(name[len("cp1_m"):])
             spec = cp1_spectrum(m, max(1024, m * m))
-        lam_min = spec.min_nonzero_eigenvalue
+        lam_min = min(spectral_gap(spec, q) for q in range(spec.n + 1))
         t_dead = 1000.0 / lam_min  # every term underflows
         rows = spec.lines.tolist()
         for t in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e2, 1e3, t_dead):
@@ -231,7 +231,7 @@ class TestHeatSupertrace:
         else:
             m = int(name[len("cp1_m"):])
             spec = cp1_spectrum(m, max(1024, m * m))
-        t_dead = 1000.0 / spec.min_nonzero_eigenvalue
+        t_dead = 1000.0 / min(spectral_gap(spec, q) for q in range(spec.n + 1))
         t = np.array([0.1, 1e-6, 10.0, t_dead, 1e-3, 0.1, 3e-5, 1.0, 1e-6, 2e-2])
         got = spec._supertrace_value(t)
         assert got.shape == t.shape and got.dtype == np.float64
@@ -289,7 +289,7 @@ class TestHeatSupertrace:
                 for _ in range(12)
             ]
             spec = SpectrumTable.from_lines(lines, n=1)
-            lam_min = spec.min_nonzero_eigenvalue
+            lam_min = spectral_gap(spec, 1)
             delta = 0.5
             ref = abs(heat_supertrace_N(spec, delta / 2, True).value)
             for t in (0.5, 1.0, 3.0, 10.0):
@@ -308,10 +308,65 @@ class TestHeatSupertrace:
             for t in (1.0 / m, 2.5 / m, 7.0 / m, 1.0, 3.0):
                 assert abs(heat_supertrace_N(spec, t, True).value) <= C * math.exp(-c * t)
 
+    @pytest.mark.parametrize("t_min", [1.0, 1.0 / 8, 1.0 / 64])
+    @pytest.mark.parametrize("index", range(12))
+    def test_decay_certificate_on_random_tables(self, index, t_min):
+        # finite n = 1, 2 tables with degree-0 lines below every weighted line
+        # and lines past the underflow cut, and general-law tables with extra
+        # stored rows: c is half the smallest weighted eigenvalue, and
+        # C e^{-c t} bounds the super trace for t >= t_min
+        spec = _certificate_table(index)
+        C, c = decay_certificate(spec, t_min)
+        lines = spec.lines
+        weighted = lines.lam[(lines.q >= 1) & (lines.lam > 0.0)]
+        assert c == weighted.min() / 2.0
+        if not spec.implied:
+            assert spectral_gap(spec, 0) < weighted.min()
+        for t in t_min * np.array([1.0, 1.25, 2.0, 3.0, 8.0, 40.0, 300.0]):
+            value = heat_supertrace_N(spec, float(t), True).value
+            # the product of the two exponentials may round below the exact
+            # e^{-lam t} of a dominant line by a few ulps
+            assert abs(value) <= C * math.exp(-c * t) * (1.0 + 1e-12)
+
+    def test_decay_certificate_of_a_table_without_weighted_lines(self):
+        spec = SpectrumTable.from_lines([(0, 2.0, 3), (1, 0.0, 2)], n=1)
+        assert decay_certificate(spec, 1.0) == (0.0, 1.0)
+
     def test_trust_floor_certifies(self):
         spec = cp1_spectrum(8, 500)
         floor = supertrace_trust_floor(spec, 1e-12)
         assert heat_supertrace_N(spec, floor, True).tail_bound <= 1e-12
+
+
+def _certificate_table(index: int) -> SpectrumTable:
+    """Table ``index`` of twelve: four finite n = 1, four finite n = 2, four
+    law-backed n = 1."""
+    rng = np.random.default_rng(2026 + index)
+    if index < 8:
+        n = 1 + index // 4
+        lines = [
+            (int(rng.integers(1, n + 1)), float(rng.uniform(0.5, 40.0)), int(rng.integers(1, 6)))
+            for _ in range(30)
+        ]
+        # lam t_min / 2 >= 745 already at t_min = 1 / 64
+        lines += [(int(rng.integers(1, n + 1)), float(rng.uniform(1e5, 1e6)), 2) for _ in range(3)]
+        low = min(lam for _, lam, _ in lines)
+        lines += [(0, float(rng.uniform(0.01, low)), int(rng.integers(1, 4))) for _ in range(5)]
+        lines += [(0, 0.0, 2), (1, 0.0, 1)]
+        return SpectrumTable.from_lines(lines, n=n)
+    law = QuadraticLaw(
+        float(rng.choice([0.25, 1.0, 3.7])),
+        float(rng.uniform(0.0, 40.0)),
+        float(rng.uniform(-0.2, 20.0)),
+        float(rng.integers(0, 4)),
+        float(rng.integers(1, 20)),
+    )
+    extra = [
+        (int(rng.integers(0, 2)), float(rng.uniform(0.1, 60.0)), int(rng.integers(1, 5)))
+        for _ in range(6)
+    ]
+    tail = QuadraticTail(201, law, (0, 1), covers_all_lines=True)
+    return SpectrumTable.from_law(extra, n=1, m=0, tail=tail)
 
 
 class TestSpectralGap:
@@ -388,7 +443,6 @@ class TestCp1Model:
             spec._outside_law,
             decay_certificate(spec, 1.0),
             decay_certificate(spec, 1.0 / max(m, 1)),
-            spec.min_nonzero_eigenvalue,
             spec.supertrace_N_kernel(),
         )
         assert "lines" not in vars(spec)
@@ -400,11 +454,11 @@ class TestCp1Model:
             stored._outside_law,
             decay_certificate(stored, 1.0),
             decay_certificate(stored, 1.0 / max(m, 1)),
-            stored.min_nonzero_eigenvalue,
             stored.supertrace_N_kernel(),
         )
         for got, ref in zip(_flat(views), _flat(want), strict=True):
             assert np.array_equal(got, ref)
+        assert spectral_gap(spec, 1) == spectral_gap(stored, 1)
 
     def test_from_law_validation(self):
         law = QuadraticLaw(a2=1.0, a1=3.0, a0=0.0, m1=2.0, m0=3.0)

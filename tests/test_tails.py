@@ -174,6 +174,46 @@ class TestTailBound:
         assert tail_bound(law, 2000, floor) <= 1e-12
         assert tail_bound(law, 2000, floor / 4.0) > 1e-12
 
+    def test_erfcx_matches_scipy(self):
+        from scipy.special import erfcx
+
+        zs = [5.0, math.nextafter(5.0, 0.0)]
+        zs += [10.0 * i / 4000 for i in range(4001)]
+        zs += [10.0 * 1e5 ** (i / 600) for i in range(601)]  # 10 .. 1e6
+        worst = max(abs(tails._erfcx(z) / erfcx(z) - 1.0) for z in zs)
+        assert worst <= 4e-15
+
+    def test_constant_multiplicity_part_matches_erfc_form(self):
+        # mu_const != 0: the bound is the integral of mu e^{-t lam} from
+        # x0 = k_start - 1, whose constant part carries e^{-t vertex_value}
+        # erfc(z); at t = 0.05 and 0.5 that factor alone overflows a float
+        law = QuadraticLaw(0.01, 40.0, 0.0, 0.0, 50.0)
+        assert law.mu_const == 50.0 and law.vertex_value == -40000.0
+        for t in (1e-3, 0.05, 0.5):
+            with mpmath.workdps(40):
+                a2, a1 = mpmath.mpf(law.a2), mpmath.mpf(law.a1)
+                z = mpmath.sqrt(a2 * t) * a1 / (2 * a2)
+                want = 50 * mpmath.sqrt(mpmath.pi) / (2 * mpmath.sqrt(a2 * t))
+                want *= mpmath.exp(t * a1 ** 2 / (4 * a2)) * mpmath.erfc(z)
+            got = tail_bound(law, 1, t)
+            assert got == pytest.approx(float(want), rel=1e-13)
+            assert brute_sum(law, 1, t) <= got
+
+    def test_deep_vertex_bound_is_finite(self):
+        # the law of a bare OverflowError: -t vertex_value = 882 at t = 1
+        law = QuadraticLaw(0.25, 30.0, 17.9, 4.0, 18.0)
+        assert -law.vertex_value > 709.0
+        assert 0.0 <= tail_bound(law, 513, 1.0) < 1e-300
+        assert 0.0 < trust_floor(law, 513, 1e-13) < 1.0
+
+    def test_negative_start_value_is_refused_not_raised(self):
+        # lam(x0) < 0 makes e^{-t lam(x0)} leave the float range as t grows
+        law = QuadraticLaw(1.0, -36.0, 6.0, 2.0, 17.0)
+        assert law.lam(20.0) < 0.0 < law.lam_prime(20.0)
+        assert tail_bound(law, 21, 1e3) == math.inf
+        with pytest.raises(DomainError, match="never reaches"):
+            trust_floor(law, 21, 1e-13)
+
 
 class TestZetaLogTail:
     def test_round_sphere_frozen_value(self):

@@ -11,9 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from crtorsion.errors import ArityError, DomainError, TwoPathMismatchError
+from hypothesis import example, given, settings, strategies as st
+
+from crtorsion.errors import ArityError, CrTorsionError, DomainError, TwoPathMismatchError
 from crtorsion.mellin import GAMMA_PRIME_1, QuadratureConfig
-from crtorsion.spectra import SpectrumTable, cp1_geometry, cp1_spectrum, trace_degree
+from crtorsion.spectra import (
+    QuadraticTail,
+    SpectrumTable,
+    cp1_geometry,
+    cp1_spectrum,
+    trace_degree,
+)
+from crtorsion.tails import QuadraticLaw
 from crtorsion.torsion import (
     TorsionReport,
     asympt_sweep,
@@ -473,16 +482,22 @@ class TestLawBackedReports:
         assert spec.stored.size == 1
 
     def test_tail_bound_calls_do_not_follow_the_nodes(self, monkeypatch):
-        # the trust floor certifies the omitted tail once per Mellin call;
-        # the integrand itself reads values only
+        # the trust floor certifies the omitted tail once per report, for
+        # the heat and the rescaled route alike; the integrand itself reads
+        # values only
         from crtorsion import spectra, tails
 
-        calls = {"tail_bound": 0, "nodes": 0}
+        calls = {"tail_bound": 0, "nodes": 0, "trust_floor": 0}
         tail_bound, value = tails.tail_bound, SpectrumTable._supertrace_value
+        trust_floor = tails.trust_floor
 
         def counting_bound(*args):
             calls["tail_bound"] += 1
             return tail_bound(*args)
+
+        def counting_floor(*args):
+            calls["trust_floor"] += 1
+            return trust_floor(*args)
 
         def counting_value(self, t):
             calls["nodes"] += 1
@@ -491,13 +506,49 @@ class TestLawBackedReports:
         monkeypatch.setattr(tails, "tail_bound", counting_bound)
         monkeypatch.setattr(spectra, "tail_bound", counting_bound)
         monkeypatch.setattr(SpectrumTable, "_supertrace_value", counting_value)
+        monkeypatch.setattr(spectra, "trust_floor", counting_floor)
         seen = []
         for cfg in (QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9), QuadratureConfig()):
-            calls.update(tail_bound=0, nodes=0)
+            calls.update(tail_bound=0, nodes=0, trust_floor=0)
             torsion_report(cp1_spectrum(32, 1024), cp1_geometry(), 32, cfg)
             seen.append(dict(calls))
         assert seen[0]["nodes"] < seen[1]["nodes"]
         assert seen[0]["tail_bound"] == seen[1]["tail_bound"] > 0
+        assert seen[0]["trust_floor"] == seen[1]["trust_floor"] == 1
+
+
+class TestGeneralLawReports:
+    # law-backed n = 1 tables beyond the circle bundle (mu_const != 0, deep
+    # vertices): every report passes its gate or raises a named error
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @example(a2=0.25, a1=30.0, a0=17.9, m1=4, m0=18, k_max=512, m=1)
+    @given(
+        a2=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.7]),
+        a1=st.floats(-3.0, 40.0),
+        a0=st.floats(-5.0, 20.0),
+        m1=st.integers(0, 4),
+        m0=st.integers(1, 20),
+        k_max=st.sampled_from([64, 512, 4096]),
+        m=st.sampled_from([1, 2, 8]),
+    )
+    def test_report_passes_or_names_its_error(self, a2, a1, a0, m1, m0, k_max, m):
+        law = QuadraticLaw(a2, a1, a0, float(m1), float(m0))
+        tail = QuadraticTail(k_max + 1, law, (0, 1), covers_all_lines=True)
+        try:
+            spec = SpectrumTable.from_law([], n=1, m=m, tail=tail)
+            rep = torsion_report(spec, cp1_geometry(), m)
+        except CrTorsionError:
+            return
+        assert abs(rep.theta_prime_0 - rep.theta_prime_0_direct) <= rep.error_budget
+
+    def test_deep_vertex_law_reports(self):
+        # -t vertex_value = 882 at the trust floor's first probe t = 1: this
+        # law raised a bare OverflowError before tail_bound used erfcx
+        law = QuadraticLaw(0.25, 30.0, 17.9, 4.0, 18.0)
+        tail = QuadraticTail(k_next=513, law=law, degrees=(0, 1), covers_all_lines=True)
+        spec = SpectrumTable.from_law([], n=1, m=0, tail=tail)
+        rep = torsion_report(spec, cp1_geometry(), 1)
+        assert math.isfinite(rep.theta_prime_0) and math.isfinite(rep.error_budget)
 
 
 class TestLargeWeight:
