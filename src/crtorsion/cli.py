@@ -214,7 +214,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     for lam, mult in ((2.0, 1), (5.0, 3)):
         spec = SpectrumTable.from_lines([(1, lam, mult)], n=1)
         got = theta_prime_zero_result(
-            spec, 1, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
+            spec, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
         ).derivative0
         worst = max(worst, abs(got - (-mult * math.log(lam))))
     record("one_line_zeta", worst, 1e-9)
@@ -223,7 +223,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     for _ in range(5):
         spec = _random_finite_spectrum(rng, n=int(rng.integers(1, 3)))
         heat = theta_prime_zero_result(
-            spec, spec.n, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
+            spec, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
         ).derivative0
         direct = theta_prime_zero_direct_result(spec)[0]
         worst = max(worst, abs(heat - direct))
@@ -384,17 +384,17 @@ def _series_dict(series: HalfPowerSeries) -> dict:
     }
 
 
-def _read_spectrum(name: str, n: int, m: int | None) -> SpectrumTable:
+def _read_spectrum(name: str, n: int) -> SpectrumTable:
     path = Path(name)
     if not path.is_file():
         raise CrTorsionError(f"spectrum file not found: {path}")
-    return ingest_spectrum(path.read_bytes(), n=n, m=m or 0)
+    return ingest_spectrum(path.read_bytes(), n=n)
 
 
 def _cmd_torsion(args) -> int:
     model = _resolve_geometry(args.geometry)
     if args.spectrum:
-        spec = _read_spectrum(args.spectrum, model.n, args.m)
+        spec = _read_spectrum(args.spectrum, model.n)
     elif args.m is None:
         raise CrTorsionError("either --spectrum or --m is required")
     else:
@@ -427,9 +427,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit(args) -> int:
     if not (args.tmin > 0 and args.tmax > 0):
         raise DomainError(f"--tmin and --tmax must be positive: {args.tmin:g}, {args.tmax:g}")
-    spec = _read_spectrum(args.spectrum, args.n, args.m)
+    spec = _read_spectrum(args.spectrum, args.n)
     grid = np.geomspace(args.tmin, args.tmax, args.points)
-    fit = extract_bhat(spec, args.n, args.terms, grid)
+    fit = extract_bhat(spec, args.terms, grid)
     payload = {
         "metadata": _metadata(args),
         "base_order": -args.n,
@@ -553,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[out, fmt], help="extract half-power expansion coefficients")
     p.add_argument("--spectrum", type=str, required=True)
     p.add_argument("--n", type=int, required=True, help="CR dimension parameter")
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--terms", type=int, default=5)
     p.add_argument("--tmin", type=float, default=1e-3)
     p.add_argument("--tmax", type=float, default=0.3)

@@ -36,9 +36,7 @@ from .series import fit_half_powers
 from .spectra import CP1_VOLUME, cp1_spectrum, trace_degree
 
 
-def galerkin_block_eigenvalues(
-    m: int, K: int, d1_offset: int = 0, null_tol: float = 1e-10
-) -> np.ndarray:
+def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray:
     """Sorted eigenvalues of the degree-0 block with difference vector
     d = (m + d1_offset, -d1_offset), antiholomorphic degree <= K.
 
@@ -51,8 +49,6 @@ def galerkin_block_eigenvalues(
     """
     if m < 0 or K < 1:
         raise DomainError("need m >= 0 and K >= 1")
-    if not 0 < null_tol < 1:
-        raise DomainError(f"need 0 < null_tol < 1, got {null_tol}")
     d1, d2 = m + d1_offset, -d1_offset
     tot = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
     b1 = np.arange(tot.size) - tot * (tot + 1) // 2
@@ -90,7 +86,7 @@ def galerkin_block_eigenvalues(
     # basis gives the eigenpairs (the SVD of the factor is less accurate).
     q = np.linalg.qr(_pivoted_cholesky(gram))[0]
     w, y = np.linalg.eigh(q.T @ gram @ q)
-    keep = w > null_tol * w.max()
+    keep = w > 1e-10 * w.max()  # drop the Gram matrix's numerical null space
     proj = (q @ y[:, keep]) / np.sqrt(w[keep])
     # The quadratic form is assembled entry by entry before it is projected:
     # its terms nearly cancel, and reducing each term on its own loses
@@ -180,22 +176,21 @@ def validate_eigenvalues(m: int, num_eigs: int = 10, basis_factor: int = 4) -> f
     return float(np.max(np.abs(eigs[:num_eigs] - expected) / np.maximum(expected, 1.0)))
 
 
-def validate_kernel_dimension(m: int, K: int = 6, zero_tol: float = 1e-8) -> int:
-    """Count zero modes across all difference-vector blocks.
+def validate_kernel_dimension(m: int) -> int:
+    """Count zero modes (|eigenvalue| < 1e-8) across all difference-vector
+    blocks of antiholomorphic degree <= 6.
 
     Blocks with d1_offset outside [-(m+2), 2] are provably empty of zero modes
     in this range check; the expected total is m + 1.
     """
     count = 0
     for off in range(-2, m + 3):
-        eigs = galerkin_block_eigenvalues(m, K, d1_offset=-off)
-        count += int(np.sum(np.abs(eigs) < zero_tol))
+        eigs = galerkin_block_eigenvalues(m, 6, d1_offset=-off)
+        count += int(np.sum(np.abs(eigs) < 1e-8))
     return count
 
 
-def validate_heat_coefficients(
-    m: int, k_max: int | None = None
-) -> Tuple[float, float]:
+def validate_heat_coefficients(m: int) -> Tuple[float, float]:
     """Relative errors of the fitted t^{-1}, t^0 coefficients of the rescaled
     degree-0 heat trace against the model-density prediction.
 
@@ -205,9 +200,7 @@ def validate_heat_coefficients(
     """
     if m < 1:
         raise DomainError(f"need weight m >= 1, got m={m}")
-    if k_max is None:
-        k_max = max(2048, 4 * m)
-    spec = cp1_spectrum(m, k_max)
+    spec = cp1_spectrum(m, max(2048, 4 * m))
     grid = np.geomspace(5e-3, 0.3, 48)
     samples = []
     for t in grid:

@@ -313,13 +313,12 @@ def fit_half_powers(
     samples: Sequence[tuple],
     base_order,
     num_terms: int,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> FitResult:
     """Fit value ~ sum_j c_j t^{base_order + j/2} by least squares.
 
     QR on a column-scaled Vandermonde in sqrt(t); the condition number of the
     scaled design matrix is reported, and IllConditionedWarning is attached
-    (not raised as an error) past ``cond_threshold``.
+    (not raised as an error) past ``DEFAULT_COND_THRESHOLD``.
     """
     if num_terms < 1:
         raise ArityError("num_terms must be >= 1")
@@ -342,10 +341,10 @@ def fit_half_powers(
     cond = float(np.linalg.cond(scaled))
     q, r = np.linalg.qr(scaled)
     coeffs = np.linalg.solve(r, q.T @ y) / scales
-    ill = cond > cond_threshold
+    ill = cond > DEFAULT_COND_THRESHOLD
     if ill:
         warnings.warn(
-            f"half-power fit condition number {cond:.3e} exceeds {cond_threshold:.1e}",
+            f"half-power fit condition number {cond:.3e} exceeds {DEFAULT_COND_THRESHOLD:.1e}",
             IllConditionedWarning,
             stacklevel=2,
         )

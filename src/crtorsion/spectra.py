@@ -77,6 +77,12 @@ class QuadraticTail:
     k_first: int = 1
     kind: str = field(default="quadratic", init=False)
 
+    @property
+    def weight(self) -> int:
+        """sum over ``degrees`` of (-1)^q q: the super-trace weight of one law
+        line, counted once in each tail degree."""
+        return sum(-q if q % 2 else q for q in self.degrees)
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
@@ -93,7 +99,6 @@ class SpectrumTable:
 
     stored: np.recarray
     n: int
-    m: int = 0
     tail: FiniteTail | QuadraticTail = field(default_factory=FiniteTail)
     implied: bool = False
 
@@ -102,20 +107,18 @@ class SpectrumTable:
         cls,
         lines: Iterable[Tuple[int, float, int]] | np.ndarray,
         n: int,
-        m: int = 0,
         tail: FiniteTail | QuadraticTail | None = None,
     ) -> "SpectrumTable":
         """Validate, merge and sort (q, lam, mult) rows: triples or an (N, 3)
         array.  Every row is stored."""
         tail = tail if tail is not None else FiniteTail()
-        return cls(_merged(*_validated(lines, n)), n, m, tail)
+        return cls(_merged(*_validated(lines, n)), n, tail)
 
     @classmethod
     def from_law(
         cls,
         lines: Iterable[Tuple[int, float, int]] | np.ndarray,
         n: int,
-        m: int,
         tail: QuadraticTail,
     ) -> "SpectrumTable":
         """The rows ``lines`` plus the lines k = k_first..k_next-1 of ``tail``'s
@@ -125,9 +128,11 @@ class SpectrumTable:
             raise DomainError("from_law needs a quadratic tail that covers the listed lines")
         if not all(0 <= q <= n for q in tail.degrees):
             raise DomainError(f"tail degrees {tail.degrees} outside [0, {n}]")
+        if tail.k_next < tail.k_first:
+            raise DomainError(f"k_next = {tail.k_next} < k_first = {tail.k_first}")
         law = tail.law
+        _require_positive(law, tail.k_first)
         if tail.k_next > tail.k_first:
-            _require_positive(law, tail.k_first)
             # mult is linear in k: integer and >= 1 at both ends covers the block
             for k in (tail.k_first, tail.k_next - 1):
                 if law.mult(k) < 1 or law.mult(k) != round(law.mult(k)):
@@ -140,7 +145,7 @@ class SpectrumTable:
             raise DomainError(
                 f"line {tuple(stored[covered][0].tolist())} is implied by the tail law"
             )
-        return cls(stored, n, m, tail, implied=True)
+        return cls(stored, n, tail, implied=True)
 
     # -- cached numeric views -------------------------------------------
 
@@ -186,8 +191,7 @@ class SpectrumTable:
         zero = lam == 0.0
         sel = ~zero & (w != 0.0)
         lam_b, mult_b = self._law_block()  # lam > 0 on the block (from_law)
-        degrees = self.tail.degrees if self.implied else ()
-        block_weight = float(sum(q if q % 2 == 0 else -q for q in degrees))
+        block_weight = float(self.tail.weight) if self.implied else 0.0
         if block_weight == 0.0:
             lam_b = mult_b = lam_b[:0]
         lams = np.concatenate((lam[sel], lam_b))
@@ -343,7 +347,7 @@ def trace_degree(
     _require_finite_positive(t, "trace_degree")
     lines = spec.lines[(spec.lines.q == q) & ((spec.lines.lam > 0.0) | (not nonzero_only))]
     x = lines.lam * t
-    value = float(np.sum(lines.mult * np.exp(-np.minimum(x, 745.0)) * (x < 745.0)))
+    value = float(np.sum(lines.mult * np.exp(-np.minimum(x, _UNDERFLOW)) * (x < _UNDERFLOW)))
     bound = 0.0
     if isinstance(spec.tail, QuadraticTail) and q in spec.tail.degrees:
         bound = tail_bound(spec.tail.law, spec.tail.k_next, t)
@@ -362,7 +366,7 @@ def _supertrace_tail_bound(spec: SpectrumTable, t: float) -> float:
         return 0.0
     if not isinstance(spec.tail, QuadraticTail):  # pragma: no cover
         raise UnsupportedTailError(f"unknown tail policy {spec.tail!r}")
-    weight = sum(q for q in spec.tail.degrees if q >= 1)
+    weight = sum(spec.tail.degrees)
     if weight == 0:
         return 0.0
     return weight * tail_bound(spec.tail.law, spec.tail.k_next, t)
@@ -376,7 +380,7 @@ def supertrace_trust_floor(spec: SpectrumTable, tol: float) -> float:
         return 0.0
     floors = spec._trust_floors
     if tol not in floors:
-        weight = max(1, sum(q for q in spec.tail.degrees if q >= 1))
+        weight = max(1, sum(spec.tail.degrees))
         floors[tol] = trust_floor(spec.tail.law, spec.tail.k_next, tol / weight)
     return floors[tol]
 
@@ -434,7 +438,7 @@ def cp1_spectrum(m: int, k_max: int) -> SpectrumTable:
     tail = QuadraticTail(
         k_next=k_max + 1, law=law, degrees=(0, 1), covers_all_lines=True, k_first=1
     )
-    return SpectrumTable.from_law([(0, 0.0, m + 1)], n=1, m=m, tail=tail)
+    return SpectrumTable.from_law([(0, 0.0, m + 1)], n=1, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -499,7 +503,7 @@ def dump_geometry(model: GeometryModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-def ingest_spectrum(source, n: int, m: int = 0) -> SpectrumTable:
+def ingest_spectrum(source, n: int) -> SpectrumTable:
     """Parse the CSV spectrum format: header ``q,lambda,mult``, UTF-8,
     ``#``-comments ignored; validates, merges duplicates, sorts.
     """
@@ -548,4 +552,4 @@ def ingest_spectrum(source, n: int, m: int = 0) -> SpectrumTable:
         rows.append((q, lam, mult))
     if not header_seen:
         raise ParseError(1, "missing header 'q,lambda,mult'")
-    return SpectrumTable.from_lines(rows, n=n, m=m, tail=FiniteTail())
+    return SpectrumTable.from_lines(rows, n=n, tail=FiniteTail())

@@ -51,15 +51,6 @@ class StratumIntegrand:
             if len(alpha) != self.r or any(a < 0 for a in alpha):
                 raise DomainError(f"bad multi-index {alpha} for r = {self.r}")
 
-    def evaluate(self, y) -> float:
-        acc = 0.0
-        for alpha, coeff in self.poly.items():
-            term = coeff
-            for yi, ai in zip(y, alpha):
-                term *= yi ** ai
-            acc += term
-        return acc
-
 
 def gaussian_stratum_expansion(
     integrand: StratumIntegrand, m: int, trunc_order
@@ -99,11 +90,9 @@ def stratum_suppression_envelope(m: int, d: float, C: float, eps: float, n: int)
     return C * float(m) ** n * math.exp(-eps * m * d * d)
 
 
-def quadrature_reference(
-    integrand: StratumIntegrand, m: int, t: float, radius_sigmas: float = 10.0
-) -> float:
+def quadrature_reference(integrand: StratumIntegrand, m: int, t: float) -> float:
     """Independent check: per-axis adaptive quadrature of the same integral
-    over the box |y_i| <= radius_sigmas * sqrt(t/(m c)).
+    over the box |y_i| <= 10 sqrt(t/(m c)).
 
     Tensorizes per monomial, so each factor is a 1-d integral
     int y^a e^{-s y^2} dy, taken by the package's adaptive Gauss-Kronrod rule.
@@ -111,7 +100,7 @@ def quadrature_reference(
     if t <= 0:
         raise DomainError("t must be positive")
     s = m * integrand.c / t
-    half_width = radius_sigmas / math.sqrt(s)
+    half_width = 10.0 / math.sqrt(s)
     total = 0.0
     cache: Dict[int, float] = {}
 

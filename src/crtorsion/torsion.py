@@ -74,15 +74,11 @@ def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[floa
             series = em_heat_series(law, spec.tail.k_first, trunc)
         except DomainError as exc:
             raise DomainError(f"closed_form_bhat with j_max = {j_max}: {exc}") from exc
-        for q in spec.tail.degrees:
-            if q < 1:
-                continue
-            w = q if q % 2 == 0 else -q
-            for j in range(j_max + 1):
-                e = -n + j / 2.0
-                if e < series.base_order or 2 * e >= series.trunc2:
-                    continue
-                coeffs[j] += w * series.coefficient(e)
+        weight = spec.tail.weight
+        for j in range(j_max + 1):
+            e = -n + j / 2.0
+            if series.base_order <= e and 2 * e < series.trunc2:
+                coeffs[j] += weight * series.coefficient(e)
     elif isinstance(spec.tail, QuadraticTail):
         raise UnsupportedTailError(
             "tail law does not cover the listed lines; use extract_bhat"
@@ -100,7 +96,6 @@ def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[floa
 
 def extract_bhat(
     spec: SpectrumTable,
-    n: int,
     num_terms: int,
     t_grid: Sequence[float],
 ) -> FitResult:
@@ -109,6 +104,7 @@ def extract_bhat(
     The grid must lie where the truncation tail bound is negligible relative
     to the sampled values; violating grids raise DomainError.
     """
+    n = spec.n
     if num_terms > 2 * n + 2 + DEFAULT_JMAX_EXTRA:
         raise ArityError(f"num_terms {num_terms} beyond supported ladder")
     samples = []
@@ -130,7 +126,6 @@ def extract_bhat(
 
 def _theta_mellin(
     spec: SpectrumTable,
-    n: int,
     bhat: Sequence[float],
     m: int,
     cfg: QuadratureConfig,
@@ -144,6 +139,7 @@ def _theta_mellin(
     m * floor and the decay certificate to t >= 1/m.  At m = 1 every
     rescaling is exact, so this is the heat route itself.
     """
+    n = spec.n
     if len(bhat) < 2 * n + 1:
         raise ArityError(
             f"bhat must supply the ladder through t^0: need {2 * n + 1} "
@@ -173,13 +169,12 @@ def _theta_mellin(
 
 def theta_prime_zero_result(
     spec: SpectrumTable,
-    n: int,
     bhat: Sequence[float],
     cfg: QuadratureConfig | None = None,
     gamma_prime_1: float = GAMMA_PRIME_1,
 ) -> MellinResult:
     """Heat-kernel route: (theta(0), theta'(0), error) by the four-term formula."""
-    return _theta_mellin(spec, n, bhat, 1, cfg or QuadratureConfig(), gamma_prime_1)
+    return _theta_mellin(spec, bhat, 1, cfg or QuadratureConfig(), gamma_prime_1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +204,9 @@ def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
         law = spec.tail.law
         k_anchor = spec.tail.k_first if spec.tail.covers_all_lines else spec.tail.k_next
         _, deriv, zerr = zeta_log_tail(law, k_anchor)
-        for q in spec.tail.degrees:
-            if q < 1:
-                continue
-            w = -(q if q % 2 == 0 else -q)  # (-1)^{q+1} q
-            terms.append(w * deriv)
-            err += abs(w) * zerr
+        if spec.tail.weight:
+            terms.append(-spec.tail.weight * deriv)
+        err += sum(spec.tail.degrees) * zerr
     elif not isinstance(spec.tail, FiniteTail):
         raise UnsupportedTailError(f"unsupported tail policy {spec.tail!r}")
     lam, w = spec._outside_law
@@ -284,21 +276,22 @@ def torsion_report(
     model: GeometryModel,
     m: int,
     cfg: QuadratureConfig | None = None,
-    bhat: Sequence[float] | None = None,
 ) -> TorsionReport:
-    """Build the full report for one Fourier weight."""
-    cfg = cfg or QuadratureConfig()
+    """Build the full report for Fourier weight ``m``; ``spec`` and ``model``
+    must describe the same dimension n."""
     n = model.n
-    if bhat is None:
-        bhat = closed_form_bhat(spec)
-    heat = theta_prime_zero_result(spec, n, bhat, cfg)
+    if spec.n != n:
+        raise DomainError(f"spectrum table has n = {spec.n}, geometry has n = {n}")
+    cfg = cfg or QuadratureConfig()
+    bhat = closed_form_bhat(spec)
+    heat = theta_prime_zero_result(spec, bhat, cfg)
     direct, err_direct = theta_prime_zero_direct_result(spec)
     budget = 3.0 * (heat.error_estimate + err_direct) + 1e-9 * (1.0 + abs(direct))
     rhs = torsion_rhs(model, m)
     mn = float(m) ** n
     # theta~ of m^{-n} S(t/m), built directly: theta_prime_zero_result is the
     # heat route (m = 1) only
-    tilde = _theta_mellin(spec, n, bhat, m, cfg)
+    tilde = _theta_mellin(spec, bhat, m, cfg)
     gap = abs(heat.derivative0 / mn + math.log(m) * tilde.value0 - tilde.derivative0)
     return TorsionReport(
         m=m,
@@ -330,9 +323,9 @@ def asympt_sweep(
     return [torsion_report(spectrum_source(m), model, m, cfg) for m in ms]
 
 
-def residual_trend_ok(reports: Sequence[TorsionReport], last: int = 3) -> bool:
-    """Strict decrease of |residual| over the final ``last`` reports."""
-    rs = [abs(r.residual) for r in reports[-last:]]
+def residual_trend_ok(reports: Sequence[TorsionReport]) -> bool:
+    """Strict decrease of |residual| over the final three reports."""
+    rs = [abs(r.residual) for r in reports[-3:]]
     return all(b < a for a, b in zip(rs, rs[1:]))
 
 

@@ -163,12 +163,12 @@ def test_criterion_5_two_path_agreement(cp1_gate):
             for _ in range(n_lines)
         ]
         spec = SpectrumTable.from_lines(lines, n=n)
-        heat = theta_prime_zero_result(spec, n, closed_form_bhat(spec)).derivative0
+        heat = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
         direct = theta_prime_zero_direct_result(spec)[0]
         worst_finite = max(worst_finite, abs(heat - direct))
     assert worst_finite < 1e-8
     spec = cp1_spectrum(10, 10_000)
-    heat = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
+    heat = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
     direct = theta_prime_zero_direct_result(spec)[0]
     gap_cp1 = abs(heat - direct)
     elapsed = time.time() - t0

@@ -284,6 +284,13 @@ def test_bad_flag_value_is_usage_error(cargs, capsys):
 
 
 class TestFitCommand:
+    def test_weight_flag_is_unknown(self, capsys):
+        # a table carries no Fourier weight, so fit takes none
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--spectrum", "s.csv", "--n", "1", "--m", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --m 3" in capsys.readouterr().err
+
     def test_non_finite_row_fails(self, tmp_path, capsys):
         spath = tmp_path / "s.csv"
         spath.write_text("q,lambda,mult\n1,0.5,2\n1,nan,2\n")

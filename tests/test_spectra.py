@@ -366,7 +366,7 @@ def _certificate_table(index: int) -> SpectrumTable:
         for _ in range(6)
     ]
     tail = QuadraticTail(201, law, (0, 1), covers_all_lines=True)
-    return SpectrumTable.from_law(extra, n=1, m=0, tail=tail)
+    return SpectrumTable.from_law(extra, n=1, tail=tail)
 
 
 class TestSpectralGap:
@@ -446,7 +446,7 @@ class TestCp1Model:
             spec.supertrace_N_kernel(),
         )
         assert "lines" not in vars(spec)
-        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, m=m, tail=spec.tail)
+        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, tail=spec.tail)
         assert stored.lines.dtype == spec.lines.dtype
         assert np.array_equal(stored.lines, spec.lines)
         want = (
@@ -463,7 +463,7 @@ class TestCp1Model:
     def test_from_law_validation(self):
         law = QuadraticLaw(a2=1.0, a1=3.0, a0=0.0, m1=2.0, m0=3.0)
         tail = QuadraticTail(k_next=5, law=law, degrees=(0, 1), covers_all_lines=True)
-        assert SpectrumTable.from_law([], n=1, m=2, tail=tail).lines.size == 8
+        assert SpectrumTable.from_law([], n=1, tail=tail).lines.size == 8
         bad_tails = (
             dataclasses.replace(tail, covers_all_lines=False),
             dataclasses.replace(tail, degrees=(0, 2)),
@@ -473,12 +473,27 @@ class TestCp1Model:
         )
         for bad in bad_tails:
             with pytest.raises(DomainError):
-                SpectrumTable.from_law([], n=1, m=2, tail=bad)
+                SpectrumTable.from_law([], n=1, tail=bad)
         with pytest.raises(DomainError):
-            SpectrumTable.from_law([], n=1, m=2, tail=FiniteTail())
+            SpectrumTable.from_law([], n=1, tail=FiniteTail())
         # a stored line of the implied block would count twice
         with pytest.raises(DomainError, match="implied by the tail law"):
-            SpectrumTable.from_law([(1, 10.0, 7)], n=1, m=2, tail=tail)
+            SpectrumTable.from_law([(1, 10.0, 7)], n=1, tail=tail)
+        # positivity is checked from k_first on even when the implied block is
+        # empty: lam(21) = -309 here
+        negative = QuadraticTail(21, QuadraticLaw(1.0, -36.0, 6.0, 2.0, 17.0), (0, 1), True, 21)
+        with pytest.raises(DomainError, match="positive"):
+            SpectrumTable.from_law([], n=1, tail=negative)
+        with pytest.raises(DomainError, match="k_next = 5 < k_first = 21"):
+            SpectrumTable.from_law([], n=1, tail=dataclasses.replace(tail, k_first=21))
+
+    @pytest.mark.parametrize(
+        "degrees, weight", [((0, 1), -1), ((1, 2), 1), ((0, 1, 2), 1), ((2,), 2)]
+    )
+    def test_tail_weight(self, degrees, weight):
+        # sum over the tail degrees of (-1)^q q
+        law = QuadraticLaw(a2=1.0, a1=3.0, a0=0.0, m1=2.0, m0=3.0)
+        assert QuadraticTail(5, law, degrees, covers_all_lines=True).weight == weight
 
     def test_rescaled_trace_approaches_model_density(self):
         # m^{-1} Tr^(0)[e^{-(t/m) Box}] -> vol (2 pi)^{-2} / (1 - e^{-t})

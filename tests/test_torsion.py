@@ -22,7 +22,7 @@ from crtorsion.spectra import (
     cp1_spectrum,
     trace_degree,
 )
-from crtorsion.tails import QuadraticLaw
+from crtorsion.tails import QuadraticLaw, em_heat_series, zeta_log_tail
 from crtorsion.torsion import (
     TorsionReport,
     asympt_sweep,
@@ -145,7 +145,7 @@ class TestLinesOutsideLaw:
         # and a degree-1 zero mode
         extra = [(1, 7.5, 2), (1, 51.0 * 57.0, 1), (0, 3.3, 4), (1, 0.0, 1)]
         tail = QuadraticTail(k_max + 1, base.tail.law, (0, 1), covers_all_lines=True)
-        spec = SpectrumTable.from_lines(base.lines.tolist() + extra, n=1, m=m, tail=tail)
+        spec = SpectrumTable.from_lines(base.lines.tolist() + extra, n=1, tail=tail)
         want, scale = _taylor_loop(extra, 1, 10)
         for g, b, w, s in zip(closed_form_bhat(spec), closed_form_bhat(base), want, scale):
             assert abs((g - b) - w) <= 1e-14 * (abs(b) + s)
@@ -153,7 +153,7 @@ class TestLinesOutsideLaw:
         want, scale = _log_loop(extra)
         assert abs((direct - base_direct) - want) <= 1e-14 * (abs(base_direct) + scale)
         # the same table with the law lines implied, not stored
-        implied = SpectrumTable.from_law([(0, 0.0, m + 1)] + extra, n=1, m=m, tail=tail)
+        implied = SpectrumTable.from_law([(0, 0.0, m + 1)] + extra, n=1, tail=tail)
         assert np.array_equal(implied.lines, spec.lines)
         assert closed_form_bhat(implied) == closed_form_bhat(spec)
         assert theta_prime_zero_direct_result(implied) == theta_prime_zero_direct_result(spec)
@@ -164,7 +164,7 @@ class TestExtractBhat:
         m = 20
         spec = cp1_spectrum(m, 2048)
         grid = np.geomspace(2e-4, 2e-2, 40)
-        fit = extract_bhat(spec, 1, 5, grid)
+        fit = extract_bhat(spec, 5, grid)
         bh = closed_form_bhat(spec)
         assert fit[0] == pytest.approx(bh[0], rel=1e-6)
         assert fit[0] < 0
@@ -177,7 +177,7 @@ class TestExtractBhat:
     def test_grid_below_floor_rejected(self):
         spec = cp1_spectrum(4, 32)  # tiny table: floor is large
         with pytest.raises(DomainError):
-            extract_bhat(spec, 1, 4, [1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+            extract_bhat(spec, 4, [1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
 
     def test_rescaled_coefficients_approach_density_limit(self):
         # bhat_0 / m -> (1/2pi) * hatA_0 integral = 1/2 over the m-sweep
@@ -185,40 +185,40 @@ class TestExtractBhat:
         for m in (16, 32, 64):
             spec = cp1_spectrum(m, 2048)
             grid = np.geomspace(2e-4, 2e-2, 40)
-            fit = extract_bhat(spec, 1, 5, grid)
+            fit = extract_bhat(spec, 5, grid)
             vals.append(fit[2] / m)
         errs = [abs(v - 0.5) for v in vals]
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 0.02
         # bhat_{-1} is already at its limit -1
         spec = cp1_spectrum(64, 2048)
-        fit = extract_bhat(spec, 1, 5, np.geomspace(2e-4, 2e-2, 40))
+        fit = extract_bhat(spec, 5, np.geomspace(2e-4, 2e-2, 40))
         assert fit[0] == pytest.approx(-1.0, abs=1e-4)
 
 
 class TestHeatRoute:
     def test_no_nonzero_modes_gives_zero(self):
         spec = SpectrumTable.from_lines([(0, 0.0, 4)], n=1)
-        got = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
+        got = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
         assert got == 0.0
 
     def test_one_line_zeta_oracle(self):
         for lam, mult in ((2.0, 1), (5.0, 3)):
             spec = SpectrumTable.from_lines([(1, lam, mult)], n=1)
-            got = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
+            got = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
             assert got == pytest.approx(-mult * math.log(lam), abs=1e-10)
 
     @pytest.mark.parametrize("lam, mult", [(2.0, 1), (5.0, 3)])
     def test_value_at_zero_is_theta0(self, lam, mult):
         # theta(0) = -M[STr N e^{-t Box}](0) = -(-mult) for one degree-1 line
         spec = SpectrumTable.from_lines([(1, lam, mult)], n=1)
-        res = theta_prime_zero_result(spec, 1, closed_form_bhat(spec))
+        res = theta_prime_zero_result(spec, closed_form_bhat(spec))
         assert res.value0 == mult
 
     def test_bhat_arity(self):
         spec = SpectrumTable.from_lines([(1, 2.0, 1)], n=1)
         with pytest.raises(ArityError):
-            theta_prime_zero_result(spec, 1, [0.0, 0.0]).derivative0
+            theta_prime_zero_result(spec, [0.0, 0.0]).derivative0
 
     def test_gamma_mutation_shifts_by_exact_amount(self):
         # replacing Gamma'(1) by 0 must change the result by exactly
@@ -226,8 +226,8 @@ class TestHeatRoute:
         rng = np.random.default_rng(77)
         spec = random_finite_spectrum(rng)
         bh = closed_form_bhat(spec)
-        base = theta_prime_zero_result(spec, 1, bh).derivative0
-        mutated = theta_prime_zero_result(spec, 1, bh, gamma_prime_1=0.0).derivative0
+        base = theta_prime_zero_result(spec, bh).derivative0
+        mutated = theta_prime_zero_result(spec, bh, gamma_prime_1=0.0).derivative0
         expected_shift = abs(
             GAMMA_PRIME_1 * (bh[2] - spec.supertrace_N_kernel())
         )
@@ -254,18 +254,24 @@ class TestDirectRoute:
         assert abs(a - b) < 1e-6
 
 
+def _three_degree_law_table() -> SpectrumTable:
+    law = QuadraticLaw(a2=1.0, a1=3.0, a0=0.0, m1=2.0, m0=3.0)
+    tail = QuadraticTail(k_next=65, law=law, degrees=(0, 1, 2), covers_all_lines=True)
+    return SpectrumTable.from_law([(0, 0.0, 3)], n=2, tail=tail)
+
+
 class TestTwoPathConsistency:
     def test_finite_random_spectra(self):
         rng = np.random.default_rng(123)
         for _ in range(8):
             spec = random_finite_spectrum(rng, n=int(rng.integers(1, 3)))
-            heat = theta_prime_zero_result(spec, spec.n, closed_form_bhat(spec)).derivative0
+            heat = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
             direct = theta_prime_zero_direct_result(spec)[0]
             assert abs(heat - direct) < 1e-10
 
     def test_cp1_m10(self):
         spec = cp1_spectrum(10, 10_000)
-        heat = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
+        heat = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
         direct = theta_prime_zero_direct_result(spec)[0]
         assert abs(heat - direct) < 1e-5
 
@@ -276,15 +282,37 @@ class TestTwoPathConsistency:
             [(1, 0.0, 3), (1, 2.0, 1), (2, 5.0, 2), (0, 0.0, 4)], n=2
         )
         assert spec.supertrace_N_kernel() == -3.0
-        heat = theta_prime_zero_result(spec, 2, closed_form_bhat(spec)).derivative0
+        heat = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
         direct = theta_prime_zero_direct_result(spec)[0]
         want = -math.log(2.0) + 4.0 * math.log(5.0)
         assert direct == pytest.approx(want, rel=1e-15)
         assert abs(heat - direct) < 1e-10
 
+    def test_three_degree_law_matches_per_degree_sums(self):
+        # an n = 2 law table in degrees 0, 1, 2: the tail weight -1 + 2 adds
+        # the same terms as a per-degree loop, -c and 2c, with no rounding
+        spec = _three_degree_law_table()
+        tail = spec.tail
+        series = em_heat_series(tail.law, tail.k_first, 4.5)
+        want = [0.0] * 13
+        for q in tail.degrees:
+            w = -q if q % 2 else q
+            for j in range(13):
+                e = -2 + j / 2.0
+                if q and series.base_order <= e and 2 * e < series.trunc2:
+                    want[j] += w * series.coefficient(e)
+        assert closed_form_bhat(spec) == want
+        _, deriv, _ = zeta_log_tail(tail.law, tail.k_first)
+        terms = [(q if q % 2 else -q) * deriv for q in tail.degrees if q]
+        assert theta_prime_zero_direct_result(spec)[0] == math.fsum(terms)
+
+    def test_report_rejects_geometry_of_another_dimension(self):
+        with pytest.raises(DomainError, match="n = 2.*n = 1"):
+            torsion_report(_three_degree_law_table(), cp1_geometry(), 8)
+
     def test_round_sphere_heat_route(self):
         spec = cp1_spectrum(0, 2048)
-        heat = theta_prime_zero_result(spec, 1, closed_form_bhat(spec)).derivative0
+        heat = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
         assert heat == pytest.approx(ROUND_SPHERE_THETA_PRIME, abs=1e-7)
 
     def test_coefficient_error_propagation(self):
@@ -298,15 +326,15 @@ class TestTwoPathConsistency:
         spec = cp1_spectrum(m, 4096)
         floor = supertrace_trust_floor(spec, 1e-13)
         bh = closed_form_bhat(spec)
-        base = theta_prime_zero_result(spec, 1, bh).derivative0
+        base = theta_prime_zero_result(spec, bh).derivative0
         eps = 1e-3
         low = list(bh)
         low[0] += eps  # t^{-1} slot
-        shifted = theta_prime_zero_result(spec, 1, low).derivative0
+        shifted = theta_prime_zero_result(spec, low).derivative0
         assert abs(shifted - base) == pytest.approx(eps / floor, rel=0.2)
         mid = list(bh)
         mid[2] += eps  # t^0 slot
-        shifted0 = theta_prime_zero_result(spec, 1, mid).derivative0
+        shifted0 = theta_prime_zero_result(spec, mid).derivative0
         assert abs(shifted0 - base) == pytest.approx(
             eps * (math.log(1.0 / floor) - 0.5772156649), rel=0.2
         )
@@ -318,10 +346,10 @@ class TestTwoPathConsistency:
         spec = cp1_spectrum(m, 4096)
         floor = supertrace_trust_floor(spec, 1e-13)
         grid = np.geomspace(1e-4, 2e-2, 48)
-        fitted = list(extract_bhat(spec, 1, 5, grid).coeffs)
+        fitted = list(extract_bhat(spec, 5, grid).coeffs)
         bh = closed_form_bhat(spec)
         hybrid = fitted + list(bh[5:])  # extended floor-model terms stay exact
-        heat = theta_prime_zero_result(spec, 1, hybrid).derivative0
+        heat = theta_prime_zero_result(spec, hybrid).derivative0
         direct = theta_prime_zero_direct_result(spec)[0]
         budget = 3.0 * (
             abs(fitted[0] - bh[0]) / floor
@@ -417,7 +445,7 @@ class TestMetricRescaling:
         tail = QuadraticTail(
             k_next=2049, law=law, degrees=(0, 1), covers_all_lines=True, k_first=1
         )
-        scaled_spec = SpectrumTable.from_lines(lines, n=1, m=m, tail=tail)
+        scaled_spec = SpectrumTable.from_lines(lines, n=1, tail=tail)
         geom = GeometryModel(1, LeviSpectrum(1, (c,)), 4 * math.pi ** 2 / c, 1)
         rep0 = torsion_report(base, cp1_geometry(), m)
         rep1 = torsion_report(scaled_spec, geom, m)
@@ -472,7 +500,7 @@ class TestLawBackedReports:
     @pytest.mark.parametrize("m", [0, 1, 8, 128])
     def test_same_report_as_stored_rows(self, m, k_max):
         spec = cp1_spectrum(m, k_max)
-        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, m=m, tail=spec.tail)
+        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, tail=spec.tail)
         assert _report_or_error(cp1_spectrum(m, k_max), m) == _report_or_error(stored, m)
 
     def test_report_never_builds_lines(self):
@@ -535,7 +563,7 @@ class TestGeneralLawReports:
         law = QuadraticLaw(a2, a1, a0, float(m1), float(m0))
         tail = QuadraticTail(k_max + 1, law, (0, 1), covers_all_lines=True)
         try:
-            spec = SpectrumTable.from_law([], n=1, m=m, tail=tail)
+            spec = SpectrumTable.from_law([], n=1, tail=tail)
             rep = torsion_report(spec, cp1_geometry(), m)
         except CrTorsionError:
             return
@@ -546,7 +574,7 @@ class TestGeneralLawReports:
         # law raised a bare OverflowError before tail_bound used erfcx
         law = QuadraticLaw(0.25, 30.0, 17.9, 4.0, 18.0)
         tail = QuadraticTail(k_next=513, law=law, degrees=(0, 1), covers_all_lines=True)
-        spec = SpectrumTable.from_law([], n=1, m=0, tail=tail)
+        spec = SpectrumTable.from_law([], n=1, tail=tail)
         rep = torsion_report(spec, cp1_geometry(), 1)
         assert math.isfinite(rep.theta_prime_0) and math.isfinite(rep.error_budget)
 
@@ -582,9 +610,9 @@ class TestLargeWeight:
 
         monkeypatch.setattr(SpectrumTable, "_supertrace_value", counting_value)
         nodes.append(0)
-        theta_prime_zero_result(spec, 1, bhat)
+        theta_prime_zero_result(spec, bhat)
         nodes.append(0)
-        torsion._theta_mellin(spec, 1, bhat, 512, QuadratureConfig())
+        torsion._theta_mellin(spec, bhat, 512, QuadratureConfig())
         heat, tilde = nodes
         assert 0 < tilde <= heat
 
