@@ -116,6 +116,8 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     Returns (exit_code, checks) where checks is a list of dicts with name,
     measured error, tolerance, and verdict.  Deterministic for a fixed seed.
     """
+    if seed < 0:  # numpy's generator takes no negative seed
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     qcfg = QuadratureConfig(abs_tol=min(tol, 1e-9), rel_tol=min(tol, 1e-9))
     checks = []

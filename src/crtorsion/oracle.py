@@ -25,6 +25,7 @@ are k (k + m + 1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -34,6 +35,16 @@ from .density import LeviSpectrum, model_density_coeffs
 from .errors import DomainError
 from .series import fit_half_powers
 from .spectra import CP1_VOLUME, cp1_spectrum, trace_degree
+
+
+#: Gram columns formed per step of the sweep that projects the two forms
+_PANEL = 32
+
+
+def _require_int(**values: int) -> None:
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {name}={value!r}")
 
 
 def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray:
@@ -46,9 +57,16 @@ def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray
     quadratic form is
     b1_i b1_j M(B + (-1, 1)) - (b1_i b2_j + b2_i b1_j) M(B)
     + b2_i b2_j M(B + (1, -1)), with M normalized by the monomial norms.
+
+    No n x n matrix is formed: the factor reads the Gram matrix a column at
+    a time, and both forms are projected onto its range panel by panel, so
+    memory is O(n (rank + _PANEL)) for n basis monomials.
     """
-    if m < 0 or K < 1:
-        raise DomainError("need m >= 0 and K >= 1")
+    _require_int(m=m, K=K, d1_offset=d1_offset)
+    if m < 0:
+        raise DomainError(f"need m >= 0, got m={m}")
+    if K < 1:
+        raise DomainError(f"need K >= 1, got K={K}")
     d1, d2 = m + d1_offset, -d1_offset
     tot = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
     b1 = np.arange(tot.size) - tot * (tot + 1) // 2
@@ -64,62 +82,81 @@ def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray
     n1, n2 = 2 * b1.max() + d1 + 2, 2 * b2.max() + d2 + 2
     log_fact = np.array([math.lgamma(k + 1) for k in range(n1 + n2)])
     g1, g2 = np.arange(n1)[:, None], np.arange(n2)
-    log_moment = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
-    log_moment = np.pad(log_moment, 1, constant_values=-np.inf).ravel()
+    log_moment = np.full((n1 + 2, n2 + 2), -np.inf)
+    log_moment[1:-1, 1:-1] = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
+    log_moment = log_moment.ravel()
     width = n2 + 2
     row = (b1 * width + b2).astype(np.int32)
-    idx = np.add.outer(row, row + np.int32((d1 + 1) * width + d2 + 1))
-    log_norm = -0.5 * log_moment[idx.diagonal()]
+    col_row = row + np.int32((d1 + 1) * width + d2 + 1)  # B_ij at row_i + col_row_j
+    log_norm = -0.5 * log_moment[row + col_row]
 
-    def moments(out: np.ndarray) -> np.ndarray:
-        """Normalized moments at the flat indices ``idx``, written into ``out``."""
+    def column(p: int) -> np.ndarray:
+        """Column p of the Gram matrix.  The norms are added as one sum, so
+        column(p)[i] == column(i)[p] exactly."""
+        return np.exp(log_moment[col_row[p]:][row] + (log_norm + log_norm[p]))
+
+    def moments(shift: int, idx: np.ndarray, norm: np.ndarray, out=None) -> np.ndarray:
+        """Normalized moments at the flat indices ``idx + shift``."""
         # "clip" writes straight into out; the default "raise" buffers a copy
-        np.take(log_moment, idx, out=out, mode="clip")
-        out += log_norm[:, None]
-        out += log_norm
+        out = np.take(log_moment[shift:], idx, out=out, mode="clip")
+        out += norm
         return np.exp(out, out=out)
 
-    gram = moments(np.empty(idx.shape))
     # On the sphere |z1|^2 + |z2|^2 = 1 makes every lower-degree monomial a
     # combination of degree-K ones, so the Gram matrix has rank <= K + 1.
     # Pivoted Cholesky finds that range; Rayleigh-Ritz on its orthonormal
     # basis gives the eigenpairs (the SVD of the factor is less accurate).
-    q = np.linalg.qr(_pivoted_cholesky(gram))[0]
-    w, y = np.linalg.eigh(q.T @ gram @ q)
+    # The diagonal is exp(log M_ii - 2 (0.5 log M_ii)) = exp(0) = 1 exactly.
+    q = np.linalg.qr(_pivoted_cholesky(np.ones(b1.size), column))[0]
+    # One sweep over column panels projects the Gram matrix and the quadratic
+    # form.  The form is assembled entry by entry before it is projected: its
+    # terms nearly cancel, and reducing each term on its own loses digits.
+    # Indices are taken at B + (-1, 1); B and B + (1, -1) lie width - 1 and
+    # 2 (width - 1) further on.
+    low = col_row + np.int32(1 - width)
+    rank = q.shape[1]
+    gram_q, quad_q = np.zeros((rank, rank)), np.zeros((rank, rank))
+    for start in range(0, b1.size, _PANEL):
+        cols = slice(start, start + _PANEL)
+        idx = np.add.outer(row, low[cols])
+        norm = np.add.outer(log_norm, log_norm[cols])
+        gram = moments(width - 1, idx, norm)
+        quad = gram * b2[cols]
+        quad *= -b1[:, None]
+        term = gram * b1[cols]
+        term *= -b2[:, None]
+        quad += term
+        for shift, b in ((0, b1), (2 * (width - 1), b2)):
+            moments(shift, idx, norm, out=term)
+            term *= b[:, None]
+            term *= b[cols]
+            quad += term
+        gram_q += (q.T @ gram) @ q[cols]
+        quad_q += (q.T @ quad) @ q[cols]
+    w, y = np.linalg.eigh(gram_q)
     keep = w > 1e-10 * w.max()  # drop the Gram matrix's numerical null space
-    proj = (q @ y[:, keep]) / np.sqrt(w[keep])
-    # The quadratic form is assembled entry by entry before it is projected:
-    # its terms nearly cancel, and reducing each term on its own loses
-    # digits.  It is built in the Gram matrix's room, with one scratch table.
-    scratch = gram * b2
-    scratch *= -b1[:, None]
-    quad = np.add(scratch, scratch.T, out=gram)
-    for shift, b in ((1 - width, b1), (2 * (width - 1), b2)):
-        idx += np.int32(shift)
-        moments(scratch)
-        scratch *= b[:, None]
-        scratch *= b
-        quad += scratch
-    return np.sort(np.linalg.eigvalsh(proj.T @ quad @ proj))
+    z = y[:, keep] / np.sqrt(w[keep])
+    return np.linalg.eigvalsh(z.T @ quad_q @ z)  # ascending
 
 
-def _pivoted_cholesky(a: np.ndarray) -> np.ndarray:
-    """Factor L, rows in the order of ``a``, with a = L L^T on the range of
-    the positive semidefinite ``a``: rank columns, by Cholesky with diagonal
-    pivoting that reads the lower triangle of ``a`` only.
+def _pivoted_cholesky(diag: np.ndarray, column) -> np.ndarray:
+    """Factor L, rows in input order, with a = L L^T on the range of the
+    positive semidefinite, symmetric matrix a = [column(0), column(1), ...]
+    of diagonal ``diag``: rank columns, by Cholesky with diagonal pivoting
+    that asks for one column of a per step.
 
     LAPACK's dpstrf at its default tolerance, step for step: each step takes
     the largest remaining diagonal a_ii - sum_k L_ik^2 as pivot (the first on
     ties, in dpstrf's swap order) and stops once it is at most
-    n * u * max_i a_ii, u = 2^-53; the pivot's column is its column of ``a``
+    n * u * max_i a_ii, u = 2^-53; the pivot's column is its column of a
     less the product of the earlier columns with the pivot's row, times
-    1 / sqrt(pivot).  Columns are stored as the rows of L^T.
+    1 / sqrt(pivot).  Columns are stored as the rows of L^T, in a buffer
+    that doubles when the rank outgrows it.
     """
-    n = a.shape[0]
-    diag = a.diagonal()
+    n = diag.size
     sumsq = np.zeros(n)
     perm = np.arange(n)  # dpstrf's row order, for its tie-breaking
-    lt = np.empty((n, n))  # only the rows of finished steps are touched
+    lt = np.empty((min(n, 16), n))
     stop = n * (np.finfo(float).eps / 2.0) * diag.max()
     rank = 0
     for j in range(n):
@@ -131,12 +168,12 @@ def _pivoted_cholesky(a: np.ndarray) -> np.ndarray:
         pivot = int(perm[p])
         perm[p], perm[j] = perm[j], pivot
         ajj = math.sqrt(ajj)
-        col = np.concatenate((a[pivot, :pivot], a[pivot:, pivot]))
-        if j:
-            col -= lt[:j].T @ lt[:j, pivot]
+        col = column(pivot) - lt[:j].T @ lt[:j, pivot]
         col *= 1.0 / ajj
         col[perm[:j]] = 0.0
         col[pivot] = ajj
+        if j == lt.shape[0]:
+            lt = np.concatenate((lt, np.empty_like(lt)))
         lt[j] = col
         col *= col
         sumsq += col
@@ -160,6 +197,7 @@ def validate_eigenvalues(m: int, num_eigs: int = 10, basis_factor: int = 4) -> f
     Raises DomainError when the null-space cut keeps fewer than ``num_eigs``
     eigenvalues, rather than checking only those it kept.
     """
+    _require_int(m=m, num_eigs=num_eigs, basis_factor=basis_factor)
     if num_eigs < 1:
         raise DomainError(f"need num_eigs >= 1, got num_eigs={num_eigs}")
     if basis_factor < 1:
@@ -183,6 +221,9 @@ def validate_kernel_dimension(m: int) -> int:
     Blocks with d1_offset outside [-(m+2), 2] are provably empty of zero modes
     in this range check; the expected total is m + 1.
     """
+    _require_int(m=m)
+    if m < 0:
+        raise DomainError(f"need m >= 0, got m={m}")
     count = 0
     for off in range(-2, m + 3):
         eigs = galerkin_block_eigenvalues(m, 6, d1_offset=-off)

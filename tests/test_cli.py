@@ -216,10 +216,11 @@ class TestTorsionCommand:
         (["torsion", "--m", "8", "--tol", "nan"], "abs_tol must be positive and finite"),
         (["sweep", "--ms", "8,16", "--tol", "inf"], "abs_tol must be positive and finite"),
         (["selfcheck", "--tol", "nan"], "abs_tol must be positive and finite"),
+        (["selfcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
     ids=[
         "torsion-m0", "sweep-m0", "torsion-kmax0", "torsion-kmax-neg", "sweep-kmax0",
-        "torsion-tol-nan", "sweep-tol-inf", "selfcheck-tol-nan",
+        "torsion-tol-nan", "sweep-tol-inf", "selfcheck-tol-nan", "selfcheck-seed-neg",
     ],
 )
 def test_zero_or_non_finite_value_is_named_error(cargs, message, capsys):
@@ -228,6 +229,7 @@ def test_zero_or_non_finite_value_is_named_error(cargs, message, capsys):
     code, out, err = run_cli(cargs, capsys)
     assert code == 1
     assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1  # one line, no traceback
     assert out == ""
 
 

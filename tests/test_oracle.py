@@ -1,6 +1,7 @@
 """Galerkin validation gate for the circle-bundle closed-form spectrum."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -191,6 +192,32 @@ CRITERION_10_BLOCKS = [(m, 40, 0) for m in (1, 5)] + [
 ]
 
 
+def _gram_and_column(m, K, off):
+    """The block's full Gram matrix, assembled from the column generator
+    the block hands to its factor, and that generator (None, None for an
+    empty block)."""
+    seen, factor = [], oracle._pivoted_cholesky
+
+    def record(diag, column):
+        seen.append((diag, column))
+        return factor(diag, column)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_pivoted_cholesky", record)
+        galerkin_block_eigenvalues(m, K, off)
+    if not seen:
+        return None, None
+    diag, column = seen[0]
+    gram = np.column_stack([column(p) for p in range(diag.size)])
+    np.testing.assert_array_equal(gram.diagonal(), diag)
+    return gram, column
+
+
+def _factor_of(gram):
+    """The numpy factor fed by columns of a full matrix."""
+    return oracle._pivoted_cholesky(gram.diagonal(), lambda p: gram[:, p].copy())
+
+
 class TestPivotedCholesky:
     @pytest.mark.parametrize(
         "m, K, off",
@@ -198,24 +225,19 @@ class TestPivotedCholesky:
         + [(m, K, off) for m in (1, 5) for K in (6, 20, 40) for off in (0, 2, -2)],
     )
     def test_matches_dpstrf(self, m, K, off, monkeypatch):
-        grams = []
-        factor = oracle._pivoted_cholesky
-
-        def keep_gram(gram):
-            grams.append(gram.copy())
-            return factor(gram)
-
-        monkeypatch.setattr(oracle, "_pivoted_cholesky", keep_gram)
         got = galerkin_block_eigenvalues(m, K, off)
-        if not grams:  # an empty block has no Gram matrix
+        gram, _ = _gram_and_column(m, K, off)
+        if gram is None:  # an empty block has no Gram matrix
             assert got.size == 0
             return
         # The last pivots sit at the n u max(diag) stop, on roundoff: there
         # the order of dgemv's sums inside LAPACK decides, and the rank may
         # differ by one.  The null-space cut discards those directions.
-        rank, rank_lapack = factor(grams[0]).shape[1], _dpstrf_factor(grams[0]).shape[1]
+        rank, rank_lapack = _factor_of(gram).shape[1], _dpstrf_factor(gram).shape[1]
         assert abs(rank - rank_lapack) <= 1
-        monkeypatch.setattr(oracle, "_pivoted_cholesky", _dpstrf_factor)
+        monkeypatch.setattr(
+            oracle, "_pivoted_cholesky", lambda diag, column: _dpstrf_factor(gram)
+        )
         want = galerkin_block_eigenvalues(m, K, off)
         assert got.shape == want.shape
         assert np.array_equal(np.abs(got) < 1e-8, np.abs(want) < 1e-8)
@@ -231,9 +253,47 @@ class TestPivotedCholesky:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 7))
         a = x @ x.T
-        basis = oracle._pivoted_cholesky(a)
+        basis = _factor_of(a)
         assert basis.shape == (30, 7)
         np.testing.assert_allclose(basis @ basis.T, a, atol=1e-12 * np.abs(a).max())
+
+
+@pytest.mark.parametrize("m, K, off", [(1, 40, 0), (5, 40, 0), (7, 6, 0), (3, 10, -5)])
+def test_gram_columns_exactly_symmetric(m, K, off):
+    # column(p)[i] == column(i)[p] bit for bit, for every p and i
+    gram, _ = _gram_and_column(m, K, off)
+    np.testing.assert_array_equal(gram, gram.T)
+
+
+class TestBlockMemory:
+    @staticmethod
+    def _peak_bytes(m, K):
+        galerkin_block_eigenvalues(m, K)  # numpy's lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            eigs = galerkin_block_eigenvalues(m, K)
+            return eigs, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_criterion_10_block_holds_no_square_matrix(self):
+        # n = 861 monomials: one n x n float matrix is 5.9 MB.  The previous
+        # assembly held n x n index, Gram, scratch and factor arrays and
+        # peaked at 21.4 MB here; the panelled sweep peaks near 1.9 MB.
+        eigs, peak = self._peak_bytes(5, 40)
+        assert len(eigs) == 26
+        assert peak < 3e6
+
+    def test_k80_block_in_linear_memory(self):
+        # n = 3321 monomials: one n x n float matrix would be 88 MB, and
+        # the previous assembly peaked at 312 MB here; now near 7.3 MB
+        m, K = 1, 80
+        eigs, peak = self._peak_bytes(m, K)
+        k = np.arange(20)
+        expected = k * (k + m + 1.0)
+        rel = np.abs(eigs[:20] - expected) / np.maximum(expected, 1.0)
+        assert rel.max() < 1e-12
+        assert peak < 12e6
 
 
 class TestKernelDimension:
@@ -274,10 +334,35 @@ def test_gate_without_kernel_weights_rejected():
 @pytest.mark.parametrize("kwargs, name", [
     ({"num_eigs": 0}, "num_eigs"),
     ({"basis_factor": 0}, "basis_factor"),
+    ({"num_eigs": 2.5}, "num_eigs"),
+    ({"basis_factor": 4.0}, "basis_factor"),
+    ({"m": 1.5}, "m"),
+    ({"m": -1}, "m"),
 ])
 def test_eigenvalue_check_names_bad_argument(kwargs, name):
-    with pytest.raises(DomainError, match=name):
-        validate_eigenvalues(1, **kwargs)
+    kwargs = {"m": 1, **kwargs}
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        validate_eigenvalues(**kwargs)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((-1, 6), "m"),
+    ((1.0, 6), "m"),
+    ((1, 0), "K"),
+    ((1, 6.0), "K"),
+    ((1, "6"), "K"),
+    ((1, 6, 0.5), "d1_offset"),
+])
+def test_block_names_bad_argument(args, name):
+    with pytest.raises(DomainError, match=rf"\b{name}="):
+        galerkin_block_eigenvalues(*args)
+
+
+@pytest.mark.parametrize("m", [-1, -5, 2.0])
+def test_kernel_count_names_bad_weight(m):
+    # a negative m gave an empty offset range and returned 0 zero modes
+    with pytest.raises(DomainError, match=r"\bm="):
+        validate_kernel_dimension(m)
 
 
 def test_criterion_10_report_pinned():
