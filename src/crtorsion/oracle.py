@@ -19,13 +19,18 @@ g1! g2! / (|g| + 1)!.
 
 The quadratic form is ||Zbar u||^2 with Zbar = z2 d/dzbar1 - z1 d/dzbar2,
 normalized so that the model's Levi eigenvalue is 1; the expected eigenvalues
-are k (k + m + 1).
+are k (k + m + 1).  Zbar takes the block of difference d and degree <= K into
+the image block of difference d + (1, 1) and degree <= K - 1, two terms per
+monomial, so the form is the Gram matrix of the images, H^T G_W H.  Both
+projected forms, q^T G q on an orthonormal basis q of the Gram matrix's range
+and (H q)^T G_W (H q), come from one sweep that forms only the column panels
+on and below the diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -34,33 +39,67 @@ import numpy as np
 from .density import LeviSpectrum, model_density_coeffs
 from .errors import DomainError
 from .series import fit_half_powers
-from .spectra import CP1_VOLUME, cp1_spectrum, trace_degree
+from .spectra import _UNDERFLOW, CP1_VOLUME, _require_int, cp1_spectrum
+from .tails import tail_bound
 
 
 #: Gram columns formed per step of the sweep that projects the two forms
 _PANEL = 32
 
+#: log of g1! g2! / (g1 + g2 + 1)! on a grid of g >= 0, grown on demand and
+#: shared by every block (``_log_moments``).  math.lgamma, not scipy's
+#: gammaln: the top eigenvalues of a block are conditioned at ~1e-9 and show
+#: last-bit differences in the moments.
+_log_moment_grid = np.zeros((0, 0))
 
-def _require_int(**values: int) -> None:
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {name}={value!r}")
+
+def _log_moments(n1: int, n2: int) -> np.ndarray:
+    """The grid of log moments, at least n1 x n2."""
+    global _log_moment_grid
+    s1, s2 = _log_moment_grid.shape
+    if s1 < n1 or s2 < n2:
+        s1, s2 = max(n1, s1), max(n2, s2)
+        log_fact = np.array([math.lgamma(k + 1) for k in range(s1 + s2)])
+        g1, g2 = np.arange(s1)[:, None], np.arange(s2)
+        _log_moment_grid = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
+    return _log_moment_grid
+
+
+@functools.lru_cache(maxsize=16)
+def _triangle(K: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(b1, b2, up, coef), shared by every block of degree K: all (b1, b2) of
+    degree <= K, by degree and then b1, so the first K (K + 1) / 2 are those
+    of degree <= K - 1; for each such c, up[:, c] holds the places of c + e1
+    and c + e2, and coef[:, c] = (c1 + 1, -(c2 + 1)) the coefficients of the
+    image monomial c in Zbar of those two."""
+    tot = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
+    b1 = np.arange(tot.size) - tot * (tot + 1) // 2
+    b2 = tot - b1
+    c = slice(0, K * (K + 1) // 2)
+    above = np.arange(c.stop) + tot[c] + 2
+    out = (b1, b2, np.stack((above, above - 1)), np.stack((b1[c] + 1, -(b2[c] + 1))))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray:
     """Sorted eigenvalues of the degree-0 block with difference vector
     d = (m + d1_offset, -d1_offset), antiholomorphic degree <= K.
 
-    The basis is z^alpha zbar^beta with alpha = beta + d, so every entry of
-    both matrices is a moment at B = beta_i + beta_j + d: the Gram entry is
-    M(B) and, since both Zbar terms shift alpha - beta by (1, 1), the
-    quadratic form is
-    b1_i b1_j M(B + (-1, 1)) - (b1_i b2_j + b2_i b1_j) M(B)
-    + b2_i b2_j M(B + (1, -1)), with M normalized by the monomial norms.
+    The basis is z^alpha zbar^beta with alpha = beta + d, normalized, so the
+    Gram entry of beta_i, beta_j is the normalized moment M(beta_i + beta_j + d).
+    Zbar maps z^alpha zbar^beta to
+    b1 z^(alpha+e2) zbar^(beta-e1) - b2 z^(alpha+e1) zbar^(beta-e2): monomials
+    of the image block, difference d + (1, 1) and degree <= K - 1.  With H
+    that two-term map onto the normalized image monomials and G_W their Gram
+    matrix, the quadratic form ||Zbar u||^2 is H^T G_W H.
 
     No n x n matrix is formed: the factor reads the Gram matrix a column at
-    a time, and both forms are projected onto its range panel by panel, so
-    memory is O(n (rank + _PANEL)) for n basis monomials.
+    a time, giving an orthonormal basis q of its range, and the two projected
+    forms q^T G q and (H q)^T G_W (H q) come from one panelled sweep
+    (``_projected_gram``), so memory is O(n (rank + _PANEL)) for n basis
+    monomials.
     """
     _require_int(m=m, K=K, d1_offset=d1_offset)
     if m < 0:
@@ -68,75 +107,74 @@ def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray
     if K < 1:
         raise DomainError(f"need K >= 1, got K={K}")
     d1, d2 = m + d1_offset, -d1_offset
-    tot = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
-    b1 = np.arange(tot.size) - tot * (tot + 1) // 2
-    b2 = tot - b1
-    inside = (b1 + d1 >= 0) & (b2 + d2 >= 0)
-    b1, b2 = b1[inside], b2[inside]
-    if not b1.size:
+    b1, b2, up, coef = _triangle(K)
+    inside = (b1 >= -d1) & (b2 >= -d2)
+    n = int(np.count_nonzero(inside))
+    if not n:
         return np.array([])
-    # log of g1! g2! / (g1+g2+1)!, padded with -inf (a zero moment) so the
-    # shifted lookups at g = -1 (where the Zbar coefficient is 0) stay in
-    # range.  math.lgamma, not scipy's gammaln: the top eigenvalues of a block
-    # are conditioned at ~1e-9 and show last-bit differences in the moments.
-    n1, n2 = 2 * b1.max() + d1 + 2, 2 * b2.max() + d2 + 2
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n1 + n2)])
-    g1, g2 = np.arange(n1)[:, None], np.arange(n2)
-    log_moment = np.full((n1 + 2, n2 + 2), -np.inf)
-    log_moment[1:-1, 1:-1] = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
-    log_moment = log_moment.ravel()
-    width = n2 + 2
-    row = (b1 * width + b2).astype(np.int32)
-    col_row = row + np.int32((d1 + 1) * width + d2 + 1)  # B_ij at row_i + col_row_j
-    log_norm = -0.5 * log_moment[row + col_row]
+    # Both blocks read one grid of log moments, the image at an offset of
+    # (1, 1).  The block's largest b1 is K - max(0, -d2), and the image's
+    # largest g is one step above the block's in each coordinate.
+    top1, top2 = K - max(0, -d2), K - max(0, -d1)
+    grid = _log_moments(2 * top1 + d1 + 2, 2 * top2 + d2 + 2)
+    width, log_moment = grid.shape[1], grid.ravel()
+    flat = (b1 * width + b2).astype(np.int32)
+    row = flat[inside]
+    shift = d1 * width + d2  # B_ij at row_i + row_j + shift
+    log_norm = -0.5 * log_moment[2 * row + shift]
+    col_row = row + np.int32(shift)
 
     def column(p: int) -> np.ndarray:
         """Column p of the Gram matrix.  The norms are added as one sum, so
         column(p)[i] == column(i)[p] exactly."""
         return np.exp(log_moment[col_row[p]:][row] + (log_norm + log_norm[p]))
 
-    def moments(shift: int, idx: np.ndarray, norm: np.ndarray, out=None) -> np.ndarray:
-        """Normalized moments at the flat indices ``idx + shift``."""
-        # "clip" writes straight into out; the default "raise" buffers a copy
-        out = np.take(log_moment[shift:], idx, out=out, mode="clip")
-        out += norm
-        return np.exp(out, out=out)
-
     # On the sphere |z1|^2 + |z2|^2 = 1 makes every lower-degree monomial a
     # combination of degree-K ones, so the Gram matrix has rank <= K + 1.
     # Pivoted Cholesky finds that range; Rayleigh-Ritz on its orthonormal
     # basis gives the eigenpairs (the SVD of the factor is less accurate).
     # The diagonal is exp(log M_ii - 2 (0.5 log M_ii)) = exp(0) = 1 exactly.
-    q = np.linalg.qr(_pivoted_cholesky(np.ones(b1.size), column))[0]
-    # One sweep over column panels projects the Gram matrix and the quadratic
-    # form.  The form is assembled entry by entry before it is projected: its
-    # terms nearly cancel, and reducing each term on its own loses digits.
-    # Indices are taken at B + (-1, 1); B and B + (1, -1) lie width - 1 and
-    # 2 (width - 1) further on.
-    low = col_row + np.int32(1 - width)
-    rank = q.shape[1]
-    gram_q, quad_q = np.zeros((rank, rank)), np.zeros((rank, rank))
-    for start in range(0, b1.size, _PANEL):
-        cols = slice(start, start + _PANEL)
-        idx = np.add.outer(row, low[cols])
-        norm = np.add.outer(log_norm, log_norm[cols])
-        gram = moments(width - 1, idx, norm)
-        quad = gram * b2[cols]
-        quad *= -b1[:, None]
-        term = gram * b1[cols]
-        term *= -b2[:, None]
-        quad += term
-        for shift, b in ((0, b1), (2 * (width - 1), b2)):
-            moments(shift, idx, norm, out=term)
-            term *= b[:, None]
-            term *= b[cols]
-            quad += term
-        gram_q += (q.T @ gram) @ q[cols]
-        quad_q += (q.T @ quad) @ q[cols]
+    q = np.linalg.qr(_pivoted_cholesky(np.ones(n), column))[0]
+    gram_q = _projected_gram(log_moment, row, shift, log_norm, q)
+    # H q on the image monomials that Zbar reaches from the block.  pos is
+    # each beta's place in the block, or n off it, where q has a zero row.
+    pos = np.full(b1.size, n)
+    pos[inside] = np.arange(n)
+    via = pos[up]
+    hit = via.min(axis=0) < n
+    via, img_row = via[:, hit], flat[: up.shape[1]][hit]
+    img_shift = shift + width + 1
+    img_log_norm = -0.5 * log_moment[2 * img_row + img_shift]
+    # H between the normalized monomials: coef * exp(log_norm_beta - img_log_norm_c)
+    h = coef[:, hit] * np.exp(np.concatenate((log_norm, [0.0]))[via] - img_log_norm)
+    ext_q = np.concatenate((q, np.zeros((1, q.shape[1]))))
+    hq = h[0, :, None] * ext_q[via[0]] + h[1, :, None] * ext_q[via[1]]
+    quad_q = _projected_gram(log_moment, img_row, img_shift, img_log_norm, hq)
     w, y = np.linalg.eigh(gram_q)
     keep = w > 1e-10 * w.max()  # drop the Gram matrix's numerical null space
     z = y[:, keep] / np.sqrt(w[keep])
     return np.linalg.eigvalsh(z.T @ quad_q @ z)  # ascending
+
+
+def _projected_gram(
+    log_moment: np.ndarray, row: np.ndarray, shift: int, log_norm: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """x^T G x, exactly symmetric, for the Gram matrix
+    G_ij = exp(log_moment[row_i + row_j + shift] + (log_norm_i + log_norm_j)).
+
+    Only the panels of _PANEL columns on and below the diagonal are formed:
+    with each diagonal block halved they sum to a T with T + T^T = x^T G x.
+    """
+    col_row = row + np.int32(shift)
+    half = np.zeros((x.shape[1], x.shape[1]))
+    for start in range(0, row.size, _PANEL):
+        cols = slice(start, start + _PANEL)
+        g = np.take(log_moment, np.add.outer(row[start:], col_row[cols]))
+        g += np.add.outer(log_norm[start:], log_norm[cols])
+        np.exp(g, out=g)
+        g[:_PANEL] *= 0.5  # the diagonal block
+        half += (x[start:].T @ g) @ x[cols]
+    return half + half.T
 
 
 def _pivoted_cholesky(diag: np.ndarray, column) -> np.ndarray:
@@ -239,16 +277,25 @@ def validate_heat_coefficients(m: int) -> Tuple[float, float]:
     vol * (2 pi)^{-2} * a/(1 - e^{-a t}) with a = 1 as m grows; in this
     convention the t^{-1} coefficient is 1 and the t^0 coefficient is 1/2.
     """
+    _require_int(m=m)
     if m < 1:
         raise DomainError(f"need weight m >= 1, got m={m}")
     spec = cp1_spectrum(m, max(2048, 4 * m))
     grid = np.geomspace(5e-3, 0.3, 48)
-    samples = []
-    for t in grid:
-        tv = trace_degree(spec, 0, t / m, nonzero_only=False)
-        if tv.tail_bound > 1e-10:
-            raise DomainError("heat-coefficient grid extends below trust floor")
-        samples.append((float(t), tv.value / m))
+    nodes = grid / m
+    if any(tail_bound(spec.tail.law, spec.tail.k_next, t) > 1e-10 for t in nodes):
+        raise DomainError("heat-coefficient grid extends below trust floor")
+    # trace_degree(spec, 0, t, nonzero_only=False) at every node in one array,
+    # row by row as it sums one node.  Its terms past the cut are 0.0 here
+    # too, but from exp(0) rather than from exp's slow subnormal path.
+    lines = spec.lines[spec.lines.q == 0]
+    x = np.multiply.outer(nodes, lines.lam)
+    cut = x < _UNDERFLOW
+    x *= cut
+    np.exp(np.negative(x, out=x), out=x)
+    x *= lines.mult
+    x *= cut
+    samples = list(zip(grid.tolist(), (x.sum(axis=1) / m).tolist()))
     fit = fit_half_powers(samples, -1, 5)
     density = model_density_coeffs(LeviSpectrum(1, (1.0,)), 1, 2)
     empty = density[frozenset()]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Tuple
@@ -354,6 +355,13 @@ def trace_degree(
     return TraceValue(value, bound)
 
 
+def _require_int(**values: int) -> None:
+    """DomainError naming the first value that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {name}={value!r}")
+
+
 def _require_finite_positive(t: float, what: str) -> None:
     if not 0.0 < t < math.inf:
         raise DomainError(f"{what} requires 0 < t < inf, got t = {t!r}")
@@ -430,6 +438,7 @@ def cp1_spectrum(m: int, k_max: int) -> SpectrumTable:
     the lines k = 1..k_max are implied by the same law: only the kernel row
     is stored.
     """
+    _require_int(m=m, k_max=k_max)
     if m < 0:
         raise DomainError("m must be >= 0")
     if k_max < 1:

@@ -10,6 +10,7 @@ from scipy.linalg import lapack
 
 from crtorsion import oracle
 from crtorsion.errors import DomainError
+from crtorsion.spectra import cp1_spectrum, trace_degree
 from crtorsion.oracle import (
     galerkin_block_eigenvalues,
     validate_cp1,
@@ -34,9 +35,10 @@ def _zbar_terms(alpha, beta):
     return out
 
 
-def _loop_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
-    """Reference: the entry-by-entry assembly, with the equality test on the
-    Zbar terms' difference vectors spelled out."""
+def _loop_forms(m, K, d1_offset=0):
+    """Reference: the block's Gram matrix and quadratic form, assembled entry
+    by entry, with the equality test on the Zbar terms' difference vectors
+    spelled out (None, None for an empty block)."""
     d = (m + d1_offset, -d1_offset)
     basis = []
     for tot in range(K + 1):
@@ -46,7 +48,7 @@ def _loop_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
             if alpha[0] >= 0 and alpha[1] >= 0:
                 basis.append(((b1, b2), alpha))
     if not basis:
-        return np.array([])
+        return None, None
     nb = len(basis)
     norms = np.array([0.5 * _moment_log(b[0] + a[0], b[1] + a[1]) for (b, a) in basis])
     gram = np.empty((nb, nb))
@@ -69,6 +71,15 @@ def _loop_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
                             _moment_log(gg[0], gg[1]) - norms[i] - norms[j]
                         )
             quad[i, j] = acc
+    return gram, quad
+
+
+def _loop_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
+    """Reference: Rayleigh-Ritz on the entry-by-entry forms, with the null
+    space cut from an eigendecomposition of the whole Gram matrix."""
+    gram, quad = _loop_forms(m, K, d1_offset)
+    if gram is None:
+        return np.array([])
     w, v = np.linalg.eigh(gram)
     keep = w > null_tol * w.max()
     proj = v[:, keep] / np.sqrt(w[keep])
@@ -265,6 +276,26 @@ def test_gram_columns_exactly_symmetric(m, K, off):
     np.testing.assert_array_equal(gram, gram.T)
 
 
+@pytest.mark.parametrize("m, K, off", [(1, 20, 0), (5, 30, -2), (3, 10, -5)])
+def test_projected_forms_match_dense(m, K, off, monkeypatch):
+    # The block sweeps q^T G q, then (H q)^T G_W (H q) with H the Zbar map
+    # onto the image block: both exactly symmetric, and equal to the dense
+    # projections of the entry-by-entry Gram matrix and quadratic form.
+    calls, sweep = [], oracle._projected_gram
+
+    def record(*args):
+        calls.append((args[-1], sweep(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "_projected_gram", record)
+    galerkin_block_eigenvalues(m, K, off)
+    (q, gram_q), (_, quad_q) = calls
+    gram, quad = _loop_forms(m, K, off)
+    for swept, dense in ((gram_q, q.T @ gram @ q), (quad_q, q.T @ quad @ q)):
+        np.testing.assert_array_equal(swept, swept.T)
+        assert np.abs(swept - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
 class TestBlockMemory:
     @staticmethod
     def _peak_bytes(m, K):
@@ -277,16 +308,17 @@ class TestBlockMemory:
             tracemalloc.stop()
 
     def test_criterion_10_block_holds_no_square_matrix(self):
-        # n = 861 monomials: one n x n float matrix is 5.9 MB.  The previous
-        # assembly held n x n index, Gram, scratch and factor arrays and
-        # peaked at 21.4 MB here; the panelled sweep peaks near 1.9 MB.
+        # n = 861 monomials: one n x n float matrix is 5.9 MB.  An assembly
+        # holding n x n index, Gram, scratch and factor arrays peaked at
+        # 21.4 MB here; the panelled sweeps of the block and its image peak
+        # near 1.7 MB.
         eigs, peak = self._peak_bytes(5, 40)
         assert len(eigs) == 26
         assert peak < 3e6
 
     def test_k80_block_in_linear_memory(self):
-        # n = 3321 monomials: one n x n float matrix would be 88 MB, and
-        # the previous assembly peaked at 312 MB here; now near 7.3 MB
+        # n = 3321 monomials: one n x n float matrix would be 88 MB, and an
+        # n x n assembly peaked at 312 MB here; now near 7.2 MB
         m, K = 1, 80
         eigs, peak = self._peak_bytes(m, K)
         k = np.arange(20)
@@ -318,6 +350,47 @@ class TestHeatCoefficients:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="m >= 1"):
                 validate_heat_coefficients(0)
+
+    @pytest.mark.parametrize("m", [2.5, 64.0])
+    def test_non_integer_weight_named(self, m):
+        with pytest.raises(DomainError, match=r"\bm="):
+            validate_heat_coefficients(m)
+
+    @staticmethod
+    def _fitted_samples(m, monkeypatch):
+        seen, fit = [], oracle.fit_half_powers
+
+        def record(samples, *args):
+            seen.append(samples)
+            return fit(samples, *args)
+
+        monkeypatch.setattr(oracle, "fit_half_powers", record)
+        validate_heat_coefficients(m)
+        return seen[0]
+
+    @pytest.mark.parametrize("m", [1, 7, 64, 128, 1000])
+    def test_grid_equals_per_node_traces(self, m, monkeypatch):
+        # the one-pass grid, bit for bit, against one trace_degree per node
+        grid = np.geomspace(5e-3, 0.3, 48)
+        spec = cp1_spectrum(m, max(2048, 4 * m))
+        want = [
+            (float(t), trace_degree(spec, 0, t / m, nonzero_only=False).value / m)
+            for t in grid
+        ]
+        assert self._fitted_samples(m, monkeypatch) == want
+
+    def test_node_past_tail_bound_rejected(self, monkeypatch):
+        # cut at k_max = 64, the table's tail bound exceeds 1e-10 at the
+        # smallest nodes only, as trace_degree reports it
+        m, spec = 8, cp1_spectrum(8, 64)
+        bounds = [
+            trace_degree(spec, 0, t / m, nonzero_only=False).tail_bound
+            for t in np.geomspace(5e-3, 0.3, 48)
+        ]
+        assert max(bounds) > 1e-10 > min(bounds)
+        monkeypatch.setattr(oracle, "cp1_spectrum", lambda m, k_max: spec)
+        with pytest.raises(DomainError, match="below trust floor"):
+            validate_heat_coefficients(m)
 
 
 def test_gate_without_eigenvalue_weights_rejected():

@@ -431,6 +431,18 @@ class TestCp1Model:
         with pytest.raises(DomainError):
             cp1_spectrum(3, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((3, 2.5), "k_max"),
+        ((3, 64.0), "k_max"),
+        ((2.5, 64), "m"),
+        ((3.0, 64), "m"),
+    ])
+    def test_non_integer_argument_named(self, args, name):
+        # k_max = 2.5 built a tail with k_next = 3.5, and m = 2.5 blamed a
+        # law multiplicity 5.5 the caller never passed
+        with pytest.raises(DomainError, match=rf"\b{name}="):
+            cp1_spectrum(*args)
+
     @pytest.mark.parametrize("k_max", [1, 4, 1024])
     @pytest.mark.parametrize("m", [0, 1, 8, 128])
     def test_law_backed_table_matches_stored_rows(self, m, k_max):
