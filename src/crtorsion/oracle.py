@@ -39,32 +39,26 @@ import numpy as np
 from .density import LeviSpectrum, model_density_coeffs
 from .errors import DomainError
 from .series import fit_half_powers
-from .spectra import _UNDERFLOW, CP1_VOLUME, _require_int, cp1_spectrum
-from .tails import tail_bound
+from .spectra import CP1_VOLUME, _require_int, cp1_spectrum, trace_degree_nodes
 
 
 #: Gram columns formed per step of the sweep that projects the two forms
 _PANEL = 32
 
-#: log of g1! g2! / (g1 + g2 + 1)! on a grid of g >= 0, grown on demand and
-#: shared by every block (``_log_moments``).  math.lgamma, not scipy's
-#: gammaln: the top eigenvalues of a block are conditioned at ~1e-9 and show
-#: last-bit differences in the moments.
-_log_moment_grid = np.zeros((0, 0))
-
 
 def _log_moments(n1: int, n2: int) -> np.ndarray:
-    """The grid of log moments, at least n1 x n2."""
-    global _log_moment_grid
-    s1, s2 = _log_moment_grid.shape
-    if s1 < n1 or s2 < n2:
-        s1, s2 = max(n1, s1), max(n2, s2)
-        log_fact = np.array([math.lgamma(k + 1) for k in range(s1 + s2)])
-        g1, g2 = np.arange(s1)[:, None], np.arange(s2)
-        _log_moment_grid = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
-    return _log_moment_grid
+    """log of g1! g2! / (g1 + g2 + 1)! on the n1 x n2 grid of g >= 0.
+
+    math.lgamma, not scipy's gammaln: the top eigenvalues of a block are
+    conditioned at ~1e-9 and show last-bit differences in the moments.
+    """
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n1 + n2)])
+    g1, g2 = np.arange(n1)[:, None], np.arange(n2)
+    return log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
 
 
+# Cached: rebuilding it per block makes the 81 degree-6 blocks of the
+# kernel-dimension check about 15 % slower.
 @functools.lru_cache(maxsize=16)
 def _triangle(K: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(b1, b2, up, coef), shared by every block of degree K: all (b1, b2) of
@@ -112,12 +106,12 @@ def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray
     n = int(np.count_nonzero(inside))
     if not n:
         return np.array([])
-    # Both blocks read one grid of log moments, the image at an offset of
+    # Both blocks read one table of log moments, the image at an offset of
     # (1, 1).  The block's largest b1 is K - max(0, -d2), and the image's
     # largest g is one step above the block's in each coordinate.
     top1, top2 = K - max(0, -d2), K - max(0, -d1)
-    grid = _log_moments(2 * top1 + d1 + 2, 2 * top2 + d2 + 2)
-    width, log_moment = grid.shape[1], grid.ravel()
+    table = _log_moments(2 * top1 + d1 + 2, 2 * top2 + d2 + 2)
+    width, log_moment = table.shape[1], table.ravel()
     flat = (b1 * width + b2).astype(np.int32)
     row = flat[inside]
     shift = d1 * width + d2  # B_ij at row_i + row_j + shift
@@ -282,20 +276,10 @@ def validate_heat_coefficients(m: int) -> Tuple[float, float]:
         raise DomainError(f"need weight m >= 1, got m={m}")
     spec = cp1_spectrum(m, max(2048, 4 * m))
     grid = np.geomspace(5e-3, 0.3, 48)
-    nodes = grid / m
-    if any(tail_bound(spec.tail.law, spec.tail.k_next, t) > 1e-10 for t in nodes):
+    values, bounds = trace_degree_nodes(spec, 0, grid / m, nonzero_only=False)
+    if (bounds > 1e-10).any():
         raise DomainError("heat-coefficient grid extends below trust floor")
-    # trace_degree(spec, 0, t, nonzero_only=False) at every node in one array,
-    # row by row as it sums one node.  Its terms past the cut are 0.0 here
-    # too, but from exp(0) rather than from exp's slow subnormal path.
-    lines = spec.lines[spec.lines.q == 0]
-    x = np.multiply.outer(nodes, lines.lam)
-    cut = x < _UNDERFLOW
-    x *= cut
-    np.exp(np.negative(x, out=x), out=x)
-    x *= lines.mult
-    x *= cut
-    samples = list(zip(grid.tolist(), (x.sum(axis=1) / m).tolist()))
+    samples = list(zip(grid.tolist(), (values / m).tolist()))
     fit = fit_half_powers(samples, -1, 5)
     density = model_density_coeffs(LeviSpectrum(1, (1.0,)), 1, 2)
     empty = density[frozenset()]

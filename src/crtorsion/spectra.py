@@ -345,14 +345,34 @@ def trace_degree(
     spec: SpectrumTable, q: int, t: float, nonzero_only: bool = True
 ) -> TraceValue:
     """Plain degree-q heat trace with tail bound."""
-    _require_finite_positive(t, "trace_degree")
+    values, bounds = trace_degree_nodes(spec, q, [t], nonzero_only)
+    return TraceValue(float(values[0]), float(bounds[0]))
+
+
+def trace_degree_nodes(
+    spec: SpectrumTable, q: int, t: Iterable[float], nonzero_only: bool = True
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``trace_degree`` at every node of the 1-D array ``t`` in one array
+    expression: (values, tail bounds), one of each per node.
+
+    Terms with lam t >= 745 are dropped; they are 0.0 here from e^0 times
+    the cut, not from exp's slow subnormal path, and the row sums are those
+    of one node at a time.
+    """
+    t = np.asarray(t, dtype=float)
+    for s in t.tolist():
+        _require_finite_positive(s, "trace_degree")
     lines = spec.lines[(spec.lines.q == q) & ((spec.lines.lam > 0.0) | (not nonzero_only))]
-    x = lines.lam * t
-    value = float(np.sum(lines.mult * np.exp(-np.minimum(x, _UNDERFLOW)) * (x < _UNDERFLOW)))
-    bound = 0.0
+    x = np.multiply.outer(t, lines.lam)
+    cut = x < _UNDERFLOW
+    x *= cut
+    np.exp(np.negative(x, out=x), out=x)
+    x *= lines.mult
+    x *= cut
+    bounds = np.zeros(t.size)
     if isinstance(spec.tail, QuadraticTail) and q in spec.tail.degrees:
-        bound = tail_bound(spec.tail.law, spec.tail.k_next, t)
-    return TraceValue(value, bound)
+        bounds[:] = [tail_bound(spec.tail.law, spec.tail.k_next, s) for s in t.tolist()]
+    return x.sum(axis=1), bounds
 
 
 def _require_int(**values: int) -> None:

@@ -311,14 +311,14 @@ class TestBlockMemory:
         # n = 861 monomials: one n x n float matrix is 5.9 MB.  An assembly
         # holding n x n index, Gram, scratch and factor arrays peaked at
         # 21.4 MB here; the panelled sweeps of the block and its image peak
-        # near 1.7 MB.
+        # near 1.8 MB.
         eigs, peak = self._peak_bytes(5, 40)
         assert len(eigs) == 26
         assert peak < 3e6
 
     def test_k80_block_in_linear_memory(self):
         # n = 3321 monomials: one n x n float matrix would be 88 MB, and an
-        # n x n assembly peaked at 312 MB here; now near 7.2 MB
+        # n x n assembly peaked at 312 MB here; now near 7.4 MB
         m, K = 1, 80
         eigs, peak = self._peak_bytes(m, K)
         k = np.arange(20)

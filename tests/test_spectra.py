@@ -27,6 +27,7 @@ from crtorsion.spectra import (
     spectral_gap,
     supertrace_trust_floor,
     trace_degree,
+    trace_degree_nodes,
 )
 from crtorsion.tails import QuadraticLaw, tail_bound
 
@@ -337,6 +338,37 @@ class TestHeatSupertrace:
         floor = supertrace_trust_floor(spec, 1e-12)
         assert heat_supertrace_N(spec, floor, True).tail_bound <= 1e-12
 
+
+
+class TestTraceDegree:
+    @pytest.mark.parametrize("m, k_max", [(0, 64), (8, 500), (128, 2048)])
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("nonzero_only", [False, True])
+    def test_nodes_match_masked_sum_per_node(self, m, k_max, q, nonzero_only):
+        # bit for bit against the one-node sum of mult e^{-lam t} under the
+        # lam t < 745 mask; the nodes reach past the cut of the top lines
+        spec = cp1_spectrum(m, k_max)
+        t = np.geomspace(1e-4, 2.0, 37)
+        values, bounds = trace_degree_nodes(spec, q, t, nonzero_only)
+        lines = spec.lines[(spec.lines.q == q) & ((spec.lines.lam > 0.0) | (not nonzero_only))]
+        for i, s in enumerate(t.tolist()):
+            x = lines.lam * s
+            want = float(np.sum(lines.mult * np.exp(-np.minimum(x, 745.0)) * (x < 745.0)))
+            assert values[i] == want
+            assert bounds[i] == tail_bound(spec.tail.law, spec.tail.k_next, s)
+            assert trace_degree(spec, q, s, nonzero_only) == (want, bounds[i])
+
+    def test_finite_table_has_no_tail_bound(self):
+        spec = SpectrumTable.from_lines([(0, 1.0, 2), (1, 2.0, 1)], n=1)
+        values, bounds = trace_degree_nodes(spec, 0, [0.5, 1.0])
+        assert values.tolist() == [2 * math.exp(-0.5), 2 * math.exp(-1.0)]
+        assert bounds.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_node_rejected(self, bad):
+        spec = cp1_spectrum(8, 64)
+        with pytest.raises(DomainError, match="trace_degree"):
+            trace_degree_nodes(spec, 0, [0.1, bad, 0.2])
 
 def _certificate_table(index: int) -> SpectrumTable:
     """Table ``index`` of twelve: four finite n = 1, four finite n = 2, four
