@@ -25,6 +25,17 @@ monomial, so the form is the Gram matrix of the images, H^T G_W H.  Both
 projected forms, q^T G q on an orthonormal basis q of the Gram matrix's range
 and (H q)^T G_W (H q), come from one sweep that forms only the column panels
 on and below the diagonal.
+
+The blocks of one weight and degree are factored together in one batched
+pass (the kernel-dimension check's m + 5 blocks; a single block is a batch
+of one).  They share the (b1, b2) triangle and one moment table.  Each
+block's monomials come first, in triangle order, padded to the largest block
+at log norm -inf, which gives zero Gram rows and columns: the pivoted
+Cholesky never pivots on the padding, stops each block at its own tolerance,
+and writes zero columns for a block that stopped before the others.  QR, the
+two sweeps and the Gram eigendecomposition run on the whole batch; the
+null-space cut drops the directions of those zero columns, and Rayleigh-Ritz
+runs block by block on the kept ones.
 """
 
 from __future__ import annotations
@@ -86,131 +97,178 @@ def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray
     Zbar maps z^alpha zbar^beta to
     b1 z^(alpha+e2) zbar^(beta-e1) - b2 z^(alpha+e1) zbar^(beta-e2): monomials
     of the image block, difference d + (1, 1) and degree <= K - 1.  With H
-    that two-term map onto the normalized image monomials and G_W their Gram
-    matrix, the quadratic form ||Zbar u||^2 is H^T G_W H.
+    that two-term map onto the image monomials and G_W their Gram matrix, the
+    quadratic form ||Zbar u||^2 is H^T G_W H.
 
     No n x n matrix is formed: the factor reads the Gram matrix a column at
     a time, giving an orthonormal basis q of its range, and the two projected
     forms q^T G q and (H q)^T G_W (H q) come from one panelled sweep
     (``_projected_gram``), so memory is O(n (rank + _PANEL)) for n basis
-    monomials.
+    monomials.  This is ``_galerkin_blocks`` with a batch of one.
     """
-    _require_int(m=m, K=K, d1_offset=d1_offset)
+    return _galerkin_blocks(m, K, [d1_offset])[0]
+
+
+def _galerkin_blocks(m: int, K: int, d1_offsets) -> list:
+    """``galerkin_block_eigenvalues(m, K, off)`` for each off in
+    ``d1_offsets``, all factored in one batched pass; an empty block gives an
+    empty array in its place.
+
+    The blocks share the triangle of (b1, b2) and one moment table.  Each
+    block's monomials come first, in triangle order, padded to the largest
+    block at log norm -inf: the padding has zero Gram rows and columns, so
+    the factor never pivots on it and each block factors as it would alone.
+    """
+    _require_int(m=m, K=K)
+    for d1_offset in d1_offsets:
+        _require_int(d1_offset=d1_offset)
     if m < 0:
         raise DomainError(f"need m >= 0, got m={m}")
     if K < 1:
         raise DomainError(f"need K >= 1, got K={K}")
-    d1, d2 = m + d1_offset, -d1_offset
+    offsets = np.array(d1_offsets, dtype=np.int64)
     b1, b2, up, coef = _triangle(K)
-    inside = (b1 >= -d1) & (b2 >= -d2)
-    n = int(np.count_nonzero(inside))
-    if not n:
-        return np.array([])
-    # Both blocks read one table of log moments, the image at an offset of
-    # (1, 1).  The block's largest b1 is K - max(0, -d2), and the image's
+    inside = (b1 >= -(m + offsets[:, None])) & (b2 >= offsets[:, None])
+    busy = np.flatnonzero(inside.any(axis=1))
+    out = [np.array([]) for _ in offsets]
+    if not busy.size:
+        return out
+    inside, d1, d2 = inside[busy], m + offsets[busy], -offsets[busy]
+    # One table of log moments for the batch, each image read at an offset
+    # of (1, 1).  A block's largest b1 is K - max(0, -d2), and its image's
     # largest g is one step above the block's in each coordinate.
-    top1, top2 = K - max(0, -d2), K - max(0, -d1)
-    table = _log_moments(2 * top1 + d1 + 2, 2 * top2 + d2 + 2)
+    top1, top2 = K - np.maximum(0, -d2), K - np.maximum(0, -d1)
+    table = _log_moments(int((2 * top1 + d1).max()) + 2, int((2 * top2 + d2).max()) + 2)
     width, log_moment = table.shape[1], table.ravel()
     flat = (b1 * width + b2).astype(np.int32)
-    row = flat[inside]
-    shift = d1 * width + d2  # B_ij at row_i + row_j + shift
-    log_norm = -0.5 * log_moment[2 * row + shift]
-    col_row = row + np.int32(shift)
+    shift = (d1 * width + d2).astype(np.int32)  # B_ij at row_i + row_j + shift
+    at = np.arange(busy.size)
+    places, real = _front(inside)
+    row = flat[places]
+    log_norm = np.where(real, -0.5 * log_moment[2 * row + shift[:, None]], -np.inf)
+    col_row = row + shift[:, None]
 
-    def column(p: int) -> np.ndarray:
-        """Column p of the Gram matrix.  The norms are added as one sum, so
-        column(p)[i] == column(i)[p] exactly."""
-        return np.exp(log_moment[col_row[p]:][row] + (log_norm + log_norm[p]))
+    def column(p: np.ndarray) -> np.ndarray:
+        """Column p[b] of each block b's Gram matrix.  The norms are added as
+        one sum, so column(p)[b, i] == column(i)[b, p] exactly."""
+        return np.exp(
+            np.take(log_moment, row + col_row[at, p][:, None])
+            + (log_norm + log_norm[at, p][:, None])
+        )
 
     # On the sphere |z1|^2 + |z2|^2 = 1 makes every lower-degree monomial a
     # combination of degree-K ones, so the Gram matrix has rank <= K + 1.
     # Pivoted Cholesky finds that range; Rayleigh-Ritz on its orthonormal
     # basis gives the eigenpairs (the SVD of the factor is less accurate).
-    # The diagonal is exp(log M_ii - 2 (0.5 log M_ii)) = exp(0) = 1 exactly.
-    q = np.linalg.qr(_pivoted_cholesky(np.ones(n), column))[0]
-    gram_q = _projected_gram(log_moment, row, shift, log_norm, q)
-    # H q on the image monomials that Zbar reaches from the block.  pos is
-    # each beta's place in the block, or n off it, where q has a zero row.
-    pos = np.full(b1.size, n)
-    pos[inside] = np.arange(n)
-    via = pos[up]
-    hit = via.min(axis=0) < n
-    via, img_row = via[:, hit], flat[: up.shape[1]][hit]
-    img_shift = shift + width + 1
-    img_log_norm = -0.5 * log_moment[2 * img_row + img_shift]
-    # H between the normalized monomials: coef * exp(log_norm_beta - img_log_norm_c)
-    h = coef[:, hit] * np.exp(np.concatenate((log_norm, [0.0]))[via] - img_log_norm)
-    ext_q = np.concatenate((q, np.zeros((1, q.shape[1]))))
-    hq = h[0, :, None] * ext_q[via[0]] + h[1, :, None] * ext_q[via[1]]
-    quad_q = _projected_gram(log_moment, img_row, img_shift, img_log_norm, hq)
+    # The diagonal is exp(log M_ii - 2 (0.5 log M_ii)) = exp(0) = 1 exactly,
+    # and exp(-inf) = 0 on the padding.
+    q = np.linalg.qr(_pivoted_cholesky(real.astype(float), column))[0]
+    moment, norm = np.exp(log_moment), np.exp(log_norm)
+    gram_q = _projected_gram(moment, row, shift, norm, q)
+    # Zbar u for u = norm q, in the raw image monomials that Zbar reaches
+    # from each block: image monomial c takes coef[k, c] times u's row
+    # via[k, c], where n, off the block, reads an appended zero row.
+    n = row.shape[1]
+    via = np.where(inside, np.cumsum(inside, axis=1) - 1, n)[:, up]
+    img_places, img_real = _front(via.min(axis=1) < n)
+    via = np.where(img_real[:, None], np.take_along_axis(via, img_places[:, None], axis=2), n)
+    u = np.concatenate((norm[..., None] * q, np.zeros((at.size, 1, q.shape[2]))), axis=1)
+    img_coef = coef[:, img_places, None]
+    zbar_u = img_coef[0] * u[at[:, None], via[:, 0]] + img_coef[1] * u[at[:, None], via[:, 1]]
+    img_row = flat[img_places]
+    quad_q = _projected_gram(moment, img_row, shift + width + 1, np.ones(img_row.shape), zbar_u)
     w, y = np.linalg.eigh(gram_q)
-    keep = w > 1e-10 * w.max()  # drop the Gram matrix's numerical null space
-    z = y[:, keep] / np.sqrt(w[keep])
-    return np.linalg.eigvalsh(z.T @ quad_q @ z)  # ascending
+    for b, wb, yb, quad in zip(busy.tolist(), w, y, quad_q):
+        keep = wb > 1e-10 * wb.max()  # drop the Gram matrix's numerical null space
+        z = yb[:, keep] / np.sqrt(wb[keep])
+        out[b] = np.linalg.eigvalsh(z.T @ quad @ z)  # ascending
+    return out
+
+
+def _front(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(places, real) for a batch of masks over the triangle: each row's
+    places where mask holds, in triangle order, padded to the longest row
+    with its first place; real marks the slots that are not padding."""
+    counts = np.count_nonzero(mask, axis=1)
+    places = np.argsort(~mask, axis=1, kind="stable")[:, : counts.max()]
+    real = np.arange(places.shape[1]) < counts[:, None]
+    return np.where(real, places, places[:, :1]), real
 
 
 def _projected_gram(
-    log_moment: np.ndarray, row: np.ndarray, shift: int, log_norm: np.ndarray, x: np.ndarray
+    moment: np.ndarray, row: np.ndarray, shift: np.ndarray, norm: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """x^T G x, exactly symmetric, for the Gram matrix
-    G_ij = exp(log_moment[row_i + row_j + shift] + (log_norm_i + log_norm_j)).
+    """x_b^T G_b x_b, exactly symmetric, for each block b of a batch, with
+    G_b,ij = norm_b,i moment[row_b,i + row_b,j + shift_b] norm_b,j.
 
-    Only the panels of _PANEL columns on and below the diagonal are formed:
-    with each diagonal block halved they sum to a T with T + T^T = x^T G x.
+    The norms scale the rows of x, so the sweep gathers moments and takes no
+    exp.  Only the panels of _PANEL columns on and below the diagonal are
+    formed: with each diagonal block halved they sum to a T with
+    T + T^T = x^T G x.
     """
-    col_row = row + np.int32(shift)
-    half = np.zeros((x.shape[1], x.shape[1]))
-    for start in range(0, row.size, _PANEL):
+    x = norm[..., None] * x
+    xt = x.transpose(0, 2, 1)
+    col_row = row + shift[:, None]
+    half = np.zeros((x.shape[0], x.shape[2], x.shape[2]))
+    for start in range(0, row.shape[1], _PANEL):
         cols = slice(start, start + _PANEL)
-        g = np.take(log_moment, np.add.outer(row[start:], col_row[cols]))
-        g += np.add.outer(log_norm[start:], log_norm[cols])
-        np.exp(g, out=g)
-        g[:_PANEL] *= 0.5  # the diagonal block
-        half += (x[start:].T @ g) @ x[cols]
-    return half + half.T
+        g = np.take(moment, row[:, start:, None] + col_row[:, None, cols])
+        g[:, :_PANEL] *= 0.5  # the diagonal block
+        half += (xt[:, :, start:] @ g) @ x[:, cols]
+    return half + half.transpose(0, 2, 1)
 
 
 def _pivoted_cholesky(diag: np.ndarray, column) -> np.ndarray:
-    """Factor L, rows in input order, with a = L L^T on the range of the
-    positive semidefinite, symmetric matrix a = [column(0), column(1), ...]
-    of diagonal ``diag``: rank columns, by Cholesky with diagonal pivoting
-    that asks for one column of a per step.
+    """Factors L_b, rows in input order, with a_b = L_b L_b^T on the range of
+    each positive semidefinite, symmetric matrix a_b of a batch, given its
+    diagonal diag[b] and column(p)[b] = column p[b] of a_b: by Cholesky with
+    diagonal pivoting that asks for one column of each a_b per step.  A
+    zero diagonal entry (padding) has a zero row and column and is never a
+    pivot; n_b counts the nonzero ones.
 
-    LAPACK's dpstrf at its default tolerance, step for step: each step takes
-    the largest remaining diagonal a_ii - sum_k L_ik^2 as pivot (the first on
-    ties, in dpstrf's swap order) and stops once it is at most
-    n * u * max_i a_ii, u = 2^-53; the pivot's column is its column of a
-    less the product of the earlier columns with the pivot's row, times
-    1 / sqrt(pivot).  Columns are stored as the rows of L^T, in a buffer
-    that doubles when the rank outgrows it.
+    LAPACK's dpstrf at its default tolerance, step for step and block by
+    block: each step takes the largest remaining diagonal a_ii - sum_k L_ik^2
+    as pivot (the first on ties, in dpstrf's swap order) and stops once it is
+    at most n_b * u * max_i a_ii, u = 2^-53; the pivot's column is its column
+    of a less the product of the earlier columns with the pivot's row, times
+    1 / sqrt(pivot).  A block that has stopped gets zero columns until every
+    block has stopped, so L_b has rank_b columns and then zeros.  Columns
+    are stored as the rows of L^T, in a buffer that doubles when the rank
+    outgrows it.
     """
-    n = diag.size
-    sumsq = np.zeros(n)
-    perm = np.arange(n)  # dpstrf's row order, for its tie-breaking
-    lt = np.empty((min(n, 16), n))
-    stop = n * (np.finfo(float).eps / 2.0) * diag.max()
+    nb, n = diag.shape
+    at = np.arange(nb)
+    sumsq = np.zeros((nb, n))
+    perm = np.tile(np.arange(n), (nb, 1))  # dpstrf's row order, for its tie-breaking
+    lt = np.empty((nb, min(n, 16), n))
+    stop = np.count_nonzero(diag, axis=1) * (np.finfo(float).eps / 2.0) * diag.max(axis=1)
+    live = np.ones(nb, dtype=bool)
+    open_rows = np.ones((nb, n))  # 0 on the pivots so far
     rank = 0
     for j in range(n):
-        rest = (diag - sumsq)[perm[j:]]
-        p = j + int(rest.argmax())
-        ajj = float(rest[p - j])
-        if not ajj > stop:  # also stops on nan
+        rest = (diag - sumsq)[at[:, None], perm[:, j:]]
+        p = rest.argmax(axis=1)
+        ajj = rest[at, p]
+        live &= ajj > stop  # also stops on nan
+        if not live.any():
             break
-        pivot = int(perm[p])
-        perm[p], perm[j] = perm[j], pivot
-        ajj = math.sqrt(ajj)
-        col = column(pivot) - lt[:j].T @ lt[:j, pivot]
-        col *= 1.0 / ajj
-        col[perm[:j]] = 0.0
-        col[pivot] = ajj
-        if j == lt.shape[0]:
-            lt = np.concatenate((lt, np.empty_like(lt)))
-        lt[j] = col
+        p += j
+        pivot = perm[at, p]
+        perm[at, p] = perm[:, j]
+        perm[:, j] = pivot
+        ajj = np.sqrt(np.where(live, ajj, 1.0))
+        col = column(pivot) - (lt[at, :j, pivot][:, None] @ lt[:, :j])[:, 0]
+        col *= (live / ajj)[:, None]  # zero on blocks that stopped
+        col *= open_rows
+        col[at, pivot] = ajj * live
+        open_rows[at, pivot] = 0.0
+        if j == lt.shape[1]:
+            lt = np.concatenate((lt, np.empty_like(lt)), axis=1)
+        lt[:, j] = col
         col *= col
         sumsq += col
         rank = j + 1
-    return lt[:rank].T
+    return lt[:, :rank].transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -256,11 +314,8 @@ def validate_kernel_dimension(m: int) -> int:
     _require_int(m=m)
     if m < 0:
         raise DomainError(f"need m >= 0, got m={m}")
-    count = 0
-    for off in range(-2, m + 3):
-        eigs = galerkin_block_eigenvalues(m, 6, d1_offset=-off)
-        count += int(np.sum(np.abs(eigs) < 1e-8))
-    return count
+    blocks = _galerkin_blocks(m, 6, [-off for off in range(-2, m + 3)])
+    return sum(int(np.count_nonzero(np.abs(eigs) < 1e-8)) for eigs in blocks)
 
 
 def validate_heat_coefficients(m: int) -> Tuple[float, float]:

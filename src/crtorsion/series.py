@@ -122,9 +122,9 @@ class HalfPowerSeries:
         return self.coeffs[e2 - self.base2]
 
     def __call__(self, t: float) -> float:
-        """Evaluate the truncated series at t > 0."""
-        if t <= 0:
-            raise DomainError("series evaluation requires t > 0")
+        """Evaluate the truncated series at 0 < t < inf."""
+        if not 0.0 < t < math.inf:  # also rejects nan
+            raise DomainError(f"series evaluation requires 0 < t < inf, got t = {t!r}")
         u = math.sqrt(t)
         return float(sum(float(c) * u ** (self.base2 + i) for i, c in enumerate(self.coeffs)))
 
@@ -318,7 +318,8 @@ def fit_half_powers(
 
     QR on a column-scaled Vandermonde in sqrt(t); the condition number of the
     scaled design matrix is reported, and IllConditionedWarning is attached
-    (not raised as an error) past ``DEFAULT_COND_THRESHOLD``.
+    (not raised as an error) past ``DEFAULT_COND_THRESHOLD``.  A non-finite
+    abscissa or value raises DomainError naming the first such sample.
     """
     if num_terms < 1:
         raise ArityError("num_terms must be >= 1")
@@ -328,6 +329,12 @@ def fit_half_powers(
         )
     t = np.asarray([s[0] for s in samples], dtype=float)
     y = np.asarray([s[1] for s in samples], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(y)))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(
+            f"sample {i} is not finite: (t, value) = ({float(t[i])!r}, {float(y[i])!r})"
+        )
     if np.any(t <= 0):
         raise DomainError("all sample abscissae must satisfy t > 0")
     if len(np.unique(t)) != len(t):

@@ -219,14 +219,16 @@ def _gram_and_column(m, K, off):
     if not seen:
         return None, None
     diag, column = seen[0]
-    gram = np.column_stack([column(p) for p in range(diag.size)])
+    (diag,) = diag  # a batch of one
+    gram = np.column_stack([column(np.array([p]))[0] for p in range(diag.size)])
     np.testing.assert_array_equal(gram.diagonal(), diag)
     return gram, column
 
 
 def _factor_of(gram):
-    """The numpy factor fed by columns of a full matrix."""
-    return oracle._pivoted_cholesky(gram.diagonal(), lambda p: gram[:, p].copy())
+    """The numpy factor fed by columns of a full matrix, as a batch of one."""
+    (factor,) = oracle._pivoted_cholesky(gram.diagonal()[None], lambda p: gram[:, p].T.copy())
+    return factor
 
 
 class TestPivotedCholesky:
@@ -247,7 +249,7 @@ class TestPivotedCholesky:
         rank, rank_lapack = _factor_of(gram).shape[1], _dpstrf_factor(gram).shape[1]
         assert abs(rank - rank_lapack) <= 1
         monkeypatch.setattr(
-            oracle, "_pivoted_cholesky", lambda diag, column: _dpstrf_factor(gram)
+            oracle, "_pivoted_cholesky", lambda diag, column: _dpstrf_factor(gram)[None]
         )
         want = galerkin_block_eigenvalues(m, K, off)
         assert got.shape == want.shape
@@ -259,6 +261,24 @@ class TestPivotedCholesky:
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         assert rel[:low].max(initial=0.0) < 1e-12
         assert rel.max() < 1e-6
+
+    def test_batch_factors_each_matrix_as_alone(self):
+        # two matrices of different order and rank in one batch, the smaller
+        # padded with zero rows and columns: each factor matches its own
+        # factorisation, and the lower-rank one ends in zero columns
+        rng = np.random.default_rng(7)
+        small, large = (x @ x.T for x in (rng.standard_normal((12, 3)), rng.standard_normal((20, 6))))
+        padded = np.zeros((20, 20))
+        padded[:12, :12] = small
+        batch = np.stack((padded, large))
+        got = oracle._pivoted_cholesky(
+            np.stack((padded.diagonal(), large.diagonal())), lambda p: batch[[0, 1], :, p].copy()
+        )
+        assert got.shape == (2, 20, 6)
+        for factor, alone, rank in ((got[0, :12], _factor_of(small), 3), (got[1], _factor_of(large), 6)):
+            np.testing.assert_allclose(factor[:, :rank], alone, rtol=1e-13, atol=1e-13)
+            assert not factor[:, rank:].any()
+        assert not got[0, 12:].any()
 
     def test_reconstructs_a_low_rank_matrix(self):
         rng = np.random.default_rng(5)
@@ -284,8 +304,9 @@ def test_projected_forms_match_dense(m, K, off, monkeypatch):
     calls, sweep = [], oracle._projected_gram
 
     def record(*args):
-        calls.append((args[-1], sweep(*args)))
-        return calls[-1][1]
+        swept = sweep(*args)
+        calls.append((args[-1][0], swept[0]))  # a batch of one
+        return swept
 
     monkeypatch.setattr(oracle, "_projected_gram", record)
     galerkin_block_eigenvalues(m, K, off)
@@ -330,8 +351,37 @@ class TestBlockMemory:
 
 class TestKernelDimension:
     def test_matches_holomorphic_section_count(self):
-        for m in range(0, 7):
+        for m in range(0, 13):
             assert validate_kernel_dimension(m) == m + 1
+
+
+class TestBatchedBlocks:
+    @pytest.mark.parametrize("m", range(9))
+    def test_batch_matches_batch_of_one(self, m):
+        # the kernel count's batch for each weight of criterion 10, whose
+        # m = 0..4 batches are also the ones selfcheck factors
+        offsets = [-off for off in range(-2, m + 3)]
+        for off, got in zip(offsets, oracle._galerkin_blocks(m, 6, offsets), strict=True):
+            want = galerkin_block_eigenvalues(m, 6, off)
+            assert got.shape == want.shape
+            assert np.array_equal(np.abs(got) < 1e-8, np.abs(want) < 1e-8)
+            # all but the top Ritz value, which sits next to the null-space
+            # cut (see test_matches_full_eigh_route)
+            rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+            assert rel[:-1].max(initial=0.0) < 1e-12
+            assert rel.max() < 1e-6
+
+    def test_empty_blocks_in_place(self):
+        # at m = 5, K = 6 the offset m + 2 = 7 needs b2 >= 7: an empty block
+        offsets = [7, 0, 7, -3, 2]
+        got = oracle._galerkin_blocks(5, 6, offsets)
+        assert len(got) == len(offsets)
+        for off, eigs in zip(offsets, got):
+            want = galerkin_block_eigenvalues(5, 6, off)
+            assert eigs.shape == want.shape
+            np.testing.assert_allclose(eigs, want, rtol=1e-6, atol=1e-8)
+        assert got[0].size == got[2].size == 0 < got[1].size
+        assert [e.size for e in oracle._galerkin_blocks(5, 6, [7, 7])] == [0, 0]
 
 
 class TestHeatCoefficients:

@@ -186,6 +186,14 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_half_powers([(0.1, 1.0), (0.1, 2.0)], -1, 2)
 
+    @pytest.mark.parametrize("sample", [(math.nan, 2.0), (0.2, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_sample_named(self, sample):
+        # a nan abscissa reached the SVD (LinAlgError), and an inf value
+        # returned nan coefficients with no warning
+        samples = [(0.1, 1.0), sample, (0.3, 3.0)]
+        with pytest.raises(DomainError, match=r"sample 1 is not finite"):
+            fit_half_powers(samples, -1, 2)
+
     def test_synthetic_series_recovered(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -214,6 +222,13 @@ class TestSeriesEvaluation:
         s = HalfPowerSeries.constant(1.0, 2)
         with pytest.raises(DomainError):
             s(0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_call_rejects_non_finite(self, t):
+        # s(nan) returned nan and s(inf) returned 0.0
+        s = HalfPowerSeries.from_terms({-1: 2.0, 0.5: 3.0}, 1.5)
+        with pytest.raises(DomainError, match="0 < t < inf"):
+            s(t)
 
     def test_trimmed_drops_cancelled_leaders(self):
         s = HalfPowerSeries.from_terms({-2: 1e-18, -1: 1.0, 0: 2.0}, 1)
