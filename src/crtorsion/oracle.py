@@ -163,20 +163,22 @@ def _galerkin_blocks(m: int, K: int, d1_offsets) -> list:
     # The diagonal is exp(log M_ii - 2 (0.5 log M_ii)) = exp(0) = 1 exactly,
     # and exp(-inf) = 0 on the padding.
     q = np.linalg.qr(_pivoted_cholesky(real.astype(float), column))[0]
-    moment, norm = np.exp(log_moment), np.exp(log_norm)
-    gram_q = _projected_gram(moment, row, shift, norm, q)
-    # Zbar u for u = norm q, in the raw image monomials that Zbar reaches
-    # from each block: image monomial c takes coef[k, c] times u's row
-    # via[k, c], where n, off the block, reads an appended zero row.
+    # u = q in raw monomials (the norms scale its rows; 0 on the padding),
+    # then a zero row at n, off the block.  G = D M D for the raw moments M
+    # and D the norms, so q^T G q = u^T M u.
     n = row.shape[1]
+    u = np.zeros((at.size, n + 1, q.shape[2]))
+    np.multiply(np.exp(log_norm)[..., None], q, out=u[:, :n])
+    moment = np.exp(log_moment)
+    gram_q = _projected_gram(moment, row, shift, u[:, :n])
+    # Zbar u in the raw image monomials that Zbar reaches from each block:
+    # image monomial c takes coef[k, c] times u's row via[k, c].
     via = np.where(inside, np.cumsum(inside, axis=1) - 1, n)[:, up]
     img_places, img_real = _front(via.min(axis=1) < n)
     via = np.where(img_real[:, None], np.take_along_axis(via, img_places[:, None], axis=2), n)
-    u = np.concatenate((norm[..., None] * q, np.zeros((at.size, 1, q.shape[2]))), axis=1)
     img_coef = coef[:, img_places, None]
     zbar_u = img_coef[0] * u[at[:, None], via[:, 0]] + img_coef[1] * u[at[:, None], via[:, 1]]
-    img_row = flat[img_places]
-    quad_q = _projected_gram(moment, img_row, shift + width + 1, np.ones(img_row.shape), zbar_u)
+    quad_q = _projected_gram(moment, flat[img_places], shift + width + 1, zbar_u)
     w, y = np.linalg.eigh(gram_q)
     for b, wb, yb, quad in zip(busy.tolist(), w, y, quad_q):
         keep = wb > 1e-10 * wb.max()  # drop the Gram matrix's numerical null space
@@ -196,17 +198,16 @@ def _front(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _projected_gram(
-    moment: np.ndarray, row: np.ndarray, shift: np.ndarray, norm: np.ndarray, x: np.ndarray
+    moment: np.ndarray, row: np.ndarray, shift: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """x_b^T G_b x_b, exactly symmetric, for each block b of a batch, with
-    G_b,ij = norm_b,i moment[row_b,i + row_b,j + shift_b] norm_b,j.
+    """x_b^T M_b x_b, exactly symmetric, for each block b of a batch, with
+    M_b,ij = moment[row_b,i + row_b,j + shift_b].
 
-    The norms scale the rows of x, so the sweep gathers moments and takes no
-    exp.  Only the panels of _PANEL columns on and below the diagonal are
-    formed: with each diagonal block halved they sum to a T with
-    T + T^T = x^T G x.
+    The sweep gathers moments and takes no exp: the caller scales the rows
+    of x by the norms.  Only the panels of _PANEL columns on and below the
+    diagonal are formed: with each diagonal block halved they sum to a T
+    with T + T^T = x^T M x.
     """
-    x = norm[..., None] * x
     xt = x.transpose(0, 2, 1)
     col_row = row + shift[:, None]
     half = np.zeros((x.shape[0], x.shape[2], x.shape[2]))
@@ -246,16 +247,16 @@ def _pivoted_cholesky(diag: np.ndarray, column) -> np.ndarray:
     open_rows = np.ones((nb, n))  # 0 on the pivots so far
     rank = 0
     for j in range(n):
-        rest = (diag - sumsq)[at[:, None], perm[:, j:]]
+        order = perm[:, j:]  # a view: the swap below writes to perm
+        rest = (diag - sumsq)[at[:, None], order]
         p = rest.argmax(axis=1)
         ajj = rest[at, p]
         live &= ajj > stop  # also stops on nan
         if not live.any():
             break
-        p += j
-        pivot = perm[at, p]
-        perm[at, p] = perm[:, j]
-        perm[:, j] = pivot
+        pivot = order[at, p]
+        order[at, p] = order[:, 0]
+        order[:, 0] = pivot
         ajj = np.sqrt(np.where(live, ajj, 1.0))
         col = column(pivot) - (lt[at, :j, pivot][:, None] @ lt[:, :j])[:, 0]
         col *= (live / ajj)[:, None]  # zero on blocks that stopped

@@ -299,18 +299,25 @@ def test_gram_columns_exactly_symmetric(m, K, off):
 @pytest.mark.parametrize("m, K, off", [(1, 20, 0), (5, 30, -2), (3, 10, -5)])
 def test_projected_forms_match_dense(m, K, off, monkeypatch):
     # The block sweeps q^T G q, then (H q)^T G_W (H q) with H the Zbar map
-    # onto the image block: both exactly symmetric, and equal to the dense
-    # projections of the entry-by-entry Gram matrix and quadratic form.
-    calls, sweep = [], oracle._projected_gram
+    # onto the image block, both on raw monomials with the norms in the
+    # swept rows: exactly symmetric, and equal to the dense projections of
+    # the entry-by-entry Gram matrix and quadratic form.
+    factors, calls = [], []
+    factor, sweep = oracle._pivoted_cholesky, oracle._projected_gram
 
-    def record(*args):
-        swept = sweep(*args)
-        calls.append((args[-1][0], swept[0]))  # a batch of one
-        return swept
+    def record_factor(*args):
+        factors.append(factor(*args))
+        return factors[-1]
 
-    monkeypatch.setattr(oracle, "_projected_gram", record)
+    def record_sweep(*args):
+        calls.append(sweep(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "_pivoted_cholesky", record_factor)
+    monkeypatch.setattr(oracle, "_projected_gram", record_sweep)
     galerkin_block_eigenvalues(m, K, off)
-    (q, gram_q), (_, quad_q) = calls
+    (q,) = np.linalg.qr(factors[0])[0]  # a batch of one
+    (gram_q,), (quad_q,) = calls
     gram, quad = _loop_forms(m, K, off)
     for swept, dense in ((gram_q, q.T @ gram @ q), (quad_q, q.T @ quad @ q)):
         np.testing.assert_array_equal(swept, swept.T)
