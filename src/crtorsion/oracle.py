@@ -35,7 +35,11 @@ Cholesky never pivots on the padding, stops each block at its own tolerance,
 and writes zero columns for a block that stopped before the others.  QR, the
 two sweeps and the Gram eigendecomposition run on the whole batch; the
 null-space cut drops the directions of those zero columns, and Rayleigh-Ritz
-runs block by block on the kept ones.
+runs block by block on the kept ones.  Batching is what pays for the
+kernel count, whose blocks hold at most 28 monomials: numpy's cost per call
+outweighs their arithmetic, and the 14 kernel-count calls of a criterion-10
+gate plus selfcheck take 27 ms against 58 ms block by block (2-CPU Xeon VM,
+one BLAS thread).
 """
 
 from __future__ import annotations

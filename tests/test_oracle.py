@@ -346,7 +346,7 @@ class TestBlockMemory:
 
     def test_k80_block_in_linear_memory(self):
         # n = 3321 monomials: one n x n float matrix would be 88 MB, and an
-        # n x n assembly peaked at 312 MB here; now near 7.4 MB
+        # n x n assembly peaked at 312 MB here; now near 7.7 MB
         m, K = 1, 80
         eigs, peak = self._peak_bytes(m, K)
         k = np.arange(20)
