@@ -411,6 +411,14 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _resolve_geometry(args.geometry)
+    if model != cp1_geometry():
+        # the sweep's spectrum is always the circle bundle's; a file cannot
+        # name its own spectrum yet
+        raise CrTorsionError(
+            f"sweep computes the circle-bundle spectrum, but geometry {args.geometry} "
+            "is not the circle bundle's (cp1); a geometry file cannot carry its own "
+            "spectrum yet"
+        )
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
 
     def source(m: int) -> SpectrumTable:

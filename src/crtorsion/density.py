@@ -15,11 +15,14 @@ identities can be verified exactly with rational coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Tuple
+
+import numpy as np
 
 from .errors import DomainError
 from .series import HalfPowerSeries, _as_doubled, bose_factor
@@ -51,8 +54,10 @@ class LeviSpectrum:
             raise DomainError(
                 f"expected {self.n} eigenvalues, got {len(self.eigenvalues)}"
             )
-        if any(a < 0 for a in self.eigenvalues):
-            raise DomainError("eigenvalues must be nonnegative")
+        if not all(0 <= a < math.inf for a in self.eigenvalues):  # also rejects nan
+            raise DomainError(
+                f"eigenvalues must be finite and nonnegative, got {tuple(self.eigenvalues)}"
+            )
         object.__setattr__(self, "eigenvalues", tuple(self.eigenvalues))
 
     @property
@@ -78,41 +83,57 @@ class LeviSpectrum:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WedgeDiagonalDensity:
-    """Half-power series per wedge subset J of {1..n} (2^n entries)."""
+    """Half-power series per wedge subset J of {1..n} (2^n entries).
+
+    Row i of ``rows`` holds the coefficients of the entry of ``subsets[i]`` on
+    the doubled exponents ``base2 .. trunc2 - 1``, which all entries share.
+    """
 
     n: int
-    per_subset: Dict[FrozenSet[int], HalfPowerSeries]
+    subsets: Tuple[FrozenSet[int], ...]
+    rows: np.ndarray
+    base2: int
+    trunc2: int
 
     def __post_init__(self):
-        if len(self.per_subset) != 2 ** self.n:
+        shape = (2 ** self.n, self.trunc2 - self.base2)
+        if len(self.subsets) != shape[0] or self.rows.shape != shape:
             raise DomainError(
-                f"need 2^{self.n} subset entries, got {len(self.per_subset)}"
+                f"need {shape[0]} subsets and rows of shape {shape}, got "
+                f"{len(self.subsets)} and {self.rows.shape}"
             )
 
+    @property
+    def per_subset(self) -> Dict[FrozenSet[int], HalfPowerSeries]:
+        return {subset: self[subset] for subset in self.subsets}
+
     def __getitem__(self, subset) -> HalfPowerSeries:
-        return self.per_subset[frozenset(subset)]
+        row = self.rows[self.subsets.index(frozenset(subset))]
+        return HalfPowerSeries(self.base2, tuple(row.tolist()), self.trunc2)
 
     def supertrace_N(self) -> HalfPowerSeries:
         """sum_J (-1)^|J| |J| series_J  (the degree-weighted super trace)."""
-        acc = None
-        for subset, series in self.per_subset.items():
-            q = len(subset)
-            if q == 0:
-                continue
-            term = series.scale(q if q % 2 == 0 else -q)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            raise DomainError("n >= 1 expected; no weighted subsets found")
-        return acc
+        weights = np.array([(-1) ** len(s) * len(s) for s in self.subsets])
+        return HalfPowerSeries(
+            self.base2, tuple((weights @ self.rows).tolist()), self.trunc2
+        )
 
 
-def _subsets(n: int):
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> Tuple[FrozenSet[int], ...]:
+    """The 2^n subsets of {1..n}, by size and then lexicographically."""
     items = range(1, n + 1)
-    for size in range(n + 1):
-        for combo in combinations(items, size):
-            yield frozenset(combo)
+    return tuple(
+        frozenset(combo) for size in range(n + 1) for combo in combinations(items, size)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _membership(n: int) -> np.ndarray:
+    """0/1 matrix whose row i marks the members of ``_subsets(n)[i]``."""
+    return np.array([[j in s for j in range(1, n + 1)] for s in _subsets(n)], dtype=int)
 
 
 def _per_eigenvalue_factor(a, trunc_order, exact: bool) -> HalfPowerSeries:
@@ -136,34 +157,54 @@ def model_density_coeffs(
     truncated at ``trunc_order``.  A zero eigenvalue contributes the factor
     1/t in place of a_j/(1 - e^{-a_j t}).
 
+    All 2^n entries come from one product: the core prod_j [a_j bose(a_j)]
+    as a Toeplitz matrix, applied to one row of e^{-t rate_J} coefficients
+    per subset.
+
     With ``normalized=False`` the (2 pi)^{-(n+1)} factor is omitted (exact
     rational verification keeps only the rank factor).
     """
     if rank_e < 1:
         raise DomainError("rank_e must be >= 1")
     exact = any(isinstance(a, Fraction) for a in levi.eigenvalues)
-    # Work with extra guard orders: multiplying n factors of base -1 needs
-    # headroom so every subset entry is valid down to t^{-n}.
-    guard = levi.n + 1
-    work_order = _plus(trunc_order, guard)
-    factors = [
-        _per_eigenvalue_factor(a, work_order, exact) for a in levi.eigenvalues
-    ]
-    core = factors[0]
-    for f in factors[1:]:
-        core = core * f
+    dtype, zero = (object, Fraction(0)) if exact else (float, 0.0)
+    t2 = _as_doubled(trunc_order, "trunc_order")
+    # every entry starts at t^{-n}; only its slots below t^{trunc_order} are kept
+    base2 = min(-2 * levi.n, t2)
+    width = t2 - base2
+    if width == 0:
+        return WedgeDiagonalDensity(
+            levi.n, _subsets(levi.n), np.empty((2 ** levi.n, 0), dtype), base2, t2
+        )
+    core = np.ones(1, dtype)
+    for a in levi.eigenvalues:
+        # a bose(a) up to the last kept slot of the product, t^{-1} first
+        factor = _per_eigenvalue_factor(a, (width - 2) / 2, exact)
+        core = np.convolve(core, np.array(factor.coeffs, dtype))[:width]
     pref = rank_e * cr_density_norm(levi.n) if normalized else rank_e
     if exact and not normalized:
         pref = Fraction(rank_e)
-    per_subset = {}
-    for subset in _subsets(levi.n):
-        rate = sum(levi.eigenvalues[j - 1] for j in subset)
-        if rate == 0:
-            entry = core
-        else:
-            entry = core * HalfPowerSeries.exponential(-rate, work_order)
-        per_subset[subset] = entry.scale(pref).truncate2(_as_doubled(trunc_order, "trunc_order"))
-    return WedgeDiagonalDensity(levi.n, per_subset)
+    # row J: e^{-t rate_J} on the slots t^0, t^{1/2}, ... (half powers zero);
+    # the coefficient of t^k is prod_{i <= k} (-rate_J / i)
+    rates = _membership(levi.n) @ np.array(levi.eigenvalues, dtype)
+    expo = np.full((len(rates), width), zero, dtype)
+    expo[:, 0] = 1
+    expo[:, 2::2] = np.multiply.accumulate(
+        rates[:, None] / -np.arange(1, (width + 1) // 2), axis=1
+    )
+    # entry J is the core times row J: toeplitz[i, k] = core[k - i], 0 for k < i
+    padded = np.concatenate((np.full(width - 1, zero, dtype), core))
+    toeplitz = padded[_toeplitz_index(width)]
+    rows = (expo @ toeplitz) * pref
+    return WedgeDiagonalDensity(levi.n, _subsets(levi.n), rows, base2, t2)
+
+
+@functools.lru_cache(maxsize=None)
+def _toeplitz_index(width: int) -> np.ndarray:
+    """index[i, k] = k - i + width - 1: reads a length-width sequence, padded
+    in front by width - 1 zeros, as an upper triangular Toeplitz matrix."""
+    span = np.arange(width)
+    return span[None, :] - span[:, None] + width - 1
 
 
 def supertrace_N_density(
@@ -188,16 +229,21 @@ def supertrace_N_density(
 def rt_density(levi: LeviSpectrum, t: float) -> float:
     """Pointwise scalar trace density det(R/2pi) * sum_j 1/(1 - e^{a_j t}).
 
-    Evaluated stably as -e^{-a t}/(1 - e^{-a t}) per eigenvalue.
+    Evaluated without cancellation or overflow as
+        -(1 / (2 pi t)) * sum_j prod_{i != j} (a_i / 2 pi) * phi(a_j t),
+    phi(x) = x / expm1(x) = x e^{-x} / -expm1(-x), and phi(0) = 1 (an a_j t
+    that underflows).
     """
     levi.require_strongly_pseudoconvex("rt_density")
-    if t <= 0:
-        raise DomainError("rt_density requires t > 0")
+    if not 0 < t < math.inf:  # also rejects nan
+        raise DomainError(f"rt_density requires 0 < t < inf, got t = {t!r}")
+    a = [float(x) for x in levi.eigenvalues]
     acc = 0.0
-    for a in levi.eigenvalues:
-        x = math.exp(-float(a) * t)
-        acc += -x / (1.0 - x)
-    return levi.det_norm * acc
+    for j, aj in enumerate(a):
+        others = math.prod(ai / TWO_PI for i, ai in enumerate(a) if i != j)
+        x = aj * t
+        acc += others * (x * math.exp(-x) / -math.expm1(-x) if x else 1.0)
+    return -acc / (TWO_PI * t)
 
 
 def rt_density_series(
@@ -211,13 +257,13 @@ def rt_density_series(
     """
     levi.require_strongly_pseudoconvex("rt_density_series")
     exact = any(isinstance(a, Fraction) for a in levi.eigenvalues)
-    acc = None
-    for a in levi.eigenvalues:
-        one = Fraction(1) if isinstance(a, Fraction) else 1.0
-        contrib = HalfPowerSeries.constant(one, trunc_order) - bose_factor(a, trunc_order)
-        acc = contrib if acc is None else acc + contrib
+    bose = [bose_factor(a, trunc_order) for a in levi.eigenvalues]
+    # sum_j (1 - bose(a_j)) = n - sum_j bose(a_j); slot 2 holds t^0
+    acc = -np.sum([b.coeffs for b in bose], axis=0)
+    if acc.size > 2:
+        acc[2] += levi.n
     pref = levi.det_norm if normalized else levi.det() * (Fraction(1) if exact else 1.0)
-    return acc.scale(pref)
+    return HalfPowerSeries(bose[0].base2, tuple((acc * pref).tolist()), bose[0].trunc2)
 
 
 def hatA_coeffs(levi: LeviSpectrum) -> Tuple[float, float]:
@@ -243,8 +289,8 @@ def subset_sum_identity_residual(levi: LeviSpectrum, t: float) -> float:
     over all 2^n subsets; returns |lhs - rhs|.
     """
     levi.require_strongly_pseudoconvex("subset_sum_identity_residual")
-    if t <= 0:
-        raise DomainError("t must be > 0")
+    if not 0 < t < math.inf:  # also rejects nan
+        raise DomainError(f"t must satisfy 0 < t < inf, got t = {t!r}")
     a = [float(x) for x in levi.eigenvalues]
     n = levi.n
     lhs = math.exp(-sum(a) * t)
@@ -253,7 +299,7 @@ def subset_sum_identity_residual(levi: LeviSpectrum, t: float) -> float:
         prod = 1.0
         for i in range(n):
             if i != j:
-                prod *= 1.0 - math.exp(a[i] * t)
+                prod *= -math.expm1(a[i] * t)
         total += prod
     lhs *= total
     rhs = 0.0
@@ -262,7 +308,3 @@ def subset_sum_identity_residual(levi: LeviSpectrum, t: float) -> float:
         rate = sum(a[j - 1] for j in subset)
         rhs += (-1.0) ** (n + q) * q * math.exp(-rate * t)
     return abs(lhs - rhs)
-
-
-def _plus(trunc_order, k: int):
-    return _as_doubled(trunc_order, "trunc_order") / 2 + k

@@ -7,16 +7,24 @@ exponent *not* represented; arithmetic propagates it pessimistically so that a
 result never claims more accuracy than its inputs support.
 
 Coefficients may be floats or ``fractions.Fraction``; with the rational backend
-add/mul/inv are exact, which is what the identity tests rely on.
+add/mul/inv are exact, which is what the identity tests rely on.  A product is
+one ``np.convolve`` of the two coefficient arrays (float64, or object arrays of
+``Fraction``, which numpy multiplies and adds exactly).
+
+``bose_factor`` writes the expansion of ``1/(1 - e^{-a t})`` in closed form
+from the exact ``B_2i / (2i)!`` of ``_bernoulli_over_factorial``, the one
+Bernoulli table of the package: ``tails`` reads it for the Euler-Maclaurin
+heat series and for the direct route's Hurwitz evaluations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -72,28 +80,25 @@ class HalfPowerSeries:
         return cls(base2, tuple(coeffs), trunc2)
 
     @classmethod
-    def zero(cls, trunc_order) -> "HalfPowerSeries":
-        t2 = _as_doubled(trunc_order, "trunc_order")
-        return cls(t2, (), t2)
-
-    @classmethod
     def constant(cls, value: Number, trunc_order) -> "HalfPowerSeries":
-        return cls.from_terms({0: value}, trunc_order)
+        t2 = _as_doubled(trunc_order, "trunc_order")
+        if t2 <= 0:
+            return cls(t2, (), t2)
+        return cls(0, (value,) + (_zero_like(value),) * (t2 - 1), t2)
 
     @classmethod
     def exponential(cls, rate: Number, trunc_order) -> "HalfPowerSeries":
         """Series of exp(rate * t) truncated at trunc_order (integer powers)."""
         t2 = _as_doubled(trunc_order, "trunc_order")
+        if t2 <= 0:
+            return cls(t2, (), t2)
         exact = isinstance(rate, Fraction)
-        one = Fraction(1) if exact else 1.0
-        terms = {}
-        term = one
-        k = 0
-        while 2 * k < t2:
-            terms[k] = term
-            k += 1
-            term = term * rate / k
-        return cls.from_terms(terms, trunc_order) if terms else cls.zero(trunc_order)
+        coeffs = [Fraction(0) if exact else 0.0] * t2
+        term = Fraction(1) if exact else 1.0
+        for k in range(0, t2, 2):
+            coeffs[k] = term
+            term = term * rate / (k // 2 + 1)
+        return cls(0, tuple(coeffs), t2)
 
     # -- basic queries --------------------------------------------------
 
@@ -148,15 +153,6 @@ class HalfPowerSeries:
             cut += 1
         return HalfPowerSeries(self.base2 + cut, self.coeffs[cut:], self.trunc2)
 
-    def pad_to(self, base2: int) -> "HalfPowerSeries":
-        """Extend representation downwards with explicit zeros."""
-        if base2 >= self.base2:
-            return self
-        fill = _zero_like(self.coeffs[0]) if self.coeffs else 0.0
-        return HalfPowerSeries(
-            base2, (fill,) * (self.base2 - base2) + self.coeffs, self.trunc2
-        )
-
     def truncate2(self, trunc2: int) -> "HalfPowerSeries":
         if trunc2 >= self.trunc2:
             return self
@@ -166,15 +162,22 @@ class HalfPowerSeries:
 
     # -- arithmetic -----------------------------------------------------
 
+    def _window(self, base2: int, n: int) -> tuple:
+        """Coefficients on slots base2 .. base2 + n - 1, zero below base2."""
+        lead = min(self.base2 - base2, n)
+        fill = _zero_like(self.coeffs[0]) if self.coeffs else 0.0
+        return (fill,) * lead + self.coeffs[: n - lead]
+
     def __add__(self, other: "HalfPowerSeries") -> "HalfPowerSeries":
         trunc2 = min(self.trunc2, other.trunc2)
         base2 = min(self.base2, other.base2)
         if base2 >= trunc2:
             return HalfPowerSeries(trunc2, (), trunc2)
-        a = self.pad_to(base2).truncate2(trunc2)
-        b = other.pad_to(base2).truncate2(trunc2)
+        n = trunc2 - base2
         return HalfPowerSeries(
-            base2, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), trunc2
+            base2,
+            tuple(x + y for x, y in zip(self._window(base2, n), other._window(base2, n))),
+            trunc2,
         )
 
     def __neg__(self) -> "HalfPowerSeries":
@@ -201,18 +204,8 @@ class HalfPowerSeries:
         n = trunc2 - base2
         if n <= 0:
             return HalfPowerSeries(trunc2, (), trunc2)
-        out = [_zero_like(self.coeffs[0]) if self.coeffs else 0.0] * n
-        # zero slots (the half powers of exponentials, Bose factors and their
-        # products) contribute nothing; skip them on both sides
-        nonzero = [(j, cj) for j, cj in enumerate(other.coeffs[:n]) if cj != 0]
-        for i, ci in enumerate(self.coeffs[:n]):
-            if ci == 0:
-                continue
-            for j, cj in nonzero:
-                if i + j >= n:
-                    break
-                out[i + j] = out[i + j] + ci * cj
-        return HalfPowerSeries(base2, tuple(out), trunc2)
+        prod = np.convolve(_coeff_array(self.coeffs), _coeff_array(other.coeffs))
+        return HalfPowerSeries(base2, tuple(prod[:n].tolist()), trunc2)
 
     def inverse(self) -> "HalfPowerSeries":
         """Formal reciprocal; truncated at trunc_order - 2*base_order."""
@@ -237,13 +230,17 @@ class HalfPowerSeries:
         """max |coefficient difference| over exponents both series represent."""
         lo = max(self.base2, other.base2)
         hi = min(self.trunc2, other.trunc2)
-        worst = 0.0
-        e2 = lo
-        while e2 < hi:
-            d = abs(float(self.coefficient(e2 / 2.0)) - float(other.coefficient(e2 / 2.0)))
-            worst = max(worst, d)
-            e2 += 1
-        return worst
+        if lo >= hi:
+            return 0.0
+        a = np.asarray(self.coeffs[lo - self.base2 : hi - self.base2], dtype=float)
+        b = np.asarray(other.coeffs[lo - other.base2 : hi - other.base2], dtype=float)
+        return float(np.max(np.abs(a - b)))
+
+
+def _coeff_array(coeffs: tuple) -> np.ndarray:
+    """Coefficients as float64, or as an object array when any is a Fraction."""
+    arr = np.array(coeffs)
+    return arr if arr.dtype == object else arr.astype(float, copy=False)
 
 
 def _as_doubled(x, name: str) -> int:
@@ -261,34 +258,64 @@ def _as_doubled(x, name: str) -> int:
     return int(round(two))
 
 
-def bose_factor(a: Number, trunc_order, exact: bool | None = None) -> HalfPowerSeries:
-    """Laurent expansion of 1/(1 - exp(-a t)) about t = 0.
+@functools.lru_cache(maxsize=None)
+def _tangent_numbers(n: int) -> Tuple[int, ...]:
+    """T_0 .. T_n by the integer recurrence of Brent and Harvey (2011), whose
+    T_k do not depend on n; the cost grows like n^2."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
 
-    The leading term is 1/(a t); only integer powers occur (half-power slots
-    are zero).  With ``exact`` (or a Fraction argument) the coefficients are
-    computed in rational arithmetic.
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_over_factorial(i: int) -> Fraction:
+    """B_2i / (2i)! = (-1)^(i-1) 2i T_i / (4^i (4^i - 1) (2i)!), exact, i >= 1;
+    the one Bernoulli source of the Bose series, the heat Euler-Maclaurin
+    series and the direct route."""
+    # in blocks of 32: the first two ladder levels read at most 23 entries
+    t = _tangent_numbers(32 * -(-i // 32))
+    return Fraction(
+        (-1) ** (i - 1) * 2 * i * t[i], 4 ** i * (4 ** i - 1) * math.factorial(2 * i)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _bose_weights(count: int, exact: bool) -> tuple:
+    """B_2i / (2i)! for i = 1..count, exact or rounded once to float."""
+    weights = tuple(_bernoulli_over_factorial(i) for i in range(1, count + 1))
+    return weights if exact else tuple(float(w) for w in weights)
+
+
+def bose_factor(a: Number, trunc_order, exact: bool | None = None) -> HalfPowerSeries:
+    """Laurent expansion of 1/(1 - exp(-a t)) about t = 0, in closed form:
+
+        1/(1 - e^{-x}) = 1/x + 1/2 + sum_{i >= 1} B_2i / (2i)! x^{2i-1},  x = a t,
+
+    from t^{-1} up to (not including) t^{trunc_order}, with the exact
+    ``_bernoulli_over_factorial``.  Only integer powers occur (half-power
+    slots are zero).  With ``exact`` (or a Fraction argument) the
+    coefficients are rational.
     """
     if exact is None:
         exact = isinstance(a, Fraction)
-    if exact and not isinstance(a, Fraction):
-        a = Fraction(a)
-    if a <= 0:
-        raise DomainError("bose_factor requires a > 0")
+    if not 0 < a < math.inf:  # also rejects nan
+        raise DomainError(f"bose_factor requires 0 < a < inf, got a = {a!r}")
+    a = Fraction(a) if exact else float(a)
     t2 = _as_doubled(trunc_order, "trunc_order")
-    # 1 - e^{-at} = t * (a - a^2 t/2 + ...); invert the bracket, shift by t^{-1}.
-    # Inverse coefficient k reads bracket terms 0..k only, so t2 + 2 slots
-    # give exactly the t2 + 2 coefficients below t^{trunc_order} after the shift.
-    bracket_trunc2 = t2 + 2
-    one = Fraction(1) if exact else 1.0
-    terms = {}
-    term = a * one
-    k = 1
-    while 2 * (k - 1) < bracket_trunc2:
-        terms[k - 1] = term if k % 2 == 1 else -term
-        k += 1
-        term = term * a / k
-    bracket = HalfPowerSeries.from_terms(terms, bracket_trunc2 / 2)
-    return bracket.inverse().shift(-1)
+    size = t2 + 2  # slot 0 is t^{-1}, slot 4i is t^{2i-1}
+    if size <= 0:
+        return HalfPowerSeries(t2, (), t2)
+    coeffs = [Fraction(0) if exact else 0.0] * size
+    coeffs[0] = 1 / a
+    if size > 2:
+        coeffs[2] = Fraction(1, 2) if exact else 0.5
+    for i, weight in enumerate(_bose_weights((size - 1) // 4, exact), 1):
+        coeffs[4 * i] = weight * a ** (2 * i - 1)
+    return HalfPowerSeries(-2, tuple(coeffs), t2)
 
 
 @dataclass(frozen=True)

@@ -480,8 +480,8 @@ class GeometryModel:
     rank_e: int
 
     def __post_init__(self):
-        if self.volume <= 0:
-            raise DomainError("volume must be positive")
+        if not 0 < self.volume < math.inf:  # also rejects nan
+            raise DomainError(f"volume must be positive and finite, got {self.volume!r}")
         if self.rank_e < 1:
             raise DomainError("rank_e must be >= 1")
         if self.levi.n != self.n:

@@ -37,11 +37,10 @@ from decimal import (
     getcontext,
     localcontext,
 )
-from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import ConvergenceError, DomainError
-from .series import HalfPowerSeries, _as_doubled
+from .series import HalfPowerSeries, _as_doubled, _bernoulli_over_factorial
 
 SQRT_PI = math.sqrt(math.pi)
 _LOG10_2 = math.log10(2.0)
@@ -486,30 +485,6 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
 #: corrections at every ladder level.
 _EM_SHIFT_PER_BIT = 0.3
 _EM_TERM_CAP = 128
-
-
-@functools.lru_cache(maxsize=None)
-def _tangent_numbers(n: int) -> Tuple[int, ...]:
-    """T_0 .. T_n by the integer recurrence of Brent and Harvey (2011), whose
-    T_k do not depend on n; the cost grows like n^2."""
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return tuple(t)
-
-
-@functools.lru_cache(maxsize=None)
-def _bernoulli_over_factorial(i: int) -> Fraction:
-    """B_2i / (2i)! = (-1)^(i-1) 2i T_i / (4^i (4^i - 1) (2i)!), exact, i >= 1;
-    the one Bernoulli source of both the heat and the direct route."""
-    # in blocks of 32: the first two ladder levels read at most 23 entries
-    t = _tangent_numbers(32 * -(-i // 32))
-    return Fraction(
-        (-1) ** (i - 1) * 2 * i * t[i], 4 ** i * (4 ** i - 1) * math.factorial(2 * i)
-    )
 
 
 @functools.lru_cache(maxsize=None)

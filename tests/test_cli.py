@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from crtorsion.cli import main, run_selfcheck
+from crtorsion.density import LeviSpectrum
+from crtorsion.spectra import CP1_VOLUME, GeometryModel, cp1_geometry, dump_geometry
 
 
 def run_cli(args, capsys):
@@ -140,6 +142,26 @@ class TestSweep:
             for key in ("theta_prime_0", "theta_prime_0_direct", "rhs", "residual", "error_budget"):
                 assert float(crow[key]) == jrow[key]
 
+    def test_geometry_file_of_the_circle_bundle_runs(self, tmp_path, capsys):
+        path = tmp_path / "cp1.json"
+        path.write_text(dump_geometry(cp1_geometry()))
+        code, out, _ = run_cli(["sweep", "--ms", "8,16,32", "--geometry", str(path)], capsys)
+        assert code == 0
+        assert "trend (|residual| strictly decreasing over last 3): ok" in out
+
+    def test_geometry_other_than_circle_bundle_is_named_error(self, tmp_path, capsys):
+        # the sweep's spectrum is the circle bundle's; pairing it with another
+        # geometry's right-hand side gave residuals that grow and exit 2
+        path = tmp_path / "levi2.json"
+        path.write_text(
+            dump_geometry(GeometryModel(1, LeviSpectrum(1, (2.0,)), CP1_VOLUME / 2, 1))
+        )
+        code, out, err = run_cli(["sweep", "--ms", "8,16,32", "--geometry", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "not the circle bundle" in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert out == ""
+
     def test_missing_geometry_names_path(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--ms", "8,16", "--geometry", "/no/such/geom.json"], capsys
@@ -256,15 +278,29 @@ def test_directory_in_place_of_file(cargs, tmp_path, capsys):
         (["sweep", "--ms", "8", "--geometry"], "g.json", b'{"n": 1,', "invalid geometry file"),
         (["fit", "--n", "1", "--tmin", "0", "--spectrum"], "s.csv", b"q,lambda,mult\n1,2.0,1\n",
          "--tmin and --tmax must be positive"),
+        (["density", "--geometry"], "g.json",
+         b'{"n": 1, "eigenvalues": [Infinity], "volume": 1.0, "rank_e": 1}',
+         "eigenvalues must be finite and nonnegative, got (inf,)"),
+        (["density", "--geometry"], "g.json",
+         b'{"n": 1, "eigenvalues": [NaN], "volume": 1.0, "rank_e": 1}',
+         "eigenvalues must be finite and nonnegative, got (nan,)"),
+        (["density", "--geometry"], "g.json",
+         b'{"n": 1, "eigenvalues": [1.0], "volume": NaN, "rank_e": 1}',
+         "volume must be positive and finite, got nan"),
     ],
-    ids=["spectrum-not-utf8", "geometry-malformed-json", "fit-tmin-zero"],
+    ids=[
+        "spectrum-not-utf8", "geometry-malformed-json", "fit-tmin-zero",
+        "density-eigenvalue-inf", "density-eigenvalue-nan", "density-volume-nan",
+    ],
 )
 def test_bad_input_is_named_error(cargs, name, content, message, tmp_path, capsys):
     path = tmp_path / name
     path.write_bytes(content)
-    code, _, err = run_cli(cargs + [str(path)], capsys)
+    code, out, err = run_cli(cargs + [str(path)], capsys)
     assert code == 1
     assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert out == ""
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from crtorsion.density import (
     supertrace_N_density,
 )
 from crtorsion.errors import DomainError
-from crtorsion.series import HalfPowerSeries
+from crtorsion.series import HalfPowerSeries, bose_factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +68,11 @@ class TestLeviSpectrum:
         assert not LeviSpectrum(2, (1.0, 0.0)).strongly_pseudoconvex
         assert LeviSpectrum(2, (1.0, 2.0)).strongly_pseudoconvex
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        with pytest.raises(DomainError, match="eigenvalues must be finite"):
+            LeviSpectrum(2, (1.0, bad))
+
 
 class TestModelDensity:
     def test_n1_empty_subset_coefficients(self):
@@ -105,6 +110,28 @@ class TestModelDensity:
                 assert float(b.coefficient(e)) == pytest.approx(
                     3.0 * float(a.coefficient(e)), rel=1e-13, abs=1e-16
                 )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_entry_is_core_times_exponential_exactly(self, n):
+        # the Toeplitz product against a schoolbook reference: the core
+        # prod_j a_j bose(a_j) times e^{-t rate_J}, entry by entry
+        rng = np.random.default_rng(60 + n)
+        for order in (1, 3.5):
+            levi = random_levi(rng, n, exact=True)
+            dens = model_density_coeffs(levi, 2, order, normalized=False)
+            work = order + n + 1
+            core = None
+            for a in levi.eigenvalues:
+                factor = bose_factor(a, work).scale(a)
+                core = factor if core is None else core * factor
+            t2 = round(2 * order)
+            for subset in dens.subsets:
+                rate = sum((levi.eigenvalues[j - 1] for j in subset), Fraction(0))
+                want = (core * HalfPowerSeries.exponential(-rate, work)).scale(Fraction(2))
+                got = dens[subset]
+                assert (got.base2, got.trunc2) == (want.base2, t2)
+                assert got.coeffs == want.coeffs[: t2 - want.base2]
+                assert all(isinstance(c, Fraction) for c in got.coeffs)
 
     def test_subset_count(self):
         dens = model_density_coeffs(LeviSpectrum(3, (1.0, 2.0, 0.5)), 1, 0)
@@ -198,6 +225,31 @@ class TestRtDensity:
             rt_density(LeviSpectrum(1, (1.0,)), 0.0)
         with pytest.raises(DomainError):
             rt_density(LeviSpectrum(1, (0.0,)), 1.0)
+        with pytest.raises(DomainError, match="0 < t < inf"):
+            rt_density(LeviSpectrum(1, (1.0,)), math.nan)
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-8, 1e-10, 1e-12, 1e-300])
+    def test_small_t_has_no_cancellation(self, t):
+        # 1/(1 - e^{t}) = -1/expm1(t): no digit is lost as t -> 0
+        want = -1.0 / (TWO_PI * math.expm1(t))
+        got = rt_density(LeviSpectrum(1, (1.0,)), t)
+        assert got == pytest.approx(want, rel=4e-16)
+
+    def test_tiny_eigenvalue(self):
+        # a t underflows the subtraction 1 - e^{-a t}; the density stays
+        # -(1/2 pi t) to leading order
+        for a in (1e-200, 1e-320):
+            got = rt_density(LeviSpectrum(1, (a,)), 1.0)
+            assert got == pytest.approx(-1.0 / TWO_PI, rel=1e-12)
+        # the second eigenvalue's term carries the factor a_1 -> 0
+        got = rt_density(LeviSpectrum(2, (1e-320, 2.0)), 0.5)
+        want = (2.0 / TWO_PI ** 2) * (-1.0 / 0.5)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_large_t_decays(self):
+        assert rt_density(LeviSpectrum(1, (1.0,)), 800.0) == pytest.approx(
+            -math.exp(-800.0) / TWO_PI, rel=1e-12
+        )
 
     @pytest.mark.parametrize("order", [2, 4.5, 7])
     def test_series_equals_bracket_inversion_exactly(self, order):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import crtorsion
+from crtorsion import series, tails
 from crtorsion.errors import ArityError, DomainError, SingularLeadError
 from crtorsion.series import (
     HalfPowerSeries,
@@ -40,6 +41,28 @@ def bose_oracle(a: Fraction, trunc: int):
         for n in range(0, trunc + 2)
         if n - 1 < trunc
     }
+
+
+def random_rational_series(rng, base2, size):
+    return HalfPowerSeries(
+        base2,
+        tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) for _ in range(size)),
+        base2 + size,
+    )
+
+
+def bracket_inverse_bose(a: Fraction, trunc_order) -> HalfPowerSeries:
+    """Reference: 1/(1 - e^{-a t}) by inverting the bracket
+    (1 - e^{-a t}) / t = a - a^2 t / 2! + ... term by term."""
+    t2 = round(2 * trunc_order)
+    terms = {}
+    term = a
+    k = 1
+    while 2 * (k - 1) < t2 + 2:
+        terms[k - 1] = term if k % 2 == 1 else -term
+        k += 1
+        term = term * a / k
+    return HalfPowerSeries.from_terms(terms, (t2 + 2) / 2).inverse().shift(-1)
 
 
 class TestArithmetic:
@@ -86,6 +109,53 @@ class TestArithmetic:
         total = a + b
         assert total.coefficient(0) == Fraction(2, 7) + Fraction(3, 5)
 
+    def test_mul_matches_double_loop_exactly(self):
+        # the product is one convolution of the coefficient arrays; on
+        # Fraction coefficients it equals the schoolbook double loop exactly
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            a = random_rational_series(rng, int(rng.integers(-6, 4)), int(rng.integers(1, 13)))
+            b = random_rational_series(rng, int(rng.integers(-6, 4)), int(rng.integers(1, 13)))
+            got = a * b
+            trunc2 = min(a.trunc2 + b.base2, b.trunc2 + a.base2)
+            n = trunc2 - a.base2 - b.base2
+            want = [Fraction(0)] * n
+            for i, ci in enumerate(a.coeffs):
+                for j, cj in enumerate(b.coeffs):
+                    if i + j < n:
+                        want[i + j] += ci * cj
+            assert (got.base2, got.trunc2) == (a.base2 + b.base2, trunc2)
+            assert got.coeffs == tuple(want)
+            assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+    def test_add_aligns_and_truncates(self):
+        a = HalfPowerSeries.from_terms({-1: Fraction(2), 1: Fraction(3)}, 2)
+        b = HalfPowerSeries.from_terms({0: Fraction(5), 0.5: Fraction(7)}, 1)
+        total = a + b
+        assert (total.base2, total.trunc2) == (-2, 2)
+        assert total.coeffs == (2, 0, 5, 7)
+        assert all(isinstance(c, Fraction) for c in total.coeffs)
+
+    @pytest.mark.parametrize("order", [0, 0.5, 1, 7.5, 13])
+    def test_exponential_matches_term_loop_exactly(self, order):
+        for rate in (Fraction(1), Fraction(-7, 3), Fraction(5, 11), Fraction(0)):
+            got = HalfPowerSeries.exponential(rate, order)
+            want, term = {}, Fraction(1)
+            for k in range(math.ceil(order)):
+                want[k] = term
+                term = term * rate / (k + 1)
+            assert (got.base2, got.trunc2) == ((0, round(2 * order)) if want else (0, 0))
+            for e2 in range(got.base2, got.trunc2):
+                c = got.coefficient(e2 / 2)
+                assert c == want.get(e2 / 2, 0) and isinstance(c, Fraction)
+
+    def test_max_abs_coeff_diff_reads_shared_slots(self):
+        a = HalfPowerSeries.from_terms({-1: 1.0, 0: 2.0, 1: 3.0}, 2)
+        b = HalfPowerSeries.from_terms({0: 2.5, 1: 3.0, 2: 9.0}, 2.5)
+        assert a.max_abs_coeff_diff(b) == 0.5  # t^0 .. t^{3/2} only
+        nan = HalfPowerSeries.from_terms({0: float("nan")}, 1)
+        assert math.isnan(nan.max_abs_coeff_diff(b))
+
     def test_mul_truncation_is_min_propagated(self):
         a = HalfPowerSeries.from_terms({0: 1.0}, 2)      # trunc t^2
         b = HalfPowerSeries.from_terms({1: 1.0}, 5)      # trunc t^5
@@ -130,6 +200,33 @@ class TestBoseFactor:
             bose_factor(0.0, 3)
         with pytest.raises(DomainError):
             bose_factor(-1.5, 3)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, a, exact):
+        with pytest.raises(DomainError, match="0 < a < inf"):
+            bose_factor(a, 3, exact=exact)
+
+    @pytest.mark.parametrize("order", [0, 0.5, 1, 7.5, 13])
+    @pytest.mark.parametrize("a", [Fraction(1), Fraction(7, 3), Fraction(1, 7), Fraction(19, 2)])
+    def test_closed_form_equals_bracket_inversion_exactly(self, a, order):
+        got = bose_factor(a, order)
+        want = bracket_inverse_bose(a, order)
+        assert (got.base2, got.trunc2) == (want.base2, want.trunc2)
+        assert got.coeffs == want.coeffs
+        assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+    def test_float_rate_close_to_bracket_inversion(self):
+        for a in (0.37, 1.0, 2.9, 11.5):
+            got = bose_factor(a, 13)
+            want = bracket_inverse_bose(Fraction(a), 13)
+            for c, w in zip(got.coeffs, want.coeffs):
+                assert c == pytest.approx(float(w), rel=1e-15, abs=1e-300)
+
+    def test_one_bernoulli_table(self):
+        assert tails._bernoulli_over_factorial is series._bernoulli_over_factorial
+        assert tails._bernoulli_over_factorial(1) == Fraction(1, 12)
+        assert "_tangent_numbers" not in vars(tails)
 
     def test_inverse_identity_random_rates(self):
         # bose(a) * (1 - e^{-a t}) == 1 coefficient-wise

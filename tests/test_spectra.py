@@ -578,3 +578,6 @@ class TestGeometry:
             GeometryModel(1, levi, -1.0, 1)
         with pytest.raises(DomainError):
             GeometryModel(1, levi, 1.0, 0)
+        for volume in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="volume must be positive and finite"):
+                GeometryModel(1, levi, volume, 1)
