@@ -132,8 +132,11 @@ def _subsets(n: int) -> Tuple[FrozenSet[int], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _membership(n: int) -> np.ndarray:
-    """0/1 matrix whose row i marks the members of ``_subsets(n)[i]``."""
-    return np.array([[j in s for j in range(1, n + 1)] for s in _subsets(n)], dtype=int)
+    """0/1 matrix whose row i marks the members of ``_subsets(n)[i]`` (cached,
+    so read-only)."""
+    member = np.array([[j in s for j in range(1, n + 1)] for s in _subsets(n)], dtype=int)
+    member.setflags(write=False)
+    return member
 
 
 def _per_eigenvalue_factor(a, trunc_order, exact: bool) -> HalfPowerSeries:
@@ -202,9 +205,12 @@ def model_density_coeffs(
 @functools.lru_cache(maxsize=None)
 def _toeplitz_index(width: int) -> np.ndarray:
     """index[i, k] = k - i + width - 1: reads a length-width sequence, padded
-    in front by width - 1 zeros, as an upper triangular Toeplitz matrix."""
+    in front by width - 1 zeros, as an upper triangular Toeplitz matrix
+    (cached, so read-only)."""
     span = np.arange(width)
-    return span[None, :] - span[:, None] + width - 1
+    index = span[None, :] - span[:, None] + width - 1
+    index.setflags(write=False)
+    return index
 
 
 def supertrace_N_density(
