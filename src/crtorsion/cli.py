@@ -236,7 +236,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     record("scaling_identity_m8", rep.scaling_identity_gap, 1e-8)
 
     # circle-bundle oracle (kept small here; the full gate runs in acceptance)
-    record("cp1_oracle_eigenvalues", validate_eigenvalues(1, num_eigs=6, basis_factor=3), 1e-6)
+    record("cp1_oracle_eigenvalues", validate_eigenvalues(1, num_eigs=6), 1e-6)
     dims_ok = all(validate_kernel_dimension(m) == m + 1 for m in range(0, 5))
     record("cp1_kernel_dims", 0.0 if dims_ok else 1.0, 0.5)
 
@@ -393,13 +393,28 @@ def _read_spectrum(name: str, n: int) -> SpectrumTable:
     return ingest_spectrum(path.read_bytes(), n=n)
 
 
-def _cmd_torsion(args) -> int:
+def _cp1_geometry(args):
+    """The ``--geometry`` of a command that computes the circle-bundle
+    spectrum, which must be the circle bundle's: a file cannot carry its own
+    spectrum yet."""
     model = _resolve_geometry(args.geometry)
+    if model != cp1_geometry():
+        raise CrTorsionError(
+            f"{args.command} computes the circle-bundle spectrum, but geometry "
+            f"{args.geometry} is not the circle bundle's (cp1); a geometry file cannot "
+            "carry its own spectrum yet"
+        )
+    return model
+
+
+def _cmd_torsion(args) -> int:
     if args.spectrum:
+        model = _resolve_geometry(args.geometry)
         spec = _read_spectrum(args.spectrum, model.n)
     elif args.m is None:
         raise CrTorsionError("either --spectrum or --m is required")
     else:
+        model = _cp1_geometry(args)
         spec = cp1_spectrum(args.m, _kmax(args, args.m))
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
     m = 1 if args.m is None else args.m
@@ -410,15 +425,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model = _resolve_geometry(args.geometry)
-    if model != cp1_geometry():
-        # the sweep's spectrum is always the circle bundle's; a file cannot
-        # name its own spectrum yet
-        raise CrTorsionError(
-            f"sweep computes the circle-bundle spectrum, but geometry {args.geometry} "
-            "is not the circle bundle's (cp1); a geometry file cannot carry its own "
-            "spectrum yet"
-        )
+    model = _cp1_geometry(args)
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
 
     def source(m: int) -> SpectrumTable:

@@ -1,53 +1,46 @@
 """Independent validation of the circle-bundle closed-form spectrum.
 
 The degree-0 Fourier component of the Kohn Laplacian on the 3-sphere model is
-diagonalized by Rayleigh-Ritz in a monomial dictionary.  Writing points of the
-sphere as (z1, z2) with |z1|^2 + |z2|^2 = 1, the weight-m subspace is spanned
-by monomials z^alpha zbar^beta with |alpha| - |beta| = m.  Two structural
-facts make the computation exact up to roundoff:
+diagonalized by Rayleigh-Ritz on monomials.  Writing points of the sphere as
+(z1, z2) with |z1|^2 + |z2|^2 = 1, the weight-m subspace is spanned by
+monomials z^alpha zbar^beta with |alpha| - |beta| = m.  Inner products couple
+two monomials only when their difference vectors alpha - beta agree, so the
+problem splits into blocks indexed by d = (d1, d2), d1 + d2 = m.
 
-* inner products on the sphere couple (alpha, beta) with (alpha', beta') only
-  when alpha - beta = alpha' - beta' (componentwise), so the problem splits
-  into blocks indexed by the difference vector d;
-* within a block of difference d and antiholomorphic degree at most K, the
-  span restricted to the sphere is exactly the sum of the true eigenspace
-  lines with k <= K, so the projected eigenproblem returns exact eigenvalues
-  (the dictionary is redundant; the metric null space is removed first).
-
-Monomial moments: the sphere average of z^g zbar^g is proportional to
-g1! g2! / (|g| + 1)!.
+On the sphere each block is one-dimensional.  The block of difference d and
+antiholomorphic degree <= K is F_d times the polynomials of degree
+<= J = K - max(0, -d1) - max(0, -d2) in x = |z2|^2, where
+F_d = z^max(0, d) zbar^max(0, -d) (componentwise), and |z1|^2 = 1 - x.  The
+sphere average of |z1|^(2a) |z2|^(2b) is a! b! / (a + b + 1)! =
+int_0^1 (1 - x)^a x^b dx, so the Gram matrix of the basis F_d x^j is the
+Hankel matrix of the moments of the weight (1 - x)^|d1| x^|d2|.  The span of
+degree <= K holds exactly the eigenspace lines k <= K, so the projected
+eigenproblem returns their eigenvalues exactly, to compare with k (k + m + 1).
 
 The quadratic form is ||Zbar u||^2 with Zbar = z2 d/dzbar1 - z1 d/dzbar2,
-normalized so that the model's Levi eigenvalue is 1; the expected eigenvalues
-are k (k + m + 1).  Zbar takes the block of difference d and degree <= K into
-the image block of difference d + (1, 1) and degree <= K - 1, two terms per
-monomial, so the form is the Gram matrix of the images, H^T G_W H.  Both
-projected forms, q^T G q on an orthonormal basis q of the Gram matrix's range
-and (H q)^T G_W (H q), come from one sweep that forms only the column panels
-on and below the diagonal.
+normalized so that the model's Levi eigenvalue is 1.  Zbar takes the block
+into the image block of difference d + (1, 1): each F_d x^j goes to two
+monomials, which are F_(d+(1,1)) times an integer polynomial in x.  With H
+that integer map and G_W the image block's Gram matrix, the form is
+H^T G_W H.  Its zero modes are the kernel of H, counted exactly.
 
-The blocks of one weight and degree are factored together in one batched
-pass (the kernel-dimension check's m + 5 blocks; a single block is a batch
-of one).  They share the (b1, b2) triangle and one moment table.  Each
-block's monomials come first, in triangle order, padded to the largest block
-at log norm -inf, which gives zero Gram rows and columns: the pivoted
-Cholesky never pivots on the padding, stops each block at its own tolerance,
-and writes zero columns for a block that stopped before the others.  QR, the
-two sweeps and the Gram eigendecomposition run on the whole batch; the
-null-space cut drops the directions of those zero columns, and Rayleigh-Ritz
-runs block by block on the kept ones.  Batching is what pays for the
-kernel count, whose blocks hold at most 28 monomials: numpy's cost per call
-outweighs their arithmetic, and the 14 kernel-count calls of a criterion-10
-gate plus selfcheck take 27 ms against 58 ms block by block (2-CPU Xeon VM,
-one BLAS thread).
+Every moment is a rational number, taken as a ratio to the block's first
+moment by a running product, so no factorial of a weight-sized integer is
+formed.  The Gram matrix is factored as L D L^T and the form projected to
+D^(-1/2) L^-1 H^T G_W H L^-T D^(-1/2) in the standard library's decimal
+module, then handed to a float symmetric eigensolver.  The Hankel matrix
+loses about 1.5 digits per degree, like the Hilbert matrix, so the decimal
+context carries 20 + 2 n digits for n = J + 1 basis functions: 40 for the
+ten eigenvalues of the criterion-10 gate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,223 +50,131 @@ from .series import fit_half_powers
 from .spectra import CP1_VOLUME, _require_int, cp1_spectrum, trace_degree_nodes
 
 
-#: Gram columns formed per step of the sweep that projects the two forms
-_PANEL = 32
+def _image_map(d1: int, d2: int, K: int) -> List[List[int]]:
+    """Zbar on the block of difference (d1, d2) and degree <= K: for each
+    basis function F_d x^j, j <= J, the integer coefficients of its image in
+    the basis F_d' x^i of the image block, d' = (d1 + 1, d2 + 1).  Empty when
+    J < 0."""
+    lo1, lo2 = max(0, -d1), max(0, -d2)  # the zbar exponents of F_d
+    up1, up2 = max(0, -d1 - 1), max(0, -d2 - 1)  # and of F_d'
+    width = K - up1 - up2  # the image block's degree is <= K - 1
+    cols = []
+    for j in range(K - lo1 - lo2 + 1):
+        b1, b2 = lo1, lo2 + j  # F_d x^j = z^(b + d) zbar^b
+        col = [0] * width
+        # Zbar z^a zbar^b = b1 z^(a+e2) zbar^(b-e1) - b2 z^(a+e1) zbar^(b-e2),
+        # and the image monomial with zbar^c is F_d' (1 - x)^g1 x^g2, g = c - up
+        for c, g1, g2 in ((b1, b1 - 1 - up1, b2 - up2), (-b2, b1 - up1, b2 - 1 - up2)):
+            if c:
+                for i in range(g1 + 1):
+                    col[g2 + i] += c * (-1) ** i * math.comb(g1, i)
+        cols.append(col)
+    return cols
 
 
-def _log_moments(n1: int, n2: int) -> np.ndarray:
-    """log of g1! g2! / (g1 + g2 + 1)! on the n1 x n2 grid of g >= 0.
-
-    math.lgamma, not scipy's gammaln: the top eigenvalues of a block are
-    conditioned at ~1e-9 and show last-bit differences in the moments.
-    """
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n1 + n2)])
-    g1, g2 = np.arange(n1)[:, None], np.arange(n2)
-    return log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
-
-
-# Cached: rebuilding it per block makes the 81 degree-6 blocks of the
-# kernel-dimension check about 15 % slower.
-@functools.lru_cache(maxsize=16)
-def _triangle(K: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(b1, b2, up, coef), shared by every block of degree K: all (b1, b2) of
-    degree <= K, by degree and then b1, so the first K (K + 1) / 2 are those
-    of degree <= K - 1; for each such c, up[:, c] holds the places of c + e1
-    and c + e2, and coef[:, c] = (c1 + 1, -(c2 + 1)) the coefficients of the
-    image monomial c in Zbar of those two."""
-    tot = np.repeat(np.arange(K + 1), np.arange(1, K + 2))
-    b1 = np.arange(tot.size) - tot * (tot + 1) // 2
-    b2 = tot - b1
-    c = slice(0, K * (K + 1) // 2)
-    above = np.arange(c.stop) + tot[c] + 2
-    out = (b1, b2, np.stack((above, above - 1)), np.stack((b1[c] + 1, -(b2[c] + 1))))
-    for a in out:
-        a.flags.writeable = False
+def _moments(a: int, b: int, count: int, first: Decimal) -> List[Decimal]:
+    """first * M(a, b + p) / M(a, b), p < count, in the current decimal
+    context, where M(a, b) = a! b! / (a + b + 1)! = int_0^1 (1 - x)^a x^b dx."""
+    out = [first]
+    for p in range(1, count):
+        out.append(out[-1] * (b + p) / (a + b + 1 + p))
     return out
+
+
+def _factorial_ratio(n: int, k: int) -> Fraction:
+    """n! / k! for nearby n and k."""
+    return Fraction(math.perm(n, n - k)) if n >= k else 1 / Fraction(math.perm(k, k - n))
+
+
+def _rank(cols: List[List[int]]) -> int:
+    """Rank of integer vectors, by fraction-free elimination."""
+    rows = [col for col in cols if any(col)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        p = next(i for i, v in enumerate(pivot) if v)
+        rank += 1
+        for i, row in enumerate(rows):
+            if row[p]:
+                rows[i] = [pivot[p] * x - row[p] * y for x, y in zip(row, pivot)]
+        rows = [row for row in rows if any(row)]
+    return rank
+
+
+def _forms(d1: int, d2: int, cols: List[List[int]]) -> Tuple[List[Decimal], List[List[Decimal]]]:
+    """The Gram matrix and the quadratic form of the block of difference
+    (d1, d2) with image map ``cols``, in the current decimal context and as
+    multiples of M(|d1|, |d2|): the moments g, with Gram entry (i, j) at
+    g[i + j], and the form H^T G_W H."""
+    a, b, a_img, b_img = abs(d1), abs(d2), abs(d1 + 1), abs(d2 + 1)
+    ratio = (
+        _factorial_ratio(a_img, a)
+        * _factorial_ratio(b_img, b)
+        * _factorial_ratio(a + b + 1, a_img + b_img + 1)
+    )  # M(a_img, b_img) / M(a, b)
+    gram = _moments(a, b, 2 * len(cols) - 1, Decimal(1))
+    image = _moments(a_img, b_img, 2 * len(cols[0]) - 1, Decimal(ratio.numerator) / ratio.denominator)
+    terms = [[(k, c) for k, c in enumerate(col) if c] for col in cols]
+    form = [
+        [sum(ci * cj * image[k + l] for k, ci in ti for l, cj in tj) for tj in terms]
+        for ti in terms
+    ]
+    return gram, form
+
+
+def _project(gram: List[Decimal], form: List[List[Decimal]]) -> np.ndarray:
+    """D^(-1/2) L^-1 A L^-T D^(-1/2) as a float matrix, for the Hankel Gram
+    matrix G = L D L^T of the moments ``gram`` and the form A, computed in
+    the current decimal context."""
+    n = len(form)
+    low, ld, diag = [], [], []  # G = L D L^T, row by row; ld holds the rows of L D
+    for i in range(n):
+        row, ld_row = [], []
+        for j in range(i):
+            ld_row.append(gram[i + j] - sum(x * y for x, y in zip(row, ld[j])))
+            row.append(ld_row[j] / diag[j])
+        diag.append(gram[2 * i] - sum(x * y for x, y in zip(row, ld_row)))
+        low.append(row)
+        ld.append(ld_row)
+    x_rows = []  # rows of L^-1 A
+    for i in range(n):
+        row = form[i]
+        for k in range(i):
+            row = [u - low[i][k] * v for u, v in zip(row, x_rows[k])]
+        x_rows.append(row)
+    y_rows = []  # rows of L^-1 (L^-1 A)^T = L^-1 A L^-T
+    for i in range(n):
+        row = [x_row[i] for x_row in x_rows]
+        for k in range(i):
+            row = [u - low[i][k] * v for u, v in zip(row, y_rows[k])]
+        y_rows.append(row)
+    scale = [1 / d.sqrt() for d in diag]
+    return np.array(
+        [[float(y * si * sj) for y, sj in zip(row, scale)] for row, si in zip(y_rows, scale)]
+    )
 
 
 def galerkin_block_eigenvalues(m: int, K: int, d1_offset: int = 0) -> np.ndarray:
     """Sorted eigenvalues of the degree-0 block with difference vector
-    d = (m + d1_offset, -d1_offset), antiholomorphic degree <= K.
+    d = (m + d1_offset, -d1_offset), antiholomorphic degree <= K: J + 1 of
+    them, k (k + m + 1) for k = K - J ... K, or none for an empty block.
 
-    The basis is z^alpha zbar^beta with alpha = beta + d, normalized, so the
-    Gram entry of beta_i, beta_j is the normalized moment M(beta_i + beta_j + d).
-    Zbar maps z^alpha zbar^beta to
-    b1 z^(alpha+e2) zbar^(beta-e1) - b2 z^(alpha+e1) zbar^(beta-e2): monomials
-    of the image block, difference d + (1, 1) and degree <= K - 1.  With H
-    that two-term map onto the image monomials and G_W their Gram matrix, the
-    quadratic form ||Zbar u||^2 is H^T G_W H.
-
-    No n x n matrix is formed: the factor reads the Gram matrix a column at
-    a time, giving an orthonormal basis q of its range, and the two projected
-    forms q^T G q and (H q)^T G_W (H q) come from one panelled sweep
-    (``_projected_gram``), so memory is O(n (rank + _PANEL)) for n basis
-    monomials.  This is ``_galerkin_blocks`` with a batch of one.
+    The forms are built and projected (``_forms``, ``_project``) in decimal
+    at 20 + 2 n digits for the block's n = J + 1 basis functions, and the
+    float eigensolver reads the projected form.
     """
-    return _galerkin_blocks(m, K, [d1_offset])[0]
-
-
-def _galerkin_blocks(m: int, K: int, d1_offsets) -> list:
-    """``galerkin_block_eigenvalues(m, K, off)`` for each off in
-    ``d1_offsets``, all factored in one batched pass; an empty block gives an
-    empty array in its place.
-
-    The blocks share the triangle of (b1, b2) and one moment table.  Each
-    block's monomials come first, in triangle order, padded to the largest
-    block at log norm -inf: the padding has zero Gram rows and columns, so
-    the factor never pivots on it and each block factors as it would alone.
-    """
-    _require_int(m=m, K=K)
-    for d1_offset in d1_offsets:
-        _require_int(d1_offset=d1_offset)
+    _require_int(m=m, K=K, d1_offset=d1_offset)
     if m < 0:
         raise DomainError(f"need m >= 0, got m={m}")
     if K < 1:
         raise DomainError(f"need K >= 1, got K={K}")
-    offsets = np.array(d1_offsets, dtype=np.int64)
-    b1, b2, up, coef = _triangle(K)
-    inside = (b1 >= -(m + offsets[:, None])) & (b2 >= offsets[:, None])
-    busy = np.flatnonzero(inside.any(axis=1))
-    out = [np.array([]) for _ in offsets]
-    if not busy.size:
-        return out
-    inside, d1, d2 = inside[busy], m + offsets[busy], -offsets[busy]
-    # One table of log moments for the batch, each image read at an offset
-    # of (1, 1).  A block's largest b1 is K - max(0, -d2), and its image's
-    # largest g is one step above the block's in each coordinate.
-    top1, top2 = K - np.maximum(0, -d2), K - np.maximum(0, -d1)
-    table = _log_moments(int((2 * top1 + d1).max()) + 2, int((2 * top2 + d2).max()) + 2)
-    width, log_moment = table.shape[1], table.ravel()
-    flat = (b1 * width + b2).astype(np.int32)
-    shift = (d1 * width + d2).astype(np.int32)  # B_ij at row_i + row_j + shift
-    at = np.arange(busy.size)
-    places, real = _front(inside)
-    row = flat[places]
-    log_norm = np.where(real, -0.5 * log_moment[2 * row + shift[:, None]], -np.inf)
-    col_row = row + shift[:, None]
-
-    def column(p: np.ndarray) -> np.ndarray:
-        """Column p[b] of each block b's Gram matrix.  The norms are added as
-        one sum, so column(p)[b, i] == column(i)[b, p] exactly."""
-        return np.exp(
-            np.take(log_moment, row + col_row[at, p][:, None])
-            + (log_norm + log_norm[at, p][:, None])
-        )
-
-    # On the sphere |z1|^2 + |z2|^2 = 1 makes every lower-degree monomial a
-    # combination of degree-K ones, so the Gram matrix has rank <= K + 1.
-    # Pivoted Cholesky finds that range; Rayleigh-Ritz on its orthonormal
-    # basis gives the eigenpairs (the SVD of the factor is less accurate).
-    # The diagonal is exp(log M_ii - 2 (0.5 log M_ii)) = exp(0) = 1 exactly,
-    # and exp(-inf) = 0 on the padding.
-    q = np.linalg.qr(_pivoted_cholesky(real.astype(float), column))[0]
-    # u = q in raw monomials (the norms scale its rows; 0 on the padding),
-    # then a zero row at n, off the block.  G = D M D for the raw moments M
-    # and D the norms, so q^T G q = u^T M u.
-    n = row.shape[1]
-    u = np.zeros((at.size, n + 1, q.shape[2]))
-    np.multiply(np.exp(log_norm)[..., None], q, out=u[:, :n])
-    moment = np.exp(log_moment)
-    gram_q = _projected_gram(moment, row, shift, u[:, :n])
-    # Zbar u in the raw image monomials that Zbar reaches from each block:
-    # image monomial c takes coef[k, c] times u's row via[k, c].
-    via = np.where(inside, np.cumsum(inside, axis=1) - 1, n)[:, up]
-    img_places, img_real = _front(via.min(axis=1) < n)
-    via = np.where(img_real[:, None], np.take_along_axis(via, img_places[:, None], axis=2), n)
-    img_coef = coef[:, img_places, None]
-    zbar_u = img_coef[0] * u[at[:, None], via[:, 0]] + img_coef[1] * u[at[:, None], via[:, 1]]
-    quad_q = _projected_gram(moment, flat[img_places], shift + width + 1, zbar_u)
-    w, y = np.linalg.eigh(gram_q)
-    for b, wb, yb, quad in zip(busy.tolist(), w, y, quad_q):
-        keep = wb > 1e-10 * wb.max()  # drop the Gram matrix's numerical null space
-        z = yb[:, keep] / np.sqrt(wb[keep])
-        out[b] = np.linalg.eigvalsh(z.T @ quad @ z)  # ascending
-    return out
-
-
-def _front(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(places, real) for a batch of masks over the triangle: each row's
-    places where mask holds, in triangle order, padded to the longest row
-    with its first place; real marks the slots that are not padding."""
-    counts = np.count_nonzero(mask, axis=1)
-    places = np.argsort(~mask, axis=1, kind="stable")[:, : counts.max()]
-    real = np.arange(places.shape[1]) < counts[:, None]
-    return np.where(real, places, places[:, :1]), real
-
-
-def _projected_gram(
-    moment: np.ndarray, row: np.ndarray, shift: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """x_b^T M_b x_b, exactly symmetric, for each block b of a batch, with
-    M_b,ij = moment[row_b,i + row_b,j + shift_b].
-
-    The sweep gathers moments and takes no exp: the caller scales the rows
-    of x by the norms.  Only the panels of _PANEL columns on and below the
-    diagonal are formed: with each diagonal block halved they sum to a T
-    with T + T^T = x^T M x.
-    """
-    xt = x.transpose(0, 2, 1)
-    col_row = row + shift[:, None]
-    half = np.zeros((x.shape[0], x.shape[2], x.shape[2]))
-    for start in range(0, row.shape[1], _PANEL):
-        cols = slice(start, start + _PANEL)
-        g = np.take(moment, row[:, start:, None] + col_row[:, None, cols])
-        g[:, :_PANEL] *= 0.5  # the diagonal block
-        half += (xt[:, :, start:] @ g) @ x[:, cols]
-    return half + half.transpose(0, 2, 1)
-
-
-def _pivoted_cholesky(diag: np.ndarray, column) -> np.ndarray:
-    """Factors L_b, rows in input order, with a_b = L_b L_b^T on the range of
-    each positive semidefinite, symmetric matrix a_b of a batch, given its
-    diagonal diag[b] and column(p)[b] = column p[b] of a_b: by Cholesky with
-    diagonal pivoting that asks for one column of each a_b per step.  A
-    zero diagonal entry (padding) has a zero row and column and is never a
-    pivot; n_b counts the nonzero ones.
-
-    LAPACK's dpstrf at its default tolerance, step for step and block by
-    block: each step takes the largest remaining diagonal a_ii - sum_k L_ik^2
-    as pivot (the first on ties, in dpstrf's swap order) and stops once it is
-    at most n_b * u * max_i a_ii, u = 2^-53; the pivot's column is its column
-    of a less the product of the earlier columns with the pivot's row, times
-    1 / sqrt(pivot).  A block that has stopped gets zero columns until every
-    block has stopped, so L_b has rank_b columns and then zeros.  Columns
-    are stored as the rows of L^T, in a buffer that doubles when the rank
-    outgrows it.
-    """
-    nb, n = diag.shape
-    at = np.arange(nb)
-    sumsq = np.zeros((nb, n))
-    perm = np.tile(np.arange(n), (nb, 1))  # dpstrf's row order, for its tie-breaking
-    lt = np.empty((nb, min(n, 16), n))
-    stop = np.count_nonzero(diag, axis=1) * (np.finfo(float).eps / 2.0) * diag.max(axis=1)
-    live = np.ones(nb, dtype=bool)
-    open_rows = np.ones((nb, n))  # 0 on the pivots so far
-    rank = 0
-    for j in range(n):
-        order = perm[:, j:]  # a view: the swap below writes to perm
-        rest = (diag - sumsq)[at[:, None], order]
-        p = rest.argmax(axis=1)
-        ajj = rest[at, p]
-        live &= ajj > stop  # also stops on nan
-        if not live.any():
-            break
-        pivot = order[at, p]
-        order[at, p] = order[:, 0]
-        order[:, 0] = pivot
-        ajj = np.sqrt(np.where(live, ajj, 1.0))
-        col = column(pivot) - (lt[at, :j, pivot][:, None] @ lt[:, :j])[:, 0]
-        col *= (live / ajj)[:, None]  # zero on blocks that stopped
-        col *= open_rows
-        col[at, pivot] = ajj * live
-        open_rows[at, pivot] = 0.0
-        if j == lt.shape[1]:
-            lt = np.concatenate((lt, np.empty_like(lt)), axis=1)
-        lt[:, j] = col
-        col *= col
-        sumsq += col
-        rank = j + 1
-    return lt[:, :rank].transpose(0, 2, 1)
+    d1, d2 = m + d1_offset, -d1_offset
+    cols = _image_map(d1, d2, K)
+    if not cols:
+        return np.array([])
+    with localcontext(Context(prec=20 + 2 * len(cols))):
+        proj = _project(*_forms(d1, d2, cols))
+    return np.linalg.eigvalsh(proj)  # ascending
 
 
 @dataclass(frozen=True)
@@ -287,31 +188,27 @@ class OracleReport:
 
 def validate_eigenvalues(m: int, num_eigs: int = 10, basis_factor: int = 4) -> float:
     """Max relative error of the first ``num_eigs`` Galerkin eigenvalues
-    against k(k+m+1), using a basis truncation ``basis_factor`` times deeper.
+    against k(k+m+1), from the principal block of degree num_eigs - 1.
 
-    Raises DomainError when the null-space cut keeps fewer than ``num_eigs``
-    eigenvalues, rather than checking only those it kept.
+    Zbar lowers the degree, so the span of degree <= j is invariant for every
+    j and a deeper block gives the same first ``num_eigs`` eigenvalues:
+    ``basis_factor`` is checked but no longer changes the result.
     """
     _require_int(m=m, num_eigs=num_eigs, basis_factor=basis_factor)
     if num_eigs < 1:
         raise DomainError(f"need num_eigs >= 1, got num_eigs={num_eigs}")
     if basis_factor < 1:
         raise DomainError(f"need basis_factor >= 1, got basis_factor={basis_factor}")
-    K = basis_factor * num_eigs
-    eigs = galerkin_block_eigenvalues(m, K)
-    if len(eigs) < num_eigs:
-        raise DomainError(
-            f"Galerkin block m={m}, K={K} keeps {len(eigs)} eigenvalues "
-            f"after the null-space cut; {num_eigs} requested"
-        )
+    eigs = galerkin_block_eigenvalues(m, max(num_eigs - 1, 1))[:num_eigs]
     k = np.arange(num_eigs)
     expected = k * (k + m + 1.0)
-    return float(np.max(np.abs(eigs[:num_eigs] - expected) / np.maximum(expected, 1.0)))
+    return float(np.max(np.abs(eigs - expected) / np.maximum(expected, 1.0)))
 
 
 def validate_kernel_dimension(m: int) -> int:
-    """Count zero modes (|eigenvalue| < 1e-8) across all difference-vector
-    blocks of antiholomorphic degree <= 6.
+    """Count zero modes across all difference-vector blocks of
+    antiholomorphic degree <= 6: per block, J + 1 less the exact rank of its
+    integer Zbar map.
 
     Blocks with d1_offset outside [-(m+2), 2] are provably empty of zero modes
     in this range check; the expected total is m + 1.
@@ -319,8 +216,11 @@ def validate_kernel_dimension(m: int) -> int:
     _require_int(m=m)
     if m < 0:
         raise DomainError(f"need m >= 0, got m={m}")
-    blocks = _galerkin_blocks(m, 6, [-off for off in range(-2, m + 3)])
-    return sum(int(np.count_nonzero(np.abs(eigs) < 1e-8)) for eigs in blocks)
+    count = 0
+    for off in range(-2, m + 3):
+        cols = _image_map(m - off, off, 6)
+        count += len(cols) - _rank(cols)
+    return count
 
 
 def validate_heat_coefficients(m: int) -> Tuple[float, float]:
@@ -360,7 +260,11 @@ def validate_cp1(
     eig_tol: float = 1e-6,
     heat_tol: float = 0.02,
 ) -> OracleReport:
-    """Full validation gate for the closed-form circle-bundle spectrum."""
+    """Full validation gate for the closed-form circle-bundle spectrum.
+
+    ``basis_factor`` goes to ``validate_eigenvalues``, where it no longer
+    changes the result.
+    """
     if not m_eigs:
         raise DomainError("m_eigs must name at least one weight")
     if not m_kernel:

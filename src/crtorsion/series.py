@@ -364,7 +364,8 @@ def fit_half_powers(
         )
     if np.any(t <= 0):
         raise DomainError("all sample abscissae must satisfy t > 0")
-    if len(np.unique(t)) != len(t):
+    ordered = np.sort(t)
+    if (ordered[1:] == ordered[:-1]).any():
         raise DomainError("sample abscissae must be distinct")
     b2 = _as_doubled(base_order, "base_order")
     u = np.sqrt(t)

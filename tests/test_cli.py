@@ -34,24 +34,28 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: crtorsion")
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # the direct route runs on the standard library's decimal module
+@pytest.mark.parametrize(
+    "code, package",
+    [
+        # the direct route runs on the standard library's decimal module
+        ("import crtorsion.cli", "mpmath"),
+        # quadrature and the oracle's factorization run on numpy alone
+        ("import crtorsion.cli", "scipy"),
+        # the fit checks distinct abscissae without np.unique, which imports it
+        ("from crtorsion.cli import main; main(['selfcheck', '--seed', '0'])", "numpy.ma"),
+    ],
+    ids=["cli-mpmath", "cli-scipy", "selfcheck-numpy.ma"],
+)
+def test_fresh_interpreter_leaves_package_unloaded(code, package):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, crtorsion.cli; print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    probe = (
+        f"import sys; {code}; "
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package!r} + '.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_cli_import_leaves_scipy_unloaded():
-    # quadrature and the oracle's factorization run on numpy alone
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, crtorsion.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestSelfcheck:
@@ -205,6 +209,33 @@ class TestTorsionCommand:
         rep = json.loads(out.read_text())["reports"][0]
         assert rep["theta_prime_0"] == pytest.approx(-math.log(2.0), abs=1e-9)
 
+
+    def test_weight_with_other_geometry_is_named_error(self, tmp_path, capsys):
+        # --m builds the circle bundle's spectrum; against this geometry's
+        # right-hand side it reported residual = -0.271 at m = 16 and exit 0
+        path = tmp_path / "levi2.json"
+        path.write_text(
+            dump_geometry(GeometryModel(1, LeviSpectrum(1, (2.0,)), CP1_VOLUME / 2, 1))
+        )
+        code, out, err = run_cli(["torsion", "--m", "16", "--geometry", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: torsion computes the circle-bundle spectrum")
+        assert "not the circle bundle" in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert out == ""
+        # a spectrum file still runs against any geometry
+        spath = tmp_path / "spec.csv"
+        spath.write_text("q,lambda,mult\n1,2.0,1\n")
+        code, _, _ = run_cli(
+            ["torsion", "--spectrum", str(spath), "--geometry", str(path)], capsys
+        )
+        assert code == 0
+
+    def test_weight_with_circle_bundle_geometry_file_runs(self, tmp_path, capsys):
+        path = tmp_path / "cp1.json"
+        path.write_text(dump_geometry(cp1_geometry()))
+        code, _, _ = run_cli(["torsion", "--m", "8", "--kmax", "512", "--geometry", str(path)], capsys)
+        assert code == 0
 
     def test_table_too_short_for_weight(self, capsys):
         code, _, err = run_cli(["torsion", "--m", "32", "--kmax", "16"], capsys)

@@ -3,10 +3,11 @@
 import math
 import tracemalloc
 import warnings
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from crtorsion import oracle
 from crtorsion.errors import DomainError
@@ -36,9 +37,8 @@ def _zbar_terms(alpha, beta):
 
 
 def _loop_forms(m, K, d1_offset=0):
-    """Reference: the block's Gram matrix and quadratic form, assembled entry
-    by entry, with the equality test on the Zbar terms' difference vectors
-    spelled out (None, None for an empty block)."""
+    """Reference: the block's Gram matrix and quadratic form in the redundant
+    monomial dictionary (None, None for an empty block)."""
     d = (m + d1_offset, -d1_offset)
     basis = []
     for tot in range(K + 1):
@@ -49,6 +49,14 @@ def _loop_forms(m, K, d1_offset=0):
                 basis.append(((b1, b2), alpha))
     if not basis:
         return None, None
+    return _dictionary_forms(basis)
+
+
+def _dictionary_forms(basis):
+    """Reference: the normalized Gram matrix and quadratic form of the
+    monomials z^alpha zbar^beta, basis = [(beta, alpha), ...], assembled
+    entry by entry, with the equality test on the Zbar terms' difference
+    vectors spelled out."""
     nb = len(basis)
     norms = np.array([0.5 * _moment_log(b[0] + a[0], b[1] + a[1]) for (b, a) in basis])
     gram = np.empty((nb, nb))
@@ -86,45 +94,23 @@ def _loop_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
     return np.sort(np.linalg.eigvalsh(proj.T @ quad @ proj))
 
 
-def _eigh_block_eigenvalues(m, K, d1_offset=0, null_tol=1e-10):
-    """Reference: the full-eigh route.  The block's moment assembly in plain
-    numpy, with the null space cut from an eigendecomposition of the whole
-    Gram matrix rather than of its pivoted-Cholesky range."""
-    d1, d2 = m + d1_offset, -d1_offset
-    pairs = [
-        (b1, tot - b1)
-        for tot in range(K + 1)
-        for b1 in range(tot + 1)
-        if b1 + d1 >= 0 and tot - b1 + d2 >= 0
-    ]
-    if not pairs:
-        return np.array([])
-    b1, b2 = np.array(pairs).T
-    B1, B2 = np.add.outer(b1, b1) + d1, np.add.outer(b2, b2) + d2
-    log_fact = np.array([math.lgamma(k + 1) for k in range(B1.max() + B2.max() + 3)])
+def _ladder(m, K, d1_offset=0):
+    """The closed form: k (k + m + 1) for the lines k <= K that the block of
+    difference (m + d1_offset, -d1_offset) holds, from its lowest degree."""
+    k = np.arange(max(0, -(m + d1_offset)) + max(0, d1_offset), K + 1)
+    return k * (k + m + 1.0)
 
-    def log_moment(g1, g2):
-        out = np.full(g1.shape, -np.inf)
-        ok = (g1 >= 0) & (g2 >= 0)
-        g1, g2 = g1[ok], g2[ok]
-        out[ok] = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
-        return out
 
-    log_norm = -0.5 * log_moment(B1.diagonal(), B2.diagonal())
-
-    def moment(s1, s2):
-        return np.exp(log_moment(B1 + s1, B2 + s2) + log_norm[:, None] + log_norm)
-
-    gram = moment(0, 0)
-    quad = (
-        np.outer(b1, b1) * moment(-1, 1)
-        - (np.outer(b1, b2) + np.outer(b2, b1)) * gram
-        + np.outer(b2, b2) * moment(1, -1)
+#: every block of the criterion-10 gate at its former depth (the eigenvalue
+#: blocks m = 1, 5 at K = 4 * 10, and the kernel-count blocks m = 0..8,
+#: K = 6, d1_offset = -(m + 2)..2), and blocks shifted by +-2 up to K = 40
+LADDER_BLOCKS = list(
+    dict.fromkeys(
+        [(m, 40, 0) for m in (1, 5)]
+        + [(m, 6, -off) for m in range(9) for off in range(-2, m + 3)]
+        + [(m, K, off) for m in (1, 5) for K in (6, 20, 30, 40) for off in (0, 2, -2)]
     )
-    w, v = np.linalg.eigh(gram)
-    keep = w > null_tol * w.max()
-    proj = v[:, keep] / np.sqrt(w[keep])
-    return np.sort(np.linalg.eigvalsh(proj.T @ quad @ proj))
+)
 
 
 class TestGalerkinBlocks:
@@ -144,7 +130,12 @@ class TestGalerkinBlocks:
                 want = _loop_block_eigenvalues(m, K, off)
                 got = galerkin_block_eigenvalues(m, K, off)
                 assert len(got) == len(want)
-                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+                # The reference's top Ritz value sits next to its null-space
+                # cut and reads up to 2.3e-9 off the closed form at K = 10
+                # (m = 5); that one is held to the closed form instead.
+                np.testing.assert_allclose(got[:-1], want[:-1], rtol=1e-9, atol=1e-9)
+                exact = _ladder(m, K, off)
+                assert np.all(np.abs(got - exact) <= 1e-12 * np.maximum(exact, 1.0))
                 sizes.append(len(want))
         if m == 5:
             # off = m + 2 needs b2 >= 7: the K = 1 and K = 6 blocks are empty
@@ -162,166 +153,90 @@ class TestGalerkinBlocks:
         assert validate_eigenvalues(1, num_eigs=8, basis_factor=3) < 1e-7
         assert validate_eigenvalues(4, num_eigs=6, basis_factor=3) < 1e-7
 
-    def test_too_few_kept_eigenvalues_rejected(self):
-        # the K = 30 block keeps 23 eigenvalues after the null-space cut
-        with pytest.raises(DomainError, match="keeps 23 .* 30 requested"):
-            validate_eigenvalues(1, num_eigs=30, basis_factor=1)
+    def test_thirty_eigenvalues_from_one_degree(self):
+        # the block of degree num_eigs - 1 holds exactly the lines k < 30
+        eigs = galerkin_block_eigenvalues(1, 29)
+        assert len(eigs) == 30
+        assert validate_eigenvalues(1, num_eigs=30, basis_factor=1) < 1e-12
 
-    @pytest.mark.parametrize(
-        "m, K, off",
-        [(1, 40, 0), (5, 40, 0)]
-        + [(m, K, off) for m in (1, 5) for K in (20, 30) for off in (0, 2, -2)],
-    )
-    def test_matches_full_eigh_route(self, m, K, off):
-        want = _eigh_block_eigenvalues(m, K, off)
+    @pytest.mark.parametrize("m", [1, 5, 500, 5000, 65536])
+    def test_exact_at_large_weights(self, m):
+        assert validate_eigenvalues(m) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 5, 500])
+    def test_depth_does_not_change_the_result(self, m):
+        # Zbar lowers the degree, so each span of degree <= j is invariant
+        got = [validate_eigenvalues(m, 10, factor) for factor in (1, 2, 4)]
+        assert got[0] == got[1] == got[2]
+        deep = galerkin_block_eigenvalues(m, 40)[:10]
+        np.testing.assert_allclose(deep, galerkin_block_eigenvalues(m, 9), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m, K, off", LADDER_BLOCKS)
+    def test_matches_closed_form_ladder(self, m, K, off):
+        # every line the block holds, each to 1e-12
         got = galerkin_block_eigenvalues(m, K, off)
-        # the Gram matrix has rank <= K + 1 on the sphere
-        assert len(got) == len(want) <= K + 1
-        n = 10  # num_eigs at the criterion-10 settings
-        low = np.abs(got[:n] - want[:n]) / np.maximum(np.abs(want[:n]), 1.0)
-        assert low.max() < 1e-12
-        # The top Ritz values sit next to the null-space cut: a half-ulp
-        # symmetric jitter of the reference's own Gram entries moves them by
-        # up to ~7e-8 relative at these K, so 1e-9 would test roundoff.
-        np.testing.assert_allclose(got[n:], want[n:], rtol=1e-6)
-
-
-def _dpstrf_factor(gram):
-    """Reference: LAPACK's pivoted Cholesky at its default tolerance, its
-    factor's first rank columns with the rows put back in input order."""
-    chol, piv, rank, _ = lapack.dpstrf(gram, lower=1)
-    basis = np.empty((gram.shape[0], rank))
-    basis[piv - 1] = np.tril(chol[:, :rank])
-    return basis
-
-
-#: every block the criterion-10 gate factors: the eigenvalue blocks
-#: (m, K = 4 * 10, principal) and the kernel-count blocks (m = 0..8, K = 6,
-#: d1_offset = -(m + 2)..2)
-CRITERION_10_BLOCKS = [(m, 40, 0) for m in (1, 5)] + [
-    (m, 6, -off) for m in range(9) for off in range(-2, m + 3)
-]
-
-
-def _gram_and_column(m, K, off):
-    """The block's full Gram matrix, assembled from the column generator
-    the block hands to its factor, and that generator (None, None for an
-    empty block)."""
-    seen, factor = [], oracle._pivoted_cholesky
-
-    def record(diag, column):
-        seen.append((diag, column))
-        return factor(diag, column)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_pivoted_cholesky", record)
-        galerkin_block_eigenvalues(m, K, off)
-    if not seen:
-        return None, None
-    diag, column = seen[0]
-    (diag,) = diag  # a batch of one
-    gram = np.column_stack([column(np.array([p]))[0] for p in range(diag.size)])
-    np.testing.assert_array_equal(gram.diagonal(), diag)
-    return gram, column
-
-
-def _factor_of(gram):
-    """The numpy factor fed by columns of a full matrix, as a batch of one."""
-    (factor,) = oracle._pivoted_cholesky(gram.diagonal()[None], lambda p: gram[:, p].T.copy())
-    return factor
-
-
-class TestPivotedCholesky:
-    @pytest.mark.parametrize(
-        "m, K, off",
-        CRITERION_10_BLOCKS
-        + [(m, K, off) for m in (1, 5) for K in (6, 20, 40) for off in (0, 2, -2)],
-    )
-    def test_matches_dpstrf(self, m, K, off, monkeypatch):
-        got = galerkin_block_eigenvalues(m, K, off)
-        gram, _ = _gram_and_column(m, K, off)
-        if gram is None:  # an empty block has no Gram matrix
-            assert got.size == 0
-            return
-        # The last pivots sit at the n u max(diag) stop, on roundoff: there
-        # the order of dgemv's sums inside LAPACK decides, and the rank may
-        # differ by one.  The null-space cut discards those directions.
-        rank, rank_lapack = _factor_of(gram).shape[1], _dpstrf_factor(gram).shape[1]
-        assert abs(rank - rank_lapack) <= 1
-        monkeypatch.setattr(
-            oracle, "_pivoted_cholesky", lambda diag, column: _dpstrf_factor(gram)[None]
-        )
-        want = galerkin_block_eigenvalues(m, K, off)
+        want = _ladder(m, K, off)
         assert got.shape == want.shape
-        assert np.array_equal(np.abs(got) < 1e-8, np.abs(want) < 1e-8)
-        # the first num_eigs = 10 at the criterion-10 settings, short of the
-        # top Ritz value, which sits next to the null-space cut (see
-        # test_matches_full_eigh_route)
-        low = min(10, got.size - 1)
-        rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
-        assert rel[:low].max(initial=0.0) < 1e-12
-        assert rel.max() < 1e-6
-
-    def test_batch_factors_each_matrix_as_alone(self):
-        # two matrices of different order and rank in one batch, the smaller
-        # padded with zero rows and columns: each factor matches its own
-        # factorisation, and the lower-rank one ends in zero columns
-        rng = np.random.default_rng(7)
-        small, large = (x @ x.T for x in (rng.standard_normal((12, 3)), rng.standard_normal((20, 6))))
-        padded = np.zeros((20, 20))
-        padded[:12, :12] = small
-        batch = np.stack((padded, large))
-        got = oracle._pivoted_cholesky(
-            np.stack((padded.diagonal(), large.diagonal())), lambda p: batch[[0, 1], :, p].copy()
-        )
-        assert got.shape == (2, 20, 6)
-        for factor, alone, rank in ((got[0, :12], _factor_of(small), 3), (got[1], _factor_of(large), 6)):
-            np.testing.assert_allclose(factor[:, :rank], alone, rtol=1e-13, atol=1e-13)
-            assert not factor[:, rank:].any()
-        assert not got[0, 12:].any()
-
-    def test_reconstructs_a_low_rank_matrix(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((30, 7))
-        a = x @ x.T
-        basis = _factor_of(a)
-        assert basis.shape == (30, 7)
-        np.testing.assert_allclose(basis @ basis.T, a, atol=1e-12 * np.abs(a).max())
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1.0))
 
 
 @pytest.mark.parametrize("m, K, off", [(1, 40, 0), (5, 40, 0), (7, 6, 0), (3, 10, -5)])
-def test_gram_columns_exactly_symmetric(m, K, off):
-    # column(p)[i] == column(i)[p] bit for bit, for every p and i
-    gram, _ = _gram_and_column(m, K, off)
-    np.testing.assert_array_equal(gram, gram.T)
+def test_projected_form_symmetric(m, K, off):
+    # eigvalsh reads one triangle: the decimal projection L^-1 A L^-T,
+    # symmetric in exact arithmetic, must be so far below float resolution
+    d1, d2 = m + off, -off
+    cols = oracle._image_map(d1, d2, K)
+    with localcontext(Context(prec=20 + 2 * len(cols))):
+        proj = oracle._project(*oracle._forms(d1, d2, cols))
+    assert np.abs(proj - proj.T).max() <= 1e-20 * np.abs(proj).max()
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (3, 5), (40, 0), (1, 65)])
+def test_moments_are_beta_ratios(a, b):
+    # the running product against M(a, b + p) = a! (b + p)! / (a + b + p + 1)!
+    def beta(a, b):
+        return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
+
+    with localcontext(Context(prec=50)):
+        got = oracle._moments(a, b, 12, Decimal(3))
+        want = [3 * beta(a, b + p) / beta(a, b) for p in range(12)]
+        for g, w in zip(got, want, strict=True):
+            assert abs(g - Decimal(w.numerator) / w.denominator) <= Decimal("1e-45") * g
+
+
+def test_factorial_ratio():
+    for n in range(8):
+        for k in range(8):
+            want = Fraction(math.factorial(n), math.factorial(k))
+            assert oracle._factorial_ratio(n, k) == want
+
+
+def test_single_eigenvalue():
+    # num_eigs = 1 reads the smallest block that K >= 1 allows
+    assert validate_eigenvalues(7, num_eigs=1) < 1e-15
 
 
 @pytest.mark.parametrize("m, K, off", [(1, 20, 0), (5, 30, -2), (3, 10, -5)])
-def test_projected_forms_match_dense(m, K, off, monkeypatch):
-    # The block sweeps q^T G q, then (H q)^T G_W (H q) with H the Zbar map
-    # onto the image block, both on raw monomials with the norms in the
-    # swept rows: exactly symmetric, and equal to the dense projections of
-    # the entry-by-entry Gram matrix and quadratic form.
-    factors, calls = [], []
-    factor, sweep = oracle._pivoted_cholesky, oracle._projected_gram
-
-    def record_factor(*args):
-        factors.append(factor(*args))
-        return factors[-1]
-
-    def record_sweep(*args):
-        calls.append(sweep(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(oracle, "_pivoted_cholesky", record_factor)
-    monkeypatch.setattr(oracle, "_projected_gram", record_sweep)
-    galerkin_block_eigenvalues(m, K, off)
-    (q,) = np.linalg.qr(factors[0])[0]  # a batch of one
-    (gram_q,), (quad_q,) = calls
-    gram, quad = _loop_forms(m, K, off)
-    for swept, dense in ((gram_q, q.T @ gram @ q), (quad_q, q.T @ quad @ q)):
-        np.testing.assert_array_equal(swept, swept.T)
-        assert np.abs(swept - dense).max() <= 1e-13 * np.abs(dense).max()
+def test_projected_forms_match_dense(m, K, off):
+    # The one-variable basis F_d x^j is the dictionary's monomials
+    # z^(b + d) zbar^b with b = (lo1, lo2 + j): its exact Gram matrix and
+    # H^T G_W H, scaled to a unit diagonal, equal the entry-by-entry forms of
+    # those monomials.
+    d1, d2 = m + off, -off
+    cols = oracle._image_map(d1, d2, K)
+    lo1, lo2 = max(0, -d1), max(0, -d2)
+    with localcontext(Context(prec=60)):
+        moments, form = oracle._forms(d1, d2, cols)
+        n = len(cols)
+        gram = np.array([[float(moments[i + j]) for j in range(n)] for i in range(n)])
+        form = np.array([[float(x) for x in row] for row in form])
+    norm = 1.0 / np.sqrt(gram.diagonal())
+    gram_ref, quad_ref = _dictionary_forms(
+        [((lo1, lo2 + j), (lo1 + d1, lo2 + j + d2)) for j in range(n)]
+    )
+    for got, dense in ((gram, gram_ref), (form, quad_ref)):
+        got = got * norm[:, None] * norm
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 class TestBlockMemory:
@@ -336,17 +251,16 @@ class TestBlockMemory:
             tracemalloc.stop()
 
     def test_criterion_10_block_holds_no_square_matrix(self):
-        # n = 861 monomials: one n x n float matrix is 5.9 MB.  An assembly
-        # holding n x n index, Gram, scratch and factor arrays peaked at
-        # 21.4 MB here; the panelled sweeps of the block and its image peak
-        # near 1.8 MB.
+        # The redundant dictionary of this block held n = 861 monomials, and
+        # an n x n float matrix is 5.9 MB; the one-variable block has 41
+        # functions, all of whose eigenvalues are returned.
         eigs, peak = self._peak_bytes(5, 40)
-        assert len(eigs) == 26
+        assert len(eigs) == 41
         assert peak < 3e6
 
     def test_k80_block_in_linear_memory(self):
-        # n = 3321 monomials: one n x n float matrix would be 88 MB, and an
-        # n x n assembly peaked at 312 MB here; now near 7.7 MB
+        # the dictionary held n = 3321 monomials: one n x n float matrix
+        # would be 88 MB
         m, K = 1, 80
         eigs, peak = self._peak_bytes(m, K)
         k = np.arange(20)
@@ -361,34 +275,31 @@ class TestKernelDimension:
         for m in range(0, 13):
             assert validate_kernel_dimension(m) == m + 1
 
+    def test_large_weight(self):
+        assert validate_kernel_dimension(1000) == 1001
 
-class TestBatchedBlocks:
     @pytest.mark.parametrize("m", range(9))
-    def test_batch_matches_batch_of_one(self, m):
-        # the kernel count's batch for each weight of criterion 10, whose
-        # m = 0..4 batches are also the ones selfcheck factors
-        offsets = [-off for off in range(-2, m + 3)]
-        for off, got in zip(offsets, oracle._galerkin_blocks(m, 6, offsets), strict=True):
-            want = galerkin_block_eigenvalues(m, 6, off)
-            assert got.shape == want.shape
-            assert np.array_equal(np.abs(got) < 1e-8, np.abs(want) < 1e-8)
-            # all but the top Ritz value, which sits next to the null-space
-            # cut (see test_matches_full_eigh_route)
-            rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
-            assert rel[:-1].max(initial=0.0) < 1e-12
-            assert rel.max() < 1e-6
+    def test_rank_matches_zero_eigenvalues(self, m):
+        # each kernel-count block of criterion 10 (m = 0..4 are also
+        # selfcheck's): J + 1 less the exact rank of the integer Zbar map is
+        # the number of zero eigenvalues of the block
+        for off in range(-2, m + 3):
+            cols = oracle._image_map(m - off, off, 6)
+            eigs = galerkin_block_eigenvalues(m, 6, -off)
+            assert eigs.size == len(cols)
+            assert len(cols) - oracle._rank(cols) == np.count_nonzero(np.abs(eigs) < 1e-8)
 
-    def test_empty_blocks_in_place(self):
+    def test_empty_block(self):
         # at m = 5, K = 6 the offset m + 2 = 7 needs b2 >= 7: an empty block
-        offsets = [7, 0, 7, -3, 2]
-        got = oracle._galerkin_blocks(5, 6, offsets)
-        assert len(got) == len(offsets)
-        for off, eigs in zip(offsets, got):
-            want = galerkin_block_eigenvalues(5, 6, off)
-            assert eigs.shape == want.shape
-            np.testing.assert_allclose(eigs, want, rtol=1e-6, atol=1e-8)
-        assert got[0].size == got[2].size == 0 < got[1].size
-        assert [e.size for e in oracle._galerkin_blocks(5, 6, [7, 7])] == [0, 0]
+        assert galerkin_block_eigenvalues(5, 6, 7).size == 0
+        assert oracle._image_map(12, -7, 6) == []
+
+    def test_rank_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            rows, cols, inner = (int(x) for x in rng.integers(1, 7, size=3))
+            mat = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
+            assert oracle._rank(mat.T.tolist()) == np.linalg.matrix_rank(mat)
 
 
 class TestHeatCoefficients:
@@ -493,6 +404,13 @@ def test_kernel_count_names_bad_weight(m):
     # a negative m gave an empty offset range and returned 0 zero modes
     with pytest.raises(DomainError, match=r"\bm="):
         validate_kernel_dimension(m)
+
+
+def test_gate_at_the_paper_weights():
+    report = validate_cp1(m_eigs=(1, 5, 4096, 65536), m_kernel=(0, 1000))
+    assert report.passed
+    assert report.eigenvalue_rel_error < 1e-12
+    assert report.kernel_dims == (1, 1001)
 
 
 def test_criterion_10_report_pinned():

@@ -283,6 +283,12 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_half_powers([(0.1, 1.0), (0.1, 2.0)], -1, 2)
 
+    def test_repeated_abscissa_named(self):
+        # unsorted, with the repeat apart
+        samples = [(0.3, 1.0), (0.1, 2.0), (0.2, 3.0), (0.3, 4.0)]
+        with pytest.raises(DomainError, match="sample abscissae must be distinct"):
+            fit_half_powers(samples, -1, 2)
+
     @pytest.mark.parametrize("sample", [(math.nan, 2.0), (0.2, math.inf), (-math.inf, 1.0)])
     def test_non_finite_sample_named(self, sample):
         # a nan abscissa reached the SVD (LinAlgError), and an inf value
