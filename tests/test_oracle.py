@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from crtorsion import oracle
 from crtorsion.errors import DomainError
@@ -101,16 +102,100 @@ def _ladder(m, K, d1_offset=0):
     return k * (k + m + 1.0)
 
 
-#: every block of the criterion-10 gate at its former depth (the eigenvalue
-#: blocks m = 1, 5 at K = 4 * 10, and the kernel-count blocks m = 0..8,
-#: K = 6, d1_offset = -(m + 2)..2), and blocks shifted by +-2 up to K = 40
-LADDER_BLOCKS = list(
-    dict.fromkeys(
-        [(m, 40, 0) for m in (1, 5)]
-        + [(m, 6, -off) for m in range(9) for off in range(-2, m + 3)]
-        + [(m, K, off) for m in (1, 5) for K in (6, 20, 30, 40) for off in (0, 2, -2)]
+def _dense_forms(m, K, d1_offset=0):
+    """Reference: the block's Gram matrix and quadratic form in the redundant
+    monomial dictionary, assembled in plain numpy (None, None for an empty
+    block)."""
+    d1, d2 = m + d1_offset, -d1_offset
+    pairs = [
+        (b1, tot - b1)
+        for tot in range(K + 1)
+        for b1 in range(tot + 1)
+        if b1 + d1 >= 0 and tot - b1 + d2 >= 0
+    ]
+    if not pairs:
+        return None, None
+    b1, b2 = np.array(pairs).T
+    B1, B2 = np.add.outer(b1, b1) + d1, np.add.outer(b2, b2) + d2
+    log_fact = np.array([math.lgamma(k + 1) for k in range(B1.max() + B2.max() + 3)])
+
+    def log_moment(g1, g2):
+        out = np.full(g1.shape, -np.inf)
+        ok = (g1 >= 0) & (g2 >= 0)
+        g1, g2 = g1[ok], g2[ok]
+        out[ok] = log_fact[g1] + log_fact[g2] - log_fact[g1 + g2 + 1]
+        return out
+
+    log_norm = -0.5 * log_moment(B1.diagonal(), B2.diagonal())
+
+    def moment(s1, s2):
+        return np.exp(log_moment(B1 + s1, B2 + s2) + log_norm[:, None] + log_norm)
+
+    gram = moment(0, 0)
+    quad = (
+        np.outer(b1, b1) * moment(-1, 1)
+        - (np.outer(b1, b2) + np.outer(b2, b1)) * gram
+        + np.outer(b2, b2) * moment(1, -1)
     )
-)
+    return gram, quad
+
+
+def _ritz(gram, quad, q, null_tol=1e-10):
+    """Rayleigh-Ritz on the span of the columns of q, with the null space of
+    the projected Gram matrix cut at null_tol of its largest eigenvalue."""
+    w, y = np.linalg.eigh(q.T @ gram @ q)
+    keep = w > null_tol * w.max()
+    z = q @ (y[:, keep] / np.sqrt(w[keep]))
+    return np.sort(np.linalg.eigvalsh(z.T @ quad @ z))
+
+
+def _eigh_block_eigenvalues(m, K, d1_offset=0):
+    """Reference: the float full-eigh route, Rayleigh-Ritz on the dense
+    dictionary forms with the null space cut from an eigendecomposition of
+    the whole Gram matrix."""
+    gram, quad = _dense_forms(m, K, d1_offset)
+    if gram is None:
+        return np.array([])
+    return _ritz(gram, quad, np.eye(len(gram)))
+
+
+def _dpstrf_block_eigenvalues(m, K, d1_offset=0):
+    """Reference: the float pivoted-Cholesky route, Rayleigh-Ritz on the
+    orthonormalized range of LAPACK's pivoted Cholesky factor of the dense
+    dictionary Gram matrix at its default tolerance."""
+    gram, quad = _dense_forms(m, K, d1_offset)
+    if gram is None:
+        return np.array([])
+    chol, piv, rank, _ = lapack.dpstrf(gram, lower=1)
+    basis = np.empty((gram.shape[0], rank))
+    basis[piv - 1] = np.tril(chol[:, :rank])
+    return _ritz(gram, quad, np.linalg.qr(basis)[0])
+
+
+def _assert_matches_float_route(m, K, off, want):
+    """The exact block against the closed form, each line to 1e-12, and
+    against a float route ``want`` on the redundant dictionary.
+
+    The float route keeps only the lines above its null-space cut (27 of 41
+    at m = 1, K = 40) and reads up to 2.7e-12 off the closed form at the
+    kernel-count blocks and 1.9e-3 at its top Ritz values, so it is held to
+    its count and its zero modes; the closed form holds the values."""
+    got = galerkin_block_eigenvalues(m, K, off)
+    exact = _ladder(m, K, off)
+    assert got.shape == exact.shape
+    assert np.all(np.abs(got - exact) <= 1e-12 * np.maximum(exact, 1.0))
+    # the Gram matrix has rank <= J + 1 <= K + 1 on the sphere
+    assert want.size <= got.size <= K + 1
+    assert np.count_nonzero(np.abs(got) < 1e-8) == np.count_nonzero(np.abs(want) < 1e-8)
+    assert np.array_equal(np.abs(got[: want.size]) < 1e-8, np.abs(want) < 1e-8)
+
+
+#: every block the criterion-10 gate factored at its former depth: the
+#: eigenvalue blocks (m, K = 4 * 10, principal) and the kernel-count blocks
+#: (m = 0..8, K = 6, d1_offset = -(m + 2)..2)
+CRITERION_10_BLOCKS = [(m, 40, 0) for m in (1, 5)] + [
+    (m, 6, -off) for m in range(9) for off in range(-2, m + 3)
+]
 
 
 class TestGalerkinBlocks:
@@ -171,13 +256,23 @@ class TestGalerkinBlocks:
         deep = galerkin_block_eigenvalues(m, 40)[:10]
         np.testing.assert_allclose(deep, galerkin_block_eigenvalues(m, 9), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("m, K, off", LADDER_BLOCKS)
-    def test_matches_closed_form_ladder(self, m, K, off):
-        # every line the block holds, each to 1e-12
-        got = galerkin_block_eigenvalues(m, K, off)
-        want = _ladder(m, K, off)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1.0))
+    @pytest.mark.parametrize(
+        "m, K, off",
+        [(1, 40, 0), (5, 40, 0)]
+        + [(m, K, off) for m in (1, 5) for K in (20, 30) for off in (0, 2, -2)],
+    )
+    def test_matches_full_eigh_route(self, m, K, off):
+        _assert_matches_float_route(m, K, off, _eigh_block_eigenvalues(m, K, off))
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize(
+        "m, K, off",
+        CRITERION_10_BLOCKS
+        + [(m, K, off) for m in (1, 5) for K in (6, 20, 40) for off in (0, 2, -2)],
+    )
+    def test_matches_dpstrf(self, m, K, off):
+        _assert_matches_float_route(m, K, off, _dpstrf_block_eigenvalues(m, K, off))
 
 
 @pytest.mark.parametrize("m, K, off", [(1, 40, 0), (5, 40, 0), (7, 6, 0), (3, 10, -5)])
@@ -278,28 +373,38 @@ class TestKernelDimension:
     def test_large_weight(self):
         assert validate_kernel_dimension(1000) == 1001
 
-    @pytest.mark.parametrize("m", range(9))
-    def test_rank_matches_zero_eigenvalues(self, m):
-        # each kernel-count block of criterion 10 (m = 0..4 are also
-        # selfcheck's): J + 1 less the exact rank of the integer Zbar map is
-        # the number of zero eigenvalues of the block
-        for off in range(-2, m + 3):
-            cols = oracle._image_map(m - off, off, 6)
-            eigs = galerkin_block_eigenvalues(m, 6, -off)
-            assert eigs.size == len(cols)
-            assert len(cols) - oracle._rank(cols) == np.count_nonzero(np.abs(eigs) < 1e-8)
-
-    def test_empty_block(self):
-        # at m = 5, K = 6 the offset m + 2 = 7 needs b2 >= 7: an empty block
-        assert galerkin_block_eigenvalues(5, 6, 7).size == 0
-        assert oracle._image_map(12, -7, 6) == []
-
     def test_rank_matches_numpy(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             rows, cols, inner = (int(x) for x in rng.integers(1, 7, size=3))
             mat = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
             assert oracle._rank(mat.T.tolist()) == np.linalg.matrix_rank(mat)
+
+
+class TestBatchedBlocks:
+    @pytest.mark.parametrize("m", range(9))
+    def test_batch_matches_batch_of_one(self, m):
+        # the kernel count's pass over the blocks of each weight of criterion
+        # 10 (m = 0..4 are also selfcheck's) against each block alone: J + 1
+        # less the exact rank of the integer Zbar map is the number of zero
+        # eigenvalues of the block
+        total = 0
+        for off in range(-2, m + 3):
+            cols = oracle._image_map(m - off, off, 6)
+            eigs = galerkin_block_eigenvalues(m, 6, -off)
+            assert eigs.size == len(cols)
+            zeros = len(cols) - oracle._rank(cols)
+            assert zeros == np.count_nonzero(np.abs(eigs) < 1e-8)
+            total += zeros
+        assert validate_kernel_dimension(m) == total
+
+    def test_empty_blocks_in_place(self):
+        # at m = 5, K = 6 the offset m + 2 = 7 needs b2 >= 7: an empty block
+        offsets = [7, 0, 7, -3, 2]
+        sizes = [len(oracle._image_map(5 + off, -off, 6)) for off in offsets]
+        assert sizes == [galerkin_block_eigenvalues(5, 6, off).size for off in offsets]
+        assert sizes[0] == sizes[2] == 0 < sizes[1]
+        assert oracle._image_map(12, -7, 6) == []
 
 
 class TestHeatCoefficients:
