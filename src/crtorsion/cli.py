@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -75,9 +76,10 @@ def _kmax(args, m: int) -> int:
     return args.kmax if args.kmax is not None else max(1024, m * m)
 
 
-def _emit(args, json_text: str, csv_text: str) -> None:
-    """Write the report in the chosen ``--format`` to ``--out`` or stdout."""
-    text = json_text if args.format == "json" else csv_text
+def _emit(args, json_text: Callable[[], str], csv_text: Callable[[], str]) -> None:
+    """Write the report in the chosen ``--format`` to ``--out`` or stdout;
+    only the chosen builder runs."""
+    text = json_text() if args.format == "json" else csv_text()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -231,12 +233,16 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
         worst = max(worst, abs(heat - direct))
     record("two_path_finite", worst, 1e-8)
 
-    # torsion: scaling identity on the bundled model
-    rep = torsion_report(cp1_spectrum(8, 1024), cp1_geometry(), 8, qcfg)
-    record("scaling_identity_m8", rep.scaling_identity_gap, 1e-8)
+    # torsion: the report's theta~ against the unscaled heat route,
+    # theta'(0) / m = theta~'(0) - log m theta~(0) on the bundled model
+    spec = cp1_spectrum(8, 1024)
+    rep = torsion_report(spec, cp1_geometry(), 8, qcfg)
+    unscaled = theta_prime_zero_result(spec, closed_form_bhat(spec), qcfg).derivative0
+    gap = abs(unscaled / 8.0 + math.log(8.0) * rep.theta_tilde_0 - rep.theta_tilde_prime_0)
+    record("scaling_identity_m8", gap, 1e-8)
 
     # circle-bundle oracle (kept small here; the full gate runs in acceptance)
-    record("cp1_oracle_eigenvalues", validate_eigenvalues(1, num_eigs=6), 1e-6)
+    record("cp1_oracle_eigenvalues", validate_eigenvalues(1, num_eigs=6), 1e-12)
     dims_ok = all(validate_kernel_dimension(m) == m + 1 for m in range(0, 5))
     record("cp1_kernel_dims", 0.0 if dims_ok else 1.0, 0.5)
 
@@ -371,8 +377,11 @@ def _cmd_density(args) -> int:
             for s in wedge.per_subset
         },
     }
-    csv_text = _coefficients_csv(args, zip(stn.exponents(), stn.coeffs))
-    _emit(args, json.dumps(payload, indent=2), csv_text)
+    _emit(
+        args,
+        lambda: json.dumps(payload, indent=2),
+        lambda: _coefficients_csv(args, zip(stn.exponents(), stn.coeffs)),
+    )
     return 0
 
 
@@ -420,7 +429,7 @@ def _cmd_torsion(args) -> int:
     m = 1 if args.m is None else args.m
     report = torsion_report(spec, model, m, cfg)
     meta = _metadata(args, {"quadrature": asdict(cfg)})
-    _emit(args, reports_to_json([report], meta), reports_to_csv([report], meta))
+    _emit(args, lambda: reports_to_json([report], meta), lambda: reports_to_csv([report], meta))
     return 0
 
 
@@ -433,7 +442,7 @@ def _cmd_sweep(args) -> int:
 
     reports = asympt_sweep(model, source, args.ms, cfg)
     meta = _metadata(args, {"quadrature": asdict(cfg)})
-    _emit(args, reports_to_json(reports, meta), reports_to_csv(reports, meta))
+    _emit(args, lambda: reports_to_json(reports, meta), lambda: reports_to_csv(reports, meta))
     trend = residual_trend_ok(reports)
     resids = ", ".join(f"m={r.m}: {r.residual:+.6f}" for r in reports)
     print(f"residuals: {resids}")
@@ -455,10 +464,13 @@ def _cmd_fit(args) -> int:
         "ill_conditioned": fit.ill_conditioned,
     }
     exponents = (-args.n + j / 2.0 for j in range(len(fit.coeffs)))
-    csv_text = _coefficients_csv(
-        args, zip(exponents, fit.coeffs), f"# condition_number: {fit.cond:.6e}"
+    _emit(
+        args,
+        lambda: json.dumps(payload, indent=2),
+        lambda: _coefficients_csv(
+            args, zip(exponents, fit.coeffs), f"# condition_number: {fit.cond:.6e}"
+        ),
     )
-    _emit(args, json.dumps(payload, indent=2), csv_text)
     return 0
 
 
@@ -483,8 +495,11 @@ def _cmd_stratum(args) -> int:
             args.m, math.sqrt(math.log(float(args.m)) / (0.5 * args.m)), 1.0, 0.5, 1
         ),
     }
-    csv_text = _coefficients_csv(args, zip(series.exponents(), series.coeffs))
-    _emit(args, json.dumps(payload, indent=2), csv_text)
+    _emit(
+        args,
+        lambda: json.dumps(payload, indent=2),
+        lambda: _coefficients_csv(args, zip(series.exponents(), series.coeffs)),
+    )
     return 0
 
 

@@ -252,12 +252,12 @@ def validate_heat_coefficients(m: int) -> Tuple[float, float]:
 
 
 def validate_cp1(
-    m_eigs: Tuple[int, ...] = (1, 5),
+    m_eigs: Tuple[int, ...] = (1, 5, 4096),
     m_kernel: Tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8),
     m_heat: int = 64,
     num_eigs: int = 10,
     basis_factor: int = 4,
-    eig_tol: float = 1e-6,
+    eig_tol: float = 1e-12,
     heat_tol: float = 0.02,
 ) -> OracleReport:
     """Full validation gate for the closed-form circle-bundle spectrum.

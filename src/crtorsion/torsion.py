@@ -3,14 +3,21 @@ derivative by two independent routes, the asymptotic right-hand side, and
 m-sweep reports.
 
 Route 1 (heat kernel): the four-term formula at z = 0 of the Mellin transform
-of the degree-weighted heat super trace, delegated to ``mellin_at_zero`` with
-theta(z) = -M[STr N e^{-t Box} perp](z).
+of the rescaled degree-weighted heat super trace, delegated to
+``mellin_at_zero`` with theta~(z) = -M[m^{-n} STr N e^{-(t/m) Box} perp](z).
+A report takes theta'(0) = m^n (theta~'(0) - log m theta~(0)) from its one
+Mellin call, with error m^n (1 + log m) times theta~'s estimate; at m = 1 this
+is the unscaled heat route, ``theta_prime_zero_result``, bit for bit.  At
+large m the unscaled route is the weaker one: its floor model, the truncated
+small-t expansion below the trust floor, stops holding as m * floor nears 1,
+and from m = 16384 on it misses the direct value by more than its estimate.
 
 Route 2 (direct): term-wise -log(lambda) over the listed lines plus analytic
 continuation of the quadratic-law tail through Hurwitz zeta values.
 
-The two routes share nothing numerically beyond the spectrum itself; their
-agreement within the combined error budget is enforced on every report.
+The two routes share nothing numerically beyond the spectrum itself; every
+report enforces |heat - direct| <= err_heat + err_direct, with no factor and
+no floor.
 """
 
 from __future__ import annotations
@@ -173,7 +180,8 @@ def theta_prime_zero_result(
     cfg: QuadratureConfig | None = None,
     gamma_prime_1: float = GAMMA_PRIME_1,
 ) -> MellinResult:
-    """Heat-kernel route: (theta(0), theta'(0), error) by the four-term formula."""
+    """Unscaled heat-kernel route: (theta(0), theta'(0), error) by the
+    four-term formula; ``torsion_report`` takes the rescaled one instead."""
     return _theta_mellin(spec, bhat, 1, cfg or QuadratureConfig(), gamma_prime_1)
 
 
@@ -247,7 +255,13 @@ def torsion_rhs(model: GeometryModel, m: int) -> float:
 
 @dataclass(frozen=True)
 class TorsionReport:
-    """One m-slice of the sweep; two-path consistency is enforced on build."""
+    """One m-slice of the sweep; two-path consistency is enforced on build.
+
+    ``theta_prime_0`` is the heat value m^n (theta~'(0) - log m theta~(0)),
+    taken from the ``theta_tilde_*`` fields; ``error_budget`` is its
+    propagated error m^n (1 + log m) ``theta_tilde_error`` plus the direct
+    route's bound, and |heat - direct| must not exceed it.
+    """
 
     m: int
     theta_prime_0: float
@@ -259,7 +273,6 @@ class TorsionReport:
     theta_tilde_0: float = 0.0
     theta_tilde_prime_0: float = 0.0
     theta_tilde_error: float = 0.0
-    scaling_identity_gap: float = 0.0
     supertrace_N_kernel: float = 0.0
 
     def __post_init__(self):
@@ -282,29 +295,30 @@ def torsion_report(
     n = model.n
     if spec.n != n:
         raise DomainError(f"spectrum table has n = {spec.n}, geometry has n = {n}")
+    if m < 1:
+        raise DomainError("m must be >= 1")
     cfg = cfg or QuadratureConfig()
     bhat = closed_form_bhat(spec)
-    heat = theta_prime_zero_result(spec, bhat, cfg)
-    direct, err_direct = theta_prime_zero_direct_result(spec)
-    budget = 3.0 * (heat.error_estimate + err_direct) + 1e-9 * (1.0 + abs(direct))
-    rhs = torsion_rhs(model, m)
-    mn = float(m) ** n
-    # theta~ of m^{-n} S(t/m), built directly: theta_prime_zero_result is the
-    # heat route (m = 1) only
+    # the heat value is theta~'s: theta'(0) = m^n (theta~'(0) - log m theta~(0)),
+    # with the error of both theta~ values carried through that sum
     tilde = _theta_mellin(spec, bhat, m, cfg)
-    gap = abs(heat.derivative0 / mn + math.log(m) * tilde.value0 - tilde.derivative0)
+    mn = float(m) ** n
+    log_m = math.log(m)
+    heat = mn * (tilde.derivative0 - log_m * tilde.value0)
+    err_heat = mn * (1.0 + log_m) * tilde.error_estimate
+    direct, err_direct = theta_prime_zero_direct_result(spec)
+    rhs = torsion_rhs(model, m)
     return TorsionReport(
         m=m,
-        theta_prime_0=heat.derivative0,
+        theta_prime_0=heat,
         theta_prime_0_direct=direct,
         bhat=tuple(float(b) for b in bhat),
         rhs=rhs,
-        residual=(heat.derivative0 - rhs) / mn,
-        error_budget=budget,
+        residual=(heat - rhs) / mn,
+        error_budget=err_heat + err_direct,
         theta_tilde_0=tilde.value0,
         theta_tilde_prime_0=tilde.derivative0,
         theta_tilde_error=tilde.error_estimate,
-        scaling_identity_gap=gap,
         supertrace_N_kernel=spec.supertrace_N_kernel(),
     )
 

@@ -51,7 +51,7 @@ def cp1_gate():
         m_heat=64,
         num_eigs=10,
         basis_factor=4,
-        eig_tol=1e-6,
+        eig_tol=1e-12,
         heat_tol=0.02,
     )
     assert report.passed, f"circle-bundle oracle failed: {report}"
@@ -186,8 +186,10 @@ def test_criterion_6_scaling_identity(cp1_gate):
     for m in (8, 16, 32):
         spec = cp1_spectrum(m, max(1024, m * m))
         rep = torsion_report(spec, cp1_geometry(), m)
-        gaps[m] = rep.scaling_identity_gap
-        assert rep.scaling_identity_gap < 1e-8
+        # the unscaled heat route against the report's theta~
+        heat = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
+        gaps[m] = abs(heat / m + math.log(m) * rep.theta_tilde_0 - rep.theta_tilde_prime_0)
+        assert gaps[m] < 1e-8
         assert spec.supertrace_N_kernel() == 0.0
     announce(
         6,

@@ -146,6 +146,19 @@ class TestSweep:
             for key in ("theta_prime_0", "theta_prime_0_direct", "rhs", "residual", "error_budget"):
                 assert float(crow[key]) == jrow[key]
 
+    @pytest.mark.parametrize(
+        "fmt, unused", [("csv", "reports_to_json"), ("json", "reports_to_csv")]
+    )
+    def test_only_the_requested_format_is_built(self, fmt, unused, monkeypatch, tmp_path, capsys):
+        from crtorsion import cli
+
+        def refuse(*args):
+            raise AssertionError(f"{unused} called for --format {fmt}")
+
+        monkeypatch.setattr(cli, unused, refuse)
+        cargs = ["sweep", "--ms", "8,16", "--kmax", "512", "--format", fmt]
+        assert run_cli(cargs + ["--out", str(tmp_path / "r")], capsys)[0] == 0
+
     def test_geometry_file_of_the_circle_bundle_runs(self, tmp_path, capsys):
         path = tmp_path / "cp1.json"
         path.write_text(dump_geometry(cp1_geometry()))
@@ -247,15 +260,17 @@ class TestTorsionCommand:
         )
 
     def test_table_too_short_for_the_heat_route(self, capsys):
-        # the heat route refuses first and has no rescale: the message names
-        # the floor and the table's k_next = kmax + 1, not an internal m = 1
+        # a floor past t = 1 before any rescale: the rescaled route, the
+        # report's only Mellin call, refuses and names the weight, the floor
+        # and the table's k_next = kmax + 1, not an internal m = 1
         code, _, err = run_cli(["torsion", "--m", "8", "--kmax", "1"], capsys)
         assert code == 1
         assert (
-            "the trust floor t = 4 of a table that stops at k_next = 2 reaches t = 1; "
+            "m = 8: the trust floor t = 4 of a table that stops at k_next = 2, "
+            "rescaled to m*floor = 32, reaches t = 1; "
             "the spectrum table is too short for this weight" in err
         )
-        assert "m = 1" not in err and "m*floor" not in err
+        assert "m = 1" not in err
 
 
 @pytest.mark.parametrize(

@@ -337,7 +337,9 @@ def test_projected_forms_match_dense(m, K, off):
 class TestBlockMemory:
     @staticmethod
     def _peak_bytes(m, K):
-        galerkin_block_eigenvalues(m, K)  # numpy's lazy set-up outside the trace
+        # numpy's lazy set-up outside the trace: any block does it, so the
+        # smallest one, not a second build of the measured block
+        galerkin_block_eigenvalues(1, 1)
         tracemalloc.start()
         try:
             eigs = galerkin_block_eigenvalues(m, K)

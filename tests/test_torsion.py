@@ -382,13 +382,25 @@ class TestRhs:
         assert two == pytest.approx(2.0 * one, rel=1e-14)
 
 
+def _scaling_identity_gap(spec, rep):
+    """|theta'(0) / m^n + log m theta~(0) - theta~'(0)| between the unscaled
+    heat route and the report's theta~."""
+    unscaled = theta_prime_zero_result(spec, closed_form_bhat(spec)).derivative0
+    return abs(
+        unscaled / float(rep.m) ** spec.n
+        + math.log(rep.m) * rep.theta_tilde_0
+        - rep.theta_tilde_prime_0
+    )
+
+
 class TestScalingIdentity:
     @pytest.mark.parametrize("m", [8, 16, 32])
     def test_identity_gap_small(self, m):
-        rep = torsion_report(cp1_spectrum(m, max(1024, m * m)), cp1_geometry(), m)
-        assert rep.scaling_identity_gap < 1e-8
+        spec = cp1_spectrum(m, max(1024, m * m))
+        rep = torsion_report(spec, cp1_geometry(), m)
+        assert _scaling_identity_gap(spec, rep) < 1e-8
         assert rep.supertrace_N_kernel == 0.0
-        # the theta~ quadrature's own estimate is carried, not yet enforced
+        # the theta~ quadrature's own estimate, which the heat error scales
         assert 0.0 < rep.theta_tilde_error < 1e-10
 
     def test_tilde_limits(self):
@@ -510,9 +522,9 @@ class TestLawBackedReports:
         assert spec.stored.size == 1
 
     def test_tail_bound_calls_do_not_follow_the_nodes(self, monkeypatch):
-        # the trust floor certifies the omitted tail once per report, for
-        # the heat and the rescaled route alike; the integrand itself reads
-        # values only
+        # the trust floor certifies the omitted tail once per report; the
+        # integrand itself reads values only, at as many nodes as the
+        # tolerance asks for
         from crtorsion import spectra, tails
 
         calls = {"tail_bound": 0, "nodes": 0, "trust_floor": 0}
@@ -528,7 +540,7 @@ class TestLawBackedReports:
             return trust_floor(*args)
 
         def counting_value(self, t):
-            calls["nodes"] += 1
+            calls["nodes"] += np.size(t)
             return value(self, t)
 
         monkeypatch.setattr(tails, "tail_bound", counting_bound)
@@ -536,7 +548,12 @@ class TestLawBackedReports:
         monkeypatch.setattr(SpectrumTable, "_supertrace_value", counting_value)
         monkeypatch.setattr(spectra, "trust_floor", counting_floor)
         seen = []
-        for cfg in (QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9), QuadratureConfig()):
+        # at m = 32 the first 7 panels already meet every tolerance down to
+        # 1e-14, so the tighter one sits below that
+        for cfg in (
+            QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9),
+            QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15),
+        ):
             calls.update(tail_bound=0, nodes=0, trust_floor=0)
             torsion_report(cp1_spectrum(32, 1024), cp1_geometry(), 32, cfg)
             seen.append(dict(calls))
@@ -585,9 +602,10 @@ class TestLargeWeight:
 
     def test_report_beyond_the_sweep(self):
         geom = cp1_geometry()
-        rep = torsion_report(cp1_spectrum(256, 65536), geom, 256)
+        spec = cp1_spectrum(256, 65536)
+        rep = torsion_report(spec, geom, 256)
         rep128 = torsion_report(cp1_spectrum(128, 16384), geom, 128)
-        assert rep.scaling_identity_gap < 1e-8
+        assert _scaling_identity_gap(spec, rep) < 1e-8
         assert abs(rep.residual) < abs(rep128.residual)
         assert rep.theta_prime_0_direct == pytest.approx(self.DIRECT_M256, rel=1e-13)
 
@@ -617,10 +635,38 @@ class TestLargeWeight:
         assert 0 < tilde <= heat
 
     def test_report_at_m512(self):
-        rep = torsion_report(cp1_spectrum(512, 512 * 512), cp1_geometry(), 512)
+        spec = cp1_spectrum(512, 512 * 512)
+        rep = torsion_report(spec, cp1_geometry(), 512)
         assert abs(rep.theta_prime_0 - rep.theta_prime_0_direct) <= rep.error_budget
-        assert rep.scaling_identity_gap < 1e-8
+        assert _scaling_identity_gap(spec, rep) < 1e-8
         assert rep.theta_prime_0_direct == pytest.approx(self.DIRECT_M512, rel=1e-13)
+
+
+class TestHeatValueFromTilde:
+    @pytest.mark.parametrize(
+        "m, k_max",
+        [
+            *((m, max(1024, m * m)) for m in (8, 16, 32, 64, 128)),
+            # the unscaled heat route misses the direct value by more than
+            # its estimate from m = 16384 on (0.115 against 1.5e-3 at 262144)
+            *((m, 4 * m) for m in (16384, 65536, 262144)),
+        ],
+    )
+    def test_value_and_strict_gate(self, m, k_max):
+        spec = cp1_spectrum(m, k_max)
+        rep = torsion_report(spec, cp1_geometry(), m)
+        assert rep.theta_prime_0 == m * (rep.theta_tilde_prime_0 - math.log(m) * rep.theta_tilde_0)
+        err_heat = m * (1.0 + math.log(m)) * rep.theta_tilde_error
+        assert rep.error_budget == err_heat + theta_prime_zero_direct_result(spec)[1]
+        assert abs(rep.theta_prime_0 - rep.theta_prime_0_direct) <= rep.error_budget
+
+    def test_weight_one_is_the_heat_route(self):
+        # theta~ at m = 1 is the unscaled call itself, bit for bit
+        spec = cp1_spectrum(1, 1024)
+        rep = torsion_report(spec, cp1_geometry(), 1)
+        heat = theta_prime_zero_result(spec, closed_form_bhat(spec))
+        assert rep.theta_prime_0 == heat.derivative0
+        assert rep.error_budget == heat.error_estimate + theta_prime_zero_direct_result(spec)[1]
 
 
 class TestLongTimeBound:
