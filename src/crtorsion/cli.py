@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -31,7 +30,14 @@ from .density import (
     supertrace_N_density,
 )
 from .errors import CrTorsionError, DomainError, TwoPathMismatchError
-from .mellin import GAMMA_PRIME_1, MellinInput, QuadratureConfig, mellin_at_zero, riemann_zeta_check
+from .mellin import (
+    DEFAULT_TOL,
+    GAMMA_PRIME_1,
+    MellinInput,
+    _require_tol,
+    mellin_at_zero,
+    riemann_zeta_check,
+)
 from .oracle import validate_eigenvalues, validate_kernel_dimension
 from .series import HalfPowerSeries, bose_factor, fit_half_powers
 from .spectra import (
@@ -93,8 +99,8 @@ def _coefficients_csv(args, pairs, *comments: str) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _metadata(args, extra: dict | None = None) -> dict:
-    meta = {
+def _metadata(args) -> dict:
+    return {
         "tool": "crtorsion",
         "version": __version__,
         "command": args.command,
@@ -102,9 +108,6 @@ def _metadata(args, extra: dict | None = None) -> dict:
             k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
         },
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +120,13 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
 
     Returns (exit_code, checks) where checks is a list of dicts with name,
     measured error, tolerance, and verdict.  Deterministic for a fixed seed.
+    The Mellin routes run at ``tol``, capped at 1e-9.
     """
     if seed < 0:  # numpy's generator takes no negative seed
         raise DomainError(f"seed must be >= 0, got {seed}")
+    _require_tol(tol)  # before the clamp, which would hide an inf
     rng = np.random.default_rng(seed)
-    qcfg = QuadratureConfig(abs_tol=min(tol, 1e-9), rel_tol=min(tol, 1e-9))
+    tol = min(tol, 1e-9)
     checks = []
 
     def record(name: str, err: float, bound: float, display: str | None = None):
@@ -218,7 +223,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     for lam, mult in ((2.0, 1), (5.0, 3)):
         spec = SpectrumTable.from_lines([(1, lam, mult)], n=1)
         got = theta_prime_zero_result(
-            spec, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
+            spec, closed_form_bhat(spec), tol, gamma_prime_1=gamma_prime_1
         ).derivative0
         worst = max(worst, abs(got - (-mult * math.log(lam))))
     record("one_line_zeta", worst, 1e-9)
@@ -227,7 +232,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     for _ in range(5):
         spec = _random_finite_spectrum(rng, n=int(rng.integers(1, 3)))
         heat = theta_prime_zero_result(
-            spec, closed_form_bhat(spec), qcfg, gamma_prime_1=gamma_prime_1
+            spec, closed_form_bhat(spec), tol, gamma_prime_1=gamma_prime_1
         ).derivative0
         direct = theta_prime_zero_direct_result(spec)[0]
         worst = max(worst, abs(heat - direct))
@@ -236,8 +241,8 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     # torsion: the report's theta~ against the unscaled heat route,
     # theta'(0) / m = theta~'(0) - log m theta~(0) on the bundled model
     spec = cp1_spectrum(8, 1024)
-    rep = torsion_report(spec, cp1_geometry(), 8, qcfg)
-    unscaled = theta_prime_zero_result(spec, closed_form_bhat(spec), qcfg).derivative0
+    rep = torsion_report(spec, cp1_geometry(), 8, tol)
+    unscaled = theta_prime_zero_result(spec, closed_form_bhat(spec), tol).derivative0
     gap = abs(unscaled / 8.0 + math.log(8.0) * rep.theta_tilde_0 - rep.theta_tilde_prime_0)
     record("scaling_identity_m8", gap, 1e-8)
 
@@ -425,23 +430,21 @@ def _cmd_torsion(args) -> int:
     else:
         model = _cp1_geometry(args)
         spec = cp1_spectrum(args.m, _kmax(args, args.m))
-    cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
     m = 1 if args.m is None else args.m
-    report = torsion_report(spec, model, m, cfg)
-    meta = _metadata(args, {"quadrature": asdict(cfg)})
+    report = torsion_report(spec, model, m, args.tol)
+    meta = _metadata(args)
     _emit(args, lambda: reports_to_json([report], meta), lambda: reports_to_csv([report], meta))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     model = _cp1_geometry(args)
-    cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
 
     def source(m: int) -> SpectrumTable:
         return cp1_spectrum(m, _kmax(args, m))
 
-    reports = asympt_sweep(model, source, args.ms, cfg)
-    meta = _metadata(args, {"quadrature": asdict(cfg)})
+    reports = asympt_sweep(model, source, args.ms, args.tol)
+    meta = _metadata(args)
     _emit(args, lambda: reports_to_json(reports, meta), lambda: reports_to_csv(reports, meta))
     trend = residual_trend_ok(reports)
     resids = ", ".join(f"m={r.m}: {r.residual:+.6f}" for r in reports)
@@ -544,7 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-11, help="quadrature tolerance")
+    tol.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="quadrature tolerance: the adaptive stop (absolute and relative), the noise "
+        "floor (eps |b_0| / (10 tol))^(1/n) and the trust-floor tolerance min(1e-13, tol/100)",
+    )
     geometry = argparse.ArgumentParser(add_help=False)
     geometry.add_argument(
         "--geometry", type=str, default="cp1", help="geometry JSON path or the builtin 'cp1'"

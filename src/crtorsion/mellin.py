@@ -40,20 +40,18 @@ GAMMA_PRIME_1 = -EULER_GAMMA
 _EPS = 2.22e-16
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-    tail_cutoff_tol: float = 1e-13
+#: The one quadrature tolerance: the adaptive rule's absolute and relative
+#: stop, the noise floor's target and, through ``torsion``, the trust floor's.
+DEFAULT_TOL = 1e-11
+#: Bisection rounds of the adaptive rule, and panels per starting panel.
+_MAX_ROUNDS = 200
+#: Neglected tail mass beyond the cutoff T of the decay certificate.
+_TAIL_CUTOFF_TOL = 1e-13
 
-    def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "tail_cutoff_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # also rejects nan
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be >= 10")
+
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -175,15 +173,15 @@ def _qk21(fn, panels: Sequence[Tuple[float, float]]):
     return out
 
 
-def _gauss_kronrod(fn, edges: Sequence[float], cfg: QuadratureConfig, partial: float):
+def _gauss_kronrod(fn, edges: Sequence[float], abs_tol: float, rel_tol: float, partial: float):
     """Globally adaptive integral of ``fn`` over [edges[0], edges[-1]].
 
     ``fn`` maps a 1-D float array of nodes to the array of its values.  The
     panels between consecutive ``edges`` start the panel list.  Each round
     bisects, in one batch, the fewest worst bisectable panels whose errors
     cover the excess over max(abs_tol, rel_tol |value|), and evaluates all
-    their nodes in one call of ``fn``.  At most ``cfg.max_subdivisions``
-    rounds, and at most that many panels per starting panel.
+    their nodes in one call of ``fn``.  At most ``_MAX_ROUNDS`` rounds, and at
+    most that many panels per starting panel.
 
     Returns (value, error), each the exact sum over the panels.  A result that
     misses the tolerance is kept when finite and within 1e5 times it
@@ -192,12 +190,12 @@ def _gauss_kronrod(fn, edges: Sequence[float], cfg: QuadratureConfig, partial: f
     """
     panels = list(zip(edges[:-1], edges[1:]))
     val, err, live = _qk21(fn, panels)
-    cap = cfg.max_subdivisions * len(panels)
-    for _ in range(cfg.max_subdivisions):
+    cap = _MAX_ROUNDS * len(panels)
+    for _ in range(_MAX_ROUNDS):
         value, error = math.fsum(val), math.fsum(err)
         if not (math.isfinite(value) and math.isfinite(error)):
             break
-        excess = error - max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        excess = error - max(abs_tol, rel_tol * abs(value))
         if excess <= 0.0:
             return value, error
         sel, covered = [], 0.0
@@ -219,7 +217,7 @@ def _gauss_kronrod(fn, edges: Sequence[float], cfg: QuadratureConfig, partial: f
         for old, new in zip((val, err, live), _qk21(fn, halves)):
             old += new
     value, error = math.fsum(val), math.fsum(err)
-    if not (math.isfinite(value) and error <= 1e5 * max(cfg.abs_tol, cfg.rel_tol * abs(value))):
+    if not (math.isfinite(value) and error <= 1e5 * max(abs_tol, rel_tol * abs(value))):
         raise QuadratureError(
             f"quadrature on [{edges[0]:.3g}, {edges[-1]:.3g}] did not converge: "
             f"error estimate {error:.3g} over {len(panels)} panels",
@@ -230,7 +228,7 @@ def _gauss_kronrod(fn, edges: Sequence[float], cfg: QuadratureConfig, partial: f
 
 def mellin_at_zero(
     inp: MellinInput,
-    cfg: QuadratureConfig | None = None,
+    tol: float = DEFAULT_TOL,
     gamma_prime_1: float = GAMMA_PRIME_1,
 ) -> MellinResult:
     """Value and derivative of M[f] at z = 0 with an error estimate.
@@ -238,10 +236,11 @@ def mellin_at_zero(
     value0 is the certified f_0 verbatim.  derivative0 follows the four-term
     formula; the reported error bounds quadrature error, tail truncation, the
     first omitted floor-model term, and float cancellation in the subtracted
-    integrand.  ``gamma_prime_1`` exists so diagnostic suites can mutate the
+    integrand.  ``tol`` is the adaptive rule's absolute and relative stop.
+    ``gamma_prime_1`` exists so diagnostic suites can mutate the
     Gamma'(1) constant; production callers leave the default.
     """
-    cfg = cfg or QuadratureConfig()
+    _require_tol(tol)
     k = inp.k
     exp = inp.expansion
     value0 = exp[2 * k]
@@ -252,11 +251,9 @@ def mellin_at_zero(
     floor = inp.eval_floor
     if has_extended and k >= 1 and abs(exp[0]) > 0:
         # Float cancellation in f - P costs ~ eps |f_{-k}| t^{-k} dt/t near 0.
-        # Raise the floor until the integrated noise is ~10 abs_tol, but never
+        # Raise the floor until the integrated noise is ~10 tol, but never
         # beyond where the extended terms still decrease (model validity).
-        noise_floor = (
-            _EPS * abs(exp[0]) / (10.0 * max(cfg.abs_tol, 1e-13))
-        ) ** (1.0 / k)
+        noise_floor = (_EPS * abs(exp[0]) / (10.0 * max(tol, 1e-13))) ** (1.0 / k)
         floor = max(floor, min(noise_floor, 0.05))
     if inp.eval_floor > 0 and not has_extended:
         raise DomainError(
@@ -294,16 +291,16 @@ def mellin_at_zero(
         return (inp.f(t) - p * t ** -k) * 2.0 / u
 
     mid, err_mid = _gauss_kronrod(
-        integrand_u, (math.sqrt(floor), 1.0), cfg, partial=low + pole_sum
+        integrand_u, (math.sqrt(floor), 1.0), tol, tol, partial=low + pole_sum
     )
 
     C, c = inp.decay
-    T = _tail_cutoff(C, c, cfg.tail_cutoff_tol)
+    T = _tail_cutoff(C, c, _TAIL_CUTOFF_TOL)
     edges = [1.0]
     while edges[-1] < T:
         edges.append(min(2.0 * edges[-1], T))
     tail, err_tail = _gauss_kronrod(
-        lambda t: inp.f(t) / t, edges, cfg, partial=low + mid + pole_sum
+        lambda t: inp.f(t) / t, edges, tol, tol, partial=low + mid + pole_sum
     )
     tail_cut = C * math.exp(-c * T) / (c * max(T, 1.0))
 
@@ -353,7 +350,7 @@ def _tail_cutoff(C: float, c: float, tol: float) -> float:
     return T
 
 
-def riemann_zeta_check(cfg: QuadratureConfig | None = None) -> Tuple[float, float]:
+def riemann_zeta_check(tol: float = DEFAULT_TOL) -> Tuple[float, float]:
     """Self-check: run the pipeline on the zeta kernel e^{-t}/(1 - e^{-t}).
 
     Returns (value at 0, derivative at 0); the exact targets are -1/2 and
@@ -373,5 +370,5 @@ def riemann_zeta_check(cfg: QuadratureConfig | None = None) -> Tuple[float, floa
 
     C = 1.0 / (-math.expm1(-1.0))
     inp = MellinInput(f, 1, tuple(expansion), (C, 1.0), 0.0)
-    res = mellin_at_zero(inp, cfg)
+    res = mellin_at_zero(inp, tol)
     return res.value0, res.derivative0

@@ -265,11 +265,6 @@ class SpectrumTable:
             keep &= ~_law_covered(self.stored, self.tail)
         return self.stored.lam[keep], self._weights[keep]
 
-    @cached_property
-    def _trust_floors(self) -> dict:
-        """``supertrace_trust_floor`` by tolerance, filled on first use."""
-        return {}
-
     def supertrace_N_kernel(self) -> float:
         """STr[N] restricted to the zero modes (t-independent)."""
         return self._supertrace[2]
@@ -401,16 +396,11 @@ def _supertrace_tail_bound(spec: SpectrumTable, t: float) -> float:
 
 
 def supertrace_trust_floor(spec: SpectrumTable, tol: float) -> float:
-    """Smallest t at which the truncated super trace is certified to ``tol``;
-    bisected once per table and ``tol``, so the heat and rescaled routes of a
-    report share one bisection."""
+    """Smallest t at which the truncated super trace is certified to ``tol``."""
     if isinstance(spec.tail, FiniteTail):
         return 0.0
-    floors = spec._trust_floors
-    if tol not in floors:
-        weight = max(1, sum(spec.tail.degrees))
-        floors[tol] = trust_floor(spec.tail.law, spec.tail.k_next, tol / weight)
-    return floors[tol]
+    weight = max(1, sum(spec.tail.degrees))
+    return trust_floor(spec.tail.law, spec.tail.k_next, tol / weight)
 
 
 def spectral_gap(spec: SpectrumTable, q: int) -> float:

@@ -22,12 +22,13 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .mellin import QuadratureConfig, _gauss_kronrod
+from .mellin import _gauss_kronrod
 from .series import HalfPowerSeries
 
 MultiIndex = Tuple[int, ...]
 
-_REFERENCE_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=200)
+#: (absolute, relative) tolerance of the reference quadrature
+_REFERENCE_TOL = (1e-14, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def quadrature_reference(integrand: StratumIntegrand, m: int, t: float) -> float
                 cache[a] = _gauss_kronrod(
                     lambda y: y ** a * np.exp(-s * y * y),
                     (-half_width, half_width),
-                    _REFERENCE_QUADRATURE,
+                    *_REFERENCE_TOL,
                     partial=0.0,
                 )[0]
         return cache[a]

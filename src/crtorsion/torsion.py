@@ -32,7 +32,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ArityError, DomainError, TwoPathMismatchError, UnsupportedTailError
-from .mellin import GAMMA_PRIME_1, MellinInput, MellinResult, QuadratureConfig, mellin_at_zero
+from .mellin import DEFAULT_TOL, GAMMA_PRIME_1, MellinInput, MellinResult, _require_tol, mellin_at_zero
 from .series import FitResult, fit_half_powers
 from .spectra import (
     FiniteTail,
@@ -135,7 +135,7 @@ def _theta_mellin(
     spec: SpectrumTable,
     bhat: Sequence[float],
     m: int,
-    cfg: QuadratureConfig,
+    tol: float,
     gamma_prime_1: float = GAMMA_PRIME_1,
 ) -> MellinResult:
     """(theta(0), theta'(0), error) of the rescaled trace m^{-n} S(t/m), where
@@ -144,7 +144,8 @@ def _theta_mellin(
     The substitution t -> t/m turns the expansion coefficient of t^{-n+j/2}
     into bhat_j m^{-j/2} (up to the overall m^{-n}), moves the trust floor to
     m * floor and the decay certificate to t >= 1/m.  At m = 1 every
-    rescaling is exact, so this is the heat route itself.
+    rescaling is exact, so this is the heat route itself.  ``tol`` is the
+    quadrature tolerance; the trust floor certifies the tail to min(1e-13, tol/100).
     """
     n = spec.n
     if len(bhat) < 2 * n + 1:
@@ -155,7 +156,8 @@ def _theta_mellin(
     scale = float(m) ** (-n)
     expansion = [float(b) * float(m) ** (-0.5 * j) for j, b in enumerate(bhat)]
     expansion[2 * n] -= spec.supertrace_N_kernel() * scale
-    floor = supertrace_trust_floor(spec, tol=min(1e-13, cfg.abs_tol * 1e-2))
+    _require_tol(tol)
+    floor = supertrace_trust_floor(spec, tol=min(1e-13, tol * 1e-2))
     if m * floor >= 1.0:
         k_next = spec.tail.k_next
         what = f"the trust floor t = {floor:.3g} of a table that stops at k_next = {k_next}"
@@ -170,19 +172,19 @@ def _theta_mellin(
 
     C, c = decay_certificate(spec, t_min=1.0 / m)
     inp = MellinInput(f, n, tuple(expansion), (scale * C, c / m), m * floor)
-    res = mellin_at_zero(inp, cfg, gamma_prime_1=gamma_prime_1)
+    res = mellin_at_zero(inp, tol, gamma_prime_1=gamma_prime_1)
     return MellinResult(-res.value0, -res.derivative0, res.error_estimate)
 
 
 def theta_prime_zero_result(
     spec: SpectrumTable,
     bhat: Sequence[float],
-    cfg: QuadratureConfig | None = None,
+    tol: float = DEFAULT_TOL,
     gamma_prime_1: float = GAMMA_PRIME_1,
 ) -> MellinResult:
     """Unscaled heat-kernel route: (theta(0), theta'(0), error) by the
     four-term formula; ``torsion_report`` takes the rescaled one instead."""
-    return _theta_mellin(spec, bhat, 1, cfg or QuadratureConfig(), gamma_prime_1)
+    return _theta_mellin(spec, bhat, 1, tol, gamma_prime_1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +290,7 @@ def torsion_report(
     spec: SpectrumTable,
     model: GeometryModel,
     m: int,
-    cfg: QuadratureConfig | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> TorsionReport:
     """Build the full report for Fourier weight ``m``; ``spec`` and ``model``
     must describe the same dimension n."""
@@ -297,11 +299,10 @@ def torsion_report(
         raise DomainError(f"spectrum table has n = {spec.n}, geometry has n = {n}")
     if m < 1:
         raise DomainError("m must be >= 1")
-    cfg = cfg or QuadratureConfig()
     bhat = closed_form_bhat(spec)
     # the heat value is theta~'s: theta'(0) = m^n (theta~'(0) - log m theta~(0)),
     # with the error of both theta~ values carried through that sum
-    tilde = _theta_mellin(spec, bhat, m, cfg)
+    tilde = _theta_mellin(spec, bhat, m, tol)
     mn = float(m) ** n
     log_m = math.log(m)
     heat = mn * (tilde.derivative0 - log_m * tilde.value0)
@@ -327,14 +328,13 @@ def asympt_sweep(
     model: GeometryModel,
     spectrum_source: Callable[[int], SpectrumTable],
     ms: Sequence[int],
-    cfg: QuadratureConfig | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> List[TorsionReport]:
     """One TorsionReport per m, ms strictly increasing."""
     ms = list(ms)
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise DomainError("ms must be a nonempty strictly increasing sequence")
-    cfg = cfg or QuadratureConfig()
-    return [torsion_report(spectrum_source(m), model, m, cfg) for m in ms]
+    return [torsion_report(spectrum_source(m), model, m, tol) for m in ms]
 
 
 def residual_trend_ok(reports: Sequence[TorsionReport]) -> bool:

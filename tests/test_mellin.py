@@ -13,7 +13,6 @@ from crtorsion.mellin import (
     EULER_GAMMA,
     GAMMA_PRIME_1,
     MellinInput,
-    QuadratureConfig,
     mellin_at_zero,
     riemann_zeta_check,
 )
@@ -141,29 +140,30 @@ class TestContracts:
             mellin_at_zero(inp)
 
     def test_tolerance_invariance(self):
-        # halving tolerances and doubling the tail cutoff must agree within
-        # twice the reported error estimate
+        # halving the tolerance must agree within twice the reported error
+        # estimate
         inp, _, _ = gamma_family([0.7, -0.3, 0.4, 0.2], 1)
-        loose = mellin_at_zero(inp, QuadratureConfig(1e-9, 1e-9, 200, 1e-11))
-        tight = mellin_at_zero(inp, QuadratureConfig(5e-10, 5e-10, 200, 5e-12 / 2))
+        loose = mellin_at_zero(inp, 1e-9)
+        tight = mellin_at_zero(inp, 5e-10)
         assert abs(loose.derivative0 - tight.derivative0) <= 2.0 * max(
             loose.error_estimate, 1e-14
         )
 
     def test_loose_tolerance_still_close(self):
-        z0, zp0 = riemann_zeta_check(QuadratureConfig(1e-4, 1e-4, 60, 1e-6))
+        z0, zp0 = riemann_zeta_check(1e-4)
         assert z0 == -0.5
         assert zp0 == pytest.approx(ZETA_PRIME_0, abs=1e-4)
 
-    def test_quadrature_error_carries_partial(self):
+    def test_quadrature_error_carries_partial(self, monkeypatch):
         # an integrand violently oscillating on [1, T] with a tiny subdivision
         # budget cannot converge
         def f(t):
             return np.exp(-t) * np.cos(400.0 * t * t)
 
+        monkeypatch.setattr(mellin, "_MAX_ROUNDS", 10)
         inp = MellinInput(f, 0, (0.0,), (1.0, 0.5))
         with pytest.raises(QuadratureError) as err:
-            mellin_at_zero(inp, QuadratureConfig(1e-13, 1e-13, 10, 1e-13))
+            mellin_at_zero(inp, 1e-13)
         assert math.isfinite(err.value.partial) or math.isnan(err.value.partial)
 
     def test_gamma_constant_precision(self):
@@ -172,13 +172,12 @@ class TestContracts:
 
 
 class TestNonFiniteInputs:
-    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "tail_cutoff_tol"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_tolerance(self, field, value):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance(self, value):
         # nan slips past a plain `<= 0` test and would keep the adaptive
         # rule's stop test from ever passing
-        with pytest.raises(DomainError, match=field):
-            QuadratureConfig(**{field: value})
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            mellin_at_zero(MellinInput(lambda t: np.exp(-t), 0, (1.0,), (1.0, 1.0)), value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_expansion_entry(self, value):
@@ -210,17 +209,17 @@ class TestBatchedIntegrator:
         against quad over the same starting panels."""
         seen = []
 
-        def spy(fn, edges, cfg, partial):
-            value, error = _BATCHED(fn, edges, cfg, partial)
+        def spy(fn, edges, abs_tol, rel_tol, partial):
+            value, error = _BATCHED(fn, edges, abs_tol, rel_tol, partial)
             ref = 0.0
             for a, b in zip(edges[:-1], edges[1:]):  # the doubling panels, one quad each
                 ref += quad(
                     lambda x: float(fn(np.array([x]))[0]),
                     a,
                     b,
-                    epsabs=cfg.abs_tol,
-                    epsrel=cfg.rel_tol,
-                    limit=cfg.max_subdivisions,
+                    epsabs=abs_tol,
+                    epsrel=rel_tol,
+                    limit=mellin._MAX_ROUNDS,
                 )[0]
             seen.append((value, error, ref))
             return value, error
@@ -277,17 +276,16 @@ class TestBatchedIntegrator:
         with pytest.raises(QuadratureError, match="did not converge"):
             mellin_at_zero(MellinInput(f, 0, (1.0,), (1.0, 1.0)))
 
-    def test_round_limit_is_max_subdivisions(self):
+    def test_round_limit_is_max_subdivisions(self, monkeypatch):
         calls = []
 
         def f(t):
             calls.append(t.size)
             return np.exp(-t) * np.cos(400.0 * t * t)
 
+        monkeypatch.setattr(mellin, "_MAX_ROUNDS", 10)
         with pytest.raises(QuadratureError):
-            mellin_at_zero(
-                MellinInput(f, 0, (0.0,), (1.0, 0.5)), QuadratureConfig(1e-13, 1e-13, 10, 1e-13)
-            )
+            mellin_at_zero(MellinInput(f, 0, (0.0,), (1.0, 0.5)), 1e-13)
         # the mid integral converges; the tail stops after its first rule
-        # plus max_subdivisions = 10 bisection rounds
+        # plus _MAX_ROUNDS = 10 bisection rounds
         assert len(calls) <= 2 * (1 + 10)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crtorsion.errors import ArityError, CrTorsionError, DomainError, TwoPathMismatchError
-from crtorsion.mellin import GAMMA_PRIME_1, QuadratureConfig
+from crtorsion.mellin import DEFAULT_TOL, GAMMA_PRIME_1
 from crtorsion.spectra import (
     QuadraticTail,
     SpectrumTable,
@@ -521,6 +521,19 @@ class TestLawBackedReports:
         assert "lines" not in vars(spec)
         assert spec.stored.size == 1
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_named_before_the_trust_floor(self, tol, monkeypatch):
+        # the tolerance is checked where it enters the report, before the
+        # trust floor bisects for min(1e-13, tol / 100)
+        from crtorsion import spectra
+
+        def no_floor(*args):
+            raise AssertionError("trust floor bisected for an invalid tolerance")
+
+        monkeypatch.setattr(spectra, "trust_floor", no_floor)
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            torsion_report(cp1_spectrum(8, 256), cp1_geometry(), 8, tol)
+
     def test_tail_bound_calls_do_not_follow_the_nodes(self, monkeypatch):
         # the trust floor certifies the omitted tail once per report; the
         # integrand itself reads values only, at as many nodes as the
@@ -550,12 +563,9 @@ class TestLawBackedReports:
         seen = []
         # at m = 32 the first 7 panels already meet every tolerance down to
         # 1e-14, so the tighter one sits below that
-        for cfg in (
-            QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9),
-            QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15),
-        ):
+        for tol in (1e-9, 1e-15):
             calls.update(tail_bound=0, nodes=0, trust_floor=0)
-            torsion_report(cp1_spectrum(32, 1024), cp1_geometry(), 32, cfg)
+            torsion_report(cp1_spectrum(32, 1024), cp1_geometry(), 32, tol)
             seen.append(dict(calls))
         assert seen[0]["nodes"] < seen[1]["nodes"]
         assert seen[0]["tail_bound"] == seen[1]["tail_bound"] > 0
@@ -630,7 +640,7 @@ class TestLargeWeight:
         nodes.append(0)
         theta_prime_zero_result(spec, bhat)
         nodes.append(0)
-        torsion._theta_mellin(spec, bhat, 512, QuadratureConfig())
+        torsion._theta_mellin(spec, bhat, 512, DEFAULT_TOL)
         heat, tilde = nodes
         assert 0 < tilde <= heat
 
