@@ -150,15 +150,16 @@ _EPMACH, _UFLOW = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def _qk21(fn, panels: Sequence[Tuple[float, float]]):
-    """Lists (value, error, bisectable) of the 21-point rule on each panel
-    (a, b), from one call of ``fn`` on all their nodes.  The error follows
-    QUADPACK's qk21; a panel whose error is its roundoff floor, or too narrow
-    to halve, is not bisectable."""
+    """Lists (value, error, floor, bisectable) of the 21-point rule on each
+    panel (a, b), from one call of ``fn`` on all their nodes.  The error
+    follows QUADPACK's qk21 and is at least the roundoff floor
+    50 eps resabs; a panel whose error is its floor, or too narrow to halve,
+    is not bisectable."""
     ch = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in panels])
     fv = fn((ch[:, :1] + ch[:, 1:] * _NODES).ravel()).reshape(-1, 21)
     rules = fv @ _RULES  # Kronrod and Gauss sums on [-1, 1]
     spread = np.abs(fv - 0.5 * rules[:, :1]) @ _KRONROD
-    out = ([], [], [])
+    out = ([], [], [], [])
     for (a, b), (_, half), (kronrod, gauss), asc, absk in zip(
         panels, ch.tolist(), rules.tolist(), spread.tolist(), (np.abs(fv) @ _KRONROD).tolist()
     ):
@@ -169,7 +170,8 @@ def _qk21(fn, panels: Sequence[Tuple[float, float]]):
         floor = 50.0 * _EPMACH * resabs if resabs > _UFLOW / (50.0 * _EPMACH) else 0.0
         out[0].append(kronrod * half)
         out[1].append(max(floor, err))
-        out[2].append(err > floor and b - a > 200.0 * _EPMACH * max(abs(a), abs(b)))
+        out[2].append(floor)
+        out[3].append(err > floor and b - a > 200.0 * _EPMACH * max(abs(a), abs(b)))
     return out
 
 
@@ -180,8 +182,11 @@ def _gauss_kronrod(fn, edges: Sequence[float], abs_tol: float, rel_tol: float, p
     panels between consecutive ``edges`` start the panel list.  Each round
     bisects, in one batch, the fewest worst bisectable panels whose errors
     cover the excess over max(abs_tol, rel_tol |value|), and evaluates all
-    their nodes in one call of ``fn``.  At most ``_MAX_ROUNDS`` rounds, and at
-    most that many panels per starting panel.
+    their nodes in one call of ``fn``.  Halving keeps the sum of the panels'
+    roundoff floors, so bisection stops once the error net of that sum is
+    within the target or within the sum itself: what is left to remove is
+    roundoff.  At most ``_MAX_ROUNDS`` rounds, and at most that many panels
+    per starting panel.
 
     Returns (value, error), each the exact sum over the panels.  A result that
     misses the tolerance is kept when finite and within 1e5 times it
@@ -189,15 +194,19 @@ def _gauss_kronrod(fn, edges: Sequence[float], abs_tol: float, rel_tol: float, p
     ``partial + value``.
     """
     panels = list(zip(edges[:-1], edges[1:]))
-    val, err, live = _qk21(fn, panels)
+    val, err, flo, live = _qk21(fn, panels)
     cap = _MAX_ROUNDS * len(panels)
     for _ in range(_MAX_ROUNDS):
         value, error = math.fsum(val), math.fsum(err)
         if not (math.isfinite(value) and math.isfinite(error)):
             break
-        excess = error - max(abs_tol, rel_tol * abs(value))
+        target = max(abs_tol, rel_tol * abs(value))
+        excess = error - target
         if excess <= 0.0:
             return value, error
+        floors = math.fsum(flo)
+        if error - floors <= max(target, floors):
+            break
         sel, covered = [], 0.0
         for i in sorted(range(len(panels)), key=err.__getitem__, reverse=True):
             if covered >= excess or len(panels) + len(sel) >= cap:
@@ -210,11 +219,11 @@ def _gauss_kronrod(fn, edges: Sequence[float], abs_tol: float, rel_tol: float, p
         halves = []
         for i in sorted(sel, reverse=True):
             a, b = panels.pop(i)
-            del val[i], err[i], live[i]
+            del val[i], err[i], flo[i], live[i]
             mid = 0.5 * (a + b)
             halves += [(a, mid), (mid, b)]
         panels += halves
-        for old, new in zip((val, err, live), _qk21(fn, halves)):
+        for old, new in zip((val, err, flo, live), _qk21(fn, halves)):
             old += new
     value, error = math.fsum(val), math.fsum(err)
     if not (math.isfinite(value) and error <= 1e5 * max(abs_tol, rel_tol * abs(value))):

@@ -309,27 +309,27 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
     q and precision level (``_HurwitzFamily``): zeta'(-1, q), zeta'(0, q) and
     digamma(q) from their Stirling forms, and zeta(j, q), j = 2, 3, ..., each
     order carried only to eps of the partial Z'(0) after its binomial weight;
-    zeta(-1, q) and zeta(0, q) are polynomials.  The tail is evaluated on a
-    precision ladder (``_context``) until two consecutive levels agree; their
-    difference enters the reported error.  The head is summed once, at the
-    first level, in closed form when lam has real roots past k_start (O(1)
-    work in K) and from two logarithms of products otherwise.
+    zeta(-1, q) and zeta(0, q) are polynomials.  The head is summed in closed
+    form when lam has real roots past k_start (O(1) work in K) and from two
+    logarithms of products otherwise.
+
+    Head and tail are evaluated together at one level of the precision ladder
+    (``_context``) and return an a-priori bound on the decimal rounding of
+    Z'(0), built from the magnitudes of the terms they combine.  The first
+    level whose bound is at most max(1e-13, 1e-13 scale) is kept; otherwise
+    head and tail are evaluated again at the next level.  The error is the
+    binomial series' remainder, the rounding bound and 1e-15 scale for the
+    conversion to float, where scale = |Z(0)| + |Z'(0)| + 1.
     """
     _require_positive(law, k_start)
     K = split_index(law, k_start)
-    head = None
-    prev = None
     for dps in _LADDER:
         with localcontext(_context(dps)):
-            if head is None:
-                head = _head_sums(law, k_start, K)
-            value, deriv, conv_err, scale = _zeta_log_tail_at(law, K, head)
-        if prev is not None:
-            drift = abs(deriv - prev)
-            if drift <= max(1e-13, 1e-13 * scale):
-                return value, deriv, conv_err + drift + 1e-15 * scale
-        prev = deriv
-    return value, deriv, conv_err + abs(deriv - prev) + 1e-15 * scale
+            head = _head_sums(law, k_start, K)
+            value, deriv, conv_err, scale, rounding = _zeta_log_tail_at(law, K, head)
+        if rounding <= max(1e-13, 1e-13 * scale):
+            break
+    return float(value), float(deriv), conv_err + rounding + 1e-15 * scale
 
 
 def _require_positive(law: QuadraticLaw, k_start: int) -> None:
@@ -347,21 +347,25 @@ def _require_positive(law: QuadraticLaw, k_start: int) -> None:
 
 def _real_roots(law: QuadraticLaw):
     """(r1, r2), r1 <= r2, with lam(k) = a2 (k + r1)(k + r2), in decimal from
-    the law's coefficients (the root of larger size first, the other from the
-    product r1 r2 = a0 / a2, so neither cancels: k (k + m + 1) gives r1 = 0
-    exactly); None when the roots are complex."""
-    s = Decimal(law.a1) / (2 * Decimal(law.a2))
-    product = Decimal(law.a0) / Decimal(law.a2)
-    disc = s * s - product
+    the law's coefficients; None when the roots are complex.  The
+    discriminant a1^2 - 4 a2 a0 is exact, the root of larger size is a sum of
+    two terms of one sign and the other comes from the product
+    r1 r2 = a0 / a2, so each root is within 3 eps of itself
+    (k (k + m + 1) gives r1 = 0 exactly)."""
+    a2, a1, a0 = map(Decimal, (law.a2, law.a1, law.a0))
+    with localcontext(_EXACT):
+        disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:
         return None
-    big = s + disc.sqrt() if s >= 0 else s - disc.sqrt()
-    small = product / big if big else big
+    big = (a1 + disc.sqrt() if a1 >= 0 else a1 - disc.sqrt()) / (2 * a2)
+    small = a0 / a2 / big if big else big
     return (small, big) if small <= big else (big, small)
 
 
 def _head_sums(law: QuadraticLaw, k_start: int, K: int):
-    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < K, in decimal.
+    """(sum mu(k), -sum mu(k) log lam(k), rounding) over k_start <= k < K, in
+    decimal at the working precision; ``rounding`` bounds the decimal
+    rounding of the second sum (see ``_zeta_log_tail_at`` for how it counts).
 
     When lam = a2 (k + r1)(k + r2) with k_start + r1 > 0, the sums close
     (Quine, Heydari and Song, Trans. AMS 338, 1993): with
@@ -375,20 +379,45 @@ def _head_sums(law: QuadraticLaw, k_start: int, K: int):
     and the two logarithms of ``_log_moments``.
     """
     m1, m0 = Decimal(law.m1), Decimal(law.m0)
-    total = m1 * ((K * (K - 1) - k_start * (k_start - 1)) // 2) + m0 * (K - k_start)
+    ks = (K * (K - 1) - k_start * (k_start - 1)) // 2  # sum of k over the head
+    total = m1 * ks + m0 * (K - k_start)
     roots = _real_roots(law)
     if roots is None or k_start + roots[0] <= 0:
         a2, a1, a0 = map(Decimal, (law.a2, law.a1, law.a0))
         logs, moments = _log_moments(
             lambda i: (a2 * (k_start + i) + a1) * (k_start + i) + a0, K - k_start
         )
-        return total, -((m1 * k_start + m0) * logs + m1 * moments)
-    deriv = -_ln(Decimal(law.a2)) * total
+        lead = m1 * k_start + m0
+        deriv = -(lead * logs + m1 * moments)
+        # the two logarithms, taken with guard digits, are each within
+        # eps (|value| + 1); the lead rounds twice, then three roundings
+        units = (abs(m1) * k_start + abs(m0)) * (3 * abs(logs) + 1)
+        units += abs(m1) * (2 * abs(moments) + 1) + abs(deriv)
+        return total, deriv, _eps() * units
+    log_a2 = _ln(Decimal(law.a2))
+    deriv = -log_a2 * total
+    # the total rounds three times, the logarithm and the product once each
+    units = abs(log_a2) * (3 * (abs(m1) * ks + abs(m0) * (K - k_start)) + 2 * abs(total))
     for r in roots:
-        hi_m1, hi_0 = _zeta_primes(K + r)
-        lo_m1, lo_0 = _zeta_primes(k_start + r)
-        deriv -= m1 * (hi_m1 - lo_m1) + (m0 - m1 * r) * (hi_0 - lo_0)
-    return total, deriv
+        q_hi, q_lo = K + r, k_start + r
+        hi_m1, hi_0 = _zeta_primes(q_hi)
+        lo_m1, lo_0 = _zeta_primes(q_lo)
+        c0 = m0 - m1 * r
+        term = m1 * (hi_m1 - lo_m1) + c0 * (hi_0 - lo_0)
+        deriv -= term
+        # each value: its accuracy, the difference and the product; c0 rounds
+        # twice and moves with r; the sum and the accumulation
+        units += (_SPECIAL_ULPS + 2) * (
+            abs(m1) * (abs(hi_m1) + abs(lo_m1)) + abs(c0) * (abs(hi_0) + abs(lo_0))
+        )
+        units += (5 * abs(m1 * r) + 2 * abs(m0)) * abs(hi_0 - lo_0) + abs(term) + abs(deriv)
+        # q = k + r moves by (3 |r| + q) eps (the root, then the sum), through
+        # the q-derivatives zeta'(0, q) + q - 1/2 of zeta'(-1, q) and
+        # digamma(q) of zeta'(0, q), where |digamma(q)| < |log q| + 1/q
+        for q, zeta_0 in ((q_hi, hi_0), (q_lo, lo_0)):
+            digamma = Decimal(abs(math.log(float(q))) + 1.0 / float(q))
+            units += (3 * abs(r) + q) * (abs(m1) * (abs(zeta_0) + q + 1) + abs(c0) * digamma)
+    return total, deriv, _eps() * units
 
 
 def _log_moments(x, n: int):
@@ -432,7 +461,31 @@ def _zeta_primes(q):
     return family.zeta_prime_m1(), family.zeta_prime_0()
 
 
+#: Relative accuracy, in units of ``_eps()``, of the values of one
+#: ``_HurwitzFamily``: zeta(j, q) to within the requested tolerance, and
+#: zeta'(-1, q), zeta'(0, q) and digamma(q); ``TestHurwitzFamily`` checks
+#: both against mpmath at every ladder level.
+_ZETA_ULPS = 6
+_SPECIAL_ULPS = 4
+
+
 def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
+    """(Z(0), Z'(0), series remainder, scale, rounding) at the working
+    precision: the tail k >= K through Hurwitz values at q = K + s, added to
+    ``head`` = ``_head_sums(law, k_start, K)``.  Z(0) and Z'(0) stay Decimal;
+    scale = |Z(0)| + |Z'(0)| + 1 before the binomial series.
+
+    ``rounding`` bounds the decimal rounding of Z'(0), the head's included.
+    Each term combined counts, times its magnitude, the relative accuracy of
+    its Hurwitz value (``_ZETA_ULPS``, ``_SPECIAL_ULPS``), the rounding of q
+    carried through that value's q-derivative, and one eps for each operation
+    that forms the term; each accumulation adds one eps of the partial sum,
+    and each zeta(j, q) the tolerance it was summed to.  eps = ``_eps()`` is
+    twice the unit roundoff, so every rounding is counted twice over.  The
+    values' accuracies are measured, not proven, so the bound is not yet an
+    enclosure.
+    """
+    eps = _eps()
     mq = K + Decimal(law.vertex_shift)
     mrho = Decimal(law.vertex_value / law.a2)
     m1 = Decimal(law.m1)
@@ -444,29 +497,42 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
         + mu0t * (Decimal(1) / 2 - mq)
         - mrho * m1 / 2
     )
-    deriv = (
-        2 * m1 * family.zeta_prime_m1()
-        + 2 * mu0t * family.zeta_prime_0()
-        + mrho * m1 * family.digamma()
+    abs_q = abs(mq)
+    value_units = 8 * (
+        abs(m1) * (mq * mq + abs_q + 1) / 2 + abs(mu0t) * (abs_q + 1) + abs(mrho * m1) / 2
     )
-    head_value, head_deriv = head
+    zeta_m1, zeta_0, digamma = family.zeta_prime_m1(), family.zeta_prime_0(), family.digamma()
+    deriv = 2 * m1 * zeta_m1 + 2 * mu0t * zeta_0 + mrho * m1 * digamma
+    # q-derivatives: zeta'(-1, q) -> zeta'(0, q) + q - 1/2, zeta'(0, q) ->
+    # digamma(q), digamma(q) -> zeta(2, q) < 1/q + 1/q^2; q rounds by eps/2 |q|
+    units = 2 * abs(m1) * (
+        (_SPECIAL_ULPS + 3) * abs(zeta_m1) + abs_q * (abs(zeta_0) + abs_q + 1)
+    )
+    units += 2 * abs(mu0t) * ((_SPECIAL_ULPS + 3) * abs(zeta_0) + abs(mq * digamma))
+    units += abs(mrho * m1) * ((_SPECIAL_ULPS + 3) * abs(digamma) + 1 + 1 / abs_q)
+    head_value, head_deriv, head_rounding = head
     # zeta(2i-1, q) and zeta(2i, q) enter Z'(0) weighted by rho^i / i times m1
     # and mu0t; each needs only eps of the partial Z'(0) after weighting
-    budget = _eps() * (abs(head_value + value) + abs(head_deriv + deriv) + 1)
+    budget = eps * (abs(head_value + value) + abs(head_deriv + deriv) + 1)
 
     def hurwitz(i, coeff):
         weight = abs(mrho) ** i / i * abs(coeff)
         return family.next(budget / weight if weight else _INF)
 
-    deriv -= mrho * mu0t * hurwitz(1, mu0t)
+    # zeta(j, q) moves by j eps / 2 of itself when q rounds
+    term = mrho * mu0t * hurwitz(1, mu0t)
+    deriv -= term
+    units += (_ZETA_ULPS + 4) * abs(term) + abs(deriv)
     scale = abs(head_value + value) + abs(head_deriv + deriv) + 1
     ratio = abs(mrho) / (mq * mq)
     rel_tol = Decimal(_SERIES_REL_TOL)
     for i in range(2, _SERIES_TERM_CAP):
         zodd = hurwitz(i, m1)
         zeven = hurwitz(i, mu0t)
-        term = ((-1) ** i) * mrho ** i / i * (m1 * zodd + mu0t * zeven)
+        weight, odd, even = mrho ** i / i, m1 * zodd, mu0t * zeven
+        term = ((-1) ** i) * weight * (odd + even)
         deriv += term
+        units += (_ZETA_ULPS + i + 7) * abs(weight) * (abs(odd) + abs(even)) + abs(deriv)
         if abs(term) < rel_tol * scale and i > 4:
             err = abs(term) / (1 - ratio)
             break
@@ -475,8 +541,14 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
             f"Hurwitz series at q = {float(mq):.6g} did not reach "
             f"{_SERIES_REL_TOL:g} relative in {_SERIES_TERM_CAP} terms"
         )
-    deriv = deriv - _ln(Decimal(law.a2)) * value
-    return float(head_value + value), float(head_deriv + deriv), float(err), float(scale)
+    log_a2 = _ln(Decimal(law.a2))
+    deriv = deriv - log_a2 * value
+    units += abs(log_a2) * (2 * abs(value) + value_units) + abs(deriv)
+    deriv = head_deriv + deriv
+    units += abs(deriv)
+    # each of the 2i - 1 zeta(j, q) is within budget after its weight
+    rounding = eps * units + (2 * i - 1) * budget + head_rounding
+    return head_value + value, deriv, float(err), float(scale), float(rounding)
 
 
 #: The shared Euler-Maclaurin evaluation shifts q to Q >= _EM_SHIFT_PER_BIT

@@ -6,8 +6,10 @@ Route 1 (heat kernel): the four-term formula at z = 0 of the Mellin transform
 of the rescaled degree-weighted heat super trace, delegated to
 ``mellin_at_zero`` with theta~(z) = -M[m^{-n} STr N e^{-(t/m) Box} perp](z).
 A report takes theta'(0) = m^n (theta~'(0) - log m theta~(0)) from its one
-Mellin call, with error m^n (1 + log m) times theta~'s estimate; at m = 1 this
-is the unscaled heat route, ``theta_prime_zero_result``, bit for bit.  At
+Mellin call.  theta~(0) is an expansion coefficient with no quadrature in
+it, so the error is m^n times theta~'(0)'s estimate plus the float rounding
+eps m^n log m |theta~(0)| of the product; at m = 1 this is the unscaled heat
+route, ``theta_prime_zero_result``, bit for bit.  At
 large m the unscaled route is the weaker one: its floor model, the truncated
 small-t expansion below the trust floor, stops holding as m * floor nears 1,
 and from m = 16384 on it misses the direct value by more than its estimate.
@@ -46,6 +48,8 @@ from .spectra import (
 from .tails import em_heat_series, zeta_log_tail
 
 TWO_PI = 2.0 * math.pi
+#: Unit in the last place of 1.0, the float rounding unit of the heat value.
+_EPS = math.ulp(1.0)
 
 #: Default number of half-power slots (exponents -n .. -n + j_max/2).
 DEFAULT_JMAX_EXTRA = 8
@@ -260,9 +264,12 @@ class TorsionReport:
     """One m-slice of the sweep; two-path consistency is enforced on build.
 
     ``theta_prime_0`` is the heat value m^n (theta~'(0) - log m theta~(0)),
-    taken from the ``theta_tilde_*`` fields; ``error_budget`` is its
-    propagated error m^n (1 + log m) ``theta_tilde_error`` plus the direct
-    route's bound, and |heat - direct| must not exceed it.
+    taken from the ``theta_tilde_*`` fields; ``error_budget`` is its error
+    m^n (``theta_tilde_error`` + eps log m |``theta_tilde_0``|) plus the
+    direct route's bound, and |heat - direct| must not exceed it.
+    ``theta_tilde_error`` is theta~'(0)'s quadrature estimate alone:
+    theta~(0) is an expansion coefficient, and eps log m |theta~(0)| is the
+    float rounding of its product with log m.
     """
 
     m: int
@@ -300,13 +307,14 @@ def torsion_report(
     if m < 1:
         raise DomainError("m must be >= 1")
     bhat = closed_form_bhat(spec)
-    # the heat value is theta~'s: theta'(0) = m^n (theta~'(0) - log m theta~(0)),
-    # with the error of both theta~ values carried through that sum
+    # the heat value is theta~'s: theta'(0) = m^n (theta~'(0) - log m theta~(0));
+    # theta~(0) is an expansion coefficient, free of quadrature error, so the
+    # error is theta~'(0)'s plus the float rounding of log m theta~(0)
     tilde = _theta_mellin(spec, bhat, m, tol)
     mn = float(m) ** n
     log_m = math.log(m)
     heat = mn * (tilde.derivative0 - log_m * tilde.value0)
-    err_heat = mn * (1.0 + log_m) * tilde.error_estimate
+    err_heat = mn * (tilde.error_estimate + _EPS * log_m * abs(tilde.value0))
     direct, err_direct = theta_prime_zero_direct_result(spec)
     rhs = torsion_rhs(model, m)
     return TorsionReport(

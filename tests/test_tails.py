@@ -3,7 +3,7 @@ bounds, and the Hurwitz-zeta continuation used by the direct torsion route."""
 
 import math
 from collections import defaultdict
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -321,8 +321,9 @@ class TestZetaLogTail:
         _, deriv, err = zeta_log_tail(cp1_law(m), 1)
         assert abs(deriv - want) <= err
 
-    def test_circle_bundle_settles_on_second_ladder_level(self, monkeypatch):
-        # the first level is already accurate: 30 and 60 digits agree
+    def test_circle_bundle_settles_on_first_ladder_level(self, monkeypatch):
+        # the rounding bound of the first level meets the tolerance: one
+        # level, head and tail evaluated once
         levels = []
         context = tails._context
 
@@ -331,10 +332,33 @@ class TestZetaLogTail:
             return context(dps)
 
         monkeypatch.setattr(tails, "_context", counting_context)
-        for m in (8, 128, 1024):
+        for m in (8, 128, 1024, 2 ** 22):
             levels.clear()
             zeta_log_tail(cp1_law(m), 1)
-            assert levels == [30, 60]
+            assert levels == [30], m
+
+    def test_missed_bound_escalates_with_the_head(self, monkeypatch):
+        # a first-level bound above the tolerance sends head and tail to the
+        # next level together, and the second level's result is returned
+        heads = []
+        head_sums = tails._head_sums
+        context = tails._context
+        first = context(30).prec
+
+        def inflated_head(law, k_start, K):
+            prec = getcontext().prec
+            heads.append(prec)
+            value, deriv, rounding = head_sums(law, k_start, K)
+            return value, deriv, rounding + (1 if prec == first else 0)
+
+        levels = []
+        monkeypatch.setattr(tails, "_head_sums", inflated_head)
+        monkeypatch.setattr(tails, "_context", lambda dps: levels.append(dps) or context(dps))
+        _, deriv, err = zeta_log_tail(cp1_law(8), 1)
+        assert levels == [30, 60]
+        assert heads == [context(30).prec, context(60).prec]
+        assert deriv == pytest.approx(CP1_THETA_PRIME[8], rel=1e-13)
+        assert err < 1e-13
 
     def test_unconverged_series_raises(self, monkeypatch):
         monkeypatch.setattr(tails, "_SERIES_TERM_CAP", 4)
@@ -560,6 +584,40 @@ def test_matches_per_call_reference_on_random_laws(a2, k_start, shift, rel_rho, 
     want_val, want_deriv = _per_call_reference(law, k_start)
     assert abs(deriv - want_deriv) <= err
     assert val == pytest.approx(want_val, rel=1e-13, abs=1e-12)
+
+
+def _level(law: QuadraticLaw, k_start: int, dps: int):
+    """(Z'(0), rounding bound) of one ladder level, head included, as the
+    Decimal before any float rounding."""
+    K = split_index(law, k_start)
+    with localcontext(tails._context(dps)):
+        head = tails._head_sums(law, k_start, K)
+        _, deriv, _, _, rounding = tails._zeta_log_tail_at(law, K, head)
+    return deriv, rounding
+
+
+def _assert_bound_covers_drift(law: QuadraticLaw, k_start: int):
+    """The first level's rounding bound is at least its exact distance to
+    the second level, head and tail recomputed there."""
+    deriv30, rounding = _level(law, k_start, 30)
+    deriv60, _ = _level(law, k_start, 60)
+    drift = abs(deriv30 - deriv60)
+    assert drift < Decimal("1e-20") * (abs(deriv60) + 1)  # not a float-rounded difference
+    assert Decimal(rounding) >= drift, (rounding, drift)
+    return drift
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, *(2 ** p for p in range(3, 23))))
+def test_rounding_bound_covers_drift_on_circle_bundle(m):
+    assert _assert_bound_covers_drift(cp1_law(m), 1) > 0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**RANDOM_LAWS)
+def test_rounding_bound_covers_drift_on_random_laws(a2, k_start, shift, rel_rho, m1, m0):
+    law, positive = _random_law(a2, k_start, shift, rel_rho, m1, m0)
+    assume(positive)
+    _assert_bound_covers_drift(law, k_start)
 
 
 class TestHurwitzFamily:

@@ -561,15 +561,42 @@ class TestLawBackedReports:
         monkeypatch.setattr(SpectrumTable, "_supertrace_value", counting_value)
         monkeypatch.setattr(spectra, "trust_floor", counting_floor)
         seen = []
-        # at m = 32 the first 7 panels already meet every tolerance down to
-        # 1e-14, so the tighter one sits below that
-        for tol in (1e-9, 1e-15):
+        # at m = 1 the starting panels meet 1e-9 (126 nodes) but not 1e-12,
+        # which takes one bisection (168); from m = 4 on the first 7 panels
+        # meet every tolerance down to 1e-14, and the roundoff floors stop
+        # bisection below that
+        for tol in (1e-9, 1e-12):
             calls.update(tail_bound=0, nodes=0, trust_floor=0)
-            torsion_report(cp1_spectrum(32, 1024), cp1_geometry(), 32, tol)
+            torsion_report(cp1_spectrum(1, 1024), cp1_geometry(), 1, tol)
             seen.append(dict(calls))
         assert seen[0]["nodes"] < seen[1]["nodes"]
         assert seen[0]["tail_bound"] == seen[1]["tail_bound"] > 0
         assert seen[0]["trust_floor"] == seen[1]["trust_floor"] == 1
+
+    def test_sub_roundoff_tol_stops_at_the_floors(self, monkeypatch):
+        # below the roundoff, the error net of the panels' 50 eps resabs
+        # floors is within the floors: the [sqrt(floor), 1] integral keeps
+        # its starting panel instead of bisecting into noise (8 379 nodes
+        # and an estimate of 5.0e-14 at tol = 1e-15)
+        from crtorsion import mellin
+
+        seen = []
+        gauss_kronrod = mellin._gauss_kronrod
+
+        def spy(fn, edges, abs_tol, rel_tol, partial):
+            nodes = []
+            value, error = gauss_kronrod(
+                lambda t: nodes.append(t.size) or fn(t), edges, abs_tol, rel_tol, partial
+            )
+            seen.append((sum(nodes), error))
+            return value, error
+
+        monkeypatch.setattr(mellin, "_gauss_kronrod", spy)
+        for tol in (1e-15, 5e-16):
+            seen.clear()
+            torsion_report(cp1_spectrum(8, 1024), cp1_geometry(), 8, tol)
+            (mid_nodes, mid_error), _ = seen
+            assert mid_nodes < 500 and mid_error <= 5.0e-14, tol
 
 
 class TestGeneralLawReports:
@@ -666,7 +693,10 @@ class TestHeatValueFromTilde:
         spec = cp1_spectrum(m, k_max)
         rep = torsion_report(spec, cp1_geometry(), m)
         assert rep.theta_prime_0 == m * (rep.theta_tilde_prime_0 - math.log(m) * rep.theta_tilde_0)
-        err_heat = m * (1.0 + math.log(m)) * rep.theta_tilde_error
+        # theta~(0) carries no quadrature error: only the rounding of its
+        # product with log m joins theta~'(0)'s estimate
+        rounding = math.ulp(1.0) * math.log(m) * abs(rep.theta_tilde_0)
+        err_heat = m * (rep.theta_tilde_error + rounding)
         assert rep.error_budget == err_heat + theta_prime_zero_direct_result(spec)[1]
         assert abs(rep.theta_prime_0 - rep.theta_prime_0_direct) <= rep.error_budget
 
