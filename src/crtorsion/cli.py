@@ -77,11 +77,6 @@ def _resolve_geometry(spec: str):
     return load_geometry(path)
 
 
-def _kmax(args, m: int) -> int:
-    """``--kmax`` as given (0 included), else the default max(1024, m^2)."""
-    return args.kmax if args.kmax is not None else max(1024, m * m)
-
-
 def _emit(args, json_text: Callable[[], str], csv_text: Callable[[], str]) -> None:
     """Write the report in the chosen ``--format`` to ``--out`` or stdout;
     only the chosen builder runs."""
@@ -240,7 +235,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
 
     # torsion: the report's theta~ against the unscaled heat route,
     # theta'(0) / m = theta~'(0) - log m theta~(0) on the bundled model
-    spec = cp1_spectrum(8, 1024)
+    spec = cp1_spectrum(8)
     rep = torsion_report(spec, cp1_geometry(), 8, tol)
     unscaled = theta_prime_zero_result(spec, closed_form_bhat(spec), tol).derivative0
     gap = abs(unscaled / 8.0 + math.log(8.0) * rep.theta_tilde_0 - rep.theta_tilde_prime_0)
@@ -429,7 +424,7 @@ def _cmd_torsion(args) -> int:
         raise CrTorsionError("either --spectrum or --m is required")
     else:
         model = _cp1_geometry(args)
-        spec = cp1_spectrum(args.m, _kmax(args, args.m))
+        spec = cp1_spectrum(args.m)
     m = 1 if args.m is None else args.m
     report = torsion_report(spec, model, m, args.tol)
     meta = _metadata(args)
@@ -438,12 +433,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model = _cp1_geometry(args)
-
-    def source(m: int) -> SpectrumTable:
-        return cp1_spectrum(m, _kmax(args, m))
-
-    reports = asympt_sweep(model, source, args.ms, args.tol)
+    reports = asympt_sweep(_cp1_geometry(args), cp1_spectrum, args.ms, args.tol)
     meta = _metadata(args)
     _emit(args, lambda: reports_to_json(reports, meta), lambda: reports_to_csv(reports, meta))
     trend = residual_trend_ok(reports)
@@ -578,17 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torsion", parents=[out, fmt, tol, geometry], help="single torsion report")
     p.add_argument("--spectrum", type=str, default=None, help="spectrum CSV path")
-    p.add_argument("--m", type=int, default=None, help="Fourier weight")
-    p.add_argument("--kmax", type=int, default=None, help="spectrum truncation")
+    p.add_argument("--m", type=int, default=None, help="Fourier weight (k_max = max(1024, 4m))")
     p.set_defaults(func=_cmd_torsion)
 
     p = sub.add_parser(
         "sweep", parents=[out, fmt, tol, geometry], help="m-sweep with residual trend check"
     )
     p.add_argument(
-        "--ms", type=_int_list, required=True, help="comma-separated weights, e.g. 8,16,32,64"
+        "--ms", type=_int_list, required=True, help="weights, e.g. 8,16,32; k_max = max(1024, 4m)"
     )
-    p.add_argument("--kmax", type=int, default=None, help="fixed truncation (default max(1024, m^2))")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", parents=[out, fmt], help="extract half-power expansion coefficients")

@@ -230,12 +230,18 @@ def validate_heat_coefficients(m: int) -> Tuple[float, float]:
     The rescaled trace m^{-1} Tr^(0)[e^{-(t/m) Box}] should match
     vol * (2 pi)^{-2} * a/(1 - e^{-a t}) with a = 1 as m grows; in this
     convention the t^{-1} coefficient is 1 and the t^0 coefficient is 1/2.
+    The table is ``cp1_spectrum(m)``'s, max(1024, 4 m) lines, except at
+    m = 185 ... 341: there its tail bound at the smallest node t = 5e-3 / m
+    passes 1e-10, and the table grows to k_max^2 t >= 40 (bound ~e^{-40} / t).
     """
     _require_int(m=m)
     if m < 1:
         raise DomainError(f"need weight m >= 1, got m={m}")
-    spec = cp1_spectrum(m, max(2048, 4 * m))
+    spec = cp1_spectrum(m)
     grid = np.geomspace(5e-3, 0.3, 48)
+    k_max = math.ceil(math.sqrt(40.0 * m / grid[0]))
+    if spec.tail.k_next <= k_max:
+        spec = cp1_spectrum(m, k_max)
     values, bounds = trace_degree_nodes(spec, 0, grid / m, nonzero_only=False)
     if (bounds > 1e-10).any():
         raise DomainError("heat-coefficient grid extends below trust floor")

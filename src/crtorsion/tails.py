@@ -316,10 +316,10 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
     Head and tail are evaluated together at one level of the precision ladder
     (``_context``) and return an a-priori bound on the decimal rounding of
     Z'(0), built from the magnitudes of the terms they combine.  The first
-    level whose bound is at most max(1e-13, 1e-13 scale) is kept; otherwise
-    head and tail are evaluated again at the next level.  The error is the
-    binomial series' remainder, the rounding bound and 1e-15 scale for the
-    conversion to float, where scale = |Z(0)| + |Z'(0)| + 1.
+    level whose bound is at most max(1e-13, 1e-13 scale), scale =
+    |Z(0)| + |Z'(0)| + 1, is kept; otherwise head and tail are evaluated
+    again at the next level.  The error is the binomial series' remainder,
+    the rounding bound and half an ulp of the float Z'(0).
     """
     _require_positive(law, k_start)
     K = split_index(law, k_start)
@@ -329,7 +329,7 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
             value, deriv, conv_err, scale, rounding = _zeta_log_tail_at(law, K, head)
         if rounding <= max(1e-13, 1e-13 * scale):
             break
-    return float(value), float(deriv), conv_err + rounding + 1e-15 * scale
+    return float(value), float(deriv), conv_err + rounding + 0.5 * math.ulp(float(deriv))
 
 
 def _require_positive(law: QuadraticLaw, k_start: int) -> None:

@@ -200,17 +200,14 @@ def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
     """(theta'(0), error bound) via term-wise continuation.
 
     Listed lines contribute (-1)^q q mult log(lambda) exactly; a quadratic
-    tail adds the continued remainder from ``zeta_log_tail``.  When the tail
-    law covers the listed lines, the continuation starts at the first law
-    index instead of k_next: splitting at a large k_next in float would pit
-    two huge opposite contributions against each other and lose
-    ~eps * k_next^2 log(k_next) to cancellation.  ``zeta_log_tail`` itself
-    splits the law sum at K ~ 9 sqrt|rho| (K = 4 (m+1) for the circle bundle)
-    and adds the head k < K to the Hurwitz tail in decimal arithmetic, so
-    the result carries no such cancellation.  The head of a law with real roots (the
-    circle bundle's lam = k (k + m + 1) among them) is summed in closed form
-    from Hurwitz values, so the route costs O(1) work at any m; it is
-    independent of the table truncation (which tests verify separately).
+    tail adds the continued remainder from ``zeta_log_tail``, which sums the
+    law in decimal arithmetic at O(1) cost in m.  When the tail law covers
+    the listed lines, the continuation starts at the first law index instead
+    of k_next, where a float split would lose ~eps k_next^2 log(k_next) to
+    cancellation; the result is then independent of the table truncation.
+    The bound adds ``zeta_log_tail``'s error in each tail degree, half an ulp
+    of the law term, 8e-16 (sum |term| + 1) over the other lines and half an
+    ulp of the ``fsum`` total.
     """
     terms = []
     err = 0.0
@@ -220,14 +217,15 @@ def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
         _, deriv, zerr = zeta_log_tail(law, k_anchor)
         if spec.tail.weight:
             terms.append(-spec.tail.weight * deriv)
+            err += 0.5 * math.ulp(terms[0])
         err += sum(spec.tail.degrees) * zerr
     elif not isinstance(spec.tail, FiniteTail):
         raise UnsupportedTailError(f"unsupported tail policy {spec.tail!r}")
     lam, w = spec._outside_law
-    terms.extend((w[lam > 0.0] * np.log(lam[lam > 0.0])).tolist())
-    total = math.fsum(terms)
-    scale = math.fsum(abs(x) for x in terms)
-    return total, err + 8e-16 * (scale + 1.0)
+    listed = (w[lam > 0.0] * np.log(lam[lam > 0.0])).tolist()
+    total = math.fsum(terms + listed)
+    err += 8e-16 * (math.fsum(map(abs, listed)) + 1.0)
+    return total, err + 0.5 * math.ulp(total)
 
 
 # ---------------------------------------------------------------------------

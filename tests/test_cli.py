@@ -109,8 +109,6 @@ class TestSweep:
                 "sweep",
                 "--ms",
                 "8,16,32,64",
-                "--kmax",
-                "1024",
                 "--out",
                 str(out),
             ],
@@ -133,7 +131,7 @@ class TestSweep:
         assert "version" in joined and "tol" in joined
 
     def test_json_matches_csv_numbers(self, tmp_path, capsys):
-        cargs = ["sweep", "--ms", "8,16", "--kmax", "512"]
+        cargs = ["sweep", "--ms", "8,16"]
         out_csv = tmp_path / "r.csv"
         out_json = tmp_path / "r.json"
         run_cli(cargs + ["--out", str(out_csv)], capsys)
@@ -157,7 +155,7 @@ class TestSweep:
             raise AssertionError(f"{unused} called for --format {fmt}")
 
         monkeypatch.setattr(cli, unused, refuse)
-        cargs = ["sweep", "--ms", "8,16", "--kmax", "512", "--format", fmt]
+        cargs = ["sweep", "--ms", "8,16", "--format", fmt]
         assert run_cli(cargs + ["--out", str(tmp_path / "r")], capsys)[0] == 0
 
     def test_geometry_file_of_the_circle_bundle_runs(self, tmp_path, capsys):
@@ -192,7 +190,7 @@ class TestTorsionCommand:
     def test_single_report_from_builtin(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         code, _, _ = run_cli(
-            ["torsion", "--m", "8", "--kmax", "512", "--format", "json", "--out", str(out)],
+            ["torsion", "--m", "8", "--format", "json", "--out", str(out)],
             capsys,
         )
         assert code == 0
@@ -245,33 +243,18 @@ class TestTorsionCommand:
         )
         assert code == 0
 
+    def test_weight_131_passes_the_gate(self, capsys):
+        # with a table of m^2 lines the heat route missed the direct value by
+        # more than the budget here and exited 3
+        code, out, err = run_cli(["torsion", "--m", "131"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("131,")
+
     def test_weight_with_circle_bundle_geometry_file_runs(self, tmp_path, capsys):
         path = tmp_path / "cp1.json"
         path.write_text(dump_geometry(cp1_geometry()))
-        code, _, _ = run_cli(["torsion", "--m", "8", "--kmax", "512", "--geometry", str(path)], capsys)
+        code, _, _ = run_cli(["torsion", "--m", "8", "--geometry", str(path)], capsys)
         assert code == 0
-
-    def test_table_too_short_for_weight(self, capsys):
-        code, _, err = run_cli(["torsion", "--m", "32", "--kmax", "16"], capsys)
-        assert code == 1
-        assert "m = 32" in err and "m*floor" in err
-        assert (
-            "m = 32: the trust floor t = 0.0625 of a table that stops at k_next = 17, "
-            "rescaled to m*floor = 2, reaches t = 1" in err
-        )
-
-    def test_table_too_short_for_the_heat_route(self, capsys):
-        # a floor past t = 1 before any rescale: the rescaled route, the
-        # report's only Mellin call, refuses and names the weight, the floor
-        # and the table's k_next = kmax + 1, not an internal m = 1
-        code, _, err = run_cli(["torsion", "--m", "8", "--kmax", "1"], capsys)
-        assert code == 1
-        assert (
-            "m = 8: the trust floor t = 4 of a table that stops at k_next = 2, "
-            "rescaled to m*floor = 32, reaches t = 1; "
-            "the spectrum table is too short for this weight" in err
-        )
-        assert "m = 1" not in err
 
 
 @pytest.mark.parametrize(
@@ -279,9 +262,6 @@ class TestTorsionCommand:
     [
         (["torsion", "--m", "0"], "m must be >= 1"),
         (["sweep", "--ms", "0,8"], "m must be >= 1"),
-        (["torsion", "--m", "8", "--kmax", "0"], "k_max must be >= 1"),
-        (["torsion", "--m", "8", "--kmax", "-5"], "k_max must be >= 1"),
-        (["sweep", "--ms", "8,16", "--kmax", "0"], "k_max must be >= 1"),
         (["torsion", "--m", "8", "--tol", "nan"], r"\btol must be positive and finite"),
         (["sweep", "--ms", "8,16", "--tol", "inf"], r"\btol must be positive and finite"),
         (["selfcheck", "--tol", "nan"], r"\btol must be positive and finite"),
@@ -289,20 +269,31 @@ class TestTorsionCommand:
         (["selfcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
     ids=[
-        "torsion-m0", "sweep-m0", "torsion-kmax0", "torsion-kmax-neg", "sweep-kmax0",
+        "torsion-m0", "sweep-m0",
         "torsion-tol-nan", "sweep-tol-inf", "selfcheck-tol-nan", "selfcheck-tol-inf",
         "selfcheck-seed-neg",
     ],
 )
 def test_zero_or_non_finite_value_is_named_error(cargs, message, capsys):
-    # 0 is a value, not "use the default": --m 0 and --kmax 0 fail like any
-    # other value out of range, and a nan tolerance fails before any report;
+    # 0 is a value, not "use the default": --m 0 fails like any other value
+    # out of range, and a nan tolerance fails before any report;
     # selfcheck checks an inf one before capping it at 1e-9
     code, out, err = run_cli(cargs, capsys)
     assert code == 1
     assert err.startswith("error:") and re.search(message, err)
     assert err.count("\n") == 1  # one line, no traceback
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "cargs", [["torsion", "--m", "8"], ["sweep", "--ms", "8,16"]], ids=["torsion", "sweep"]
+)
+def test_kmax_option_is_gone(cargs, capsys):
+    # the circle-bundle table length is cp1_spectrum's rule, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(cargs + ["--kmax", "1024"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kmax 1024" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

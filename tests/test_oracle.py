@@ -420,6 +420,12 @@ class TestHeatCoefficients:
         e128 = validate_heat_coefficients(128)
         assert e128[1] < e32[1]
 
+    @pytest.mark.parametrize("m", [185, 256, 341])
+    def test_table_grows_where_the_default_is_short(self, m):
+        # cp1_spectrum(m)'s own tail bound at the smallest node passes 1e-10
+        assert trace_degree(cp1_spectrum(m), 0, 5e-3 / m, nonzero_only=False).tail_bound > 1e-10
+        assert max(validate_heat_coefficients(m)) < 0.02
+
     def test_zero_weight_rejected_before_dividing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -463,7 +469,7 @@ class TestHeatCoefficients:
             for t in np.geomspace(5e-3, 0.3, 48)
         ]
         assert max(bounds) > 1e-10 > min(bounds)
-        monkeypatch.setattr(oracle, "cp1_spectrum", lambda m, k_max: spec)
+        monkeypatch.setattr(oracle, "cp1_spectrum", lambda m, k_max=None: spec)
         with pytest.raises(DomainError, match="below trust floor"):
             validate_heat_coefficients(m)
 

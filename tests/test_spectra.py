@@ -457,6 +457,14 @@ class TestCp1Model:
         deg1 = {(l.lam, l.mult) for l in spec.lines if l.q == 1}
         assert deg0 == deg1
 
+    @pytest.mark.parametrize("m", [0, 1, 32, 255, 256, 257, 1024, 4096, 2**22])
+    def test_default_table_length(self, m):
+        # one rule, k_max = max(1024, 4 m); the law block stays unbuilt
+        spec = cp1_spectrum(m)
+        assert spec.tail.k_next == max(1024, 4 * m) + 1
+        assert spec.tail == cp1_spectrum(m, max(1024, 4 * m)).tail
+        assert "lines" not in vars(spec)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             cp1_spectrum(-1, 4)

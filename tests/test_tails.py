@@ -29,13 +29,15 @@ ROUND_SPHERE_ZETA_PRIME = -1.1616845748018036
 
 # theta'(0) of the circle-bundle spectrum (the direct route, which is
 # Z'(0) of cp1_law(m) from k = 1), frozen from the law-anchored Hurwitz series
-# that continued from k = 1 without a split
+# that continued from k = 1 without a split; m = 32, 64, 128 are the
+# correctly rounded closed form 4 zeta'(-1) + 2 log H(N) - N log N! - N^2 / 2
+# with N = m + 1 (mpmath, 50 digits)
 CP1_THETA_PRIME = {
     8: 1.735827348453908,
     16: 8.68507083909494,
-    32: 27.70265057513659,
-    64: 76.38480518574389,
-    128: 195.47728941176084,
+    32: 27.702650575136595,
+    64: 76.3848051857439,
+    128: 195.47728941176095,
 }
 
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -248,6 +249,19 @@ class TestDirectRoute:
         got = theta_prime_zero_direct_result(spec)[0]
         assert got == pytest.approx(ROUND_SPHERE_THETA_PRIME, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [2**e for e in range(0, 23, 2)])
+    def test_bound_covers_closed_form_error(self, m):
+        # theta'(0) = 4 zeta'(-1) + 2 log H(N) - N log N! - N^2 / 2, N = m + 1,
+        # with log H(N) = sum_{j <= N} j log j = zeta'(-1, N + 1) - zeta'(-1)
+        direct, err = theta_prime_zero_direct_result(cp1_spectrum(m))
+        with mpmath.workdps(50):
+            n = m + 1
+            zeta_prime = mpmath.zeta(-1, 1, 1)
+            log_h = mpmath.zeta(-1, n + 1, 1) - zeta_prime
+            exact = 4 * zeta_prime + 2 * log_h - n * mpmath.loggamma(n + 1) - mpmath.mpf(n) ** 2 / 2
+            actual = float(abs(mpmath.mpf(direct) - exact))
+        assert actual <= err <= 100 * actual
+
     def test_stable_under_kmax_doubling(self):
         a = theta_prime_zero_direct_result(cp1_spectrum(10, 10_000))[0]
         b = theta_prime_zero_direct_result(cp1_spectrum(10, 20_000))[0]
@@ -437,6 +451,49 @@ class TestScalingIdentity:
         spec = cp1_spectrum(32, 16)
         with pytest.raises(DomainError, match=r"m = 32: .*m\*floor = 2"):
             torsion_report(spec, cp1_geometry(), 32)
+
+
+class TestTableLength:
+    def test_default_table_passes_the_gate_at_every_weight(self):
+        # with m^2 lines, m = 131, 135, 147, 167 and 227 exceeded the budget
+        geometry = cp1_geometry()
+        for m in range(1, 1025):
+            torsion_report(cp1_spectrum(m), geometry, m)
+
+    def test_table_too_short_for_weight(self):
+        with pytest.raises(DomainError) as exc:
+            torsion_report(cp1_spectrum(32, 16), cp1_geometry(), 32)
+        assert (
+            "m = 32: the trust floor t = 0.0625 of a table that stops at k_next = 17, "
+            "rescaled to m*floor = 2, reaches t = 1" in str(exc.value)
+        )
+
+    def test_table_too_short_for_the_heat_route(self):
+        # a floor past t = 1 before any rescale: the rescaled route, the
+        # report's only Mellin call, refuses and names the weight, the floor
+        # and the table's k_next = k_max + 1, not an internal m = 1
+        with pytest.raises(DomainError) as exc:
+            torsion_report(cp1_spectrum(8, 1), cp1_geometry(), 8)
+        assert (
+            "m = 8: the trust floor t = 4 of a table that stops at k_next = 2, "
+            "rescaled to m*floor = 32, reaches t = 1; "
+            "the spectrum table is too short for this weight" in str(exc.value)
+        )
+        assert "m = 1" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: torsion_report(cp1_spectrum(8, 0), cp1_geometry(), 8),
+            lambda: torsion_report(cp1_spectrum(8, -5), cp1_geometry(), 8),
+            lambda: asympt_sweep(cp1_geometry(), lambda m: cp1_spectrum(m, 0), [8, 16]),
+        ],
+        ids=["torsion-kmax0", "torsion-kmax-neg", "sweep-kmax0"],
+    )
+    def test_k_max_below_one_is_named_error(self, build):
+        # 0 is a value, not "use the default"
+        with pytest.raises(DomainError, match="k_max must be >= 1"):
+            build()
 
 
 class TestMetricRescaling:
