@@ -199,7 +199,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
     )
 
     # mellin: Riemann zeta pipeline
-    z0, zp0 = riemann_zeta_check()
+    z0, zp0 = riemann_zeta_check(tol)
     record("zeta0", abs(z0 + 0.5), 0.0, display=f"{z0:.12f}")
     record("zeta_prime0", abs(zp0 - ZETA_PRIME_0), 1e-8, display=f"{zp0:.9f}")
 
@@ -209,7 +209,7 @@ def run_selfcheck(seed: int, tol: float, gamma_prime_1: float = GAMMA_PRIME_1) -
         k = int(rng.integers(0, 3))
         c = rng.uniform(-2, 2, size=2 * k + 3)
         inp, analytic = _gamma_family_input(c, k)
-        res = mellin_at_zero(inp)
+        res = mellin_at_zero(inp, tol)
         worst = max(worst, abs(res.derivative0 - analytic) / max(10.0 * res.error_estimate, 1e-300))
     record("mellin_gamma_family", worst, 1.0)
 

@@ -276,8 +276,9 @@ def _bernoulli_over_factorial(i: int) -> Fraction:
     """B_2i / (2i)! = (-1)^(i-1) 2i T_i / (4^i (4^i - 1) (2i)!), exact, i >= 1;
     the one Bernoulli source of the Bose series, the heat Euler-Maclaurin
     series and the direct route."""
-    # in blocks of 32: the first two ladder levels read at most 23 entries
-    t = _tangent_numbers(32 * -(-i // 32))
+    # in blocks of 16: a circle-bundle sweep reads 11 entries, the first two
+    # ladder levels at most 23
+    t = _tangent_numbers(16 * -(-i // 16))
     return Fraction(
         (-1) ** (i - 1) * 2 * i * t[i], 4 ** i * (4 ** i - 1) * math.factorial(2 * i)
     )

@@ -258,11 +258,13 @@ class SpectrumTable:
     def _outside_law(self):
         """(lams, weights), in table order, of the lines with nonzero weight
         that are not among the tail law's lines k_first..k_next-1: the stored
-        lines that ``_law_covered`` does not match (implied lines are among
-        the law's by construction)."""
+        lines that ``_law_covered`` does not match.  Implied lines are among
+        the law's by construction, and ``from_law`` has refused every stored
+        line that the law covers, so an implied table matches none."""
         keep = self._weights != 0.0
-        if isinstance(self.tail, QuadraticTail) and self.tail.covers_all_lines:
-            keep &= ~_law_covered(self.stored, self.tail)
+        tail = self.tail
+        if isinstance(tail, QuadraticTail) and tail.covers_all_lines and not self.implied:
+            keep &= ~_law_covered(self.stored, tail)
         return self.stored.lam[keep], self._weights[keep]
 
     def supertrace_N_kernel(self) -> float:
@@ -271,14 +273,16 @@ class SpectrumTable:
 
 
 def _validated(lines, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, lam, mult) columns of (q, lam, mult) rows, each row checked."""
+    """(q, lam, mult) columns of (q, lam, mult) rows, each row checked; the
+    first offending row is looked up only once a check fails."""
     rows = np.asarray(lines if isinstance(lines, np.ndarray) else list(lines), float)
     rows = rows.reshape(-1, 3)
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
+    if not np.isfinite(rows).all():
+        bad = ~np.isfinite(rows).all(axis=1)
         raise DomainError(f"non-finite entry in line {tuple(rows[bad][0].tolist())}")
-    bad = (np.rint(rows[:, ::2]) != rows[:, ::2]).any(axis=1)
-    if bad.any():
+    ints = rows[:, ::2]
+    if not (np.rint(ints) == ints).all():
+        bad = (np.rint(ints) != ints).any(axis=1)
         raise DomainError(
             f"non-integer degree or multiplicity in line {tuple(rows[bad][0].tolist())}"
         )
@@ -300,7 +304,8 @@ def _law_covered(rows: np.recarray, tail: QuadraticTail) -> np.ndarray:
     law, lam = tail.law, rows.lam
     disc = law.a1 * law.a1 + 4.0 * law.a2 * (lam - law.a0)
     k = np.rint((-law.a1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * law.a2))
-    covered = np.isin(rows.q, tail.degrees) & (disc >= 0)
+    in_degrees = (rows.q[:, None] == np.asarray(tail.degrees, dtype=np.int64)).any(axis=1)
+    covered = in_degrees & (disc >= 0)
     covered &= (tail.k_first <= k) & (k < tail.k_next)
     covered &= np.abs(law.lam(k) - lam) <= 1e-9 * (1.0 + np.abs(lam))
     return covered
@@ -311,13 +316,16 @@ def _merged(q: np.ndarray, lam: np.ndarray, mult: np.ndarray) -> np.recarray:
     multiplicities of equal (q, lam) keys added."""
     order = np.lexsort((lam, q))
     q, lam, mult = q[order], lam[order], mult[order]
-    new_key = (np.diff(q, prepend=-1) != 0) | (np.diff(lam, prepend=-1.0) != 0)
-    first = np.flatnonzero(new_key)
-    merged = np.rec.fromarrays(
-        (q[first], lam[first], np.add.reduceat(mult, first)), names=("q", "lam", "mult")
-    )
+    new_key = np.empty(q.size, dtype=bool)
+    new_key[:1] = True
+    new_key[1:] = (q[1:] != q[:-1]) | (lam[1:] != lam[:-1])
+    first = new_key.nonzero()[0]
+    layout = [("q", np.int64), ("lam", np.float64), ("mult", np.int64)]
+    merged = np.empty(first.size, dtype=layout)
+    merged["q"], merged["lam"] = q[first], lam[first]
+    merged["mult"] = np.add.reduceat(mult, first)
     merged.flags.writeable = False
-    return merged
+    return merged.view(np.recarray)
 
 
 def heat_supertrace_N(

@@ -39,8 +39,10 @@ from decimal import (
 )
 from typing import List, Tuple
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
-from .series import HalfPowerSeries, _as_doubled, _bernoulli_over_factorial
+from .series import HalfPowerSeries, _as_doubled, _bernoulli_over_factorial, _bose_weights
 
 SQRT_PI = math.sqrt(math.pi)
 _LOG10_2 = math.log10(2.0)
@@ -57,6 +59,12 @@ class QuadraticLaw:
     m0: float
 
     def __post_init__(self):
+        for name in ("a2", "a1", "a0", "m1", "m0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"quadratic law coefficient {name} must be finite, got {value!r}"
+                )
         if self.a2 <= 0:
             raise DomainError("quadratic law requires a2 > 0")
 
@@ -89,6 +97,21 @@ class QuadraticLaw:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _derivative_counts(r: int) -> Tuple[Tuple[int, int, int, int, int, int], ...]:
+    """Per p = 0..r, (count, 2p - s, s - p) at s = r and then at s = r - 1,
+    with count = (-1)^p r! / ((2p - s)! (s - p)!), or 0 outside
+    s/2 <= p <= s."""
+
+    def entry(s, p):
+        if not p <= s <= 2 * p:
+            return 0, 0, 0
+        count = math.factorial(r) // (math.factorial(2 * p - s) * math.factorial(s - p))
+        return (-1) ** p * count, 2 * p - s, s - p
+
+    return tuple(entry(r, p) + entry(r - 1, p) for p in range(r + 1))
+
+
 def _endpoint_derivative_tpoly(law: QuadraticLaw, r: int, x0: float) -> List[float]:
     """t-coefficients of P_r(x0; t), where d^r/dx^r [mu e^{-t lam}] = P_r e^{-t lam}.
 
@@ -96,19 +119,18 @@ def _endpoint_derivative_tpoly(law: QuadraticLaw, r: int, x0: float) -> List[flo
     (mu(x0) + m1 y) e^{-t (b y + a2 y^2)}, and the y^s t^p coefficient of the
     exponential is the single term (-1)^p b^{2p-s} a2^{s-p} / ((2p-s)! (s-p)!),
     nonzero for s/2 <= p <= s.  P_r is r! times the y^r coefficient of the
-    product; r! / ((2p-s)! (s-p)!) is an integer for s = r and s = r - 1.
+    product; r! / ((2p-s)! (s-p)!) is an integer for s = r and s = r - 1, and
+    ``_derivative_counts`` keeps those integers per r.
     Raises DomainError once a coefficient leaves the float range.
     """
-    b, mu0 = law.lam_prime(x0), law.mult(x0)
-
-    def exp_coeff(s, p):  # r! times the y^s t^p coefficient of the exponential
-        if not p <= s <= 2 * p:
-            return 0.0
-        count = math.factorial(r) // (math.factorial(2 * p - s) * math.factorial(s - p))
-        return (-1) ** p * count * b ** (2 * p - s) * law.a2 ** (s - p)
-
+    b, mu0, m1, a2 = law.lam_prime(x0), law.mult(x0), law.m1, law.a2
     try:
-        poly = [mu0 * exp_coeff(r, p) + law.m1 * exp_coeff(r - 1, p) for p in range(r + 1)]
+        # r! times the y^s t^p coefficients of the exponential at s = r, r - 1
+        poly = [
+            mu0 * (c * b ** eb * a2 ** ea if c else 0.0)
+            + m1 * (d * b ** db * a2 ** da if d else 0.0)
+            for c, eb, ea, d, db, da in _derivative_counts(r)
+        ]
     except OverflowError:
         poly = [math.inf]
     if not all(map(math.isfinite, poly)):
@@ -125,20 +147,33 @@ def em_heat_series(law: QuadraticLaw, k_start: int, trunc_order) -> HalfPowerSer
     corrections run two orders past the last represented one.  Correction j
     is the closed-form endpoint derivative P_{2j-1}
     (``_endpoint_derivative_tpoly``) weighted by the exact B_2j / (2j)! that
-    the direct route's Hurwitz evaluations also read
-    (``_bernoulli_over_factorial``), so the order has no cap.  Each correction
+    the direct route's Hurwitz evaluations also read, rounded once to float
+    (``_bose_weights``), so the order has no cap.  Each correction
     is multiplied by e^{-t lam(x0)} on its own: summing them into one
     t-polynomial first costs the large-weight coefficients digits.
+
+    Every part is a plain coefficient array in powers t^{j/2}, j = 0, 1, ...
+    (a product is one ``np.convolve``), added at its own power of t into one
+    accumulator on the slots t^{-1}, t^{-1/2}, ... below ``trunc_order``.
     """
     t2 = _as_doubled(trunc_order, "trunc_order")
     p = max(1, math.ceil(t2 / 2) + 1) + 2
     work = t2 / 2 + 1
+    size = max(0, t2 + 2)
     x0 = float(k_start)
     lam0 = law.lam(x0)
-    exp_lam0 = HalfPowerSeries.exponential(-lam0, work)
+    exp_lam0 = np.array(HalfPowerSeries.exponential(-lam0, work).coeffs, dtype=float)
+
+    def product(a, b):  # the series product, truncated as both factors are
+        return np.convolve(a, b)[:size] if size else a
+
+    def add(coeffs, start2):  # acc += the series whose coeffs start at t^{start2 / 2}
+        lead = start2 + 2
+        acc[:lead] += 0.0  # the zero padding below its first slot, as a series sum adds
+        acc[lead:] += coeffs[: size - lead]
 
     # integral of the lam'-proportional part: (m1/2a2) e^{-t lam(x0)} / t
-    acc = exp_lam0.shift(-1).scale(law.m1 / (2.0 * law.a2))
+    acc = exp_lam0 * (law.m1 / (2.0 * law.a2))
 
     mu0t = law.mu_const
     if mu0t != 0.0:
@@ -146,31 +181,29 @@ def em_heat_series(law: QuadraticLaw, k_start: int, trunc_order) -> HalfPowerSer
         #   (sqrt(pi)/2) a2^{-1/2} t^{-1/2} e^{-t c~} erfc(sqrt(a2 t) beta)
         beta = x0 + law.vertex_shift
         ctilde = law.vertex_value
-        erfc_terms = {0: 1.0}
+        erfc_series = np.zeros(size)
+        erfc_series[:1] = 1.0
         j = 0
         while j + 0.5 < work:
-            coeff = (
+            erfc_series[2 * j + 1] = (
                 -(2.0 / SQRT_PI)
                 * (-1.0) ** j
                 * (math.sqrt(law.a2) * beta) ** (2 * j + 1)
                 / (math.factorial(j) * (2 * j + 1))
             )
-            erfc_terms[j + 0.5] = coeff
             j += 1
-        erfc_series = HalfPowerSeries.from_terms(erfc_terms, work)
-        gauss = (
-            HalfPowerSeries.exponential(-ctilde, work) * erfc_series
-        ).shift(-0.5).scale(mu0t * SQRT_PI / (2.0 * math.sqrt(law.a2)))
-        acc = acc + gauss
+        exp_ctilde = np.array(HalfPowerSeries.exponential(-ctilde, work).coeffs, dtype=float)
+        gauss = product(exp_ctilde, erfc_series)
+        add(gauss * (mu0t * SQRT_PI / (2.0 * math.sqrt(law.a2))), -1)
 
     # endpoint value term + Bernoulli corrections
-    acc = acc + exp_lam0.scale(0.5 * law.mult(x0))
-    for j in range(1, p + 1):
+    add(exp_lam0 * (0.5 * law.mult(x0)), 0)
+    for j, weight in enumerate(_bose_weights(p, exact=False), 1):
         tpoly = _endpoint_derivative_tpoly(law, 2 * j - 1, x0)
-        poly_series = HalfPowerSeries.from_terms(dict(enumerate(tpoly)), work)
-        weight = -float(_bernoulli_over_factorial(j))
-        acc = acc + (poly_series * exp_lam0).scale(weight)
-    return acc.truncate2(t2)
+        poly = np.zeros(size)
+        poly[: 2 * len(tpoly) : 2] = tpoly[: (size + 1) // 2]
+        add(product(poly, exp_lam0) * -weight, 0)
+    return HalfPowerSeries(min(-2, t2), tuple(acc.tolist()), t2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +293,38 @@ def _context(dps: int) -> Context:
 
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_INF = Decimal("Infinity")
 
 
 def _fsum(terms) -> Decimal:
     """The exact sum of the Decimal ``terms``, rounded once to the current
-    context.  Only additions run in the unbounded context."""
-    terms = list(terms)
-    with localcontext(_EXACT):
-        total = sum(terms, Decimal(0))
-    return +total
+    context.  Only the additions run in the unbounded context, whose ``add``
+    is called directly: the current context is never switched."""
+    return +functools.reduce(_EXACT.add, terms, Decimal(0))
 
 
 def _ln(x: Decimal) -> Decimal:
-    """Natural logarithm at the current precision; every logarithm of the
-    direct route is taken here."""
+    """Natural logarithm at the current precision; every full-precision
+    logarithm of the direct route is taken here."""
     return x.ln()
+
+
+def _ln_ratio(x: Decimal, y: Decimal) -> Decimal:
+    """ln(x / y) for positive x and y at the current precision, without a
+    full logarithm: 2 atanh(z) = 2 (z + z^3 / 3 + z^5 / 5 + ...) with
+    z = (x - y) / (x + y), summed until a term falls to eps |z| (at once
+    when x = y).  Every |z| < 1 converges; a ratio within 1 +- 1/9 has
+    |z| <= 1/17, so about 13 terms reach 32 digits.  The terms round once
+    each and the sum once per term, so the result is within a few eps of
+    |ln(x / y)|."""
+    z = (x - y) / (x + y)
+    z2, power, total = z * z, z, z
+    tol = _eps() * abs(z)
+    for k in itertools.count(1):
+        power *= z2
+        term = power / (2 * k + 1)
+        if abs(term) <= tol:
+            return 2 * total
+        total += term
 
 
 def _eps() -> Decimal:
@@ -308,10 +357,14 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
     Every Hurwitz value comes from one shared Euler-Maclaurin evaluation per
     q and precision level (``_HurwitzFamily``): zeta'(-1, q), zeta'(0, q) and
     digamma(q) from their Stirling forms, and zeta(j, q), j = 2, 3, ..., each
-    order carried only to eps of the partial Z'(0) after its binomial weight;
-    zeta(-1, q) and zeta(0, q) are polynomials.  The head is summed in closed
-    form when lam has real roots past k_start (O(1) work in K) and from two
-    logarithms of products otherwise.
+    order carried only to eps of the partial Z'(0) after its binomial weight
+    (an order of weight zero is skipped); zeta(-1, q) and zeta(0, q) are
+    polynomials.  The head is summed in closed form when lam has real roots
+    past k_start (O(1) work in K) and from two logarithms of products
+    otherwise.  The closed-form head's families at K + r lie within a
+    factor 1 +- 1/9 of the tail's at K + s (the split rule), so when
+    unshifted they take their log Q from the tail family's (``_ln_ratio``),
+    not from a full logarithm.
 
     Head and tail are evaluated together at one level of the precision ladder
     (``_context``) and return an a-priori bound on the decimal rounding of
@@ -325,8 +378,9 @@ def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]
     K = split_index(law, k_start)
     for dps in _LADDER:
         with localcontext(_context(dps)):
-            head = _head_sums(law, k_start, K)
-            value, deriv, conv_err, scale, rounding = _zeta_log_tail_at(law, K, head)
+            family = _HurwitzFamily(K + Decimal(law.vertex_shift))
+            head = _head_sums(law, k_start, K, family)
+            value, deriv, conv_err, scale, rounding = _zeta_log_tail_at(law, family, head)
         if rounding <= max(1e-13, 1e-13 * scale):
             break
     return float(value), float(deriv), conv_err + rounding + 0.5 * math.ulp(float(deriv))
@@ -362,10 +416,12 @@ def _real_roots(law: QuadraticLaw):
     return (small, big) if small <= big else (big, small)
 
 
-def _head_sums(law: QuadraticLaw, k_start: int, K: int):
+def _head_sums(law: QuadraticLaw, k_start: int, K: int, anchor: "_HurwitzFamily"):
     """(sum mu(k), -sum mu(k) log lam(k), rounding) over k_start <= k < K, in
     decimal at the working precision; ``rounding`` bounds the decimal
     rounding of the second sum (see ``_zeta_log_tail_at`` for how it counts).
+    ``anchor`` is the tail's family at K + s, from whose log Q the families
+    at K + r take theirs.
 
     When lam = a2 (k + r1)(k + r2) with k_start + r1 > 0, the sums close
     (Quine, Heydari and Song, Trans. AMS 338, 1993): with
@@ -389,8 +445,9 @@ def _head_sums(law: QuadraticLaw, k_start: int, K: int):
         )
         lead = m1 * k_start + m0
         deriv = -(lead * logs + m1 * moments)
-        # the two logarithms, taken with guard digits, are each within
-        # eps (|value| + 1); the lead rounds twice, then three roundings
+        # the two logarithms, of products carried with guard digits, are
+        # each within eps (|value| + 1); the lead rounds twice, then three
+        # roundings
         units = (abs(m1) * k_start + abs(m0)) * (3 * abs(logs) + 1)
         units += abs(m1) * (2 * abs(moments) + 1) + abs(deriv)
         return total, deriv, _eps() * units
@@ -400,7 +457,7 @@ def _head_sums(law: QuadraticLaw, k_start: int, K: int):
     units = abs(log_a2) * (3 * (abs(m1) * ks + abs(m0) * (K - k_start)) + 2 * abs(total))
     for r in roots:
         q_hi, q_lo = K + r, k_start + r
-        hi_m1, hi_0 = _zeta_primes(q_hi)
+        hi_m1, hi_0 = _zeta_primes(q_hi, anchor)
         lo_m1, lo_0 = _zeta_primes(q_lo)
         c0 = m0 - m1 * r
         term = m1 * (hi_m1 - lo_m1) + c0 * (hi_0 - lo_0)
@@ -425,7 +482,8 @@ def _log_moments(x, n: int):
     logarithms (none when n = 0): ln prod x(i), and ln prod_{j>=1} S_j with
     the suffix products S_j = prod_{j<=i<n} x(i).  The x(i) and the products
     carry 2 log10 n + 4 guard digits: the n^2 / 2 roundings in prod S_j each
-    cost one unit of that precision."""
+    cost one unit of that precision, and stay below one unit of the current
+    precision, at which the two logarithms are taken."""
     if not n:
         return Decimal(0), Decimal(0)
     with localcontext() as ctx:
@@ -434,7 +492,8 @@ def _log_moments(x, n: int):
         for i in range(n - 1, 0, -1):
             suffix *= x(i)
             moments *= suffix
-        return _ln(suffix * x(0)), _ln(moments)
+        product = suffix * x(0)
+    return _ln(product), _ln(moments)
 
 
 #: zeta'(-1, 1) = 1/12 - log A (A the Glaisher-Kinkelin constant) and
@@ -453,11 +512,12 @@ _ZETA_PRIME_0_AT_1 = Decimal(
 )
 
 
-def _zeta_primes(q):
-    """(zeta'(-1, q), zeta'(0, q)); at q = 1 the stored constants."""
+def _zeta_primes(q, anchor=None):
+    """(zeta'(-1, q), zeta'(0, q)); at q = 1 the stored constants.  ``anchor``
+    is passed to the family (see ``_HurwitzFamily``)."""
     if q == 1:
         return +_ZETA_PRIME_M1_AT_1, +_ZETA_PRIME_0_AT_1
-    family = _HurwitzFamily(q)
+    family = _HurwitzFamily(q, anchor)
     return family.zeta_prime_m1(), family.zeta_prime_0()
 
 
@@ -469,11 +529,12 @@ _ZETA_ULPS = 6
 _SPECIAL_ULPS = 4
 
 
-def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
+def _zeta_log_tail_at(law: QuadraticLaw, family: "_HurwitzFamily", head):
     """(Z(0), Z'(0), series remainder, scale, rounding) at the working
-    precision: the tail k >= K through Hurwitz values at q = K + s, added to
-    ``head`` = ``_head_sums(law, k_start, K)``.  Z(0) and Z'(0) stay Decimal;
-    scale = |Z(0)| + |Z'(0)| + 1 before the binomial series.
+    precision: the tail k >= K through the Hurwitz values of ``family``, at
+    q = K + s, added to ``head`` = ``_head_sums(law, k_start, K, family)``.
+    Z(0) and Z'(0) stay Decimal; scale = |Z(0)| + |Z'(0)| + 1 before the
+    binomial series.
 
     ``rounding`` bounds the decimal rounding of Z'(0), the head's included.
     Each term combined counts, times its magnitude, the relative accuracy of
@@ -486,11 +547,10 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
     enclosure.
     """
     eps = _eps()
-    mq = K + Decimal(law.vertex_shift)
+    mq = family.q
     mrho = Decimal(law.vertex_value / law.a2)
     m1 = Decimal(law.m1)
     mu0t = Decimal(law.mu_const)
-    family = _HurwitzFamily(mq)
     # zeta(-1, q) = -(q^2 - q + 1/6) / 2 and zeta(0, q) = 1/2 - q
     value = (
         -m1 * ((mq - 1) * mq + Decimal(1) / 6) / 2
@@ -512,12 +572,16 @@ def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
     units += abs(mrho * m1) * ((_SPECIAL_ULPS + 3) * abs(digamma) + 1 + 1 / abs_q)
     head_value, head_deriv, head_rounding = head
     # zeta(2i-1, q) and zeta(2i, q) enter Z'(0) weighted by rho^i / i times m1
-    # and mu0t; each needs only eps of the partial Z'(0) after weighting
+    # and mu0t; each needs only eps of the partial Z'(0) after weighting, and
+    # an order of weight zero (mu0t = 0 for the circle bundle) none at all
     budget = eps * (abs(head_value + value) + abs(head_deriv + deriv) + 1)
 
     def hurwitz(i, coeff):
         weight = abs(mrho) ** i / i * abs(coeff)
-        return family.next(budget / weight if weight else _INF)
+        if not weight:
+            family.skip()
+            return Decimal(0)
+        return family.next(budget / weight)
 
     # zeta(j, q) moves by j eps / 2 of itself when q rounds
     term = mrho * mu0t * hurwitz(1, mu0t)
@@ -588,19 +652,27 @@ class _HurwitzFamily:
     subtracted; the N logarithms sum from two (``_log_moments``), since
     sum (q+k) log(q+k) = q sum log(q+k) + sum k log(q+k).  The head powers
     and Q^{-j} advance from the previous order by one division by an exact
-    divisor each; every series reads one table of B_2i / (2i)! Q^{1-2i}.  The
-    first omitted term bounds each remainder, so a series stops at its first
-    term below its tolerance (``tol`` for ``next``, eps of the value for the
-    other three) and raises ConvergenceError if the Bernoulli table runs out
+    divisor each (``skip`` advances them past an order that is not needed);
+    every series reads one table of B_2i / (2i)! Q^{1-2i}.  The first omitted
+    term bounds each remainder, so a series stops at its first term below
+    its tolerance (``tol`` for ``next``, eps of the value for the other
+    three) and raises ConvergenceError if the Bernoulli table runs out
     first.  A shifted zeta'(-1, q) cancels up to ~Q^2 log Q of its size
-    against its shift terms, so the three special values sum their leading
-    and shift terms from exact q+k and Q with 3 log10 Q + 3 guard digits.
+    against its shift terms, so the three special values of a shifted family
+    sum their leading and shift terms from exact q+k and Q with
+    3 log10 Q + 3 guard digits; an unshifted family has no shift terms to
+    cancel against and takes them at the working precision.  log Q is a
+    full logarithm (``_ln``), or, for an unshifted family given an
+    ``anchor`` family whose Q lies within a factor 1 +- 1/9 of its own, the
+    anchor's log Q (at the working precision or finer) plus ``_ln_ratio``.
     """
 
-    def __init__(self, q):
-        bits = getcontext().prec / _LOG10_2
+    def __init__(self, q, anchor: "_HurwitzFamily | None" = None):
+        self._prec = getcontext().prec
+        bits = self._prec / _LOG10_2
         shift = max(0, math.ceil(Decimal(_EM_SHIFT_PER_BIT * bits) - q))
-        self._q = q
+        self.q = q
+        self._anchor = anchor
         self._bases = [q + k for k in range(shift)]
         self._head = [1 / x for x in self._bases]  # (q+k)^{1-j}, next order j
         self._big_q = q + shift
@@ -608,7 +680,7 @@ class _HurwitzFamily:
         self._order = 1
         self._table: List[Decimal] = []  # B_2i / (2i)! Q^{1-2i}
         self._table_power = self._q_power  # Q^{1-2i}, next entry i
-        self._guard = 3 * len(str(int(self._big_q))) + 3
+        self._guard = 3 * len(str(int(self._big_q))) + 3 if shift else 0
 
     def _series(self, factors, tol, name):
         """The terms f_i B_2i / (2i)! Q^{1-2i}, (i, f_i) from ``factors``, that
@@ -631,23 +703,37 @@ class _HurwitzFamily:
                 return terms
             terms.append(term)
 
+    def skip(self):
+        """Pass over the next order j without summing zeta(j, q): the head
+        powers and Q^{1-j} advance to it."""
+        self._order += 1
+        self._head = [p / x for p, x in zip(self._head, self._bases)]
+        self._q_power /= self._big_q
+
     def next(self, tol):
         """zeta(j, q) for the next order j, to within ``tol``."""
-        self._order = j = self._order + 1
-        self._head = [p / x for p, x in zip(self._head, self._bases)]
-        lead = self._q_power / (j - 1)
-        self._q_power = q_j = self._q_power / self._big_q
+        lead = self._q_power / self._order  # Q^{1-j} / (j - 1)
+        self.skip()
+        j, q_j = self._order, self._q_power
         series = self._series(_rising_factors(q_j, j), tol, f"zeta({j}, q)")
         return _fsum(self._head + [lead, q_j / 2] + series)
 
     @functools.cached_property
     def _guarded(self):
         """Q, log Q, sum log(q+k) and sum (q+k) log(q+k) over k < N, at the
-        guarded precision (entered by the caller) or finer."""
-        n = len(self._bases)
-        big_q = self._q + n
-        logs, moments = _log_moments(lambda k: self._q + k, n)
-        return big_q, _ln(big_q), logs, self._q * logs + moments
+        guarded precision: the working precision the family was built at plus
+        ``_guard`` digits (none when N = 0)."""
+        with localcontext() as ctx:
+            ctx.prec = self._prec + self._guard
+            n = len(self._bases)
+            big_q = self.q + n
+            logs, moments = _log_moments(lambda k: self.q + k, n)
+            if self._anchor is None or self._guard:
+                log_q = _ln(big_q)
+            else:
+                anchor_q, anchor_log = self._anchor._guarded[:2]
+                log_q = anchor_log + _ln_ratio(big_q, anchor_q)
+            return big_q, log_q, logs, self.q * logs + moments
 
     def _stirling(self, base, factors, name):
         """base + the series over ``factors``, to eps of the value."""
@@ -681,7 +767,7 @@ class _HurwitzFamily:
         with localcontext() as ctx:
             ctx.prec += self._guard
             big_q, log_q, _, _ = self._guarded
-            reciprocals = [1 / (self._q + k) for k in range(len(self._bases))]
+            reciprocals = [1 / (self.q + k) for k in range(len(self._bases))]
             base = log_q - 1 / (2 * big_q) - _fsum(reciprocals)
         factors = ((i, -math.factorial(2 * i - 1) / self._big_q) for i in itertools.count(1))
         return self._stirling(base, factors, "digamma(q)")

@@ -87,9 +87,9 @@ def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[floa
             raise DomainError(f"closed_form_bhat with j_max = {j_max}: {exc}") from exc
         weight = spec.tail.weight
         for j in range(j_max + 1):
-            e = -n + j / 2.0
-            if series.base_order <= e and 2 * e < series.trunc2:
-                coeffs[j] += weight * series.coefficient(e)
+            e2 = j - 2 * n  # twice the exponent -n + j/2
+            if series.base2 <= e2 < series.trunc2:
+                coeffs[j] += weight * series.coeffs[e2 - series.base2]
     elif isinstance(spec.tail, QuadraticTail):
         raise UnsupportedTailError(
             "tail law does not cover the listed lines; use extract_bhat"

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from crtorsion import cli, mellin, torsion
 from crtorsion.cli import main, run_selfcheck
 from crtorsion.density import LeviSpectrum
 from crtorsion.spectra import CP1_VOLUME, GeometryModel, cp1_geometry, dump_geometry
@@ -81,6 +82,25 @@ class TestSelfcheck:
             verdicts.append((code, tuple(c["passed"] for c in checks)))
         assert all(v[0] == 0 for v in verdicts)
         assert len({v[1] for v in verdicts}) == 1
+
+    def test_tol_reaches_every_mellin_call(self, monkeypatch, capsys):
+        # the zeta kernel and the Gamma family ran at the default 1e-11
+        # whatever --tol said; every Mellin quadrature of the battery now runs
+        # at --tol (capped at 1e-9)
+        tols = []
+        original = mellin.mellin_at_zero
+
+        def spy(inp, tol=mellin.DEFAULT_TOL, *args, **kwargs):
+            tols.append(tol)
+            return original(inp, tol, *args, **kwargs)
+
+        for module in (mellin, cli, torsion):
+            monkeypatch.setattr(module, "mellin_at_zero", spy)
+        code, _, _ = run_cli(["selfcheck", "--tol", "1e-9"], capsys)
+        assert code == 0
+        # zeta kernel 1, Gamma family 8, one-line zeta 2, finite two-path 5,
+        # scaling identity 2
+        assert tols == [1e-9] * 18
 
     @pytest.mark.parametrize("seed", (17, 31))
     def test_gamma_family_past_model_ceiling(self, seed):

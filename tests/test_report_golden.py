@@ -1,0 +1,171 @@
+"""Golden report floats: the circle-bundle sweep at m = 8 ... 128 and the
+single report at m = 65536, pinned bit for bit as ``float.hex`` strings.
+
+A speed-up of the report's builders (the Euler-Maclaurin heat series, the
+direct Hurwitz route, the law-backed table) must not move any of these
+numbers.  A change that does move one on purpose re-pins the entry and lists
+the moved value in CHANGES.md with its distance in ulps and its error
+against the closed form.
+"""
+
+import pytest
+
+from crtorsion.spectra import cp1_geometry, cp1_spectrum
+from crtorsion.torsion import asympt_sweep, torsion_report
+
+FIELDS = (
+    "theta_prime_0",
+    "theta_prime_0_direct",
+    "error_budget",
+    "theta_tilde_0",
+    "theta_tilde_prime_0",
+    "theta_tilde_error",
+)
+
+GOLDEN = {
+    8: {
+        "theta_prime_0": "0x1.bc5f2e5d1bf00p+0",
+        "theta_prime_0_direct": "0x1.bc5f2e5d1ca78p+0",
+        "error_budget": "0x1.3bba5cf799522p-38",
+        "theta_tilde_0": "-0x1.2aaaaaaaaaaabp-1",
+        "theta_tilde_prime_0": "-0x1.fdf7884c175a2p-1",
+        "theta_tilde_error": "0x1.3b7f19fbf7019p-41",
+        "bhat": (
+            "-0x1.0000000000000p+0",
+            "0x0.0p+0",
+            "0x1.2aaaaaaaaaaabp+2",
+            "0x0.0p+0",
+            "-0x1.aeeeeeeeeeeefp+2",
+            "0x0.0p+0",
+            "-0x1.58958958958ecp+0",
+            "0x0.0p+0",
+            "0x1.1437437437472p+3",
+            "0x0.0p+0",
+            "0x1.92363aa97c0f0p+2",
+        ),
+    },
+    16: {
+        "theta_prime_0": "0x1.15ec19ae2b67cp+3",
+        "theta_prime_0_direct": "0x1.15ec19ae2b64cp+3",
+        "error_budget": "0x1.76a7beeae53cbp-38",
+        "theta_tilde_0": "-0x1.1555555555555p-1",
+        "theta_tilde_prime_0": "-0x1.eb024e2e61c5ep-1",
+        "theta_tilde_error": "0x1.76091bbc11821p-42",
+        "bhat": (
+            "-0x1.0000000000000p+0",
+            "0x0.0p+0",
+            "0x1.1555555555555p+3",
+            "0x0.0p+0",
+            "-0x1.8111111111110p+4",
+            "0x0.0p+0",
+            "-0x1.3403403403404p+2",
+            "0x0.0p+0",
+            "0x1.c921521521523p+6",
+            "0x0.0p+0",
+            "0x1.48395509adb7dp+6",
+        ),
+    },
+    32: {
+        "theta_prime_0": "0x1.bb3e0e878ba68p+4",
+        "theta_prime_0_direct": "0x1.bb3e0e878ba2ep+4",
+        "error_budget": "0x1.eda0bd1fce715p-38",
+        "theta_tilde_0": "-0x1.0aaaaaaaaaaabp-1",
+        "theta_tilde_prime_0": "-0x1.e0f42e4dd91cep-1",
+        "theta_tilde_error": "0x1.ec4ae3491bcc4p-43",
+        "bhat": (
+            "-0x1.0000000000000p+0",
+            "0x0.0p+0",
+            "0x1.0aaaaaaaaaaabp+4",
+            "0x0.0p+0",
+            "-0x1.6aeeeeeeeeeefp+6",
+            "0x0.0p+0",
+            "-0x1.225625625622cp+4",
+            "0x0.0p+0",
+            "0x1.9a286e86e86e5p+10",
+            "0x0.0p+0",
+            "0x1.255f030776306p+10",
+        ),
+    },
+    64: {
+        "theta_prime_0": "0x1.318a0a5ee0679p+6",
+        "theta_prime_0_direct": "0x1.318a0a5ee067bp+6",
+        "error_budget": "0x1.6fe9e795c9f0cp-37",
+        "theta_tilde_0": "-0x1.0555555555555p-1",
+        "theta_tilde_prime_0": "-0x1.dbc6be1024476p-1",
+        "theta_tilde_error": "0x1.6e123ff9eb9dap-43",
+        "bhat": (
+            "-0x1.0000000000000p+0",
+            "0x0.0p+0",
+            "0x1.0555555555555p+5",
+            "0x0.0p+0",
+            "-0x1.6011111111111p+8",
+            "0x0.0p+0",
+            "-0x1.19a69a69a69a7p+6",
+            "0x0.0p+0",
+            "0x1.82fd8c98c98cap+14",
+            "0x0.0p+0",
+            "0x1.1484df1f665d6p+14",
+        ),
+    },
+    128: {
+        "theta_prime_0": "0x1.86f45f471c78ap+7",
+        "theta_prime_0_direct": "0x1.86f45f471c7b1p+7",
+        "error_budget": "0x1.3e874805c526bp-36",
+        "theta_tilde_0": "-0x1.02aaaaaaaaaabp-1",
+        "theta_tilde_prime_0": "-0x1.d9263af7eb079p-1",
+        "theta_tilde_error": "0x1.3c89e63f51416p-43",
+        "bhat": (
+            "-0x1.0000000000000p+0",
+            "0x0.0p+0",
+            "0x1.02aaaaaaaaaabp+6",
+            "0x0.0p+0",
+            "-0x1.5aaeeeeeeeeefp+10",
+            "0x0.0p+0",
+            "-0x1.15589589588aep+8",
+            "0x0.0p+0",
+            "0x1.778103dc3dc44p+18",
+            "0x0.0p+0",
+            "0x1.0c3db6c883a0cp+18",
+        ),
+    },
+    65536: {
+        "theta_prime_0": "0x1.2815fae820aecp+18",
+        "theta_prime_0_direct": "0x1.2815fae82159cp+18",
+        "error_budget": "0x1.0940cffe5b2d7p-22",
+        "theta_tilde_0": "-0x1.0001555555555p-1",
+        "theta_tilde_prime_0": "-0x1.d68071be16d2ep-1",
+        "theta_tilde_error": "0x1.09126859e3362p-38",
+        "bhat": (
+            "-0x1.0000000000000p+0",
+            "0x0.0p+0",
+            "0x1.0001555555555p+15",
+            "0x0.0p+0",
+            "-0x1.5558000111111p+28",
+            "0x0.0p+0",
+            "-0x1.1113333403403p+26",
+            "0x0.0p+0",
+            "0x1.6c1c71c98c916p+54",
+            "0x0.0p+0",
+            "0x1.04145147f1da7p+54",
+        ),
+    },
+}
+
+
+def _assert_pinned(report):
+    want = GOLDEN[report.m]
+    got = {name: getattr(report, name).hex() for name in FIELDS}
+    assert got == {name: want[name] for name in FIELDS}, report.m
+    assert tuple(b.hex() for b in report.bhat) == want["bhat"], report.m
+
+
+def test_sweep_reports_are_pinned():
+    reports = asympt_sweep(cp1_geometry(), cp1_spectrum, [8, 16, 32, 64, 128])
+    assert [r.m for r in reports] == [8, 16, 32, 64, 128]
+    for report in reports:
+        _assert_pinned(report)
+
+
+@pytest.mark.parametrize("m", [65536])
+def test_large_weight_report_is_pinned(m):
+    _assert_pinned(torsion_report(cp1_spectrum(m), cp1_geometry(), m))

@@ -1,6 +1,7 @@
 """Quadratic-law spectral sums: Euler-Maclaurin expansion, certified tail
 bounds, and the Hurwitz-zeta continuation used by the direct torsion route."""
 
+import dataclasses
 import math
 from collections import defaultdict
 from decimal import Decimal, getcontext, localcontext
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crtorsion import tails
 from crtorsion.errors import ConvergenceError, DomainError
+from crtorsion.spectra import QuadraticTail, SpectrumTable
 from crtorsion.tails import (
     QuadraticLaw,
     em_heat_series,
@@ -315,6 +317,39 @@ class TestZetaLogTail:
         # zeta'(-1, 1) and zeta'(0, 1) are constants, not a shifted family
         assert all(logs[m] <= 12 for m in logs if m >= 32)
 
+    @pytest.mark.parametrize("m, logs, orders", ((8, 6, 9), (128, 4, 10)))
+    def test_direct_route_work_per_circle_bundle_report(self, m, logs, orders, monkeypatch):
+        # full logarithms: log a2 = log 1 twice (exact and free), the tail
+        # family's log Q, and the head family's at 1 + r2 = m + 2, which at
+        # m = 8 lies below the shift point and adds its two shift logarithms;
+        # the head families at K + r take log Q from the tail family's
+        # (8 and 6 before).  Hurwitz orders summed: mu_const = 0, so only the
+        # odd zeta(2i - 1, q) of weight m1 (19 and 21 before)
+        assert cp1_law(m).mu_const == 0.0
+        counts = defaultdict(int)
+        ln, next_order, skip = tails._ln, tails._HurwitzFamily.next, tails._HurwitzFamily.skip
+
+        def counting_ln(x):
+            counts["ln"] += 1
+            return ln(x)
+
+        def counting_next(family, tol):
+            counts["next"] += 1
+            return next_order(family, tol)
+
+        def counting_skip(family):
+            counts["skip"] += 1
+            return skip(family)
+
+        monkeypatch.setattr(tails, "_ln", counting_ln)
+        monkeypatch.setattr(tails._HurwitzFamily, "next", counting_next)
+        monkeypatch.setattr(tails._HurwitzFamily, "skip", counting_skip)
+        _, deriv, err = zeta_log_tail(cp1_law(m), 1)
+        assert abs(deriv - CP1_THETA_PRIME[m]) <= err
+        # every order passes through skip, the summed ones from next: the
+        # even zeta(2, q), ..., zeta(2 orders + 2, q) are skipped outright
+        assert dict(counts) == {"ln": logs, "next": orders, "skip": 2 * orders + 1}
+
     @pytest.mark.parametrize(
         "m, want", ((4096, 13275.691709107743), (16384, 64445.577867662316))
     )
@@ -347,10 +382,10 @@ class TestZetaLogTail:
         context = tails._context
         first = context(30).prec
 
-        def inflated_head(law, k_start, K):
+        def inflated_head(law, k_start, K, anchor):
             prec = getcontext().prec
             heads.append(prec)
-            value, deriv, rounding = head_sums(law, k_start, K)
+            value, deriv, rounding = head_sums(law, k_start, K, anchor)
             return value, deriv, rounding + (1 if prec == first else 0)
 
         levels = []
@@ -434,13 +469,20 @@ REAL_ROOT_LAWS = dict(
 )
 
 
+def _head(law: QuadraticLaw, k_start: int, K: int):
+    """``_head_sums`` at the working precision, anchored as ``zeta_log_tail``
+    anchors it: on the tail's family at K + s."""
+    anchor = tails._HurwitzFamily(K + Decimal(law.vertex_shift))
+    return tails._head_sums(law, k_start, K, anchor)
+
+
 def _closed_head(law: QuadraticLaw, k_start: int, K: int):
     """``_head_sums`` at the first ladder level, asserting it takes the
     closed form."""
     with localcontext(tails._context(30)):
         roots = tails._real_roots(law)
         assert roots is not None and k_start + roots[0] > 0
-        return tails._head_sums(law, k_start, K)
+        return _head(law, k_start, K)
 
 
 def _mp(x: Decimal):
@@ -492,18 +534,18 @@ def test_head_with_both_factors_negative_is_explicit(monkeypatch):
     families = []
     family = tails._HurwitzFamily
 
-    def counting_family(q):
+    def counting_family(q, anchor=None):
         families.append(q)
-        return family(q)
+        return family(q, anchor)
 
-    monkeypatch.setattr(tails, "_HurwitzFamily", counting_family)
     with localcontext(tails._context(30)):
-        got = tails._head_sums(law, 1, 40)
-    assert families == []
-    want = _mp_head(law, 1, 40)
-    _assert_heads_agree(got, want)
-    with localcontext(tails._context(30)):
-        tails._head_sums(law, 6, 40)
+        anchor = family(40 + Decimal(law.vertex_shift))
+        monkeypatch.setattr(tails, "_HurwitzFamily", counting_family)
+        got = tails._head_sums(law, 1, 40, anchor)
+        assert families == []
+        want = _mp_head(law, 1, 40)
+        _assert_heads_agree(got, want)
+        tails._head_sums(law, 6, 40, anchor)
     assert len(families) == 4
 
 
@@ -519,7 +561,7 @@ def test_complex_root_head_at_large_split(rho, monkeypatch):
     monkeypatch.setattr(tails, "_ln", lambda x: logs.append(x) or ln(x))
     with localcontext(tails._context(30)):
         assert tails._real_roots(law) is None
-        got = tails._head_sums(law, 1, K)
+        got = _head(law, 1, K)
     assert len(logs) <= 2
     _assert_heads_agree(got, _mp_head(law, 1, K))
 
@@ -593,8 +635,9 @@ def _level(law: QuadraticLaw, k_start: int, dps: int):
     Decimal before any float rounding."""
     K = split_index(law, k_start)
     with localcontext(tails._context(dps)):
-        head = tails._head_sums(law, k_start, K)
-        _, deriv, _, _, rounding = tails._zeta_log_tail_at(law, K, head)
+        family = tails._HurwitzFamily(K + Decimal(law.vertex_shift))
+        head = tails._head_sums(law, k_start, K, family)
+        _, deriv, _, _, rounding = tails._zeta_log_tail_at(law, family, head)
     return deriv, rounding
 
 
@@ -614,12 +657,42 @@ def test_rounding_bound_covers_drift_on_circle_bundle(m):
     assert _assert_bound_covers_drift(cp1_law(m), 1) > 0
 
 
+def _without_constant_part(law: QuadraticLaw) -> QuadraticLaw:
+    """``law`` with m0 = m1 a1 / (2 a2): mu_const is exactly 0, as for the
+    circle bundle, so ``zeta_log_tail`` skips the even Hurwitz orders."""
+    law = dataclasses.replace(law, m0=law.m1 * law.a1 / (2.0 * law.a2))
+    assert law.mu_const == 0.0
+    return law
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(**RANDOM_LAWS)
 def test_rounding_bound_covers_drift_on_random_laws(a2, k_start, shift, rel_rho, m1, m0):
+    # mu_const != 0: the even Hurwitz orders are summed
+    law, positive = _random_law(a2, k_start, shift, rel_rho, m1, m0)
+    assume(positive and law.mu_const != 0.0)
+    _assert_bound_covers_drift(law, k_start)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**RANDOM_LAWS)
+def test_rounding_bound_covers_drift_without_constant_part(a2, k_start, shift, rel_rho, m1, m0):
+    # mu_const = 0: the even Hurwitz orders are skipped
     law, positive = _random_law(a2, k_start, shift, rel_rho, m1, m0)
     assume(positive)
-    _assert_bound_covers_drift(law, k_start)
+    _assert_bound_covers_drift(_without_constant_part(law), k_start)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**RANDOM_LAWS)
+def test_matches_per_call_reference_without_constant_part(a2, k_start, shift, rel_rho, m1, m0):
+    law, positive = _random_law(a2, k_start, shift, rel_rho, m1, m0)
+    assume(positive)
+    law = _without_constant_part(law)
+    val, deriv, err = zeta_log_tail(law, k_start)
+    want_val, want_deriv = _per_call_reference(law, k_start)
+    assert abs(deriv - want_deriv) <= err
+    assert val == pytest.approx(want_val, rel=1e-13, abs=1e-12)
 
 
 class TestHurwitzFamily:
@@ -649,8 +722,10 @@ class TestHurwitzFamily:
         branches = {"0.5": (False, True), "3": (False, True), "40.5": (True, True)}
         assert (0 in shifts, max(shifts) > 0) == branches.get(q, (True, False))
 
-    @pytest.mark.parametrize("q", ("0.5", "3", "40.5", "292.5", "1e4"))
-    def test_special_values_against_mpmath_at_every_ladder_level(self, q):
+    @staticmethod
+    def _assert_special_values(q: str, family_at):
+        """zeta'(-1, q), zeta'(0, q) and digamma(q) of ``family_at()``, built
+        at every ladder level, within 4 eps of mpmath's."""
         with mpmath.workdps(250):
             x = mpmath.mpf(q)
             want = {
@@ -661,7 +736,7 @@ class TestHurwitzFamily:
         for dps in tails._LADDER:
             with localcontext(tails._context(dps)):
                 eps = tails._eps()
-                family = tails._HurwitzFamily(Decimal(q))
+                family = family_at()
                 got = {
                     "zeta'(-1, q)": family.zeta_prime_m1(),
                     "zeta'(0, q)": family.zeta_prime_0(),
@@ -671,6 +746,37 @@ class TestHurwitzFamily:
                 for name, value in got.items():
                     err = abs(_mp(value) - want[name])
                     assert err <= 4 * _mp(eps) * abs(want[name]), (dps, name)
+
+    @pytest.mark.parametrize("q", ("0.5", "3", "40.5", "292.5", "1e4"))
+    def test_special_values_against_mpmath_at_every_ladder_level(self, q):
+        self._assert_special_values(q, lambda: tails._HurwitzFamily(Decimal(q)))
+
+    @pytest.mark.parametrize("ratio", ("0.9", "1", "1.125"))
+    @pytest.mark.parametrize("q", ("0.5", "40.5", "292.5", "1e4"))
+    def test_anchored_special_values_against_mpmath_at_every_ladder_level(self, q, ratio):
+        # log Q taken from an anchor family's at q / ratio, the split rule's
+        # factor 8/9 or 10/9 away (or at q itself), through _ln_ratio; a
+        # shifted family (q = 0.5, and q = 40.5 from 60 digits on) takes its
+        # own logarithm at its guarded precision
+        def anchored():
+            anchor = tails._HurwitzFamily(Decimal(q) / Decimal(ratio))
+            return tails._HurwitzFamily(Decimal(q), anchor)
+
+        self._assert_special_values(q, anchored)
+
+    @pytest.mark.parametrize(
+        "x, y", (("516", "580.5"), ("645", "580.5"), ("32", "32"), ("1", "7.3"))
+    )
+    def test_ln_ratio_against_mpmath_at_every_ladder_level(self, x, y):
+        # the split rule's 8/9 and 10/9, equal arguments, and a ratio far from 1
+        with mpmath.workdps(250):
+            want = mpmath.log(mpmath.mpf(x) / mpmath.mpf(y))
+        for dps in tails._LADDER:
+            with localcontext(tails._context(dps)):
+                eps = tails._eps()
+                got = tails._ln_ratio(Decimal(x), Decimal(y))
+            with mpmath.workdps(260):
+                assert abs(_mp(got) - want) <= 4 * _mp(eps) * abs(want), dps
 
     def test_table_exhaustion_raises(self):
         with localcontext(tails._context(30)):
@@ -693,3 +799,24 @@ class TestHurwitzFamily:
 def test_law_validation():
     with pytest.raises(DomainError):
         QuadraticLaw(0.0, 1.0, 0.0, 1.0, 1.0)
+
+
+#: Where a law enters the program, each entry point building its own.
+_LAW_ENTRIES = {
+    "from_law": lambda law: SpectrumTable.from_law([], 1, QuadraticTail(5, law, (0, 1), True)),
+    "zeta_log_tail": lambda law: zeta_log_tail(law, 1),
+    "em_heat_series": lambda law: em_heat_series(law, 1, 4.5),
+    "tail_bound": lambda law: tail_bound(law, 1, 0.1),
+}
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("field", ("a2", "a1", "a0", "m1", "m0"))
+@pytest.mark.parametrize("entry", sorted(_LAW_ENTRIES))
+def test_non_finite_law_coefficient_is_named(entry, field, bad):
+    # from_law raised a bare ValueError for m0 = nan and an OverflowError for
+    # m0 = inf, and built a table for a2 = inf; zeta_log_tail raised
+    # decimal.InvalidOperation and em_heat_series blamed an endpoint
+    # derivative: the law now refuses the coefficient by name
+    with pytest.raises(DomainError, match=rf"coefficient {field} must be finite"):
+        _LAW_ENTRIES[entry](dataclasses.replace(cp1_law(8), **{field: bad}))
