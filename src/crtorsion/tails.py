@@ -16,10 +16,11 @@ independent tools are provided:
 * ``tail_bound`` - a certified integral-test bound used to decide where a
   truncated table may still be trusted.
 * ``zeta_log_tail`` - value and z-derivative at z = 0 of
-  sum_{k >= k0} mu(k) lam(k)^{-z}: a head up to a split index K (in closed
-  form when lam has real roots past k0), then the binomial reduction of the
-  tail to Hurwitz zeta values.  Every Hurwitz value (zeta(j, q), zeta'(-1, q),
-  zeta'(0, q), digamma(q)) comes from one Euler-Maclaurin table per q.
+  sum_{k >= k0} mu(k) lam(k)^{-z}: in closed form from Hurwitz values at the
+  two roots when lam has real roots past k0, otherwise a head up to a split
+  index K, then the binomial reduction of the tail to Hurwitz zeta values.
+  Every Hurwitz value (zeta(j, q), zeta'(-1, q), zeta'(0, q), digamma(q))
+  comes from one Euler-Maclaurin table per q.
 """
 
 from __future__ import annotations
@@ -308,25 +309,6 @@ def _ln(x: Decimal) -> Decimal:
     return x.ln()
 
 
-def _ln_ratio(x: Decimal, y: Decimal) -> Decimal:
-    """ln(x / y) for positive x and y at the current precision, without a
-    full logarithm: 2 atanh(z) = 2 (z + z^3 / 3 + z^5 / 5 + ...) with
-    z = (x - y) / (x + y), summed until a term falls to eps |z| (at once
-    when x = y).  Every |z| < 1 converges; a ratio within 1 +- 1/9 has
-    |z| <= 1/17, so about 13 terms reach 32 digits.  The terms round once
-    each and the sum once per term, so the result is within a few eps of
-    |ln(x / y)|."""
-    z = (x - y) / (x + y)
-    z2, power, total = z * z, z, z
-    tol = _eps() * abs(z)
-    for k in itertools.count(1):
-        power *= z2
-        term = power / (2 * k + 1)
-        if abs(term) <= tol:
-            return 2 * total
-        total += term
-
-
 def _eps() -> Decimal:
     """Unit roundoff bound 10^(1 - prec) of the current context."""
     return Decimal(1).scaleb(1 - getcontext().prec)
@@ -344,46 +326,51 @@ def split_index(law: QuadraticLaw, k_start: int) -> int:
 def zeta_log_tail(law: QuadraticLaw, k_start: int) -> Tuple[float, float, float]:
     """(Z(0), Z'(0), error) for Z(z) = sum_{k >= k_start} mu(k) lam(k)^{-z}.
 
-    The sum is split at K = ``split_index(law, k_start)``.  The head
-    k_start <= k < K contributes sum mu(k) to Z(0) and -sum mu(k) log lam(k)
-    to Z'(0) (``_head_sums``).  On the tail, completing the square gives
-    lam = a2 [(k+s)^2 + rho], and the binomial expansion in rho/(k+s)^2 turns
-    the sum into Hurwitz zeta values at q = K + s, each of which continues
-    explicitly; since |rho| / q^2 <= 1/81, about ten terms suffice for any
-    law.  Head and tail are added in decimal arithmetic before conversion to
-    float: a float combination would lose ~eps K^2 log K to cancellation.
-    Any law with lam(k) > 0 for all k >= k_start is accepted.
+    When lam = a2 (k + r1)(k + r2), r1 <= r2 real, with a = k_start + r1 > 0,
+    the sum closes (Quine, Heydari and Song, Trans. AMS 338, 1993): with
+    b = k_start + r2 and c_r = m0 - m1 r, so that mu(k) = m1 (k + r) + c_r,
 
-    Every Hurwitz value comes from one shared Euler-Maclaurin evaluation per
-    q and precision level (``_HurwitzFamily``): zeta'(-1, q), zeta'(0, q) and
-    digamma(q) from their Stirling forms, and zeta(j, q), j = 2, 3, ..., each
-    order carried only to eps of the partial Z'(0) after its binomial weight
-    (an order of weight zero is skipped); zeta(-1, q) and zeta(0, q) are
-    polynomials.  The head is summed in closed form when lam has real roots
-    past k_start (O(1) work in K) and from two logarithms of products
-    otherwise.  The closed-form head's families at K + r lie within a
-    factor 1 +- 1/9 of the tail's at K + s (the split rule), so when
-    unshifted they take their log Q from the tail family's (``_ln_ratio``),
-    not from a full logarithm.
+        Z(0)  = 1/2 sum_{(q, r) = (a, r1), (b, r2)} [m1 zeta(-1, q) + c_r zeta(0, q)],
+        Z'(0) = sum [m1 zeta'(-1, q) + c_r zeta'(0, q)] - m1 (r2 - r1)^2 / 4 - log a2 Z(0),
 
-    Head and tail are evaluated together at one level of the precision ladder
-    (``_context``) and return an a-priori bound on the decimal rounding of
-    Z'(0), built from the magnitudes of the terms they combine.  The first
-    level whose bound is at most max(1e-13, 1e-13 scale), scale =
-    |Z(0)| + |Z'(0)| + 1, is kept; otherwise head and tail are evaluated
-    again at the next level.  The error is the binomial series' remainder,
-    the rounding bound and half an ulp of the float Z'(0).
+    since u^{-z} (u + d)^{-z} - u^{-2z} / 2 - (u + d)^{-2z} / 2 is O(z^2) and
+    only its d^2 / u^2 part against m1 u meets the pole of zeta(1 + 2z)
+    (u = k + r1, d = r2 - r1).  The circle bundle has a = 1 (stored
+    constants) and b = m + 2: one Hurwitz family (``_closed_form_at``).
+
+    Other laws are split at K = ``split_index(law, k_start)``: the head
+    k_start <= k < K from two logarithms of products (``_head_sums``), the
+    tail, with lam = a2 [(k+s)^2 + rho], from the binomial expansion in
+    rho/(k+s)^2 into Hurwitz values at q = K + s, about ten terms since
+    |rho| / q^2 <= 1/81 (``_zeta_log_tail_at``).  Both are added in decimal,
+    as a float combination would lose ~eps K^2 log K to cancellation.
+
+    Every Hurwitz value comes from one Euler-Maclaurin evaluation per q and
+    precision level (``_HurwitzFamily``).  Each level of the ladder
+    (``_context``) returns an a-priori bound on the decimal rounding of
+    Z'(0), built from the magnitudes of the terms it combines; the first
+    whose bound is at most max(1e-13, 1e-13 scale), scale = |Z(0)| +
+    |Z'(0)| + 1, is kept.  The error is the series remainder (none for the
+    closed form), that bound and half an ulp of the float Z'(0).  Any law
+    with lam(k) > 0 for all k >= k_start is accepted.
     """
     _require_positive(law, k_start)
-    K = split_index(law, k_start)
     for dps in _LADDER:
         with localcontext(_context(dps)):
-            family = _HurwitzFamily(K + Decimal(law.vertex_shift))
-            head = _head_sums(law, k_start, K, family)
-            value, deriv, conv_err, scale, rounding = _zeta_log_tail_at(law, family, head)
+            value, deriv, conv_err, scale, rounding = _level(law, k_start)
         if rounding <= max(1e-13, 1e-13 * scale):
             break
     return float(value), float(deriv), conv_err + rounding + 0.5 * math.ulp(float(deriv))
+
+
+def _level(law: QuadraticLaw, k_start: int):
+    """(Z(0), Z'(0), series remainder, scale, rounding) at the working
+    precision: the closed form when it applies, else head and tail."""
+    roots = _real_roots(law)
+    if roots is not None and k_start + roots[0] > 0:
+        return _closed_form_at(law, k_start, roots)
+    K = split_index(law, k_start)
+    return _zeta_log_tail_at(law, K, _head_sums(law, k_start, K))
 
 
 def _require_positive(law: QuadraticLaw, k_start: int) -> None:
@@ -416,65 +403,74 @@ def _real_roots(law: QuadraticLaw):
     return (small, big) if small <= big else (big, small)
 
 
-def _head_sums(law: QuadraticLaw, k_start: int, K: int, anchor: "_HurwitzFamily"):
+def _head_sums(law: QuadraticLaw, k_start: int, K: int):
     """(sum mu(k), -sum mu(k) log lam(k), rounding) over k_start <= k < K, in
-    decimal at the working precision; ``rounding`` bounds the decimal
-    rounding of the second sum (see ``_zeta_log_tail_at`` for how it counts).
-    ``anchor`` is the tail's family at K + s, from whose log Q the families
-    at K + r take theirs.
-
-    When lam = a2 (k + r1)(k + r2) with k_start + r1 > 0, the sums close
-    (Quine, Heydari and Song, Trans. AMS 338, 1993): with
-    mu(k) = m1 (k + r) + (m0 - m1 r) for each root r,
-
-        sum (k + r) log(k + r) = zeta'(-1, K + r) - zeta'(-1, k_start + r),
-        sum log(k + r)         = zeta'(0, K + r) - zeta'(0, k_start + r),
-
-    four Hurwitz families at any K.  Other laws (complex roots, or both
-    factors negative at k_start) take mu(k) = mu(k_start) + m1 (k - k_start)
-    and the two logarithms of ``_log_moments``.
-    """
+    decimal at the working precision, from mu(k) = mu(k_start) +
+    m1 (k - k_start) and the two logarithms of ``_log_moments``; ``rounding``
+    bounds the decimal rounding of the second sum (see ``_zeta_log_tail_at``
+    for how it counts)."""
     m1, m0 = Decimal(law.m1), Decimal(law.m0)
     ks = (K * (K - 1) - k_start * (k_start - 1)) // 2  # sum of k over the head
     total = m1 * ks + m0 * (K - k_start)
-    roots = _real_roots(law)
-    if roots is None or k_start + roots[0] <= 0:
-        a2, a1, a0 = map(Decimal, (law.a2, law.a1, law.a0))
-        logs, moments = _log_moments(
-            lambda i: (a2 * (k_start + i) + a1) * (k_start + i) + a0, K - k_start
-        )
-        lead = m1 * k_start + m0
-        deriv = -(lead * logs + m1 * moments)
-        # the two logarithms, of products carried with guard digits, are
-        # each within eps (|value| + 1); the lead rounds twice, then three
-        # roundings
-        units = (abs(m1) * k_start + abs(m0)) * (3 * abs(logs) + 1)
-        units += abs(m1) * (2 * abs(moments) + 1) + abs(deriv)
-        return total, deriv, _eps() * units
-    log_a2 = _ln(Decimal(law.a2))
-    deriv = -log_a2 * total
-    # the total rounds three times, the logarithm and the product once each
-    units = abs(log_a2) * (3 * (abs(m1) * ks + abs(m0) * (K - k_start)) + 2 * abs(total))
-    for r in roots:
-        q_hi, q_lo = K + r, k_start + r
-        hi_m1, hi_0 = _zeta_primes(q_hi, anchor)
-        lo_m1, lo_0 = _zeta_primes(q_lo)
-        c0 = m0 - m1 * r
-        term = m1 * (hi_m1 - lo_m1) + c0 * (hi_0 - lo_0)
-        deriv -= term
-        # each value: its accuracy, the difference and the product; c0 rounds
-        # twice and moves with r; the sum and the accumulation
-        units += (_SPECIAL_ULPS + 2) * (
-            abs(m1) * (abs(hi_m1) + abs(lo_m1)) + abs(c0) * (abs(hi_0) + abs(lo_0))
-        )
-        units += (5 * abs(m1 * r) + 2 * abs(m0)) * abs(hi_0 - lo_0) + abs(term) + abs(deriv)
-        # q = k + r moves by (3 |r| + q) eps (the root, then the sum), through
-        # the q-derivatives zeta'(0, q) + q - 1/2 of zeta'(-1, q) and
-        # digamma(q) of zeta'(0, q), where |digamma(q)| < |log q| + 1/q
-        for q, zeta_0 in ((q_hi, hi_0), (q_lo, lo_0)):
-            digamma = Decimal(abs(math.log(float(q))) + 1.0 / float(q))
-            units += (3 * abs(r) + q) * (abs(m1) * (abs(zeta_0) + q + 1) + abs(c0) * digamma)
+    a2, a1, a0 = map(Decimal, (law.a2, law.a1, law.a0))
+    logs, moments = _log_moments(
+        lambda i: (a2 * (k_start + i) + a1) * (k_start + i) + a0, K - k_start
+    )
+    lead = m1 * k_start + m0
+    deriv = -(lead * logs + m1 * moments)
+    # the two logarithms, of products carried with guard digits, are each
+    # within eps (|value| + 1); the lead rounds twice, then three roundings
+    units = (abs(m1) * k_start + abs(m0)) * (3 * abs(logs) + 1)
+    units += abs(m1) * (2 * abs(moments) + 1) + abs(deriv)
     return total, deriv, _eps() * units
+
+
+def _closed_form_at(law: QuadraticLaw, k_start: int, roots):
+    """(Z(0), Z'(0), 0, scale, rounding) of the whole sum at the working
+    precision, in closed form from the real ``roots`` = (r1, r2) with
+    k_start + r1 > 0 (see ``zeta_log_tail``); scale = |Z(0)| + |Z'(0)| + 1.
+
+    ``rounding`` bounds the decimal rounding of Z'(0) as
+    ``_zeta_log_tail_at`` counts: each Hurwitz value its accuracy
+    (``_SPECIAL_ULPS``) times its magnitude and the rounding of q carried
+    through its q-derivative, and one eps per operation and accumulation."""
+    m1, m0 = Decimal(law.m1), Decimal(law.m0)
+    value = deriv = Decimal(0)
+    units = value_units = 0
+    for r in roots:
+        q = k_start + r
+        zeta_m1, zeta_0 = _zeta_primes(q)
+        c = m0 - m1 * r
+        # zeta(-1, q) = -(q^2 - q + 1/6) / 2 and zeta(0, q) = 1/2 - q
+        value += c * (Decimal(1) / 2 - q) - m1 * ((q - 1) * q + Decimal(1) / 6) / 2
+        term = m1 * zeta_m1 + c * zeta_0
+        deriv += term
+        # q = k_start + r moves by (3 |r| + q) eps (the root, then the sum)
+        # and c by (5 |m1 r| + 2 |m0|) eps (it rounds twice and moves with r)
+        dq, dc = 3 * abs(r) + q, 5 * abs(m1 * r) + 2 * abs(m0)
+        value_units += 8 * (abs(m1) * (q * q + q + 1) / 2 + abs(c) * (q + 1))
+        value_units += dq * (abs(m1) * (q + 1) + abs(c)) + dc * (q + 1)
+        # each value: its accuracy and the product; the sum and the
+        # accumulation; dq through the q-derivatives zeta'(0, q) + q - 1/2
+        # of zeta'(-1, q) and digamma(q) of zeta'(0, q), where
+        # |digamma(q)| < |log q| + 1/q
+        digamma = Decimal(abs(math.log(float(q))) + 1.0 / float(q))
+        units += (_SPECIAL_ULPS + 1) * (abs(m1 * zeta_m1) + abs(c * zeta_0)) + dc * abs(zeta_0)
+        units += dq * (abs(m1) * (abs(zeta_0) + q + 1) + abs(c) * digamma)
+        units += abs(term) + abs(deriv)
+    value /= 2
+    r1, r2 = roots
+    gap = r2 - r1
+    anomaly = m1 * gap * gap / 4
+    log_a2 = _ln(Decimal(law.a2))
+    deriv -= anomaly + log_a2 * value
+    # the gap moves by (3 |r1| + 3 |r2| + gap) eps and the anomaly by
+    # m1 gap / 2 times that, then rounds three times; the logarithm, the
+    # product and the two subtractions
+    units += abs(m1) * gap * (3 * (abs(r1) + abs(r2)) + gap) + 3 * abs(anomaly)
+    units += abs(log_a2) * (2 * abs(value) + value_units) + 2 * abs(deriv)
+    scale = abs(value) + abs(deriv) + 1
+    return value, deriv, 0.0, float(scale), float(_eps() * units)
 
 
 def _log_moments(x, n: int):
@@ -512,12 +508,11 @@ _ZETA_PRIME_0_AT_1 = Decimal(
 )
 
 
-def _zeta_primes(q, anchor=None):
-    """(zeta'(-1, q), zeta'(0, q)); at q = 1 the stored constants.  ``anchor``
-    is passed to the family (see ``_HurwitzFamily``)."""
+def _zeta_primes(q):
+    """(zeta'(-1, q), zeta'(0, q)); at q = 1 the stored constants."""
     if q == 1:
         return +_ZETA_PRIME_M1_AT_1, +_ZETA_PRIME_0_AT_1
-    family = _HurwitzFamily(q, anchor)
+    family = _HurwitzFamily(q)
     return family.zeta_prime_m1(), family.zeta_prime_0()
 
 
@@ -529,28 +524,34 @@ _ZETA_ULPS = 6
 _SPECIAL_ULPS = 4
 
 
-def _zeta_log_tail_at(law: QuadraticLaw, family: "_HurwitzFamily", head):
+def _zeta_log_tail_at(law: QuadraticLaw, K: int, head):
     """(Z(0), Z'(0), series remainder, scale, rounding) at the working
-    precision: the tail k >= K through the Hurwitz values of ``family``, at
-    q = K + s, added to ``head`` = ``_head_sums(law, k_start, K, family)``.
-    Z(0) and Z'(0) stay Decimal; scale = |Z(0)| + |Z'(0)| + 1 before the
-    binomial series.
+    precision: the tail k >= K through the Hurwitz values at q = K + s of
+    one ``_HurwitzFamily``, added to ``head`` = ``_head_sums(law, k_start,
+    K)``; scale = |Z(0)| + |Z'(0)| + 1 before the binomial series.  s, rho
+    and mu_const are each one rounding of an exact quotient of the law's
+    coefficients.
 
     ``rounding`` bounds the decimal rounding of Z'(0), the head's included.
-    Each term combined counts, times its magnitude, the relative accuracy of
-    its Hurwitz value (``_ZETA_ULPS``, ``_SPECIAL_ULPS``), the rounding of q
-    carried through that value's q-derivative, and one eps for each operation
-    that forms the term; each accumulation adds one eps of the partial sum,
-    and each zeta(j, q) the tolerance it was summed to.  eps = ``_eps()`` is
-    twice the unit roundoff, so every rounding is counted twice over.  The
-    values' accuracies are measured, not proven, so the bound is not yet an
-    enclosure.
+    Each term counts, times its magnitude, the relative accuracy of its
+    Hurwitz value (``_ZETA_ULPS``, ``_SPECIAL_ULPS``), the rounding of q (of
+    s, then of the sum) carried through the value's q-derivative, and one
+    eps for each operation that forms the term and for each of rho and
+    mu_const; each accumulation adds one eps of the partial sum, and each
+    zeta(j, q) the tolerance it was summed to.  eps = ``_eps()`` is twice
+    the unit roundoff, so every rounding counts twice over.  The values'
+    accuracies are measured, not proven: the bound is not an enclosure.
     """
     eps = _eps()
-    mq = family.q
-    mrho = Decimal(law.vertex_value / law.a2)
-    m1 = Decimal(law.m1)
-    mu0t = Decimal(law.mu_const)
+    a2, a1, a0, m1, m0 = map(Decimal, (law.a2, law.a1, law.a0, law.m1, law.m0))
+    with localcontext(_EXACT):
+        twice_a2 = 2 * a2
+        disc = a1 * a1 - 2 * twice_a2 * a0
+        mu_num = twice_a2 * m0 - m1 * a1
+        twice_a2_sq = twice_a2 * twice_a2
+    s, mrho, mu0t = a1 / twice_a2, -disc / twice_a2_sq, mu_num / twice_a2
+    mq = K + s
+    family = _HurwitzFamily(mq)
     # zeta(-1, q) = -(q^2 - q + 1/6) / 2 and zeta(0, q) = 1/2 - q
     value = (
         -m1 * ((mq - 1) * mq + Decimal(1) / 6) / 2
@@ -558,18 +559,20 @@ def _zeta_log_tail_at(law: QuadraticLaw, family: "_HurwitzFamily", head):
         - mrho * m1 / 2
     )
     abs_q = abs(mq)
+    # q moves by dq = (|s| + |q|) eps, spread = dq / |q| relative to itself
+    dq = abs(s) + abs_q
+    spread = dq / abs_q
     value_units = 8 * (
         abs(m1) * (mq * mq + abs_q + 1) / 2 + abs(mu0t) * (abs_q + 1) + abs(mrho * m1) / 2
     )
+    value_units += dq * (abs(m1) * (abs_q + 1) + abs(mu0t))
     zeta_m1, zeta_0, digamma = family.zeta_prime_m1(), family.zeta_prime_0(), family.digamma()
     deriv = 2 * m1 * zeta_m1 + 2 * mu0t * zeta_0 + mrho * m1 * digamma
     # q-derivatives: zeta'(-1, q) -> zeta'(0, q) + q - 1/2, zeta'(0, q) ->
-    # digamma(q), digamma(q) -> zeta(2, q) < 1/q + 1/q^2; q rounds by eps/2 |q|
-    units = 2 * abs(m1) * (
-        (_SPECIAL_ULPS + 3) * abs(zeta_m1) + abs_q * (abs(zeta_0) + abs_q + 1)
-    )
-    units += 2 * abs(mu0t) * ((_SPECIAL_ULPS + 3) * abs(zeta_0) + abs(mq * digamma))
-    units += abs(mrho * m1) * ((_SPECIAL_ULPS + 3) * abs(digamma) + 1 + 1 / abs_q)
+    # digamma(q), digamma(q) -> zeta(2, q) < 1/q + 1/q^2
+    units = 2 * abs(m1) * ((_SPECIAL_ULPS + 3) * abs(zeta_m1) + dq * (abs(zeta_0) + abs_q + 1))
+    units += 2 * abs(mu0t) * ((_SPECIAL_ULPS + 4) * abs(zeta_0) + dq * abs(digamma))
+    units += abs(mrho * m1) * ((_SPECIAL_ULPS + 4) * abs(digamma) + spread * (1 + 1 / abs_q))
     head_value, head_deriv, head_rounding = head
     # zeta(2i-1, q) and zeta(2i, q) enter Z'(0) weighted by rho^i / i times m1
     # and mu0t; each needs only eps of the partial Z'(0) after weighting, and
@@ -583,10 +586,11 @@ def _zeta_log_tail_at(law: QuadraticLaw, family: "_HurwitzFamily", head):
             return Decimal(0)
         return family.next(budget / weight)
 
-    # zeta(j, q) moves by j eps / 2 of itself when q rounds
+    # zeta(j, q) moves by j spread eps / 2 of itself when q rounds, and
+    # rho^i by i eps / 2 when rho does
     term = mrho * mu0t * hurwitz(1, mu0t)
     deriv -= term
-    units += (_ZETA_ULPS + 4) * abs(term) + abs(deriv)
+    units += (_ZETA_ULPS + 5 + spread) * abs(term) + abs(deriv)
     scale = abs(head_value + value) + abs(head_deriv + deriv) + 1
     ratio = abs(mrho) / (mq * mq)
     rel_tol = Decimal(_SERIES_REL_TOL)
@@ -596,7 +600,8 @@ def _zeta_log_tail_at(law: QuadraticLaw, family: "_HurwitzFamily", head):
         weight, odd, even = mrho ** i / i, m1 * zodd, mu0t * zeven
         term = ((-1) ** i) * weight * (odd + even)
         deriv += term
-        units += (_ZETA_ULPS + i + 7) * abs(weight) * (abs(odd) + abs(even)) + abs(deriv)
+        units += (_ZETA_ULPS + 7 + i * (spread + 1)) * abs(weight) * (abs(odd) + abs(even))
+        units += abs(deriv)
         if abs(term) < rel_tol * scale and i > 4:
             err = abs(term) / (1 - ratio)
             break
@@ -661,18 +666,14 @@ class _HurwitzFamily:
     against its shift terms, so the three special values of a shifted family
     sum their leading and shift terms from exact q+k and Q with
     3 log10 Q + 3 guard digits; an unshifted family has no shift terms to
-    cancel against and takes them at the working precision.  log Q is a
-    full logarithm (``_ln``), or, for an unshifted family given an
-    ``anchor`` family whose Q lies within a factor 1 +- 1/9 of its own, the
-    anchor's log Q (at the working precision or finer) plus ``_ln_ratio``.
+    cancel against and takes them at the working precision.
     """
 
-    def __init__(self, q, anchor: "_HurwitzFamily | None" = None):
+    def __init__(self, q):
         self._prec = getcontext().prec
         bits = self._prec / _LOG10_2
         shift = max(0, math.ceil(Decimal(_EM_SHIFT_PER_BIT * bits) - q))
         self.q = q
-        self._anchor = anchor
         self._bases = [q + k for k in range(shift)]
         self._head = [1 / x for x in self._bases]  # (q+k)^{1-j}, next order j
         self._big_q = q + shift
@@ -728,12 +729,7 @@ class _HurwitzFamily:
             n = len(self._bases)
             big_q = self.q + n
             logs, moments = _log_moments(lambda k: self.q + k, n)
-            if self._anchor is None or self._guard:
-                log_q = _ln(big_q)
-            else:
-                anchor_q, anchor_log = self._anchor._guarded[:2]
-                log_q = anchor_log + _ln_ratio(big_q, anchor_q)
-            return big_q, log_q, logs, self.q * logs + moments
+            return big_q, _ln(big_q), logs, self.q * logs + moments
 
     def _stirling(self, base, factors, name):
         """base + the series over ``factors``, to eps of the value."""

@@ -26,7 +26,7 @@ GOLDEN = {
     8: {
         "theta_prime_0": "0x1.bc5f2e5d1bf00p+0",
         "theta_prime_0_direct": "0x1.bc5f2e5d1ca78p+0",
-        "error_budget": "0x1.3bba5cf799522p-38",
+        "error_budget": "0x1.3bba544a8123cp-38",
         "theta_tilde_0": "-0x1.2aaaaaaaaaaabp-1",
         "theta_tilde_prime_0": "-0x1.fdf7884c175a2p-1",
         "theta_tilde_error": "0x1.3b7f19fbf7019p-41",
@@ -47,7 +47,7 @@ GOLDEN = {
     16: {
         "theta_prime_0": "0x1.15ec19ae2b67cp+3",
         "theta_prime_0_direct": "0x1.15ec19ae2b64cp+3",
-        "error_budget": "0x1.76a7beeae53cbp-38",
+        "error_budget": "0x1.76a7a2e259003p-38",
         "theta_tilde_0": "-0x1.1555555555555p-1",
         "theta_tilde_prime_0": "-0x1.eb024e2e61c5ep-1",
         "theta_tilde_error": "0x1.76091bbc11821p-42",
@@ -68,7 +68,7 @@ GOLDEN = {
     32: {
         "theta_prime_0": "0x1.bb3e0e878ba68p+4",
         "theta_prime_0_direct": "0x1.bb3e0e878ba2ep+4",
-        "error_budget": "0x1.eda0bd1fce715p-38",
+        "error_budget": "0x1.eda059319d12bp-38",
         "theta_tilde_0": "-0x1.0aaaaaaaaaaabp-1",
         "theta_tilde_prime_0": "-0x1.e0f42e4dd91cep-1",
         "theta_tilde_error": "0x1.ec4ae3491bcc4p-43",
@@ -89,7 +89,7 @@ GOLDEN = {
     64: {
         "theta_prime_0": "0x1.318a0a5ee0679p+6",
         "theta_prime_0_direct": "0x1.318a0a5ee067bp+6",
-        "error_budget": "0x1.6fe9e795c9f0cp-37",
+        "error_budget": "0x1.6fe92b5b450f3p-37",
         "theta_tilde_0": "-0x1.0555555555555p-1",
         "theta_tilde_prime_0": "-0x1.dbc6be1024476p-1",
         "theta_tilde_error": "0x1.6e123ff9eb9dap-43",
@@ -110,7 +110,7 @@ GOLDEN = {
     128: {
         "theta_prime_0": "0x1.86f45f471c78ap+7",
         "theta_prime_0_direct": "0x1.86f45f471c7b1p+7",
-        "error_budget": "0x1.3e874805c526bp-36",
+        "error_budget": "0x1.3e87445405ca8p-36",
         "theta_tilde_0": "-0x1.02aaaaaaaaaabp-1",
         "theta_tilde_prime_0": "-0x1.d9263af7eb079p-1",
         "theta_tilde_error": "0x1.3c89e63f51416p-43",
@@ -131,7 +131,7 @@ GOLDEN = {
     65536: {
         "theta_prime_0": "0x1.2815fae820aecp+18",
         "theta_prime_0_direct": "0x1.2815fae82159cp+18",
-        "error_budget": "0x1.0940cffe5b2d7p-22",
+        "error_budget": "0x1.094096c8df485p-22",
         "theta_tilde_0": "-0x1.0001555555555p-1",
         "theta_tilde_prime_0": "-0x1.d68071be16d2ep-1",
         "theta_tilde_error": "0x1.09126859e3362p-38",

@@ -291,7 +291,7 @@ class TestZetaLogTail:
 
     def test_no_mpmath_zeta_and_log_count_independent_of_m(self, monkeypatch):
         # every Hurwitz value comes from the shared Euler-Maclaurin tables and
-        # the circle-bundle head is summed in closed form: no mpmath zeta,
+        # the circle bundle is summed in closed form: no mpmath zeta,
         # log Gamma, digamma or log call, and a count of decimal logarithms
         # (all taken through ``tails._ln``) that stops growing with m
         counts = {}
@@ -317,38 +317,39 @@ class TestZetaLogTail:
         # zeta'(-1, 1) and zeta'(0, 1) are constants, not a shifted family
         assert all(logs[m] <= 12 for m in logs if m >= 32)
 
-    @pytest.mark.parametrize("m, logs, orders", ((8, 6, 9), (128, 4, 10)))
-    def test_direct_route_work_per_circle_bundle_report(self, m, logs, orders, monkeypatch):
-        # full logarithms: log a2 = log 1 twice (exact and free), the tail
-        # family's log Q, and the head family's at 1 + r2 = m + 2, which at
-        # m = 8 lies below the shift point and adds its two shift logarithms;
-        # the head families at K + r take log Q from the tail family's
-        # (8 and 6 before).  Hurwitz orders summed: mu_const = 0, so only the
-        # odd zeta(2i - 1, q) of weight m1 (19 and 21 before)
-        assert cp1_law(m).mu_const == 0.0
+    @pytest.mark.parametrize("m, logs", ((8, 4), (128, 2)))
+    def test_direct_route_work_per_circle_bundle_report(self, m, logs, monkeypatch):
+        # the closed form at the roots 0 and m + 1: the stored constants at
+        # q = 1 and one Hurwitz family at q = m + 2, no split and no binomial
+        # series (four families, 6 and 4 logarithms and 9 and 10 summed
+        # Hurwitz orders before).  Full logarithms: log a2 = log 1 (exact and
+        # free) and the family's log Q, plus, at m = 8, where m + 2 lies below
+        # the shift point, its two shift logarithms
         counts = defaultdict(int)
-        ln, next_order, skip = tails._ln, tails._HurwitzFamily.next, tails._HurwitzFamily.skip
+        ln, family = tails._ln, tails._HurwitzFamily
+
+        class CountingFamily(family):
+            def __init__(self, q):
+                counts["family"] += 1
+                super().__init__(q)
+
+            def next(self, tol):
+                counts["next"] += 1
+                return super().next(tol)
+
+            def skip(self):
+                counts["skip"] += 1
+                return super().skip()
 
         def counting_ln(x):
             counts["ln"] += 1
             return ln(x)
 
-        def counting_next(family, tol):
-            counts["next"] += 1
-            return next_order(family, tol)
-
-        def counting_skip(family):
-            counts["skip"] += 1
-            return skip(family)
-
         monkeypatch.setattr(tails, "_ln", counting_ln)
-        monkeypatch.setattr(tails._HurwitzFamily, "next", counting_next)
-        monkeypatch.setattr(tails._HurwitzFamily, "skip", counting_skip)
+        monkeypatch.setattr(tails, "_HurwitzFamily", CountingFamily)
         _, deriv, err = zeta_log_tail(cp1_law(m), 1)
         assert abs(deriv - CP1_THETA_PRIME[m]) <= err
-        # every order passes through skip, the summed ones from next: the
-        # even zeta(2, q), ..., zeta(2 orders + 2, q) are skipped outright
-        assert dict(counts) == {"ln": logs, "next": orders, "skip": 2 * orders + 1}
+        assert dict(counts) == {"ln": logs, "family": 1}
 
     @pytest.mark.parametrize(
         "m, want", ((4096, 13275.691709107743), (16384, 64445.577867662316))
@@ -375,32 +376,40 @@ class TestZetaLogTail:
             assert levels == [30], m
 
     def test_missed_bound_escalates_with_the_head(self, monkeypatch):
-        # a first-level bound above the tolerance sends head and tail to the
-        # next level together, and the second level's result is returned
-        heads = []
-        head_sums = tails._head_sums
+        # a first-level bound above the tolerance sends the whole sum to the
+        # next level, the head with the tail (k^2 + 3 has complex roots) and
+        # the closed form alike, and the second level's result is returned
         context = tails._context
         first = context(30).prec
-
-        def inflated_head(law, k_start, K, anchor):
-            prec = getcontext().prec
-            heads.append(prec)
-            value, deriv, rounding = head_sums(law, k_start, K, anchor)
-            return value, deriv, rounding + (1 if prec == first else 0)
-
         levels = []
-        monkeypatch.setattr(tails, "_head_sums", inflated_head)
         monkeypatch.setattr(tails, "_context", lambda dps: levels.append(dps) or context(dps))
-        _, deriv, err = zeta_log_tail(cp1_law(8), 1)
-        assert levels == [30, 60]
-        assert heads == [context(30).prec, context(60).prec]
-        assert deriv == pytest.approx(CP1_THETA_PRIME[8], rel=1e-13)
-        assert err < 1e-13
+        shifted = QuadraticLaw(1.0, 0.0, 3.0, 0.0, 1.0)
+        cases = (
+            ("_head_sums", shifted, -math.log(2 * math.sinh(math.pi * 3 ** 0.5) / 3 ** 0.5)),
+            ("_closed_form_at", cp1_law(8), CP1_THETA_PRIME[8]),
+        )
+        for name, law, want in cases:
+            precs = []
+            original = getattr(tails, name)
+
+            def inflated(*args, original=original, precs=precs):
+                precs.append(getcontext().prec)
+                *result, rounding = original(*args)
+                return (*result, rounding + (1 if precs[-1] == first else 0))
+
+            monkeypatch.setattr(tails, name, inflated)
+            levels.clear()
+            _, deriv, err = zeta_log_tail(law, 1)
+            assert levels == [30, 60], name
+            assert precs == [context(30).prec, context(60).prec], name
+            assert deriv == pytest.approx(want, rel=1e-13)
+            assert err < 1e-13
 
     def test_unconverged_series_raises(self, monkeypatch):
+        # k^2 + 3 has complex roots: its tail takes the binomial series
         monkeypatch.setattr(tails, "_SERIES_TERM_CAP", 4)
         with pytest.raises(ConvergenceError):
-            zeta_log_tail(cp1_law(8), 1)
+            zeta_log_tail(QuadraticLaw(1.0, 0.0, 3.0, 0.0, 1.0), 1)
 
 
 def _mp_head(law: QuadraticLaw, k_start: int, k_end: int):
@@ -469,20 +478,15 @@ REAL_ROOT_LAWS = dict(
 )
 
 
-def _head(law: QuadraticLaw, k_start: int, K: int):
-    """``_head_sums`` at the working precision, anchored as ``zeta_log_tail``
-    anchors it: on the tail's family at K + s."""
-    anchor = tails._HurwitzFamily(K + Decimal(law.vertex_shift))
-    return tails._head_sums(law, k_start, K, anchor)
-
-
 def _closed_head(law: QuadraticLaw, k_start: int, K: int):
-    """``_head_sums`` at the first ladder level, asserting it takes the
-    closed form."""
+    """(sum mu(k), -sum mu(k) log lam(k)) over k_start <= k < K at the first
+    ladder level, as the difference of the closed forms from k_start and
+    from K, asserting the closed form applies."""
     with localcontext(tails._context(30)):
         roots = tails._real_roots(law)
         assert roots is not None and k_start + roots[0] > 0
-        return _head(law, k_start, K)
+        full, tail = (tails._closed_form_at(law, k, roots) for k in (k_start, K))
+        return full[0] - tail[0], full[1] - tail[1]
 
 
 def _mp(x: Decimal):
@@ -529,24 +533,21 @@ def test_circle_bundle_roots_are_exact():
 
 def test_head_with_both_factors_negative_is_explicit(monkeypatch):
     # (k - 5.3)(k - 5.6) from k_start = 1: both factors are negative up to
-    # k = 5, so the head is summed term by term; from k_start = 6 it closes
+    # k = 5, so the sum is split, its head summed term by term and its tail
+    # taken from one family; from k_start = 6 it closes, one family per root
     law = QuadraticLaw(1.0, -10.9, 29.68, 1.0, 2.0)
     families = []
     family = tails._HurwitzFamily
-
-    def counting_family(q, anchor=None):
-        families.append(q)
-        return family(q, anchor)
-
+    monkeypatch.setattr(tails, "_HurwitzFamily", lambda q: families.append(q) or family(q))
     with localcontext(tails._context(30)):
-        anchor = family(40 + Decimal(law.vertex_shift))
-        monkeypatch.setattr(tails, "_HurwitzFamily", counting_family)
-        got = tails._head_sums(law, 1, 40, anchor)
+        got = tails._head_sums(law, 1, 40)
         assert families == []
-        want = _mp_head(law, 1, 40)
-        _assert_heads_agree(got, want)
-        tails._head_sums(law, 6, 40, anchor)
-    assert len(families) == 4
+        _assert_heads_agree(got, _mp_head(law, 1, 40))
+        tails._level(law, 1)
+        assert len(families) == 1
+        families.clear()
+        tails._level(law, 6)
+    assert len(families) == 2
 
 
 @pytest.mark.parametrize("rho", (1e4, 1e6))
@@ -561,7 +562,7 @@ def test_complex_root_head_at_large_split(rho, monkeypatch):
     monkeypatch.setattr(tails, "_ln", lambda x: logs.append(x) or ln(x))
     with localcontext(tails._context(30)):
         assert tails._real_roots(law) is None
-        got = _head(law, 1, K)
+        got = tails._head_sums(law, 1, K)
     assert len(logs) <= 2
     _assert_heads_agree(got, _mp_head(law, 1, K))
 
@@ -586,20 +587,22 @@ def test_stored_constants_correct_to_every_digit(name, reference):
 
 def _per_call_reference(law: QuadraticLaw, k_start: int):
     """(Z(0), Z'(0)) at 120 digits: the same split, head and binomial series as
-    ``zeta_log_tail``, but one mpmath Hurwitz zeta call per order and every
-    series run to 1e-40 relative."""
+    ``zeta_log_tail``'s split route, but one mpmath Hurwitz zeta call per
+    order and the series run to 1e-40 of the sum.  s, rho and mu_const are
+    formed from the law's exact float coefficients."""
     with mpmath.workdps(120):
         K = split_index(law, k_start)
         a2, a1, a0 = (mpmath.mpf(x) for x in (law.a2, law.a1, law.a0))
         m1, m0 = mpmath.mpf(law.m1), mpmath.mpf(law.m0)
+        s = a1 / (2 * a2)
+        rho = a0 / a2 - s * s
+        mu0t = m0 - m1 * s
         mus = [m1 * k + m0 for k in range(k_start, K)]
         head_value = mpmath.fsum(mus)
         head_deriv = -mpmath.fsum(
             mu * mpmath.log((a2 * k + a1) * k + a0) for mu, k in zip(mus, range(k_start, K))
         )
-        q = K + mpmath.mpf(law.vertex_shift)
-        rho = mpmath.mpf(law.vertex_value / law.a2)
-        mu0t = mpmath.mpf(law.mu_const)
+        q = K + s
         value = m1 * mpmath.zeta(-1, q) + mu0t * mpmath.zeta(0, q) - rho * m1 / 2
         deriv = (
             2 * m1 * mpmath.zeta(-1, q, 1)
@@ -607,11 +610,10 @@ def _per_call_reference(law: QuadraticLaw, k_start: int):
             + rho * m1 * mpmath.digamma(q)
             - rho * mu0t * mpmath.zeta(2, q)
         )
-        scale = abs(head_deriv + deriv) + 1
         for i in range(2, 200):
             term = (-rho) ** i / i * (m1 * mpmath.zeta(2 * i - 1, q) + mu0t * mpmath.zeta(2 * i, q))
             deriv += term
-            if abs(term) < 1e-40 * scale:
+            if abs(term) <= 1e-40 * abs(head_deriv + deriv):
                 break
         else:
             raise AssertionError("reference series did not converge")
@@ -630,14 +632,49 @@ def test_matches_per_call_reference_on_random_laws(a2, k_start, shift, rel_rho, 
     assert val == pytest.approx(want_val, rel=1e-13, abs=1e-12)
 
 
+def _closed_form_reference(law: QuadraticLaw, k_start: int):
+    """(Z(0), Z'(0)) at 70 digits from the roots of the law's exact float
+    coefficients: the closed form of ``zeta_log_tail``'s docstring, with
+    mpmath's Hurwitz zeta; None when the roots are complex or
+    k_start + r1 <= 0."""
+    with mpmath.workdps(70):
+        a2, a1, a0, m1, m0 = map(mpmath.mpf, (law.a2, law.a1, law.a0, law.m1, law.m0))
+        disc = a1 * a1 - 4 * a2 * a0
+        if disc < 0:
+            return None
+        r1, r2 = sorted((a1 + sign * mpmath.sqrt(disc)) / (2 * a2) for sign in (-1, 1))
+        if k_start + r1 <= 0:
+            return None
+        value = deriv = 0
+        for r in (r1, r2):
+            q, c = k_start + r, m0 - m1 * r
+            value += (m1 * mpmath.zeta(-1, q) + c * mpmath.zeta(0, q)) / 2
+            deriv += m1 * mpmath.zeta(-1, q, 1) + c * mpmath.zeta(0, q, 1)
+        deriv -= m1 * (r2 - r1) ** 2 / 4 + mpmath.log(a2) * value
+        return float(value), float(deriv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**RANDOM_LAWS)
+def test_error_covers_exact_coefficient_reference_on_random_laws(
+    a2, k_start, shift, rel_rho, m1, m0
+):
+    # real roots past k_start against the closed form, other laws against the
+    # binomial reference, both from the exact float coefficients; with s, rho
+    # and mu_const taken as rounded floats most laws fell outside the error
+    law, positive = _random_law(a2, k_start, shift, rel_rho, m1, m0)
+    assume(positive)
+    val, deriv, err = zeta_log_tail(law, k_start)
+    want = _closed_form_reference(law, k_start) or _per_call_reference(law, k_start)
+    assert abs(deriv - want[1]) <= err
+    assert val == pytest.approx(want[0], rel=1e-13, abs=1e-12)
+
+
 def _level(law: QuadraticLaw, k_start: int, dps: int):
     """(Z'(0), rounding bound) of one ladder level, head included, as the
     Decimal before any float rounding."""
-    K = split_index(law, k_start)
     with localcontext(tails._context(dps)):
-        family = tails._HurwitzFamily(K + Decimal(law.vertex_shift))
-        head = tails._head_sums(law, k_start, K, family)
-        _, deriv, _, _, rounding = tails._zeta_log_tail_at(law, family, head)
+        _, deriv, _, _, rounding = tails._level(law, k_start)
     return deriv, rounding
 
 
@@ -750,33 +787,6 @@ class TestHurwitzFamily:
     @pytest.mark.parametrize("q", ("0.5", "3", "40.5", "292.5", "1e4"))
     def test_special_values_against_mpmath_at_every_ladder_level(self, q):
         self._assert_special_values(q, lambda: tails._HurwitzFamily(Decimal(q)))
-
-    @pytest.mark.parametrize("ratio", ("0.9", "1", "1.125"))
-    @pytest.mark.parametrize("q", ("0.5", "40.5", "292.5", "1e4"))
-    def test_anchored_special_values_against_mpmath_at_every_ladder_level(self, q, ratio):
-        # log Q taken from an anchor family's at q / ratio, the split rule's
-        # factor 8/9 or 10/9 away (or at q itself), through _ln_ratio; a
-        # shifted family (q = 0.5, and q = 40.5 from 60 digits on) takes its
-        # own logarithm at its guarded precision
-        def anchored():
-            anchor = tails._HurwitzFamily(Decimal(q) / Decimal(ratio))
-            return tails._HurwitzFamily(Decimal(q), anchor)
-
-        self._assert_special_values(q, anchored)
-
-    @pytest.mark.parametrize(
-        "x, y", (("516", "580.5"), ("645", "580.5"), ("32", "32"), ("1", "7.3"))
-    )
-    def test_ln_ratio_against_mpmath_at_every_ladder_level(self, x, y):
-        # the split rule's 8/9 and 10/9, equal arguments, and a ratio far from 1
-        with mpmath.workdps(250):
-            want = mpmath.log(mpmath.mpf(x) / mpmath.mpf(y))
-        for dps in tails._LADDER:
-            with localcontext(tails._context(dps)):
-                eps = tails._eps()
-                got = tails._ln_ratio(Decimal(x), Decimal(y))
-            with mpmath.workdps(260):
-                assert abs(_mp(got) - want) <= 4 * _mp(eps) * abs(want), dps
 
     def test_table_exhaustion_raises(self):
         with localcontext(tails._context(30)):
