@@ -523,74 +523,81 @@ def _monomials(text: str) -> list:
     return pairs
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crtorsion",
-        description="Zeta-regularized torsion of Kohn Laplacian Fourier components",
-    )
-    parser.add_argument("--version", action="version", version=f"crtorsion {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _out_flag(p) -> None:
+    p.add_argument("--out", type=str, default=None, help="output file path")
 
-    # each subcommand declares only the flags it reads
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", type=str, default=None, help="output file path")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument(
+
+def _format_flag(p) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _tol_flag(p) -> None:
+    p.add_argument(
         "--tol",
         type=float,
         default=DEFAULT_TOL,
         help="quadrature tolerance: the adaptive stop (absolute and relative), the noise "
         "floor (eps |b_0| / (10 tol))^(1/n) and the trust-floor tolerance min(1e-13, tol/100)",
     )
-    geometry = argparse.ArgumentParser(add_help=False)
-    geometry.add_argument(
+
+
+def _geometry_flag(p) -> None:
+    p.add_argument(
         "--geometry", type=str, default="cp1", help="geometry JSON path or the builtin 'cp1'"
     )
 
-    p = sub.add_parser(
-        "selfcheck", parents=[out, tol], help="run the cross-module invariant battery"
-    )
+
+def _selfcheck_flags(p) -> None:
+    _out_flag(p)
+    _tol_flag(p)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument(
         "--mutate-gamma",
         action="store_true",
         help="deliberately zero the Gamma'(1) constant (mutation diagnostics; must fail)",
     )
-    p.set_defaults(func=_cmd_selfcheck)
 
-    p = sub.add_parser(
-        "density", parents=[out, fmt, geometry], help="dump model density expansions"
-    )
+
+def _density_flags(p) -> None:
+    _out_flag(p)
+    _format_flag(p)
+    _geometry_flag(p)
     p.add_argument("--order", type=float, default=4.0, help="truncation order")
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("torsion", parents=[out, fmt, tol, geometry], help="single torsion report")
+
+def _torsion_flags(p) -> None:
+    _out_flag(p)
+    _format_flag(p)
+    _tol_flag(p)
+    _geometry_flag(p)
     p.add_argument("--spectrum", type=str, default=None, help="spectrum CSV path")
     p.add_argument("--m", type=int, default=None, help="Fourier weight (k_max = max(1024, 4m))")
-    p.set_defaults(func=_cmd_torsion)
 
-    p = sub.add_parser(
-        "sweep", parents=[out, fmt, tol, geometry], help="m-sweep with residual trend check"
-    )
+
+def _sweep_flags(p) -> None:
+    _out_flag(p)
+    _format_flag(p)
+    _tol_flag(p)
+    _geometry_flag(p)
     p.add_argument(
         "--ms", type=_int_list, required=True, help="weights, e.g. 8,16,32; k_max = max(1024, 4m)"
     )
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("fit", parents=[out, fmt], help="extract half-power expansion coefficients")
+
+def _fit_flags(p) -> None:
+    _out_flag(p)
+    _format_flag(p)
     p.add_argument("--spectrum", type=str, required=True)
     p.add_argument("--n", type=int, required=True, help="CR dimension parameter")
     p.add_argument("--terms", type=int, default=5)
     p.add_argument("--tmin", type=float, default=1e-3)
     p.add_argument("--tmax", type=float, default=0.3)
     p.add_argument("--points", type=int, default=40)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser(
-        "stratum", parents=[out, fmt], help="Gaussian stratum expansion and envelope"
-    )
+
+def _stratum_flags(p) -> None:
+    _out_flag(p)
+    _format_flag(p)
     p.add_argument("--r", type=int, required=True, help="stratum codimension")
     p.add_argument("--c", type=float, default=1.0, help="quadratic form scale")
     p.add_argument("--m", type=int, default=16)
@@ -601,14 +608,49 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help='JSON of {"a1 a2 ... ar": coeff} monomials, e.g. {"0": 1.0, "2": 0.5}',
     )
-    p.set_defaults(func=_cmd_stratum)
 
+
+#: Each subcommand's help line, flags and handler, in the order of ``--help``;
+#: each declares only the flags it reads.
+_COMMANDS = {
+    "selfcheck": ("run the cross-module invariant battery", _selfcheck_flags, _cmd_selfcheck),
+    "density": ("dump model density expansions", _density_flags, _cmd_density),
+    "torsion": ("single torsion report", _torsion_flags, _cmd_torsion),
+    "sweep": ("m-sweep with residual trend check", _sweep_flags, _cmd_sweep),
+    "fit": ("extract half-power expansion coefficients", _fit_flags, _cmd_fit),
+    "stratum": ("Gaussian stratum expansion and envelope", _stratum_flags, _cmd_stratum),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given ``argv``, only the subcommand it names
+    (its first token that is not an option) gets a parser and its flags;
+    every other one is registered by name and help line alone, with ``None``
+    for its parser, which is all that the top-level help, usage and
+    invalid-choice error read.  Without ``argv`` every subcommand is built."""
+    parser = argparse.ArgumentParser(
+        prog="crtorsion",
+        description="Zeta-regularized torsion of Kohn Laplacian Fourier components",
+    )
+    parser.add_argument("--version", action="version", version=f"crtorsion {__version__}")
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+
+    def subparser(prog: str, **kwargs):
+        built = argv is None or prog == f"{parser.prog} {named}"
+        return argparse.ArgumentParser(prog=prog, **kwargs) if built else None
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    for name, (help_line, add_flags, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if p is not None:
+            add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except TwoPathMismatchError as exc:

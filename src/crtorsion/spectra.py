@@ -41,8 +41,18 @@ CP1_VOLUME = 4.0 * math.pi ** 2
 #: subnormal float64 (5e-324), and e^{-x} rounds to exactly 0.0 past 745.14.
 _UNDERFLOW = 745.0
 
-#: Largest e^{-lam t} block the super-trace kernel builds: 2^18 float64 (2 MB).
+#: A node's sum stops at its first line with lam t >= lam_1 t + _REACH +
+#: ln(sum |w| / |w_1|): the lines past it add at most e^{-45} < 2^-64 of the
+#: first weighted line's term |w_1| e^{-lam_1 t}.
+_REACH = 45.0
+
+#: The super-trace kernel's one float64 buffer: 2^18 elements (2 MB).
 _BLOCK = 1 << 18
+#: Lines read at a time: a chunk's column indices, lam and weights fill 3/8
+#: of the buffer at most, and the e^{-lam t} block takes the rest.
+_CHUNK = _BLOCK // 8
+#: 0, 1, 2, 4, ...: ``_pow2`` rounds a line count up to the least entry >= it.
+_POW2 = np.r_[0, np.left_shift(1, np.arange(62))]
 #: Below 2^12 elements a block's fixed numpy call overhead outweighs the
 #: zeros it would save, so nodes keep joining it past the factor-2 rule.
 _MIN_BLOCK = 1 << 12
@@ -111,9 +121,13 @@ class SpectrumTable:
         tail: FiniteTail | QuadraticTail | None = None,
     ) -> "SpectrumTable":
         """Validate, merge and sort (q, lam, mult) rows: triples or an (N, 3)
-        array.  Every row is stored."""
+        array.  Every row is stored.  A tail law that covers the listed lines
+        refuses a row it reproduces below k_first (``_require_anchored``)."""
         tail = tail if tail is not None else FiniteTail()
-        return cls(_merged(*_validated(lines, n)), n, tail)
+        stored = _merged(*_validated(lines, n))
+        if isinstance(tail, QuadraticTail) and tail.covers_all_lines:
+            _require_anchored(stored, tail)
+        return cls(stored, n, tail)
 
     @classmethod
     def from_law(
@@ -124,7 +138,8 @@ class SpectrumTable:
     ) -> "SpectrumTable":
         """The rows ``lines`` plus the lines k = k_first..k_next-1 of ``tail``'s
         law in each degree of ``tail.degrees``, which the law implies and the
-        table does not store.  ``lines`` may hold no line of that block."""
+        table does not store.  ``lines`` may hold no line of that block, nor
+        one the law reproduces below k_first."""
         if not (isinstance(tail, QuadraticTail) and tail.covers_all_lines):
             raise DomainError("from_law needs a quadratic tail that covers the listed lines")
         if not all(0 <= q <= n for q in tail.degrees):
@@ -141,10 +156,11 @@ class SpectrumTable:
                         f"law multiplicity {law.mult(k)} at k = {k} is not a positive integer"
                     )
         stored = _merged(*_validated(lines, n))
-        covered = _law_covered(stored, tail)
+        rows, k = _require_anchored(stored, tail)
+        covered = (tail.k_first <= k) & (k < tail.k_next)
         if covered.any():
             raise DomainError(
-                f"line {tuple(stored[covered][0].tolist())} is implied by the tail law"
+                f"line {tuple(rows[covered][0].tolist())} is implied by the tail law"
             )
         return cls(stored, n, tail, implied=True)
 
@@ -181,95 +197,268 @@ class SpectrumTable:
         return (np.where(q % 2, -q, q) * self.stored.mult).astype(float)
 
     @cached_property
-    def _supertrace(self):
-        """(lams, weights, kernel, abs_weight) of STr[N e^{-t Box}]: the
-        positive eigenvalues with nonzero weight, sorted ascending so the
-        terms that survive at any t form a prefix, their weights, the
-        t-independent zero-mode part, and the sum of |weights|.  An implied
-        line k enters once, with the weight sum_q (-1)^q q mult(k) of all its
-        degrees."""
+    def _supertrace(self) -> "_Supertrace":
+        """The weighted lines of STr[N e^{-t Box}] as runs sorted by lam, with
+        the t-independent zero-mode part, the sum of |weights| and the reach
+        of ``_supertrace_value``'s cut.  The stored positive lines with
+        nonzero weight form one run; an implied table adds the law lines
+        k_first..k_next-1 as one or two runs (``_law_runs``), each line once
+        with the weight sum_q (-1)^q q mult(k) of all its degrees.  No law
+        line is stored."""
         lam, w = self.stored.lam, self._weights
         zero = lam == 0.0
         sel = ~zero & (w != 0.0)
-        lam_b, mult_b = self._law_block()  # lam > 0 on the block (from_law)
-        block_weight = float(self.tail.weight) if self.implied else 0.0
-        if block_weight == 0.0:
-            lam_b = mult_b = lam_b[:0]
-        lams = np.concatenate((lam[sel], lam_b))
-        weights = np.concatenate((w[sel], block_weight * mult_b))
-        if (lams[1:] < lams[:-1]).any():
-            order = np.argsort(lams, kind="stable")
-            lams, weights = lams[order], weights[order]
-        abs_weight = float(np.sum(np.abs(weights)))
-        return lams, weights, float(np.sum(w[zero])), abs_weight
+        runs = [_stored_run(lam[sel], w[sel])] if sel.any() else []
+        if self.implied and self.tail.weight:
+            runs += _law_runs(self.tail)
+        kernel = float(np.sum(w[zero]))
+        if not runs:
+            return _Supertrace((), kernel, 0.0, math.inf, 0.0)
+        abs_weight = math.fsum(run.abs_weight for run in runs)
+        lam_1, w_1 = min(run.first for run in runs)
+        reach = _REACH + math.log(abs_weight / abs(w_1))
+        return _Supertrace(tuple(runs), kernel, abs_weight, lam_1, reach)
 
     def _supertrace_value(self, t: np.ndarray) -> np.ndarray:
         """sum over the positive lines of (-1)^q q mult e^{-lam t}, for each
         node of the 1-D array ``t > 0`` (any order, repeats allowed).
 
-        Costs O(lines with lam t < 745) per node, not O(lines): degree-0 lines
-        carry weight zero, and beyond the cut e^{-lam t} is the smallest
-        subnormal or exactly 0.0 in float64, so the dropped terms do not reach
-        the value.  Each node keeps its own cut.  Nodes sorted by cut share
-        one e^{-lam t} block, as wide as its largest cut, with every node whose
-        cut is at least half that (or while the block stays under
-        ``_MIN_BLOCK`` elements); blocks hold at most ``_BLOCK`` elements.  A
-        node's terms past its cut are zero in the block, and each node's row
-        is summed pairwise (``np.sum`` along the row).
+        Each node stops, in each run of ``_supertrace``, at its first line
+        with lam t >= lam_1 t + 45 + ln(sum |w| / |w_1|), where (lam_1, w_1)
+        is the first weighted line.  The line count is then rounded up to a
+        power of two, and never goes past the underflow cut lam t < 745.
+        The lines dropped by the first rule sum to at most
+        e^{-45} |w_1| e^{-lam_1 t}, below 2^-64 of the first term and far
+        under the row's own rounding; past the second, e^{-lam t} is the
+        smallest subnormal or 0.0 in float64.  The rounding to a power of
+        two keeps a row's pairwise sum (``np.sum`` along the row) from
+        following the block it shares: from 8 lines on, numpy sums a
+        power-of-two prefix padded with zeros to a wider power of two as it
+        sums the prefix alone.
+
+        Lines are read in chunks of ``_CHUNK``, generated from the law for
+        law runs.  Within a chunk, nodes sorted by cut share one e^{-lam t}
+        block, as wide as its largest cut, with every node whose cut is at
+        least half that (or while the block stays under ``_MIN_BLOCK``
+        elements); a node's terms past its cut are zero in the block.
         """
-        lams, weights = self._supertrace[:2]
+        st = self._supertrace
         t = np.asarray(t, dtype=float)
-        bound = _UNDERFLOW / t
-        cut = np.searchsorted(lams, bound)  # lam < bound exactly on the prefix
-        order = np.argsort(-cut, kind="stable")
-        cuts, bound, negt = cut[order], bound[order], -t[order]
-        sums = np.zeros(cut.size)
-        i, n = 0, int(np.count_nonzero(cuts))
-        buf = np.empty(min(_BLOCK, n * int(cuts[0]))) if n else None
-        while i < n:
-            top = int(cuts[i])
-            j = int(np.searchsorted(-cuts, -((top + 1) // 2), side="right"))
-            j = min(n, max(j, i + _MIN_BLOCK // top))
-            width = min(top, _BLOCK)
-            step = max(1, _BLOCK // width)
-            for r in range(i, j, step):
-                r2 = min(j, r + step)
-                for c in range(0, top, width):
-                    lam = lams[c : c + width]
-                    block = buf[: (r2 - r) * lam.size].reshape(r2 - r, lam.size)
-                    np.multiply.outer(negt[r:r2], lam, out=block)
-                    keep = None
-                    if cuts[r2 - 1] < c + lam.size:
-                        # past its own cut a row's terms are 0: e^0 keeps exp
-                        # off its slow underflow path, the mask drops them
-                        keep = lam < bound[r:r2, None]
-                        block *= keep
-                    np.exp(block, out=block)
-                    block *= weights[c : c + width]
-                    if keep is not None:
-                        block *= keep
-                    sums[r:r2] += block.sum(axis=1)
-            i = j
-        out = np.empty(cut.size)
-        out[order] = sums
+        out = np.zeros(t.size)
+        if st.runs and t.size:
+            limits = np.divide.outer((st.reach, _UNDERFLOW), t).ravel()
+            limits[: t.size] += st.lam_1
+            # the smallest t reads the most lines
+            top = st.lam_1 + st.reach / float(t.min())
+            for run in st.runs:
+                _add_run(run, -t, limits, int(_pow2(run.below(top))), out)
         return out
 
     @cached_property
     def _outside_law(self):
         """(lams, weights), in table order, of the lines with nonzero weight
         that are not among the tail law's lines k_first..k_next-1: the stored
-        lines that ``_law_covered`` does not match.  Implied lines are among
-        the law's by construction, and ``from_law`` has refused every stored
-        line that the law covers, so an implied table matches none."""
+        lines that ``_law_index`` does not place in that block.  Implied
+        lines are among the law's by construction, and ``from_law`` has
+        refused every stored line that the law covers, so an implied table
+        matches none."""
         keep = self._weights != 0.0
         tail = self.tail
         if isinstance(tail, QuadraticTail) and tail.covers_all_lines and not self.implied:
-            keep &= ~_law_covered(self.stored, tail)
+            k = _law_index(self.stored, tail)
+            keep &= (k < tail.k_first) | (k >= tail.k_next)
         return self.stored.lam[keep], self._weights[keep]
 
     def supertrace_N_kernel(self) -> float:
         """STr[N] restricted to the zero modes (t-independent)."""
-        return self._supertrace[2]
+        return self._supertrace.kernel
+
+
+class _Supertrace(NamedTuple):
+    """``SpectrumTable._supertrace``: the weighted positive lines as runs
+    sorted by lam, the zero-mode part, sum |w| over the runs, the smallest
+    weighted eigenvalue lam_1 and the kernel's reach 45 + ln(sum |w| / |w_1|)."""
+
+    runs: Tuple[object, ...]
+    kernel: float
+    abs_weight: float
+    lam_1: float
+    reach: float
+
+
+class _StoredRun(NamedTuple):
+    """Weighted lines held as arrays, sorted by lam."""
+
+    lam: np.ndarray
+    w: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.lam.size
+
+    @property
+    def abs_weight(self) -> float:
+        return float(np.sum(np.abs(self.w)))
+
+    @property
+    def first(self) -> Tuple[float, float]:
+        return float(self.lam[0]), float(self.w[0])
+
+    def below(self, bound: float) -> int:
+        """The number of lines with lam < bound."""
+        return int(np.searchsorted(self.lam, bound))
+
+    def read(self, c0: int, c1: int, buf: np.ndarray, iota: np.ndarray):
+        """(lam, w) of lines c0..c1-1: views, ``buf`` and ``iota`` unused."""
+        return self.lam[c0:c1], self.w[c0:c1]
+
+
+class _LawRun(NamedTuple):
+    """The law lines k = start, start + step, ... (``size`` of them, step
+    +1 or -1, lam increasing along the run), each with weight ``weight``
+    mult(k).  Nothing is stored: ``read`` generates the lines."""
+
+    law: QuadraticLaw
+    start: int
+    step: int
+    size: int
+    weight: float
+
+    @property
+    def abs_weight(self) -> float:
+        """|weight| sum of mult(k) over the run, in closed form (mult >= 1)."""
+        law, n = self.law, self.size
+        k_sum = n * (2 * self.start + self.step * (n - 1)) / 2
+        return abs(self.weight) * (law.m1 * k_sum + law.m0 * n)
+
+    @property
+    def first(self) -> Tuple[float, float]:
+        k = float(self.start)
+        return float(self.law.lam(k)), self.weight * float(self.law.mult(k))
+
+    def below(self, bound: float) -> int:
+        """At least the number of lines with lam < bound, at most two more:
+        the root of lam(x) = bound on this run's side of the vertex."""
+        law, s = self.law, self.step
+        disc = law.a1 * law.a1 - 4.0 * law.a2 * (law.a0 - bound)
+        if not disc > 0.0:
+            return 0
+        i = s * ((s * math.sqrt(disc) - law.a1) / (2.0 * law.a2) - self.start)
+        if not i < self.size:  # also an infinite bound
+            return self.size
+        return min(self.size, max(0, math.floor(i) + 2))
+
+    def read(self, c0: int, c1: int, buf: np.ndarray, iota: np.ndarray):
+        """(lam, w) of lines c0..c1-1, written into ``buf[:2 (c1 - c0)]``
+        with ``buf[2 (c1 - c0) : 3 (c1 - c0)]`` as scratch, each rounded as
+        ``QuadraticLaw.lam`` and ``weight * QuadraticLaw.mult`` round it;
+        ``iota`` holds 0, 1, 2, ... (float64, at least c1 - c0 of them)."""
+        law, n, k0 = self.law, c1 - c0, self.start + self.step * c0
+        lam, w, a1k = buf[:n], buf[n : 2 * n], buf[2 * n : 3 * n]
+        # the indices k, exact in float64, become mult(k) in place
+        k = np.add(k0, iota[:n], out=w) if self.step > 0 else np.subtract(k0, iota[:n], out=w)
+        np.multiply(k, law.a2, out=lam)
+        lam *= k
+        lam += np.multiply(k, law.a1, out=a1k)
+        lam += law.a0
+        w *= law.m1
+        w += law.m0
+        w *= self.weight
+        return lam, w
+
+
+def _stored_run(lam: np.ndarray, w: np.ndarray) -> _StoredRun:
+    """The lines (lam, w) sorted by lam."""
+    if (lam[1:] < lam[:-1]).any():
+        order = np.argsort(lam, kind="stable")
+        lam, w = lam[order], w[order]
+    return _StoredRun(lam, w)
+
+
+def _law_runs(tail: QuadraticTail) -> list:
+    """The law lines k_first..k_next-1 as runs of increasing lam: lam rises
+    from k = floor(vertex + 1/2) on and falls before it, so a vertex inside
+    the block splits the lines into a falling run read backwards and a
+    rising run."""
+    law, a, b = tail.law, tail.k_first, tail.k_next
+    rise = min(max(math.floor(0.5 - law.vertex_shift), a), b)
+    weight = float(tail.weight)
+    runs = []
+    if rise > a:
+        runs.append(_LawRun(law, rise - 1, -1, rise - a, weight))
+    if b > rise:
+        runs.append(_LawRun(law, rise, 1, b - rise, weight))
+    return runs
+
+
+def _pow2(c):
+    """The least power of two >= c, for c >= 1, and 0 for c = 0, per entry."""
+    return _POW2[np.searchsorted(_POW2, c)]
+
+
+def _add_run(run, negt: np.ndarray, limits: np.ndarray, most: int, out: np.ndarray) -> None:
+    """Add each node's sum over ``run`` to ``out``: the kernel of
+    ``SpectrumTable._supertrace_value``, with ``negt = -t``, ``limits`` the
+    reach bounds on lam, one per node, then the underflow bounds, and
+    ``most`` at least the largest cut."""
+    n = negt.size
+    top = min(most, run.size)
+    if not top:
+        return
+    width = min(top, _CHUNK)
+    buf = np.empty(min(_BLOCK, (n + 3) * width))
+    columns, chunk, region = buf[:width], buf[width:], buf[3 * width :]
+    columns[:] = np.arange(width)
+    # each node's counts below both bounds, added up chunk by chunk; a
+    # count that reaches top stands for any count >= top, and the cut
+    # min(2^ceil(log2 near), far) <= top comes out the same
+    loaded = 0
+    lam_c, w_c = run.read(0, width, chunk, columns)
+    counts = np.searchsorted(lam_c, limits)
+    for loaded in range(width, top, width):
+        lam_c, w_c = run.read(loaded, min(loaded + width, top), chunk, columns)
+        counts += np.searchsorted(lam_c, limits)
+    cut = np.minimum(_pow2(counts[:n]), counts[n:])
+    order = np.argsort(-cut, kind="stable")
+    cuts, negt = cut[order], negt[order]
+    neg = -cuts  # ascending, for searchsorted
+    groups, i, live = [], 0, int(np.count_nonzero(cuts))
+    while i < live:
+        top = int(cuts[i])
+        j = int(np.searchsorted(neg, -((top + 1) // 2), side="right"))
+        j = min(live, max(j, i + _MIN_BLOCK // top))
+        groups.append((i, j, top))
+        i = j
+    sums = np.zeros(n)
+    for c in range(0, int(cuts[0]), width):
+        if c != loaded:  # chunk c is not the one left in buf
+            lam_c, w_c = run.read(c, min(c + width, int(cuts[0])), chunk, columns)
+            loaded = c
+        ends = np.subtract(cuts, c, dtype=float)
+        live = int(np.searchsorted(neg, -c, side="left"))  # rows with cut > c
+        for i, j, top in groups:
+            if top <= c:
+                break
+            j = min(j, live)
+            cw = min(top - c, width)
+            lam, w = lam_c[:cw], w_c[:cw]
+            step = max(1, region.size // cw)
+            for r in range(i, j, step):
+                r2 = min(j, r + step)
+                block = region[: (r2 - r) * cw].reshape(r2 - r, cw)
+                np.multiply.outer(negt[r:r2], lam, out=block)
+                keep = None
+                if cuts[r2 - 1] < c + cw:
+                    # past its own cut a row's terms are 0: e^0 keeps exp
+                    # off its slow underflow path, the mask drops them
+                    keep = columns[:cw] < ends[r:r2, None]
+                    block *= keep
+                np.exp(block, out=block)
+                block *= w
+                if keep is not None:
+                    block *= keep
+                sums[r:r2] += block.sum(axis=1)
+    out[order] += sums
 
 
 def _validated(lines, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,19 +485,35 @@ def _validated(lines, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, lam, mult
 
 
-def _law_covered(rows: np.recarray, tail: QuadraticTail) -> np.ndarray:
-    """Mask of the rows that are among the tail law's lines k_first..k_next-1
-    in its degrees.  Matched by inverting the quadratic with a relative
-    tolerance, so tables rebuilt through a rescaled law still match despite
-    float rounding."""
+def _law_index(rows: np.recarray, tail: QuadraticTail) -> np.ndarray:
+    """Per row, the k >= 0 at which the tail law reproduces it in one of its
+    degrees, or -1.  Matched by inverting the quadratic on the side of its
+    larger root with a relative tolerance, so tables rebuilt through a
+    rescaled law still match despite float rounding."""
     law, lam = tail.law, rows.lam
     disc = law.a1 * law.a1 + 4.0 * law.a2 * (lam - law.a0)
     k = np.rint((-law.a1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * law.a2))
     in_degrees = (rows.q[:, None] == np.asarray(tail.degrees, dtype=np.int64)).any(axis=1)
-    covered = in_degrees & (disc >= 0)
-    covered &= (tail.k_first <= k) & (k < tail.k_next)
-    covered &= np.abs(law.lam(k) - lam) <= 1e-9 * (1.0 + np.abs(lam))
-    return covered
+    match = in_degrees & (disc >= 0) & (k >= 0)
+    match &= np.abs(law.lam(k) - lam) <= 1e-9 * (1.0 + np.abs(lam))
+    return np.where(match, k, -1.0)
+
+
+def _require_anchored(stored: np.recarray, tail: QuadraticTail):
+    """The stored rows with lam > 0 and their ``_law_index``; only these can
+    be law lines past k_first, where the law is positive.  DomainError for
+    one that the law reproduces below k_first: the law's expansion
+    coefficients would cancel against the stored rows."""
+    rows = stored[stored.lam > 0.0]
+    k = _law_index(rows, tail) if rows.size else np.empty(0)
+    below = (0 <= k) & (k < tail.k_first)
+    if below.any():
+        raise DomainError(
+            f"line {tuple(rows[below][0].tolist())} is the tail law's line "
+            f"k = {int(k[below][0])}, below k_first = {tail.k_first}: start the law "
+            f"at k_first <= {int(k[below].min())}"
+        )
+    return rows, k
 
 
 def _merged(q: np.ndarray, lam: np.ndarray, mult: np.ndarray) -> np.recarray:
@@ -422,23 +627,29 @@ def spectral_gap(spec: SpectrumTable, q: int) -> float:
 def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, float]:
     """(C, c) with |STr[N e^{-t Box} perp]| <= C e^{-c t} for t >= t_min.
 
-    Reads the sorted weighted lines of ``SpectrumTable._supertrace``: with
-    c = lams[0] / 2, each term obeys e^{-lam t} <= e^{-lam t_min/2} e^{-c t}
-    for t >= t_min, so C = sum |w| e^{-lam t_min/2}.  The sum stops at the
-    underflow cut lam t_min / 2 < 745, as the heat integrand's does; the
-    lines past it add e^{-744} times the table's total |w|, and the omitted
-    law lines add their tail bound at t_min / 2.  A table with no weighted
-    line gives (0, 1).
+    Reads the weighted lines of ``SpectrumTable._supertrace``, chunk by
+    chunk: with c = lam_1 / 2, each term obeys e^{-lam t} <= e^{-lam t_min/2}
+    e^{-c t} for t >= t_min, so C = sum |w| e^{-lam t_min/2}.  The sum stops
+    at the underflow cut lam t_min / 2 < 745, as the heat integrand's does;
+    the lines past it add e^{-744} times the table's total |w|, and the
+    omitted law lines add their tail bound at t_min / 2.  A table with no
+    weighted line gives (0, 1).
     """
-    lams, weights, _, abs_weight = spec._supertrace
-    if not lams.size:
+    st = spec._supertrace
+    if not st.runs:
         return 0.0, 1.0
     t = t_min / 2.0
-    cut = np.searchsorted(lams, _UNDERFLOW / t)
-    C = float(np.sum(np.abs(weights[:cut]) * np.exp(-lams[:cut] * t)))
-    C += math.exp(-744.0) * abs_weight
+    C = 0.0
+    for run in st.runs:
+        top = run.below(_UNDERFLOW / t)
+        buf, iota = np.empty(3 * min(top, _CHUNK)), np.arange(min(top, _CHUNK), dtype=float)
+        for c in range(0, top, _CHUNK):
+            lam, w = run.read(c, min(c + _CHUNK, top), buf, iota)
+            cut = np.searchsorted(lam, _UNDERFLOW / t)
+            C += float(np.sum(np.abs(w[:cut]) * np.exp(-lam[:cut] * t)))
+    C += math.exp(-744.0) * st.abs_weight
     C += _supertrace_tail_bound(spec, t)
-    return C, float(lams[0]) / 2.0
+    return C, st.lam_1 / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line interface: exit-status semantics, determinism, file outputs,
 and the deliberate Gamma'(1) mutation."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -34,6 +36,43 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: crtorsion")
+
+
+def _subparsers(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _help_texts(parser):
+    """The top-level help and the help of each subcommand ``parser`` built."""
+    subs = _subparsers(parser).items()
+    return parser.format_help(), {name: p.format_help() for name, p in subs if p is not None}
+
+
+def test_command_only_parser_keeps_every_help_text(monkeypatch):
+    # main builds the flags of the named subcommand only; the top-level help,
+    # each subcommand's own help and the invalid-choice error read the same
+    monkeypatch.setenv("COLUMNS", "80")
+    top, subs = _help_texts(cli.build_parser())
+    assert list(subs) == ["selfcheck", "density", "torsion", "sweep", "fit", "stratum"]
+    assert list(_subparsers(cli.build_parser(["bogus"]))) == list(subs)
+    for name in subs:
+        parser = cli.build_parser([name, "--help"])
+        got_top, got_subs = _help_texts(parser)
+        assert got_top == top
+        assert got_subs[name] == subs[name]
+        # the other subcommands get no parser
+        others = [p for other, p in _subparsers(parser).items() if other != name]
+        assert others == [None] * 5
+    for argv in (["--help"], ["--version"], []):
+        assert _help_texts(cli.build_parser(argv))[0] == top
+    errors = []
+    for parser in (cli.build_parser(), cli.build_parser(["bogus"])):
+        stderr = io.StringIO()
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(stderr):
+            parser.parse_args(["bogus"])
+        errors.append(stderr.getvalue())
+    assert errors[0] == errors[1] and "invalid choice: 'bogus'" in errors[0]
 
 
 @pytest.mark.parametrize(

@@ -129,12 +129,12 @@ GOLDEN = {
         ),
     },
     65536: {
-        "theta_prime_0": "0x1.2815fae820aecp+18",
+        "theta_prime_0": "0x1.2815fae820af3p+18",
         "theta_prime_0_direct": "0x1.2815fae82159cp+18",
-        "error_budget": "0x1.094096c8df485p-22",
+        "error_budget": "0x1.0938c249a9f62p-22",
         "theta_tilde_0": "-0x1.0001555555555p-1",
-        "theta_tilde_prime_0": "-0x1.d68071be16d2ep-1",
-        "theta_tilde_error": "0x1.09126859e3362p-38",
+        "theta_tilde_prime_0": "-0x1.d68071be16cf8p-1",
+        "theta_tilde_error": "0x1.090a93daade3fp-38",
         "bhat": (
             "-0x1.0000000000000p+0",
             "0x0.0p+0",

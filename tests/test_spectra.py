@@ -252,17 +252,49 @@ class TestHeatSupertrace:
         for ti, value in zip(t.tolist(), got.tolist()):
             assert heat_supertrace_N(spec, ti, True).value == pytest.approx(value, rel=1e-13, abs=0)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["lines_n1", "lines_n2", "law_extra", "law_vertex"]),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([3, 16, 1 << 15]),
+    )
+    def test_kernel_matches_fsum_on_random_tables(self, kind, seed, chunk):
+        # each node within 1e-13 sum |terms| of the exact sum over every line
+        # with lam t < 745: finite tables with mixed-sign weights, equal
+        # eigenvalues in several degrees and lines past the underflow cut;
+        # law tables with extra stored rows; a law whose vertex lies inside
+        # its block.  Small chunks read the law in many pieces.
+        from crtorsion import spectra
+
+        spec = _kernel_table(kind, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        t = np.exp(rng.uniform(math.log(1e-7), math.log(50.0), 40))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_CHUNK", chunk)
+            got = spec._supertrace_value(t)
+        lines = spec.lines
+        w = np.where(lines.q % 2, -lines.q, lines.q) * lines.mult
+        for ti, value in zip(t.tolist(), got.tolist()):
+            terms = [
+                float(wi) * math.exp(-lam * ti)
+                for wi, lam in zip(w.tolist(), lines.lam.tolist())
+                if lam > 0.0 and lam * ti < 745.0
+            ]
+            scale = math.fsum(abs(x) for x in terms)
+            assert abs(value - math.fsum(terms)) <= 1e-13 * scale
+
     def test_array_kernel_temporaries_stay_under_cap(self):
-        # at m = 512 the floor nodes keep all 2^18 law lines; the kernel's
-        # temporaries are one float64 block and its bool mask, <= _BLOCK
-        # elements each, plus per-node arrays and numpy's 8192-element
-        # casting buffer
+        # at m = 512 the floor nodes read all 2^18 law lines, generated in
+        # chunks; the kernel's temporaries are one float64 buffer of _BLOCK
+        # elements (a chunk's column indices, lam and weights, and the
+        # e^{-lam t} block), the block's bool mask, per-node arrays and
+        # numpy's 8192-element casting buffer
         import tracemalloc
 
         from crtorsion.spectra import _BLOCK
 
         spec = cp1_spectrum(512, 512 * 512)
-        spec._supertrace  # the cached line arrays are not temporaries
+        spec._supertrace  # the cached table summary is not a temporary
         t = np.geomspace(1e-9, 10.0, 200)
         tracemalloc.start()
         try:
@@ -328,6 +360,13 @@ class TestHeatSupertrace:
             # the product of the two exponentials may round below the exact
             # e^{-lam t} of a dominant line by a few ulps
             assert abs(value) <= C * math.exp(-c * t) * (1.0 + 1e-12)
+        # the lines read in chunks of 7 sum to the same C up to rounding
+        from crtorsion import spectra
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_CHUNK", 7)
+            C7, c7 = decay_certificate(spec, t_min)
+        assert c7 == c and C7 == pytest.approx(C, rel=1e-14, abs=0)
 
     def test_decay_certificate_of_a_table_without_weighted_lines(self):
         spec = SpectrumTable.from_lines([(0, 2.0, 3), (1, 0.0, 2)], n=1)
@@ -369,6 +408,44 @@ class TestTraceDegree:
         spec = cp1_spectrum(8, 64)
         with pytest.raises(DomainError, match="trace_degree"):
             trace_degree_nodes(spec, 0, [0.1, bad, 0.2])
+
+
+def _kernel_table(kind: str, rng) -> SpectrumTable:
+    """A random table of ``TestHeatSupertrace``'s kernel property test."""
+    if kind.startswith("lines"):
+        n = int(kind[-1])
+        lines = [
+            (int(rng.integers(0, n + 1)), float(rng.uniform(0.2, 80.0)), int(rng.integers(1, 6)))
+            for _ in range(int(rng.integers(1, 60)))
+        ]
+        # equal eigenvalues in other degrees, and lines past every cut
+        lines += [(int(rng.integers(0, n + 1)), lam, 2) for _, lam, _ in lines[:5]]
+        lines += [(n, float(rng.uniform(1e4, 1e12)), 1) for _ in range(3)]
+        lines += [(0, 0.0, 2)]
+        return SpectrumTable.from_lines(lines, n=n)
+    k_next = int(rng.integers(2, 400))
+    if kind == "law_vertex":
+        vertex = float(rng.uniform(1.0, k_next))
+        a2 = float(rng.choice([0.25, 1.0, 3.7]))
+        a0 = a2 * vertex * vertex + float(rng.uniform(0.1, 30.0))
+        m1, m0 = float(rng.integers(0, 4)), float(rng.integers(1, 9))
+        law = QuadraticLaw(a2, -2.0 * a2 * vertex, a0, m1, m0)
+        extra = []
+    else:
+        law = QuadraticLaw(
+            float(rng.choice([0.25, 1.0, 3.7])),
+            float(rng.uniform(0.0, 40.0)),
+            float(rng.uniform(-0.2, 20.0)),
+            float(rng.integers(0, 4)),
+            float(rng.integers(1, 20)),
+        )
+        extra = [
+            (int(rng.integers(0, 2)), float(rng.uniform(0.1, 60.0)), int(rng.integers(1, 5)))
+            for _ in range(int(rng.integers(0, 8)))
+        ]
+    tail = QuadraticTail(k_next, law, (0, 1), covers_all_lines=True)
+    return SpectrumTable.from_law(extra, n=1, tail=tail)
+
 
 def _certificate_table(index: int) -> SpectrumTable:
     """Table ``index`` of twelve: four finite n = 1, four finite n = 2, four
@@ -486,12 +563,16 @@ class TestCp1Model:
     @pytest.mark.parametrize("k_max", [1, 4, 1024])
     @pytest.mark.parametrize("m", [0, 1, 8, 128])
     def test_law_backed_table_matches_stored_rows(self, m, k_max):
-        # only the kernel row is stored; every view of the law block agrees
-        # exactly with a table that stores all rows
+        # only the kernel row is stored, and the kernel caches no law line;
+        # its values and every view of the law block agree exactly with a
+        # table that stores all rows
         spec = cp1_spectrum(m, k_max)
         assert spec.stored.tolist() == [(0, 0.0, m + 1)]
+        assert not any(isinstance(x, np.ndarray) for run in spec._supertrace.runs for x in run)
+        t = np.geomspace(1e-7, 50.0, 61)[::-1]
         views = (
-            spec._supertrace,
+            spec._supertrace_value(t),
+            spec._supertrace[1:],
             spec._outside_law,
             decay_certificate(spec, 1.0),
             decay_certificate(spec, 1.0 / max(m, 1)),
@@ -502,7 +583,8 @@ class TestCp1Model:
         assert stored.lines.dtype == spec.lines.dtype
         assert np.array_equal(stored.lines, spec.lines)
         want = (
-            stored._supertrace,
+            stored._supertrace_value(t),
+            stored._supertrace[1:],
             stored._outside_law,
             decay_certificate(stored, 1.0),
             decay_certificate(stored, 1.0 / max(m, 1)),
@@ -538,6 +620,25 @@ class TestCp1Model:
             SpectrumTable.from_law([], n=1, tail=negative)
         with pytest.raises(DomainError, match="k_next = 5 < k_first = 21"):
             SpectrumTable.from_law([], n=1, tail=dataclasses.replace(tail, k_first=21))
+
+    @pytest.mark.parametrize("m, K", [(1, 65), (32, 1025)])
+    def test_law_anchored_above_stored_rows_is_refused(self, m, K):
+        # every circle-bundle row k <= K - 1 stored and the law anchored at
+        # k_first = K: the law's expansion coefficients would cancel against
+        # the stored rows (bhat off by 2.0 and 2.1e13 before this check)
+        rows = cp1_spectrum(m, K - 1).lines.tolist()
+        tail = dataclasses.replace(cp1_spectrum(m, K - 1).tail, k_first=K, k_next=K)
+        message = (
+            rf"line \(0, {m + 2.0}, {m + 3}\) is the tail law's line k = 1, "
+            rf"below k_first = {K}: start the law at k_first <= 1"
+        )
+        for build in (SpectrumTable.from_law, SpectrumTable.from_lines):
+            with pytest.raises(DomainError, match=message):
+                build(rows, n=1, tail=tail)
+        # the same rows under the law from k_first = 1, and the kernel row
+        # the law reproduces at k = 0, stay legal
+        assert SpectrumTable.from_lines(rows, n=1, tail=cp1_spectrum(m, K - 1).tail)
+        assert cp1_spectrum(m, K - 1).stored.tolist() == [(0, 0.0, m + 1)]
 
     @pytest.mark.parametrize(
         "degrees, weight", [((0, 1), -1), ((1, 2), 1), ((0, 1, 2), 1), ((2,), 2)]

@@ -7,6 +7,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -727,6 +731,33 @@ class TestLargeWeight:
         torsion._theta_mellin(spec, bhat, 512, DEFAULT_TOL)
         heat, tilde = nodes
         assert 0 < tilde <= heat
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_report_at_4m_lines_stays_under_150_mb(self):
+        # ROADMAP item 3: the default table at m = 2^22 holds 4m = 2^24 law
+        # lines, which the kernel reads in chunks from the law; storing them
+        # peaked at 670 MB.  The child reports its peak RSS as VmHWM: its
+        # ru_maxrss would include this test process's, carried through fork
+        # and exec
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import re\n"
+            "from crtorsion.spectra import cp1_geometry, cp1_spectrum\n"
+            "from crtorsion.torsion import torsion_report\n"
+            "m = 2 ** 22\n"
+            "rep = torsion_report(cp1_spectrum(m), cp1_geometry(), m)\n"
+            "gap = abs(rep.theta_prime_0 - rep.theta_prime_0_direct)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], gap <= rep.error_budget)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_kb, gate = proc.stdout.split()
+        assert gate == "True"
+        assert int(peak_kb) < 150 * 1024
 
     def test_report_at_m512(self):
         spec = cp1_spectrum(512, 512 * 512)
