@@ -103,9 +103,8 @@ class SpectrumTable:
     ``stored`` is one read-only numpy record array with fields ``q``, ``lam``
     and ``mult``, sorted by (q, lam) with duplicate (q, lam) keys merged.
     When ``implied`` is set (``from_law``), the tail law's lines
-    k_first..k_next-1 in each of its degrees belong to the table as well, but
-    are read from the law (``_law_block``) and never stored; otherwise that
-    block is empty.  ``lines`` is the whole table either way.
+    k_first..k_next-1 in each of its degrees belong to the table as well,
+    but are generated from the law (``_LawRun``) and never listed.
     """
 
     stored: np.recarray
@@ -149,12 +148,15 @@ class SpectrumTable:
         law = tail.law
         _require_positive(law, tail.k_first)
         if tail.k_next > tail.k_first:
-            # mult is linear in k: integer and >= 1 at both ends covers the block
+            # mult is linear in k: >= 1 at both ends, an integer at k_first
+            # and an integer step m1 cover the block
             for k in (tail.k_first, tail.k_next - 1):
                 if law.mult(k) < 1 or law.mult(k) != round(law.mult(k)):
                     raise DomainError(
                         f"law multiplicity {law.mult(k)} at k = {k} is not a positive integer"
                     )
+            if tail.k_next - tail.k_first > 1 and law.m1 != round(law.m1):
+                raise DomainError(f"law multiplicity step m1 = {law.m1} is not an integer")
         stored = _merged(*_validated(lines, n))
         rows, k = _require_anchored(stored, tail)
         covered = (tail.k_first <= k) & (k < tail.k_next)
@@ -164,31 +166,14 @@ class SpectrumTable:
             )
         return cls(stored, n, tail, implied=True)
 
-    # -- cached numeric views -------------------------------------------
+    # -- numeric views --------------------------------------------------
 
-    @cached_property
+    @property
     def lines(self) -> np.recarray:
-        """Every line, stored and implied, as one read-only record array sorted
-        by (q, lam) with duplicate keys merged; built on first read."""
-        if not self.implied:
-            return self.stored
-        lam, mult = self._law_block()
-        degrees = np.asarray(self.tail.degrees, dtype=np.int64)
-        return _merged(
-            np.r_[self.stored.q, np.repeat(degrees, lam.size)],
-            np.r_[self.stored.lam, np.tile(lam, degrees.size)],
-            np.r_[self.stored.mult, np.tile(mult.astype(np.int64), degrees.size)],
-        )
-
-    def _law_block(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Fresh (lam(k), mult(k)) arrays over k = k_first..k_next-1, shared by
-        every tail degree; both empty unless the table is ``implied``.  Not
-        cached: the views built from them are.  Exact for the integer
-        circle-bundle law while k (k + m + 1) < 2^53."""
-        if not self.implied:
-            return np.empty(0), np.empty(0)
-        k = np.arange(self.tail.k_first, self.tail.k_next, dtype=float)
-        return self.tail.law.lam(k), self.tail.law.mult(k)
+        """Every line, ``stored``; DomainError for an ``implied`` table."""
+        if self.implied:
+            raise DomainError("a from_law table does not list its lines: read `stored` and `tail`")
+        return self.stored
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -198,19 +183,30 @@ class SpectrumTable:
 
     @cached_property
     def _supertrace(self) -> "_Supertrace":
-        """The weighted lines of STr[N e^{-t Box}] as runs sorted by lam, with
-        the t-independent zero-mode part, the sum of |weights| and the reach
-        of ``_supertrace_value``'s cut.  The stored positive lines with
-        nonzero weight form one run; an implied table adds the law lines
-        k_first..k_next-1 as one or two runs (``_law_runs``), each line once
-        with the weight sum_q (-1)^q q mult(k) of all its degrees.  No law
-        line is stored."""
-        lam, w = self.stored.lam, self._weights
+        """The record of STr[N e^{-t Box}] (``_record``): weight (-1)^q q mult
+        per stored line and ``tail.weight`` mult(k) per implied law line."""
+        return self._record(self._weights, self.tail.weight if self.implied else 0)
+
+    def _degree_trace(self, q: int) -> "_Supertrace":
+        """The record of the plain degree-q trace (weight mult on its lines),
+        built on each call; DomainError unless q is an integer in 0..n."""
+        _require_int(q=q)
+        if not 0 <= q <= self.n:
+            raise DomainError(f"degree q={q} outside [0, {self.n}]")
+        w = np.where(self.stored.q == q, self.stored.mult, 0).astype(float)
+        return self._record(w, int(self.implied and q in self.tail.degrees))
+
+    def _record(self, w: np.ndarray, law_weight: int) -> "_Supertrace":
+        """The ``_Supertrace`` of weight ``w`` on the stored lines and
+        ``law_weight`` mult(k) on the implied ones: the stored positive lines
+        of nonzero weight form one run, the law lines one or two
+        (``_law_runs``), each line once and none stored."""
+        lam = self.stored.lam
         zero = lam == 0.0
         sel = ~zero & (w != 0.0)
         runs = [_stored_run(lam[sel], w[sel])] if sel.any() else []
-        if self.implied and self.tail.weight:
-            runs += _law_runs(self.tail)
+        if law_weight:
+            runs += _law_runs(self.tail, law_weight)
         kernel = float(np.sum(w[zero]))
         if not runs:
             return _Supertrace((), kernel, 0.0, math.inf, 0.0)
@@ -221,38 +217,8 @@ class SpectrumTable:
 
     def _supertrace_value(self, t: np.ndarray) -> np.ndarray:
         """sum over the positive lines of (-1)^q q mult e^{-lam t}, for each
-        node of the 1-D array ``t > 0`` (any order, repeats allowed).
-
-        Each node stops, in each run of ``_supertrace``, at its first line
-        with lam t >= lam_1 t + 45 + ln(sum |w| / |w_1|), where (lam_1, w_1)
-        is the first weighted line.  The line count is then rounded up to a
-        power of two, and never goes past the underflow cut lam t < 745.
-        The lines dropped by the first rule sum to at most
-        e^{-45} |w_1| e^{-lam_1 t}, below 2^-64 of the first term and far
-        under the row's own rounding; past the second, e^{-lam t} is the
-        smallest subnormal or 0.0 in float64.  The rounding to a power of
-        two keeps a row's pairwise sum (``np.sum`` along the row) from
-        following the block it shares: from 8 lines on, numpy sums a
-        power-of-two prefix padded with zeros to a wider power of two as it
-        sums the prefix alone.
-
-        Lines are read in chunks of ``_CHUNK``, generated from the law for
-        law runs.  Within a chunk, nodes sorted by cut share one e^{-lam t}
-        block, as wide as its largest cut, with every node whose cut is at
-        least half that (or while the block stays under ``_MIN_BLOCK``
-        elements); a node's terms past its cut are zero in the block.
-        """
-        st = self._supertrace
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.size)
-        if st.runs and t.size:
-            limits = np.divide.outer((st.reach, _UNDERFLOW), t).ravel()
-            limits[: t.size] += st.lam_1
-            # the smallest t reads the most lines
-            top = st.lam_1 + st.reach / float(t.min())
-            for run in st.runs:
-                _add_run(run, -t, limits, int(_pow2(run.below(top))), out)
-        return out
+        node of the 1-D array ``t > 0``: ``_Supertrace.value``."""
+        return self._supertrace.value(t)
 
     @cached_property
     def _outside_law(self):
@@ -275,15 +241,53 @@ class SpectrumTable:
 
 
 class _Supertrace(NamedTuple):
-    """``SpectrumTable._supertrace``: the weighted positive lines as runs
-    sorted by lam, the zero-mode part, sum |w| over the runs, the smallest
-    weighted eigenvalue lam_1 and the kernel's reach 45 + ln(sum |w| / |w_1|)."""
+    """A weighted trace (``SpectrumTable._record``): the weighted positive
+    lines as runs sorted by lam, the zero-mode part, sum |w| over the runs,
+    the smallest weighted eigenvalue lam_1 and the kernel's reach
+    45 + ln(sum |w| / |w_1|)."""
 
     runs: Tuple[object, ...]
     kernel: float
     abs_weight: float
     lam_1: float
     reach: float
+
+    def value(self, t: np.ndarray, alone: bool = False) -> np.ndarray:
+        """sum over the positive lines of w e^{-lam t}, for each node of the
+        1-D array ``t > 0`` (any order, repeats allowed).
+
+        Each node stops, in each run, at its first line with
+        lam t >= lam_1 t + 45 + ln(sum |w| / |w_1|), where (lam_1, w_1) is
+        the first weighted line.  The line count is then rounded up to a
+        power of two, and never goes past the underflow cut lam t < 745.
+        The lines dropped by the first rule sum to at most
+        e^{-45} |w_1| e^{-lam_1 t}, below 2^-64 of the first term and far
+        under the row's own rounding; past the second, e^{-lam t} is the
+        smallest subnormal or 0.0 in float64.  The rounding to a power of
+        two keeps a row's pairwise sum (``np.sum`` along the row) from
+        following the block it shares: from 8 lines on, numpy sums a
+        power-of-two prefix padded with zeros to a wider power of two as it
+        sums the prefix alone.
+
+        Lines are read in chunks of ``_CHUNK``, generated from the law for
+        law runs.  Within a chunk, nodes sorted by cut share one e^{-lam t}
+        block, as wide as its largest cut, with every node whose cut is at
+        least half that (or while the block stays under ``_MIN_BLOCK``
+        elements); a node's terms past its cut are zero in the block.  A
+        width that is no power of two moves a narrower row's pairwise sum:
+        with ``alone``, only nodes of equal cut share a block, and each
+        node's sum is bit for bit that of a call with it alone.
+        """
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.size)
+        if self.runs and t.size:
+            limits = np.divide.outer((self.reach, _UNDERFLOW), t).ravel()
+            limits[: t.size] += self.lam_1
+            # the smallest t reads the most lines
+            top = self.lam_1 + self.reach / float(t.min())
+            for run in self.runs:
+                _add_run(run, -t, limits, int(_pow2(run.below(top))), out, alone)
+        return out
 
 
 class _StoredRun(NamedTuple):
@@ -375,14 +379,14 @@ def _stored_run(lam: np.ndarray, w: np.ndarray) -> _StoredRun:
     return _StoredRun(lam, w)
 
 
-def _law_runs(tail: QuadraticTail) -> list:
-    """The law lines k_first..k_next-1 as runs of increasing lam: lam rises
-    from k = floor(vertex + 1/2) on and falls before it, so a vertex inside
-    the block splits the lines into a falling run read backwards and a
-    rising run."""
+def _law_runs(tail: QuadraticTail, weight: int) -> list:
+    """The law lines k_first..k_next-1, each of weight ``weight`` mult(k), as
+    runs of increasing lam: lam rises from k = floor(vertex + 1/2) on and
+    falls before it, so a vertex inside the block splits the lines into a
+    falling run read backwards and a rising run."""
     law, a, b = tail.law, tail.k_first, tail.k_next
     rise = min(max(math.floor(0.5 - law.vertex_shift), a), b)
-    weight = float(tail.weight)
+    weight = float(weight)
     runs = []
     if rise > a:
         runs.append(_LawRun(law, rise - 1, -1, rise - a, weight))
@@ -396,11 +400,11 @@ def _pow2(c):
     return _POW2[np.searchsorted(_POW2, c)]
 
 
-def _add_run(run, negt: np.ndarray, limits: np.ndarray, most: int, out: np.ndarray) -> None:
+def _add_run(run, negt, limits, most: int, out: np.ndarray, alone: bool) -> None:
     """Add each node's sum over ``run`` to ``out``: the kernel of
-    ``SpectrumTable._supertrace_value``, with ``negt = -t``, ``limits`` the
-    reach bounds on lam, one per node, then the underflow bounds, and
-    ``most`` at least the largest cut."""
+    ``_Supertrace.value``, with ``negt = -t``, ``limits`` the reach bounds
+    on lam, one per node, then the underflow bounds, ``most`` at least the
+    largest cut, and ``alone`` its flag."""
     n = negt.size
     top = min(most, run.size)
     if not top:
@@ -425,8 +429,9 @@ def _add_run(run, negt: np.ndarray, limits: np.ndarray, most: int, out: np.ndarr
     groups, i, live = [], 0, int(np.count_nonzero(cuts))
     while i < live:
         top = int(cuts[i])
-        j = int(np.searchsorted(neg, -((top + 1) // 2), side="right"))
-        j = min(live, max(j, i + _MIN_BLOCK // top))
+        j = int(np.searchsorted(neg, -(top if alone else (top + 1) // 2), side="right"))
+        if not alone:
+            j = min(live, max(j, i + _MIN_BLOCK // top))
         groups.append((i, j, top))
         i = j
     sums = np.zeros(n)
@@ -560,27 +565,20 @@ def trace_degree(
 def trace_degree_nodes(
     spec: SpectrumTable, q: int, t: Iterable[float], nonzero_only: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``trace_degree`` at every node of the 1-D array ``t`` in one array
-    expression: (values, tail bounds), one of each per node.
-
-    Terms with lam t >= 745 are dropped; they are 0.0 here from e^0 times
-    the cut, not from exp's slow subnormal path, and the row sums are those
-    of one node at a time.
-    """
+    """``trace_degree`` at every node of the 1-D array ``t``: (values, tail
+    bounds), one of each per node, from the super trace's kernel run on the
+    degree-q record (``SpectrumTable._degree_trace``)."""
     t = np.asarray(t, dtype=float)
     for s in t.tolist():
         _require_finite_positive(s, "trace_degree")
-    lines = spec.lines[(spec.lines.q == q) & ((spec.lines.lam > 0.0) | (not nonzero_only))]
-    x = np.multiply.outer(t, lines.lam)
-    cut = x < _UNDERFLOW
-    x *= cut
-    np.exp(np.negative(x, out=x), out=x)
-    x *= lines.mult
-    x *= cut
+    record = spec._degree_trace(q)
+    values = record.value(t, alone=True)
+    if not nonzero_only:
+        values += record.kernel
     bounds = np.zeros(t.size)
     if isinstance(spec.tail, QuadraticTail) and q in spec.tail.degrees:
         bounds[:] = [tail_bound(spec.tail.law, spec.tail.k_next, s) for s in t.tolist()]
-    return x.sum(axis=1), bounds
+    return values, bounds
 
 
 def _require_int(**values: int) -> None:
@@ -617,11 +615,11 @@ def supertrace_trust_floor(spec: SpectrumTable, tol: float) -> float:
 
 
 def spectral_gap(spec: SpectrumTable, q: int) -> float:
-    """Smallest nonzero eigenvalue in degree q."""
-    candidates = spec.lines.lam[(spec.lines.q == q) & (spec.lines.lam > 0)]
-    if candidates.size == 0:
+    """Smallest nonzero eigenvalue in degree q: the degree-q record's lam_1."""
+    record = spec._degree_trace(q)
+    if not record.runs:
         raise EmptyDegreeError(f"no nonzero eigenvalue in degree {q}")
-    return float(candidates.min())
+    return record.lam_1
 
 
 def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, float]:

@@ -31,6 +31,8 @@ from crtorsion.spectra import (
 )
 from crtorsion.tails import QuadraticLaw, tail_bound
 
+from law_listing import listed
+
 
 class TestIngest:
     def test_roundtrip_single_row(self):
@@ -107,14 +109,17 @@ class TestFromLines:
         assert SpectrumTable.from_lines(columns, n=2).lines.tolist() == want
 
     def test_columns_are_read_only(self):
-        spec = cp1_spectrum(3, 4)
+        rows = listed(cp1_spectrum(3, 4)).tolist()
+        spec = SpectrumTable.from_lines(rows, n=1)
         with pytest.raises(ValueError):
             spec.lines.lam[0] = 1.0
         with pytest.raises(ValueError):
             spec.lines["mult"][:] = 1
         with pytest.raises(ValueError):
             spec.lines.q = 0
-        assert spec.lines.tolist() == cp1_spectrum(3, 4).lines.tolist()
+        with pytest.raises(ValueError):
+            cp1_spectrum(3, 4).stored.lam[0] = 1.0
+        assert spec.lines.tolist() == rows
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_eigenvalue_rejected(self, bad):
@@ -198,7 +203,7 @@ class TestHeatSupertrace:
             spec = cp1_spectrum(m, max(1024, m * m))
         lam_min = min(spectral_gap(spec, q) for q in range(spec.n + 1))
         t_dead = 1000.0 / lam_min  # every term underflows
-        rows = spec.lines.tolist()
+        rows = listed(spec).tolist()
         for t in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e2, 1e3, t_dead):
             if isinstance(spec.tail, QuadraticTail):
                 weight = sum(q for q in spec.tail.degrees if q >= 1)
@@ -236,7 +241,7 @@ class TestHeatSupertrace:
         t = np.array([0.1, 1e-6, 10.0, t_dead, 1e-3, 0.1, 3e-5, 1.0, 1e-6, 2e-2])
         got = spec._supertrace_value(t)
         assert got.shape == t.shape and got.dtype == np.float64
-        rows = spec.lines.tolist()
+        rows = listed(spec).tolist()
         for ti, value in zip(t.tolist(), got.tolist()):
             terms = [
                 (-1) ** q * q * mult * math.exp(-lam * ti)
@@ -257,10 +262,13 @@ class TestHeatSupertrace:
         kind=st.sampled_from(["lines_n1", "lines_n2", "law_extra", "law_vertex"]),
         seed=st.integers(0, 2**32 - 1),
         chunk=st.sampled_from([3, 16, 1 << 15]),
+        degree=st.integers(0, 2),
+        nonzero_only=st.booleans(),
     )
-    def test_kernel_matches_fsum_on_random_tables(self, kind, seed, chunk):
+    def test_kernel_matches_fsum_on_random_tables(self, kind, seed, chunk, degree, nonzero_only):
         # each node within 1e-13 sum |terms| of the exact sum over every line
-        # with lam t < 745: finite tables with mixed-sign weights, equal
+        # with lam t < 745, for the super trace and for the plain trace of
+        # one degree: finite tables with mixed-sign weights, equal
         # eigenvalues in several degrees and lines past the underflow cut;
         # law tables with extra stored rows; a law whose vertex lies inside
         # its block.  Small chunks read the law in many pieces.
@@ -269,19 +277,26 @@ class TestHeatSupertrace:
         spec = _kernel_table(kind, np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 1)
         t = np.exp(rng.uniform(math.log(1e-7), math.log(50.0), 40))
+        q = degree % (spec.n + 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "_CHUNK", chunk)
             got = spec._supertrace_value(t)
-        lines = spec.lines
+            values, _ = trace_degree_nodes(spec, q, t, nonzero_only)
+        lines = listed(spec)
         w = np.where(lines.q % 2, -lines.q, lines.q) * lines.mult
-        for ti, value in zip(t.tolist(), got.tolist()):
-            terms = [
-                float(wi) * math.exp(-lam * ti)
-                for wi, lam in zip(w.tolist(), lines.lam.tolist())
-                if lam > 0.0 and lam * ti < 745.0
-            ]
-            scale = math.fsum(abs(x) for x in terms)
-            assert abs(value - math.fsum(terms)) <= 1e-13 * scale
+        rows = list(zip(w.tolist(), lines.lam.tolist(), lines.mult.tolist(), lines.q.tolist()))
+        for i, ti in enumerate(t.tolist()):
+            _assert_near_fsum(
+                got[i], [wi * math.exp(-lam * ti) for wi, lam, _, _ in rows if 0 < lam * ti < 745]
+            )
+            _assert_near_fsum(
+                values[i],
+                [
+                    mult * math.exp(-lam * ti)
+                    for _, lam, mult, qi in rows
+                    if qi == q and lam * ti < 745.0 and (lam > 0.0 or not nonzero_only)
+                ],
+            )
 
     def test_array_kernel_temporaries_stay_under_cap(self):
         # at m = 512 the floor nodes read all 2^18 law lines, generated in
@@ -350,7 +365,7 @@ class TestHeatSupertrace:
         # C e^{-c t} bounds the super trace for t >= t_min
         spec = _certificate_table(index)
         C, c = decay_certificate(spec, t_min)
-        lines = spec.lines
+        lines = listed(spec)
         weighted = lines.lam[(lines.q >= 1) & (lines.lam > 0.0)]
         assert c == weighted.min() / 2.0
         if not spec.implied:
@@ -384,18 +399,26 @@ class TestTraceDegree:
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("nonzero_only", [False, True])
     def test_nodes_match_masked_sum_per_node(self, m, k_max, q, nonzero_only):
-        # bit for bit against the one-node sum of mult e^{-lam t} under the
-        # lam t < 745 mask; the nodes reach past the cut of the top lines
+        # each node within 1e-13 sum |terms| of the exact sum of
+        # mult e^{-lam t} over the degree-q lines with lam t < 745, and bit
+        # for bit the one-node trace; the nodes reach past the cut of the
+        # top lines
         spec = cp1_spectrum(m, k_max)
         t = np.geomspace(1e-4, 2.0, 37)
         values, bounds = trace_degree_nodes(spec, q, t, nonzero_only)
-        lines = spec.lines[(spec.lines.q == q) & ((spec.lines.lam > 0.0) | (not nonzero_only))]
+        lines = listed(spec)
+        lines = lines[(lines.q == q) & ((lines.lam > 0.0) | (not nonzero_only))]
         for i, s in enumerate(t.tolist()):
-            x = lines.lam * s
-            want = float(np.sum(lines.mult * np.exp(-np.minimum(x, 745.0)) * (x < 745.0)))
-            assert values[i] == want
+            _assert_near_fsum(
+                values[i],
+                [
+                    mult * math.exp(-lam * s)
+                    for lam, mult in zip(lines.lam.tolist(), lines.mult.tolist())
+                    if lam * s < 745.0
+                ],
+            )
             assert bounds[i] == tail_bound(spec.tail.law, spec.tail.k_next, s)
-            assert trace_degree(spec, q, s, nonzero_only) == (want, bounds[i])
+            assert trace_degree(spec, q, s, nonzero_only) == (values[i], bounds[i])
 
     def test_finite_table_has_no_tail_bound(self):
         spec = SpectrumTable.from_lines([(0, 1.0, 2), (1, 2.0, 1)], n=1)
@@ -408,6 +431,23 @@ class TestTraceDegree:
         spec = cp1_spectrum(8, 64)
         with pytest.raises(DomainError, match="trace_degree"):
             trace_degree_nodes(spec, 0, [0.1, bad, 0.2])
+
+    @pytest.mark.parametrize("q", [2, -1, 0.5, 1.0])
+    def test_invalid_degree_rejected(self, q):
+        # a degree outside 0..n or not an integer was a quiet (0.0, 0.0)
+        spec = cp1_spectrum(8)
+        with pytest.raises(DomainError, match=r"\bq="):
+            trace_degree(spec, q, 0.1)
+        with pytest.raises(DomainError, match=r"\bq="):
+            trace_degree_nodes(spec, q, [0.1, 0.2], nonzero_only=False)
+        with pytest.raises(DomainError, match=r"\bq="):
+            spectral_gap(spec, q)
+
+
+def _assert_near_fsum(value, terms):
+    """``value`` within 1e-13 sum |terms| of the exactly rounded sum."""
+    scale = math.fsum(abs(x) for x in terms)
+    assert abs(value - math.fsum(terms)) <= 1e-13 * scale
 
 
 def _kernel_table(kind: str, rng) -> SpectrumTable:
@@ -493,6 +533,19 @@ class TestSpectralGap:
             spec = cp1_spectrum(m, 8)
             assert spectral_gap(spec, 1) == pytest.approx(m + 2.0)
 
+    def test_gap_of_a_large_weight_reads_no_line_block(self):
+        # the law's first line, not a list of the table's 2^25 + 1 rows
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            gap = spectral_gap(cp1_spectrum(2**22), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap == 4194306.0
+        assert peak < 1 << 20
+
     def test_gap_linear_lower_bound(self):
         ms = np.arange(4, 65)
         gaps = np.array([spectral_gap(cp1_spectrum(int(m), 4), 1) for m in ms])
@@ -510,7 +563,7 @@ class TestCp1Model:
     def test_kernel_dimension_and_purity(self):
         for m in (0, 1, 5):
             spec = cp1_spectrum(m, 16)
-            zero_lines = [l for l in spec.lines if l.lam == 0.0]
+            zero_lines = [l for l in listed(spec) if l.lam == 0.0]
             assert len(zero_lines) == 1
             assert zero_lines[0].q == 0
             assert zero_lines[0].mult == m + 1
@@ -521,26 +574,28 @@ class TestCp1Model:
         k_max = 60
         law = [(float(k) * (k + m + 1), m + 2 * k + 1) for k in range(1, k_max + 1)]
         want = [(0, 0.0, m + 1)] + [(0, *row) for row in law] + [(1, *row) for row in law]
-        assert cp1_spectrum(m, k_max).lines.tolist() == want
+        assert listed(cp1_spectrum(m, k_max)).tolist() == want
 
     def test_m0_is_round_sphere_law(self):
         spec = cp1_spectrum(0, 6)
-        deg0 = [(l.lam, l.mult) for l in spec.lines if l.q == 0 and l.lam > 0]
+        deg0 = [(l.lam, l.mult) for l in listed(spec) if l.q == 0 and l.lam > 0]
         assert deg0 == [(float(k * (k + 1)), 2 * k + 1) for k in range(1, 7)]
 
     def test_degrees_mirror_nonzero_lines(self):
         spec = cp1_spectrum(3, 10)
-        deg0 = {(l.lam, l.mult) for l in spec.lines if l.q == 0 and l.lam > 0}
-        deg1 = {(l.lam, l.mult) for l in spec.lines if l.q == 1}
+        lines = listed(spec)
+        deg0 = {(l.lam, l.mult) for l in lines if l.q == 0 and l.lam > 0}
+        deg1 = {(l.lam, l.mult) for l in lines if l.q == 1}
         assert deg0 == deg1
 
     @pytest.mark.parametrize("m", [0, 1, 32, 255, 256, 257, 1024, 4096, 2**22])
     def test_default_table_length(self, m):
-        # one rule, k_max = max(1024, 4 m); the law block stays unbuilt
+        # one rule, k_max = max(1024, 4 m); the law block is never listed
         spec = cp1_spectrum(m)
         assert spec.tail.k_next == max(1024, 4 * m) + 1
         assert spec.tail == cp1_spectrum(m, max(1024, 4 * m)).tail
-        assert "lines" not in vars(spec)
+        with pytest.raises(DomainError, match="`stored`.*`tail`"):
+            spec.lines
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -578,10 +633,9 @@ class TestCp1Model:
             decay_certificate(spec, 1.0 / max(m, 1)),
             spec.supertrace_N_kernel(),
         )
-        assert "lines" not in vars(spec)
-        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, tail=spec.tail)
-        assert stored.lines.dtype == spec.lines.dtype
-        assert np.array_equal(stored.lines, spec.lines)
+        stored = SpectrumTable.from_lines(listed(spec).tolist(), n=1, tail=spec.tail)
+        assert stored.lines.dtype == listed(spec).dtype
+        assert np.array_equal(stored.lines, listed(spec))
         want = (
             stored._supertrace_value(t),
             stored._supertrace[1:],
@@ -597,13 +651,15 @@ class TestCp1Model:
     def test_from_law_validation(self):
         law = QuadraticLaw(a2=1.0, a1=3.0, a0=0.0, m1=2.0, m0=3.0)
         tail = QuadraticTail(k_next=5, law=law, degrees=(0, 1), covers_all_lines=True)
-        assert SpectrumTable.from_law([], n=1, tail=tail).lines.size == 8
+        assert listed(SpectrumTable.from_law([], n=1, tail=tail)).size == 8
         bad_tails = (
             dataclasses.replace(tail, covers_all_lines=False),
             dataclasses.replace(tail, degrees=(0, 2)),
             dataclasses.replace(tail, law=dataclasses.replace(law, m0=2.5)),
             dataclasses.replace(tail, law=dataclasses.replace(law, m0=-3.0)),
             dataclasses.replace(tail, law=dataclasses.replace(law, a1=-3.0)),
+            # integer multiplicities 2 and 3 at k = 2 and 4, but 2.5 at k = 3
+            dataclasses.replace(tail, law=QuadraticLaw(1.0, 3.0, 0.0, m1=0.5, m0=1.0), k_first=2),
         )
         for bad in bad_tails:
             with pytest.raises(DomainError):
@@ -626,7 +682,7 @@ class TestCp1Model:
         # every circle-bundle row k <= K - 1 stored and the law anchored at
         # k_first = K: the law's expansion coefficients would cancel against
         # the stored rows (bhat off by 2.0 and 2.1e13 before this check)
-        rows = cp1_spectrum(m, K - 1).lines.tolist()
+        rows = listed(cp1_spectrum(m, K - 1)).tolist()
         tail = dataclasses.replace(cp1_spectrum(m, K - 1).tail, k_first=K, k_next=K)
         message = (
             rf"line \(0, {m + 2.0}, {m + 3}\) is the tail law's line k = 1, "

@@ -42,6 +42,8 @@ from crtorsion.torsion import (
     torsion_rhs,
 )
 
+from law_listing import listed
+
 TWO_PI = 2.0 * math.pi
 
 # validated independently against the classical round-sphere determinant
@@ -150,7 +152,7 @@ class TestLinesOutsideLaw:
         # and a degree-1 zero mode
         extra = [(1, 7.5, 2), (1, 51.0 * 57.0, 1), (0, 3.3, 4), (1, 0.0, 1)]
         tail = QuadraticTail(k_max + 1, base.tail.law, (0, 1), covers_all_lines=True)
-        spec = SpectrumTable.from_lines(base.lines.tolist() + extra, n=1, tail=tail)
+        spec = SpectrumTable.from_lines(listed(base).tolist() + extra, n=1, tail=tail)
         want, scale = _taylor_loop(extra, 1, 10)
         for g, b, w, s in zip(closed_form_bhat(spec), closed_form_bhat(base), want, scale):
             assert abs((g - b) - w) <= 1e-14 * (abs(b) + s)
@@ -159,7 +161,7 @@ class TestLinesOutsideLaw:
         assert abs((direct - base_direct) - want) <= 1e-14 * (abs(base_direct) + scale)
         # the same table with the law lines implied, not stored
         implied = SpectrumTable.from_law([(0, 0.0, m + 1)] + extra, n=1, tail=tail)
-        assert np.array_equal(implied.lines, spec.lines)
+        assert np.array_equal(listed(implied), spec.lines)
         assert closed_form_bhat(implied) == closed_form_bhat(spec)
         assert theta_prime_zero_direct_result(implied) == theta_prime_zero_direct_result(spec)
 
@@ -513,7 +515,7 @@ class TestMetricRescaling:
 
         c, m = 2.5, 16
         base = cp1_spectrum(m, 2048)
-        lines = [(q, c * lam, mult) for (q, lam, mult) in base.lines]
+        lines = [(q, c * lam, mult) for (q, lam, mult) in listed(base)]
         law = QuadraticLaw(c, c * (m + 1), 0.0, 2.0, float(m + 1))
         tail = QuadraticTail(
             k_next=2049, law=law, degrees=(0, 1), covers_all_lines=True, k_first=1
@@ -573,14 +575,33 @@ class TestLawBackedReports:
     @pytest.mark.parametrize("m", [0, 1, 8, 128])
     def test_same_report_as_stored_rows(self, m, k_max):
         spec = cp1_spectrum(m, k_max)
-        stored = SpectrumTable.from_lines(spec.lines.tolist(), n=1, tail=spec.tail)
+        stored = SpectrumTable.from_lines(listed(spec).tolist(), n=1, tail=spec.tail)
         assert _report_or_error(cp1_spectrum(m, k_max), m) == _report_or_error(stored, m)
 
     def test_report_never_builds_lines(self):
+        # a law table refuses to list its lines, so a report that listed
+        # them would raise
         spec = cp1_spectrum(128, 128 * 128)
         torsion_report(spec, cp1_geometry(), 128)
-        assert "lines" not in vars(spec)
+        with pytest.raises(DomainError, match="does not list its lines"):
+            spec.lines
         assert spec.stored.size == 1
+
+    def test_readers_never_list_a_law_table(self):
+        # the oracle gate, a report, the plain traces and the gap all read
+        # the circle bundle's table from its law; listing it would raise
+        from crtorsion.oracle import validate_cp1
+        from crtorsion.spectra import spectral_gap
+
+        assert validate_cp1().passed
+        for m in (1, 64, 1000):
+            spec = cp1_spectrum(m)
+            with pytest.raises(DomainError, match="does not list its lines"):
+                spec.lines
+            torsion_report(spec, cp1_geometry(), m)
+            for q in (0, 1):
+                assert trace_degree(spec, q, 1e-3 / m).value > 0.0
+                assert spectral_gap(spec, q) == m + 2.0
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tolerance_named_before_the_trust_floor(self, tol, monkeypatch):
