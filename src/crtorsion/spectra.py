@@ -100,14 +100,15 @@ class SpectrumTable:
     """Spectrum lines plus a tail policy; build it through ``from_lines`` or
     ``from_law``.
 
-    ``stored`` is one read-only numpy record array with fields ``q``, ``lam``
-    and ``mult``, sorted by (q, lam) with duplicate (q, lam) keys merged.
+    ``stored`` is one read-only numpy structured array with fields ``q``,
+    ``lam`` and ``mult`` (read by name, ``stored["lam"]``), sorted by
+    (q, lam) with duplicate (q, lam) keys merged.
     When ``implied`` is set (``from_law``), the tail law's lines
     k_first..k_next-1 in each of its degrees belong to the table as well,
     but are generated from the law (``_LawRun``) and never listed.
     """
 
-    stored: np.recarray
+    stored: np.ndarray
     n: int
     tail: FiniteTail | QuadraticTail = field(default_factory=FiniteTail)
     implied: bool = False
@@ -119,8 +120,9 @@ class SpectrumTable:
         n: int,
         tail: FiniteTail | QuadraticTail | None = None,
     ) -> "SpectrumTable":
-        """Validate, merge and sort (q, lam, mult) rows: triples or an (N, 3)
-        array.  Every row is stored.  A tail law that covers the listed lines
+        """Validate, merge and sort (q, lam, mult) rows: triples, an (N, 3)
+        array or a structured array with fields q, lam and mult (a table's
+        ``lines``).  Every row is stored.  A tail law that covers the listed lines
         refuses a row it reproduces below k_first (``_require_anchored``)."""
         tail = tail if tail is not None else FiniteTail()
         stored = _merged(*_validated(lines, n))
@@ -169,8 +171,9 @@ class SpectrumTable:
     # -- numeric views --------------------------------------------------
 
     @property
-    def lines(self) -> np.recarray:
-        """Every line, ``stored``; DomainError for an ``implied`` table."""
+    def lines(self) -> np.ndarray:
+        """Every line, ``stored`` (a read-only structured array with fields
+        q, lam and mult); DomainError for an ``implied`` table."""
         if self.implied:
             raise DomainError("a from_law table does not list its lines: read `stored` and `tail`")
         return self.stored
@@ -178,8 +181,8 @@ class SpectrumTable:
     @cached_property
     def _weights(self) -> np.ndarray:
         """(-1)^q q mult per stored line, its weight in STr[N e^{-t Box}]."""
-        q = self.stored.q
-        return (np.where(q % 2, -q, q) * self.stored.mult).astype(float)
+        q = self.stored["q"]
+        return (np.where(q % 2, -q, q) * self.stored["mult"]).astype(float)
 
     @cached_property
     def _supertrace(self) -> "_Supertrace":
@@ -193,21 +196,25 @@ class SpectrumTable:
         _require_int(q=q)
         if not 0 <= q <= self.n:
             raise DomainError(f"degree q={q} outside [0, {self.n}]")
-        w = np.where(self.stored.q == q, self.stored.mult, 0).astype(float)
+        w = np.where(self.stored["q"] == q, self.stored["mult"], 0).astype(float)
         return self._record(w, int(self.implied and q in self.tail.degrees))
 
     def _record(self, w: np.ndarray, law_weight: int) -> "_Supertrace":
         """The ``_Supertrace`` of weight ``w`` on the stored lines and
         ``law_weight`` mult(k) on the implied ones: the stored positive lines
         of nonzero weight form one run, the law lines one or two
-        (``_law_runs``), each line once and none stored."""
-        lam = self.stored.lam
-        zero = lam == 0.0
-        sel = ~zero & (w != 0.0)
-        runs = [_stored_run(lam[sel], w[sel])] if sel.any() else []
+        (``_law_runs``), each line once and none stored.  Without weight on
+        any stored line (a circle-bundle super trace) no mask is formed."""
+        runs, kernel = [], 0.0
+        if w.any():
+            lam = self.stored["lam"]
+            zero = lam == 0.0
+            sel = ~zero & (w != 0.0)
+            if sel.any():
+                runs.append(_stored_run(lam[sel], w[sel]))
+            kernel = float(np.sum(w[zero]))
         if law_weight:
             runs += _law_runs(self.tail, law_weight)
-        kernel = float(np.sum(w[zero]))
         if not runs:
             return _Supertrace((), kernel, 0.0, math.inf, 0.0)
         abs_weight = math.fsum(run.abs_weight for run in runs)
@@ -233,7 +240,7 @@ class SpectrumTable:
         if isinstance(tail, QuadraticTail) and tail.covers_all_lines and not self.implied:
             k = _law_index(self.stored, tail)
             keep &= (k < tail.k_first) | (k >= tail.k_next)
-        return self.stored.lam[keep], self._weights[keep]
+        return self.stored["lam"][keep], self._weights[keep]
 
     def supertrace_N_kernel(self) -> float:
         """STr[N] restricted to the zero modes (t-independent)."""
@@ -466,51 +473,88 @@ def _add_run(run, negt, limits, most: int, out: np.ndarray, alone: bool) -> None
     out[order] += sums
 
 
-def _validated(lines, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, lam, mult) columns of (q, lam, mult) rows, each row checked; the
-    first offending row is looked up only once a check fails."""
-    rows = np.asarray(lines if isinstance(lines, np.ndarray) else list(lines), float)
-    rows = rows.reshape(-1, 3)
-    if not np.isfinite(rows).all():
-        bad = ~np.isfinite(rows).all(axis=1)
-        raise DomainError(f"non-finite entry in line {tuple(rows[bad][0].tolist())}")
-    ints = rows[:, ::2]
-    if not (np.rint(ints) == ints).all():
-        bad = (np.rint(ints) != ints).any(axis=1)
+def _rows(lines) -> np.ndarray:
+    """The (N, 3) float array of (q, lam, mult) rows given as triples, an
+    (N, 3) array or a 1-D structured array with fields q, lam and mult; an
+    empty input is an empty table.  DomainError naming the shape of anything
+    else."""
+    names = lines.dtype.names if isinstance(lines, np.ndarray) else None
+    if names is not None:
+        if lines.ndim != 1 or not {"q", "lam", "mult"} <= set(names):
+            raise DomainError(
+                f"a structured spectrum array needs shape (N,) and fields q, lam "
+                f"and mult, got shape {lines.shape} with fields {names}"
+            )
+        lines = np.column_stack([lines["q"], lines["lam"], lines["mult"]])
+    try:
+        rows = np.asarray(lines if isinstance(lines, np.ndarray) else list(lines), float)
+    except (TypeError, ValueError) as exc:
         raise DomainError(
-            f"non-integer degree or multiplicity in line {tuple(rows[bad][0].tolist())}"
+            f"spectrum lines do not form an (N, 3) array of (q, lam, mult) numbers: {exc}"
+        ) from exc
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise DomainError(
+            f"spectrum lines must form an (N, 3) array of (q, lam, mult) rows, "
+            f"got shape {rows.shape}"
         )
-    q, lam, mult = rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2].astype(np.int64)
-    if ((q < 0) | (q > n)).any():
-        raise DomainError(f"degree {q[(q < 0) | (q > n)][0]} outside [0, {n}]")
-    if (lam < 0).any():
-        raise DomainError(f"negative eigenvalue {lam[lam < 0][0]}")
-    if (mult < 1).any():
-        raise DomainError(f"multiplicity {mult[mult < 1][0]} < 1")
-    return q, lam, mult
+    return rows
 
 
-def _law_index(rows: np.recarray, tail: QuadraticTail) -> np.ndarray:
+def _validated(lines, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, lam, mult) columns of the rows ``_rows`` reads, each row checked
+    through the column minima and maxima (nan and inf carry through them);
+    the first offending row is looked up only once a check fails."""
+    rows = _rows(lines)
+    ints = rows[:, ::2]
+    if rows.size:
+        lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+        if not all(map(math.isfinite, lo + hi)):
+            bad = ~np.isfinite(rows).all(axis=1)
+            raise DomainError(f"non-finite entry in line {tuple(rows[bad][0].tolist())}")
+        if not (np.rint(ints) == ints).all():
+            bad = (np.rint(ints) != ints).any(axis=1)
+            raise DomainError(
+                f"non-integer degree or multiplicity in line {tuple(rows[bad][0].tolist())}"
+            )
+        if lo[0] < 0 or hi[0] > n:
+            q = rows[:, 0]
+            raise DomainError(f"degree {int(q[(q < 0) | (q > n)][0])} outside [0, {n}]")
+        if lo[1] < 0:
+            raise DomainError(f"negative eigenvalue {rows[rows[:, 1] < 0, 1][0]}")
+        if lo[2] < 1:
+            raise DomainError(f"multiplicity {int(rows[rows[:, 2] < 1, 2][0])} < 1")
+        if hi[2] >= 2.0**63:
+            raise DomainError(f"multiplicity {hi[2]:.17g} does not fit a 64-bit integer")
+    ints = ints.astype(np.int64)
+    return ints[:, 0], rows[:, 1], ints[:, 1]
+
+
+def _law_index(rows: np.ndarray, tail: QuadraticTail) -> np.ndarray:
     """Per row, the k >= 0 at which the tail law reproduces it in one of its
     degrees, or -1.  Matched by inverting the quadratic on the side of its
     larger root with a relative tolerance, so tables rebuilt through a
     rescaled law still match despite float rounding."""
-    law, lam = tail.law, rows.lam
+    law, lam = tail.law, rows["lam"]
     disc = law.a1 * law.a1 + 4.0 * law.a2 * (lam - law.a0)
     k = np.rint((-law.a1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * law.a2))
-    in_degrees = (rows.q[:, None] == np.asarray(tail.degrees, dtype=np.int64)).any(axis=1)
+    in_degrees = (rows["q"][:, None] == np.asarray(tail.degrees, dtype=np.int64)).any(axis=1)
     match = in_degrees & (disc >= 0) & (k >= 0)
     match &= np.abs(law.lam(k) - lam) <= 1e-9 * (1.0 + np.abs(lam))
     return np.where(match, k, -1.0)
 
 
-def _require_anchored(stored: np.recarray, tail: QuadraticTail):
+def _require_anchored(stored: np.ndarray, tail: QuadraticTail):
     """The stored rows with lam > 0 and their ``_law_index``; only these can
     be law lines past k_first, where the law is positive.  DomainError for
     one that the law reproduces below k_first: the law's expansion
-    coefficients would cancel against the stored rows."""
-    rows = stored[stored.lam > 0.0]
-    k = _law_index(rows, tail) if rows.size else np.empty(0)
+    coefficients would cancel against the stored rows.  Without such rows
+    the law is not inverted."""
+    rows = stored[stored["lam"] > 0.0]
+    if not rows.size:
+        return rows, np.empty(0)
+    k = _law_index(rows, tail)
     below = (0 <= k) & (k < tail.k_first)
     if below.any():
         raise DomainError(
@@ -521,21 +565,26 @@ def _require_anchored(stored: np.recarray, tail: QuadraticTail):
     return rows, k
 
 
-def _merged(q: np.ndarray, lam: np.ndarray, mult: np.ndarray) -> np.recarray:
-    """The read-only record array of the lines sorted by (q, lam), with the
-    multiplicities of equal (q, lam) keys added."""
-    order = np.lexsort((lam, q))
-    q, lam, mult = q[order], lam[order], mult[order]
-    new_key = np.empty(q.size, dtype=bool)
-    new_key[:1] = True
-    new_key[1:] = (q[1:] != q[:-1]) | (lam[1:] != lam[:-1])
-    first = new_key.nonzero()[0]
-    layout = [("q", np.int64), ("lam", np.float64), ("mult", np.int64)]
-    merged = np.empty(first.size, dtype=layout)
-    merged["q"], merged["lam"] = q[first], lam[first]
-    merged["mult"] = np.add.reduceat(mult, first)
+#: The fields of a table's structured array of lines.
+_LINE = np.dtype([("q", np.int64), ("lam", np.float64), ("mult", np.int64)])
+
+
+def _merged(q: np.ndarray, lam: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The read-only structured array (``_LINE``) of the lines sorted by
+    (q, lam), with the multiplicities of equal (q, lam) keys added; a table
+    of at most one line has nothing to sort or merge."""
+    if q.size > 1:
+        order = np.lexsort((lam, q))
+        q, lam, mult = q[order], lam[order], mult[order]
+        new_key = np.empty(q.size, dtype=bool)
+        new_key[:1] = True
+        new_key[1:] = (q[1:] != q[:-1]) | (lam[1:] != lam[:-1])
+        first = new_key.nonzero()[0]
+        q, lam, mult = q[first], lam[first], np.add.reduceat(mult, first)
+    merged = np.empty(q.size, dtype=_LINE)
+    merged["q"], merged["lam"], merged["mult"] = q, lam, mult
     merged.flags.writeable = False
-    return merged.view(np.recarray)
+    return merged
 
 
 def heat_supertrace_N(

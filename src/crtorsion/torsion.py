@@ -97,11 +97,13 @@ def closed_form_bhat(spec: SpectrumTable, j_max: int | None = None) -> List[floa
 
     lam, w = spec._outside_law
     # e^{-lam t} Taylor lands on integer exponents p >= 0, i.e. j = 2n + 2p;
-    # cumsum keeps the rounding of a line-by-line running sum (np.sum pairs)
-    for p in range((j_max - 2 * n) // 2 + 1):
-        term = (-lam) ** p / math.factorial(p) if p else 1.0
-        j = 2 * n + 2 * p
-        coeffs[j] = float(np.cumsum(np.concatenate(([coeffs[j]], w * term)))[-1])
+    # cumsum keeps the rounding of a line-by-line running sum (np.sum pairs);
+    # a circle-bundle table has no line outside its law
+    if w.size:
+        for p in range((j_max - 2 * n) // 2 + 1):
+            term = (-lam) ** p / math.factorial(p) if p else 1.0
+            j = 2 * n + 2 * p
+            coeffs[j] = float(np.cumsum(np.concatenate(([coeffs[j]], w * term)))[-1])
     return coeffs
 
 
@@ -222,7 +224,7 @@ def theta_prime_zero_direct_result(spec: SpectrumTable) -> Tuple[float, float]:
     elif not isinstance(spec.tail, FiniteTail):
         raise UnsupportedTailError(f"unsupported tail policy {spec.tail!r}")
     lam, w = spec._outside_law
-    listed = (w[lam > 0.0] * np.log(lam[lam > 0.0])).tolist()
+    listed = (w[lam > 0.0] * np.log(lam[lam > 0.0])).tolist() if w.size else []
     total = math.fsum(terms + listed)
     err += 8e-16 * (math.fsum(map(abs, listed)) + 1.0)
     return total, err + 0.5 * math.ulp(total)

@@ -1,5 +1,6 @@
 """Golden report floats: the circle-bundle sweep at m = 8 ... 128 and the
-single report at m = 65536, pinned bit for bit as ``float.hex`` strings.
+single report at m = 65536, pinned bit for bit as ``float.hex`` strings,
+and the route values of three tables with lines outside their law.
 
 A speed-up of the report's builders (the Euler-Maclaurin heat series, the
 direct Hurwitz route, the law-backed table) must not move any of these
@@ -10,8 +11,15 @@ against the closed form.
 
 import pytest
 
-from crtorsion.spectra import cp1_geometry, cp1_spectrum
-from crtorsion.torsion import asympt_sweep, torsion_report
+from crtorsion.spectra import QuadraticTail, SpectrumTable, cp1_geometry, cp1_spectrum
+from crtorsion.tails import QuadraticLaw
+from crtorsion.torsion import (
+    asympt_sweep,
+    closed_form_bhat,
+    theta_prime_zero_direct_result,
+    theta_prime_zero_result,
+    torsion_report,
+)
 
 FIELDS = (
     "theta_prime_0",
@@ -169,3 +177,95 @@ def test_sweep_reports_are_pinned():
 @pytest.mark.parametrize("m", [65536])
 def test_large_weight_report_is_pinned(m):
     _assert_pinned(torsion_report(cp1_spectrum(m), cp1_geometry(), m))
+
+
+# Circle-bundle tables have no weighted line outside their law, so the pins
+# above never reach the Taylor terms of closed_form_bhat or the log terms of
+# the direct route.  These three tables do: the circle bundle at m = 5 with
+# k_max = 40 plus rows off its law (weights -2, 0, and -1; a degree-1 zero
+# mode), and a finite n = 2 table with weights of both signs.
+_M, _K_MAX = 5, 40
+_EXTRA = [(1, 7.5, 2), (0, 3.3, 4), (1, 0.0, 1), (1, 2.25, 1)]
+
+
+def _law_tail() -> QuadraticTail:
+    law = QuadraticLaw(a2=1.0, a1=_M + 1.0, a0=0.0, m1=2.0, m0=_M + 1.0)
+    return QuadraticTail(_K_MAX + 1, law, (0, 1), covers_all_lines=True)
+
+
+def _finite_mixed_signs() -> SpectrumTable:
+    rows = [(0, 0.0, 2), (1, 0.5, 3), (2, 1.5, 2), (1, 2.0, 1), (2, 3.25, 4), (0, 1.0, 2)]
+    rows.append((1, 7.0, 1))
+    return SpectrumTable.from_lines(rows, n=2)
+
+
+def _listed_law_and_extra_rows() -> SpectrumTable:
+    k = range(1, _K_MAX + 1)
+    law = [(q, float(i * (i + _M + 1)), _M + 2 * i + 1) for q in (0, 1) for i in k]
+    return SpectrumTable.from_lines([(0, 0.0, _M + 1)] + law + _EXTRA, n=1, tail=_law_tail())
+
+
+def _implied_law_and_extra_rows() -> SpectrumTable:
+    return SpectrumTable.from_law([(0, 0.0, _M + 1)] + _EXTRA, n=1, tail=_law_tail())
+
+
+_ZERO = "0x0.0p+0"
+_LAW_BHAT = (
+    "-0x1.0000000000000p+0",
+    _ZERO,
+    "-0x1.aaaaaaaaaaaacp-1",
+    _ZERO,
+    "0x1.c888888888888p+3",
+    _ZERO,
+    "-0x1.db04ac4ac4ac5p+5",
+    _ZERO,
+    "0x1.203898c98c98dp+7",
+    _ZERO,
+    "-0x1.078daba7a3345p+8",
+)
+_LAW_DIRECT = ("-0x1.3b615ec5f8b62p+2", "0x1.71b20db59bc90p-48")
+
+#: closed_form_bhat, theta_prime_zero_direct_result (value, bound) and
+#: theta_prime_zero_result (theta(0), theta'(0), error) per table.
+OUTSIDE_LAW_GOLDEN = {
+    "finite-mixed-signs": (
+        _finite_mixed_signs,
+        (_ZERO,) * 4
+        + (
+            "0x1.c000000000000p+2",
+            _ZERO,
+            "-0x1.5800000000000p+4",
+            _ZERO,
+            "0x1.3e00000000000p+4",
+            _ZERO,
+            "0x1.5155555555554p+3",
+            _ZERO,
+            "-0x1.f578000000001p+5",
+        ),
+        ("0x1.4fba3df19cdafp+3", "0x1.01ace6b57f4fep-46"),
+        ("-0x1.c000000000000p+2", "0x1.4fba3df19cda3p+3", "0x1.f1f0c43fdc957p-42"),
+    ),
+    "listed-law-and-extra-rows": (
+        _listed_law_and_extra_rows,
+        _LAW_BHAT,
+        _LAW_DIRECT,
+        ("-0x1.5555555555550p-3", "-0x1.3b6155347f95ap+2", "0x1.078dabb1e9874p-14"),
+    ),
+    "implied-law-and-extra-rows": (
+        _implied_law_and_extra_rows,
+        _LAW_BHAT,
+        _LAW_DIRECT,
+        ("-0x1.5555555555550p-3", "-0x1.3b6155347f959p+2", "0x1.078dabb1e9874p-14"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_LAW_GOLDEN))
+def test_routes_with_lines_outside_the_law_are_pinned(name):
+    build, bhat, direct, heat = OUTSIDE_LAW_GOLDEN[name]
+    spec = build()
+    assert spec._outside_law[1].size  # the path the circle bundle skips
+    got = closed_form_bhat(spec)
+    assert tuple(float(b).hex() for b in got) == bhat
+    assert tuple(x.hex() for x in theta_prime_zero_direct_result(spec)) == direct
+    assert tuple(float(x).hex() for x in theta_prime_zero_result(spec, got)) == heat

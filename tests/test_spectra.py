@@ -75,7 +75,7 @@ class TestIngest:
         spec = ingest_spectrum(
             "q,lambda,mult\n1,2.0,1\n0,5.0,1\n0,1.0,1\n", n=1
         )
-        assert [(l.q, l.lam) for l in spec.lines] == [(0, 1.0), (0, 5.0), (1, 2.0)]
+        assert [(l["q"], l["lam"]) for l in spec.lines] == [(0, 1.0), (0, 5.0), (1, 2.0)]
 
 
 def _dict_merge(rows):
@@ -112,13 +112,13 @@ class TestFromLines:
         rows = listed(cp1_spectrum(3, 4)).tolist()
         spec = SpectrumTable.from_lines(rows, n=1)
         with pytest.raises(ValueError):
-            spec.lines.lam[0] = 1.0
+            spec.lines["lam"][0] = 1.0
         with pytest.raises(ValueError):
             spec.lines["mult"][:] = 1
         with pytest.raises(ValueError):
-            spec.lines.q = 0
+            spec.lines["q"][0] = 0
         with pytest.raises(ValueError):
-            cp1_spectrum(3, 4).stored.lam[0] = 1.0
+            cp1_spectrum(3, 4).stored["lam"][0] = 1.0
         assert spec.lines.tolist() == rows
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -127,7 +127,7 @@ class TestFromLines:
             SpectrumTable.from_lines([(1, 3.0, 1), (1, bad, 2)], n=1)
 
     def test_invalid_lines_rejected(self):
-        for row in ((2, 1.0, 1), (-1, 1.0, 1), (1, -1.0, 1), (1, 1.0, 0)):
+        for row in ((2, 1.0, 1), (-1, 1.0, 1), (1, -1.0, 1), (1, 1.0, 0), (1, 1.0, 1e30)):
             with pytest.raises(DomainError):
                 SpectrumTable.from_lines([(0, 1.0, 1), row], n=1)
 
@@ -147,6 +147,52 @@ class TestFromLines:
         spec = SpectrumTable.from_lines([], n=1)
         assert spec.lines.tolist() == []
         assert spec.supertrace_N_kernel() == 0.0
+        assert SpectrumTable.from_lines(np.empty((0, 3)), n=1).lines.tolist() == []
+
+    @pytest.mark.parametrize(
+        "lines, shape",
+        [
+            # two columns were read as the rows (0, 1.0, 1) and (2, 1.0, 3)
+            (np.array([[0, 1.0], [1, 2.0], [1, 3.0]]), r"\(3, 2\)"),
+            # four columns were read as four rows
+            (np.array([[0, 1.0, 1, 0], [1, 2.0, 1, 0], [1, 3.0, 2, 1]]), r"\(3, 4\)"),
+            # one flat triple is not a table of rows
+            (np.array([0, 1.0, 1]), r"\(3,\)"),
+            (np.zeros((2, 3, 1)), r"\(2, 3, 1\)"),
+        ],
+        ids=["two-columns", "four-columns", "flat-triple", "three-dims"],
+    )
+    def test_rows_of_the_wrong_shape_rejected(self, lines, shape):
+        with pytest.raises(DomainError, match=shape):
+            SpectrumTable.from_lines(lines, n=1)
+
+    def test_row_of_the_wrong_length_rejected(self):
+        # numpy's bare ValueError for a ragged list becomes a DomainError
+        for lines in ([(0, 1.0, 1), (1, 2.0)], [(0, 1.0, 1), (1, 2.0, 1, 4)]):
+            with pytest.raises(DomainError, match=r"\(N, 3\)"):
+                SpectrumTable.from_lines(lines, n=1)
+        with pytest.raises(DomainError, match=r"\(N, 3\)"):
+            SpectrumTable.from_lines([(0, "one", 1)], n=1)
+
+    def test_a_tables_own_lines_rebuild_it(self):
+        # a table's lines are a plain structured array, read by field name
+        spec = SpectrumTable.from_lines([(1, 3.0, 2), (0, 1.5, 1), (1, 3.0, 1)], n=1)
+        assert type(spec.lines) is np.ndarray and spec.lines.dtype.names == ("q", "lam", "mult")
+        again = SpectrumTable.from_lines(spec.lines, n=1)
+        assert again.lines.tolist() == spec.lines.tolist() == [(0, 1.5, 1), (1, 3.0, 3)]
+        assert again.lines.dtype == spec.lines.dtype
+        assert SpectrumTable.from_lines(spec.lines[::-1], n=1).lines.tolist() == spec.lines.tolist()
+        law = cp1_spectrum(3, 4)
+        rebuilt = SpectrumTable.from_law(law.stored, n=1, tail=law.tail)
+        assert rebuilt.stored.tolist() == [(0, 0.0, 4)]
+
+    def test_structured_array_needs_the_line_fields_in_one_dimension(self):
+        spec = SpectrumTable.from_lines([(1, 3.0, 2), (0, 1.5, 1)], n=1)
+        with pytest.raises(DomainError, match=r"^a structured .* got shape \(1, 2\)"):
+            SpectrumTable.from_lines(spec.lines.reshape(1, 2), n=1)
+        other = np.zeros(2, dtype=[("q", np.int64), ("lam", np.float64), ("m", np.int64)])
+        with pytest.raises(DomainError, match=r"^a structured .* fields \('q', 'lam', 'm'\)"):
+            SpectrumTable.from_lines(other, n=1)
 
 
 class TestHeatSupertrace:
@@ -196,7 +242,7 @@ class TestHeatSupertrace:
             ]
             lines += [(0, 0.0, 3), (1, 0.0, 2), (2, 0.0, 2)]
             spec = SpectrumTable.from_lines(lines, n=2)
-            assert {l.q for l in spec.lines if l.lam > 0} == {0, 1, 2}
+            assert {l["q"] for l in spec.lines if l["lam"] > 0} == {0, 1, 2}
             assert spec.supertrace_N_kernel() == 2.0
         else:
             m = int(name[len("cp1_m"):])
@@ -283,8 +329,9 @@ class TestHeatSupertrace:
             got = spec._supertrace_value(t)
             values, _ = trace_degree_nodes(spec, q, t, nonzero_only)
         lines = listed(spec)
-        w = np.where(lines.q % 2, -lines.q, lines.q) * lines.mult
-        rows = list(zip(w.tolist(), lines.lam.tolist(), lines.mult.tolist(), lines.q.tolist()))
+        q_col = lines["q"]
+        w = np.where(q_col % 2, -q_col, q_col) * lines["mult"]
+        rows = list(zip(w.tolist(), lines["lam"].tolist(), lines["mult"].tolist(), q_col.tolist()))
         for i, ti in enumerate(t.tolist()):
             _assert_near_fsum(
                 got[i], [wi * math.exp(-lam * ti) for wi, lam, _, _ in rows if 0 < lam * ti < 745]
@@ -366,7 +413,7 @@ class TestHeatSupertrace:
         spec = _certificate_table(index)
         C, c = decay_certificate(spec, t_min)
         lines = listed(spec)
-        weighted = lines.lam[(lines.q >= 1) & (lines.lam > 0.0)]
+        weighted = lines["lam"][(lines["q"] >= 1) & (lines["lam"] > 0.0)]
         assert c == weighted.min() / 2.0
         if not spec.implied:
             assert spectral_gap(spec, 0) < weighted.min()
@@ -407,13 +454,13 @@ class TestTraceDegree:
         t = np.geomspace(1e-4, 2.0, 37)
         values, bounds = trace_degree_nodes(spec, q, t, nonzero_only)
         lines = listed(spec)
-        lines = lines[(lines.q == q) & ((lines.lam > 0.0) | (not nonzero_only))]
+        lines = lines[(lines["q"] == q) & ((lines["lam"] > 0.0) | (not nonzero_only))]
         for i, s in enumerate(t.tolist()):
             _assert_near_fsum(
                 values[i],
                 [
                     mult * math.exp(-lam * s)
-                    for lam, mult in zip(lines.lam.tolist(), lines.mult.tolist())
+                    for lam, mult in zip(lines["lam"].tolist(), lines["mult"].tolist())
                     if lam * s < 745.0
                 ],
             )
@@ -563,10 +610,10 @@ class TestCp1Model:
     def test_kernel_dimension_and_purity(self):
         for m in (0, 1, 5):
             spec = cp1_spectrum(m, 16)
-            zero_lines = [l for l in listed(spec) if l.lam == 0.0]
+            zero_lines = [l for l in listed(spec) if l["lam"] == 0.0]
             assert len(zero_lines) == 1
-            assert zero_lines[0].q == 0
-            assert zero_lines[0].mult == m + 1
+            assert zero_lines[0]["q"] == 0
+            assert zero_lines[0]["mult"] == m + 1
             assert spec.supertrace_N_kernel() == 0.0
 
     @pytest.mark.parametrize("m", [0, 3, 37])
@@ -578,14 +625,14 @@ class TestCp1Model:
 
     def test_m0_is_round_sphere_law(self):
         spec = cp1_spectrum(0, 6)
-        deg0 = [(l.lam, l.mult) for l in listed(spec) if l.q == 0 and l.lam > 0]
+        deg0 = [(l["lam"], l["mult"]) for l in listed(spec) if l["q"] == 0 and l["lam"] > 0]
         assert deg0 == [(float(k * (k + 1)), 2 * k + 1) for k in range(1, 7)]
 
     def test_degrees_mirror_nonzero_lines(self):
         spec = cp1_spectrum(3, 10)
         lines = listed(spec)
-        deg0 = {(l.lam, l.mult) for l in lines if l.q == 0 and l.lam > 0}
-        deg1 = {(l.lam, l.mult) for l in lines if l.q == 1}
+        deg0 = {(l["lam"], l["mult"]) for l in lines if l["q"] == 0 and l["lam"] > 0}
+        deg1 = {(l["lam"], l["mult"]) for l in lines if l["q"] == 1}
         assert deg0 == deg1
 
     @pytest.mark.parametrize("m", [0, 1, 32, 255, 256, 257, 1024, 4096, 2**22])

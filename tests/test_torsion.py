@@ -587,6 +587,19 @@ class TestLawBackedReports:
             spec.lines
         assert spec.stored.size == 1
 
+    @pytest.mark.parametrize("m", [8, 65536])
+    def test_report_makes_no_pass_over_an_empty_outside_law_set(self, m, monkeypatch):
+        # a circle-bundle table has no weighted line outside its law: the
+        # Taylor terms of closed_form_bhat (np.cumsum) and the log terms of
+        # the direct route (np.log) are never formed
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pass over the lines outside the law")
+
+        monkeypatch.setattr(np, "cumsum", refuse)
+        monkeypatch.setattr(np, "log", refuse)
+        report = torsion_report(cp1_spectrum(m), cp1_geometry(), m)
+        assert report.m == m
+
     def test_readers_never_list_a_law_table(self):
         # the oracle gate, a report, the plain traces and the gap all read
         # the circle bundle's table from its law; listing it would raise
