@@ -16,9 +16,13 @@ t = u^2.  Evaluators backed by truncated spectral sums declare a trust floor;
 below it the regularized integrand is integrated in closed form from the
 certificate's extended terms.
 
-Both integrals, over [sqrt(floor), 1] in u and over [1, T] in t, go through
-one globally adaptive rule on QUADPACK's 21-point Gauss-Kronrod panels that
-evaluates every panel of a bisection round in a single call of the integrand.
+The two integrals are one: in u = sqrt(t) on both sides of t = 1, with
+dt/t = 2 du/u, the integrand is (f(u^2) - [u < 1] P(u) u^{-2k}) 2/u over the
+edges [sqrt(floor), 1, sqrt(2), 2, ..., sqrt(T)], P the expansion through
+t^0.  One globally adaptive rule on QUADPACK's 21-point Gauss-Kronrod panels
+takes it, and evaluates every panel of a round, the first round's panel
+below 1 and the tail's doubling panels together, in a single call of the
+integrand.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class MellinInput:
     trusted there (truncated spectral sums), and sharpen the cancellation
     floor otherwise.  ``decay = (C, c)`` certifies |f(t)| <= C e^{-c t} for
     t >= 1.  ``f`` maps a 1-D float64 array of nodes t > 0 to the 1-D float64
-    array of f(t); the quadrature calls it once per round of panels.
+    array of f(t); the quadrature calls it once per round of panels, with
+    the nodes below and above t = 1 in one array.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -291,26 +296,23 @@ def mellin_at_zero(
             # stands in for its first omitted term
             err_low = max(last)
 
+    C, c = inp.decay
+    T = _tail_cutoff(C, c, _TAIL_CUTOFF_TOL)
+    edges = [math.sqrt(floor), 1.0]
+    t_edge = 1.0
+    while t_edge < T:
+        t_edge = min(2.0 * t_edge, T)
+        edges.append(math.sqrt(t_edge))
+
     def integrand_u(u: np.ndarray) -> np.ndarray:
         t = u * u
         p = np.full_like(u, exp[2 * k])
         for j in range(2 * k - 1, -1, -1):  # Horner in u = sqrt(t)
             p *= u
             p += exp[j]
-        return (inp.f(t) - p * t ** -k) * 2.0 / u
+        return (inp.f(t) - np.where(u < 1.0, p * t ** -k, 0.0)) * 2.0 / u
 
-    mid, err_mid = _gauss_kronrod(
-        integrand_u, (math.sqrt(floor), 1.0), tol, tol, partial=low + pole_sum
-    )
-
-    C, c = inp.decay
-    T = _tail_cutoff(C, c, _TAIL_CUTOFF_TOL)
-    edges = [1.0]
-    while edges[-1] < T:
-        edges.append(min(2.0 * edges[-1], T))
-    tail, err_tail = _gauss_kronrod(
-        lambda t: inp.f(t) / t, edges, tol, tol, partial=low + mid + pole_sum
-    )
+    quad, err_quad = _gauss_kronrod(integrand_u, edges, tol, tol, partial=low + pole_sum)
     tail_cut = C * math.exp(-c * T) / (c * max(T, 1.0))
 
     # residual cancellation noise on [floor, 1]
@@ -330,8 +332,8 @@ def mellin_at_zero(
                     / abs(j / 2.0 - k)
                 )
 
-    derivative0 = low + mid + tail + pole_sum - gamma_prime_1 * value0
-    error = err_low + err_mid + err_tail + tail_cut + noise
+    derivative0 = low + quad + pole_sum - gamma_prime_1 * value0
+    error = err_low + err_quad + tail_cut + noise
     return MellinResult(value0, derivative0, error)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Tuple
 
@@ -259,9 +259,10 @@ class _Supertrace(NamedTuple):
     lam_1: float
     reach: float
 
-    def value(self, t: np.ndarray, alone: bool = False) -> np.ndarray:
+    def value(self, t: np.ndarray) -> np.ndarray:
         """sum over the positive lines of w e^{-lam t}, for each node of the
-        1-D array ``t > 0`` (any order, repeats allowed).
+        1-D array ``t > 0`` (any order, repeats allowed), bit for bit the
+        same whichever nodes share the call.
 
         Each node stops, in each run, at its first line with
         lam t >= lam_1 t + 45 + ln(sum |w| / |w_1|), where (lam_1, w_1) is
@@ -270,20 +271,19 @@ class _Supertrace(NamedTuple):
         The lines dropped by the first rule sum to at most
         e^{-45} |w_1| e^{-lam_1 t}, below 2^-64 of the first term and far
         under the row's own rounding; past the second, e^{-lam t} is the
-        smallest subnormal or 0.0 in float64.  The rounding to a power of
-        two keeps a row's pairwise sum (``np.sum`` along the row) from
-        following the block it shares: from 8 lines on, numpy sums a
-        power-of-two prefix padded with zeros to a wider power of two as it
-        sums the prefix alone.
+        smallest subnormal or 0.0 in float64.
 
         Lines are read in chunks of ``_CHUNK``, generated from the law for
         law runs.  Within a chunk, nodes sorted by cut share one e^{-lam t}
         block, as wide as its largest cut, with every node whose cut is at
         least half that (or while the block stays under ``_MIN_BLOCK``
-        elements); a node's terms past its cut are zero in the block.  A
-        width that is no power of two moves a narrower row's pairwise sum:
-        with ``alone``, only nodes of equal cut share a block, and each
-        node's sum is bit for bit that of a call with it alone.
+        elements); a node's terms past its cut are zero in the block.  Each
+        row is summed (``np.sum`` along the row, pairwise) over a
+        power-of-two width of at least 8, zero past the block's lines:
+        numpy sums a row of 2^j >= 8 entries that are zero past 2^i >= 8
+        exactly as it sums its first 2^i alone (under 8 entries it sums
+        in sequence), so a node's sum does not follow the width of the
+        block it shares.
         """
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.size)
@@ -293,7 +293,7 @@ class _Supertrace(NamedTuple):
             # the smallest t reads the most lines
             top = self.lam_1 + self.reach / float(t.min())
             for run in self.runs:
-                _add_run(run, -t, limits, int(_pow2(run.below(top))), out, alone)
+                _add_run(run, -t, limits, int(_pow2(run.below(top))), out)
         return out
 
 
@@ -407,17 +407,18 @@ def _pow2(c):
     return _POW2[np.searchsorted(_POW2, c)]
 
 
-def _add_run(run, negt, limits, most: int, out: np.ndarray, alone: bool) -> None:
+def _add_run(run, negt, limits, most: int, out: np.ndarray) -> None:
     """Add each node's sum over ``run`` to ``out``: the kernel of
     ``_Supertrace.value``, with ``negt = -t``, ``limits`` the reach bounds
-    on lam, one per node, then the underflow bounds, ``most`` at least the
-    largest cut, and ``alone`` its flag."""
+    on lam, one per node, then the underflow bounds, and ``most`` at least
+    the largest cut."""
     n = negt.size
     top = min(most, run.size)
     if not top:
         return
     width = min(top, _CHUNK)
-    buf = np.empty(min(_BLOCK, (n + 3) * width))
+    wide = max(8, 1 << (width - 1).bit_length())
+    buf = np.empty(min(_BLOCK, 3 * width + n * wide))
     columns, chunk, region = buf[:width], buf[width:], buf[3 * width :]
     columns[:] = np.arange(width)
     # each node's counts below both bounds, added up chunk by chunk; a
@@ -436,9 +437,8 @@ def _add_run(run, negt, limits, most: int, out: np.ndarray, alone: bool) -> None
     groups, i, live = [], 0, int(np.count_nonzero(cuts))
     while i < live:
         top = int(cuts[i])
-        j = int(np.searchsorted(neg, -(top if alone else (top + 1) // 2), side="right"))
-        if not alone:
-            j = min(live, max(j, i + _MIN_BLOCK // top))
+        j = int(np.searchsorted(neg, -((top + 1) // 2), side="right"))
+        j = min(live, max(j, i + _MIN_BLOCK // top))
         groups.append((i, j, top))
         i = j
     sums = np.zeros(n)
@@ -453,11 +453,14 @@ def _add_run(run, negt, limits, most: int, out: np.ndarray, alone: bool) -> None
                 break
             j = min(j, live)
             cw = min(top - c, width)
+            pad = max(8, 1 << (cw - 1).bit_length())
             lam, w = lam_c[:cw], w_c[:cw]
-            step = max(1, region.size // cw)
+            step = max(1, region.size // pad)
             for r in range(i, j, step):
                 r2 = min(j, r + step)
-                block = region[: (r2 - r) * cw].reshape(r2 - r, cw)
+                rows = region[: (r2 - r) * pad].reshape(r2 - r, pad)
+                rows[:, cw:] = 0.0
+                block = rows[:, :cw]
                 np.multiply.outer(negt[r:r2], lam, out=block)
                 keep = None
                 if cuts[r2 - 1] < c + cw:
@@ -469,7 +472,7 @@ def _add_run(run, negt, limits, most: int, out: np.ndarray, alone: bool) -> None
                 block *= w
                 if keep is not None:
                     block *= keep
-                sums[r:r2] += block.sum(axis=1)
+                sums[r:r2] += rows.sum(axis=1)
     out[order] += sums
 
 
@@ -621,7 +624,7 @@ def trace_degree_nodes(
     for s in t.tolist():
         _require_finite_positive(s, "trace_degree")
     record = spec._degree_trace(q)
-    values = record.value(t, alone=True)
+    values = record.value(t)
     if not nonzero_only:
         values += record.kernel
     bounds = np.zeros(t.size)
@@ -674,29 +677,28 @@ def spectral_gap(spec: SpectrumTable, q: int) -> float:
 def decay_certificate(spec: SpectrumTable, t_min: float = 1.0) -> Tuple[float, float]:
     """(C, c) with |STr[N e^{-t Box} perp]| <= C e^{-c t} for t >= t_min.
 
-    Reads the weighted lines of ``SpectrumTable._supertrace``, chunk by
-    chunk: with c = lam_1 / 2, each term obeys e^{-lam t} <= e^{-lam t_min/2}
-    e^{-c t} for t >= t_min, so C = sum |w| e^{-lam t_min/2}.  The sum stops
-    at the underflow cut lam t_min / 2 < 745, as the heat integrand's does;
-    the lines past it add e^{-744} times the table's total |w|, and the
-    omitted law lines add their tail bound at t_min / 2.  A table with no
-    weighted line gives (0, 1).
+    Read from the record ``SpectrumTable._supertrace``, with no line read:
+    every weighted line has lam >= lam_1, so |sum w e^{-lam t}| <=
+    sum |w| e^{-lam_1 t} for every t >= 0, and C = sum |w| with
+    c = lam_1.  The law lines k >= k_next that the table omits have
+    lam >= lam(k_next) on the law's rising side, where their tail bound
+    is finite; c is lowered to lam(k_next) if that is smaller, so each
+    omitted term obeys e^{-lam t} = e^{-c t} e^{-(lam - c) t} <=
+    e^{-c t} e^{-(lam - c) t_min} for t >= t_min.  Their sum is
+    therefore at most e^{-c t} times the tail bound at t_min of the law
+    shifted down by c, which C adds.  A table with no weighted line gives
+    (0, 1).
     """
     st = spec._supertrace
     if not st.runs:
         return 0.0, 1.0
-    t = t_min / 2.0
-    C = 0.0
-    for run in st.runs:
-        top = run.below(_UNDERFLOW / t)
-        buf, iota = np.empty(3 * min(top, _CHUNK)), np.arange(min(top, _CHUNK), dtype=float)
-        for c in range(0, top, _CHUNK):
-            lam, w = run.read(c, min(c + _CHUNK, top), buf, iota)
-            cut = np.searchsorted(lam, _UNDERFLOW / t)
-            C += float(np.sum(np.abs(w[:cut]) * np.exp(-lam[:cut] * t)))
-    C += math.exp(-744.0) * st.abs_weight
-    C += _supertrace_tail_bound(spec, t)
-    return C, st.lam_1 / 2.0
+    C, c = st.abs_weight, st.lam_1
+    tail = spec.tail
+    if isinstance(tail, QuadraticTail) and sum(tail.degrees):
+        law = tail.law
+        c = min(c, float(law.lam(tail.k_next)))
+        C += sum(tail.degrees) * tail_bound(replace(law, a0=law.a0 - c), tail.k_next, t_min)
+    return C, c
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,10 @@ def _theta_mellin(
     S(t) = STr[N e^{-t Box} perp] and theta(z) = -M[m^{-n} S(t/m)](z).
 
     The substitution t -> t/m turns the expansion coefficient of t^{-n+j/2}
-    into bhat_j m^{-j/2} (up to the overall m^{-n}), moves the trust floor to
-    m * floor and the decay certificate to t >= 1/m.  At m = 1 every
+    into bhat_j m^{-j/2} (up to the overall m^{-n}) and moves the trust floor
+    to m * floor.  The decay certificate (C, c) of S, which holds for
+    t >= 1/m (the omitted law lines' term is taken there), becomes
+    (m^{-n} C, c/m) for the rescaled trace at t >= 1.  At m = 1 every
     rescaling is exact, so this is the heat route itself.  ``tol`` is the
     quadrature tolerance; the trust floor certifies the tail to min(1e-13, tol/100).
     """
@@ -159,7 +161,8 @@ def _theta_mellin(
             f"bhat must supply the ladder through t^0: need {2 * n + 1} "
             f"coefficients, got {len(bhat)}"
         )
-    scale = float(m) ** (-n)
+    mn = float(m) ** n
+    scale = 1.0 / mn
     expansion = [float(b) * float(m) ** (-0.5 * j) for j, b in enumerate(bhat)]
     expansion[2 * n] -= spec.supertrace_N_kernel() * scale
     _require_tol(tol)
@@ -172,9 +175,12 @@ def _theta_mellin(
         raise DomainError(f"{what} reaches t = 1; the spectrum table is too short for this weight")
 
     # the trust floor above certifies the omitted tail once for every node,
-    # so the integrand reads values only
+    # so the integrand reads values only; m^n is exact below 2^53, and dividing by it
+    # rounds each node on its own, where a product with the rounded m^{-n}
+    # would give every node the same relative error, which the subtracted
+    # expansion does not share: up to eps/2 |b_0| / floor on theta~'(0)
     def f(t: np.ndarray) -> np.ndarray:
-        return scale * spec._supertrace_value(t / m)
+        return spec._supertrace_value(t / m) / mn
 
     C, c = decay_certificate(spec, t_min=1.0 / m)
     inp = MellinInput(f, n, tuple(expansion), (scale * C, c / m), m * floor)

@@ -201,18 +201,18 @@ class TestNonFiniteInputs:
 
 class TestBatchedIntegrator:
     """The adaptive 21-point Gauss-Kronrod rule against QUADPACK (scipy's
-    quad), on every integral ``mellin_at_zero`` takes for an input."""
+    quad), on the one integral ``mellin_at_zero`` takes for an input."""
 
     @staticmethod
     def _compare(run, monkeypatch):
-        """Run ``run()`` with every integral of the batched rule checked
-        against quad over the same starting panels."""
+        """Run ``run()`` with the batched rule's one integral checked
+        against quad on each of its starting panels."""
         seen = []
 
         def spy(fn, edges, abs_tol, rel_tol, partial):
             value, error = _BATCHED(fn, edges, abs_tol, rel_tol, partial)
             ref = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):  # the doubling panels, one quad each
+            for a, b in zip(edges[:-1], edges[1:]):  # every starting panel, one quad each
                 ref += quad(
                     lambda x: float(fn(np.array([x]))[0]),
                     a,
@@ -226,7 +226,7 @@ class TestBatchedIntegrator:
 
         monkeypatch.setattr(mellin, "_gauss_kronrod", spy)
         run()
-        assert len(seen) == 2  # the mid integral and the tail
+        assert len(seen) == 1  # [sqrt(floor), 1] and the tail in one rule
         for value, error, ref in seen:
             assert abs(value - ref) <= error, (value, ref, error)
 
@@ -261,8 +261,10 @@ class TestBatchedIntegrator:
         res = mellin_at_zero(MellinInput(f, 0, (1.0,), (1.0, 1.0)))
         assert abs(res.derivative0) < 1e-10
         assert all(size % 21 == 0 for size in shapes)
-        # the tail's doubling panels [1, 2, 4, ..., T] share the first call
-        assert shapes[1] == 21 * math.ceil(math.log2(mellin._tail_cutoff(1.0, 1.0, 1e-13)))
+        # the panel on [0, 1] and the tail's doubling panels [1, 2, 4, ..., T]
+        # in t share the first call
+        tail_panels = math.ceil(math.log2(mellin._tail_cutoff(1.0, 1.0, 1e-13)))
+        assert shapes[0] == 21 * (1 + tail_panels)
 
     # an inf value reaches the rule's own arithmetic as inf - inf
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -286,6 +288,6 @@ class TestBatchedIntegrator:
         monkeypatch.setattr(mellin, "_MAX_ROUNDS", 10)
         with pytest.raises(QuadratureError):
             mellin_at_zero(MellinInput(f, 0, (0.0,), (1.0, 0.5)), 1e-13)
-        # the mid integral converges; the tail stops after its first rule
-        # plus _MAX_ROUNDS = 10 bisection rounds
-        assert len(calls) <= 2 * (1 + 10)
+        # the one rule stops after its starting panels plus _MAX_ROUNDS = 10
+        # bisection rounds
+        assert len(calls) <= 1 + 10

@@ -32,12 +32,12 @@ FIELDS = (
 
 GOLDEN = {
     8: {
-        "theta_prime_0": "0x1.bc5f2e5d1bf00p+0",
+        "theta_prime_0": "0x1.bc5f2e5d1bf08p+0",
         "theta_prime_0_direct": "0x1.bc5f2e5d1ca78p+0",
-        "error_budget": "0x1.3bba544a8123cp-38",
+        "error_budget": "0x1.3bac08ccb354cp-38",
         "theta_tilde_0": "-0x1.2aaaaaaaaaaabp-1",
-        "theta_tilde_prime_0": "-0x1.fdf7884c175a2p-1",
-        "theta_tilde_error": "0x1.3b7f19fbf7019p-41",
+        "theta_tilde_prime_0": "-0x1.fdf7884c175a0p-1",
+        "theta_tilde_error": "0x1.3b70ce7e29329p-41",
         "bhat": (
             "-0x1.0000000000000p+0",
             "0x0.0p+0",
@@ -53,12 +53,12 @@ GOLDEN = {
         ),
     },
     16: {
-        "theta_prime_0": "0x1.15ec19ae2b67cp+3",
+        "theta_prime_0": "0x1.15ec19ae2b67dp+3",
         "theta_prime_0_direct": "0x1.15ec19ae2b64cp+3",
-        "error_budget": "0x1.76a7a2e259003p-38",
+        "error_budget": "0x1.768b12d399b1ap-38",
         "theta_tilde_0": "-0x1.1555555555555p-1",
-        "theta_tilde_prime_0": "-0x1.eb024e2e61c5ep-1",
-        "theta_tilde_error": "0x1.76091bbc11821p-42",
+        "theta_tilde_prime_0": "-0x1.eb024e2e61c5dp-1",
+        "theta_tilde_error": "0x1.75ec8bad52338p-42",
         "bhat": (
             "-0x1.0000000000000p+0",
             "0x0.0p+0",
@@ -74,12 +74,12 @@ GOLDEN = {
         ),
     },
     32: {
-        "theta_prime_0": "0x1.bb3e0e878ba68p+4",
+        "theta_prime_0": "0x1.bb3e0e878ba6ap+4",
         "theta_prime_0_direct": "0x1.bb3e0e878ba2ep+4",
-        "error_budget": "0x1.eda059319d12bp-38",
+        "error_budget": "0x1.ed6a944a7a8d5p-38",
         "theta_tilde_0": "-0x1.0aaaaaaaaaaabp-1",
-        "theta_tilde_prime_0": "-0x1.e0f42e4dd91cep-1",
-        "theta_tilde_error": "0x1.ec4ae3491bcc4p-43",
+        "theta_tilde_prime_0": "-0x1.e0f42e4dd91ccp-1",
+        "theta_tilde_error": "0x1.ec151e61f946ep-43",
         "bhat": (
             "-0x1.0000000000000p+0",
             "0x0.0p+0",
@@ -95,12 +95,12 @@ GOLDEN = {
         ),
     },
     64: {
-        "theta_prime_0": "0x1.318a0a5ee0679p+6",
+        "theta_prime_0": "0x1.318a0a5ee067ap+6",
         "theta_prime_0_direct": "0x1.318a0a5ee067bp+6",
-        "error_budget": "0x1.6fe92b5b450f3p-37",
+        "error_budget": "0x1.6fb6271cc4525p-37",
         "theta_tilde_0": "-0x1.0555555555555p-1",
-        "theta_tilde_prime_0": "-0x1.dbc6be1024476p-1",
-        "theta_tilde_error": "0x1.6e123ff9eb9dap-43",
+        "theta_tilde_prime_0": "-0x1.dbc6be1024475p-1",
+        "theta_tilde_error": "0x1.6ddf3bbb6ae0cp-43",
         "bhat": (
             "-0x1.0000000000000p+0",
             "0x0.0p+0",
@@ -118,10 +118,10 @@ GOLDEN = {
     128: {
         "theta_prime_0": "0x1.86f45f471c78ap+7",
         "theta_prime_0_direct": "0x1.86f45f471c7b1p+7",
-        "error_budget": "0x1.3e87445405ca8p-36",
+        "error_budget": "0x1.3e55f01fc6d9cp-36",
         "theta_tilde_0": "-0x1.02aaaaaaaaaabp-1",
-        "theta_tilde_prime_0": "-0x1.d9263af7eb079p-1",
-        "theta_tilde_error": "0x1.3c89e63f51416p-43",
+        "theta_tilde_prime_0": "-0x1.d9263af7eb078p-1",
+        "theta_tilde_error": "0x1.3c58920b1250ap-43",
         "bhat": (
             "-0x1.0000000000000p+0",
             "0x0.0p+0",
@@ -139,10 +139,10 @@ GOLDEN = {
     65536: {
         "theta_prime_0": "0x1.2815fae820af3p+18",
         "theta_prime_0_direct": "0x1.2815fae82159cp+18",
-        "error_budget": "0x1.0938c249a9f62p-22",
+        "error_budget": "0x1.09373d1f273bbp-22",
         "theta_tilde_0": "-0x1.0001555555555p-1",
-        "theta_tilde_prime_0": "-0x1.d68071be16cf8p-1",
-        "theta_tilde_error": "0x1.090a93daade3fp-38",
+        "theta_tilde_prime_0": "-0x1.d68071be16cf6p-1",
+        "theta_tilde_error": "0x1.09090eb02b298p-38",
         "bhat": (
             "-0x1.0000000000000p+0",
             "0x0.0p+0",
@@ -224,6 +224,9 @@ _LAW_BHAT = (
     "-0x1.078daba7a3345p+8",
 )
 _LAW_DIRECT = ("-0x1.3b615ec5f8b62p+2", "0x1.71b20db59bc90p-48")
+#: the listed and the implied law give one heat route, bit for bit: the
+#: kernel's sums do not follow how the nodes share its blocks
+_LAW_HEAT = ("-0x1.5555555555550p-3", "-0x1.3b6155347f95ap+2", "0x1.078dabb1e80dbp-14")
 
 #: closed_form_bhat, theta_prime_zero_direct_result (value, bound) and
 #: theta_prime_zero_result (theta(0), theta'(0), error) per table.
@@ -243,19 +246,19 @@ OUTSIDE_LAW_GOLDEN = {
             "-0x1.f578000000001p+5",
         ),
         ("0x1.4fba3df19cdafp+3", "0x1.01ace6b57f4fep-46"),
-        ("-0x1.c000000000000p+2", "0x1.4fba3df19cda3p+3", "0x1.f1f0c43fdc957p-42"),
+        ("-0x1.c000000000000p+2", "0x1.4fba3df19cd99p+3", "0x1.f1a7d2586266ep-42"),
     ),
     "listed-law-and-extra-rows": (
         _listed_law_and_extra_rows,
         _LAW_BHAT,
         _LAW_DIRECT,
-        ("-0x1.5555555555550p-3", "-0x1.3b6155347f95ap+2", "0x1.078dabb1e9874p-14"),
+        _LAW_HEAT,
     ),
     "implied-law-and-extra-rows": (
         _implied_law_and_extra_rows,
         _LAW_BHAT,
         _LAW_DIRECT,
-        ("-0x1.5555555555550p-3", "-0x1.3b6155347f959p+2", "0x1.078dabb1e9874p-14"),
+        _LAW_HEAT,
     ),
 }
 

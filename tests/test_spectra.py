@@ -345,6 +345,35 @@ class TestHeatSupertrace:
                 ],
             )
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["lines_n1", "lines_n2", "law_extra", "law_vertex", "cp1"]),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([3, 16, 1 << 15]),
+        size=st.integers(2, 40),
+    )
+    def test_node_value_does_not_follow_its_batch(self, kind, seed, chunk, size):
+        # each node of a random batch, bit for bit, against a call with it
+        # alone: law runs of any length (k_next - 1 lines, or 4 m on the
+        # circle bundle at m >= 257), nodes whose cut falls at the underflow
+        # (lam_1 t up to 740) and nodes that share no block
+        from crtorsion import spectra
+
+        rng = np.random.default_rng(seed)
+        if kind == "cp1":
+            spec = cp1_spectrum(int(rng.integers(1, 1500)))
+        else:
+            spec = _kernel_table(kind, rng)
+        lam_1 = spec._supertrace.lam_1
+        t = np.exp(rng.uniform(math.log(1e-7), math.log(50.0), size))
+        t[: size // 4] = rng.uniform(100.0, 740.0, size // 4) / lam_1
+        rng.shuffle(t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_CHUNK", chunk)
+            got = spec._supertrace_value(t)
+            alone = [spec._supertrace_value(t[i : i + 1])[0] for i in range(size)]
+        assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in alone]
+
     def test_array_kernel_temporaries_stay_under_cap(self):
         # at m = 512 the floor nodes read all 2^18 law lines, generated in
         # chunks; the kernel's temporaries are one float64 buffer of _BLOCK
@@ -404,31 +433,50 @@ class TestHeatSupertrace:
                 assert abs(heat_supertrace_N(spec, t, True).value) <= C * math.exp(-c * t)
 
     @pytest.mark.parametrize("t_min", [1.0, 1.0 / 8, 1.0 / 64])
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", range(16))
     def test_decay_certificate_on_random_tables(self, index, t_min):
         # finite n = 1, 2 tables with degree-0 lines below every weighted line
-        # and lines past the underflow cut, and general-law tables with extra
-        # stored rows: c is half the smallest weighted eigenvalue, and
-        # C e^{-c t} bounds the super trace for t >= t_min
+        # and lines past the underflow cut, general-law tables with extra
+        # stored rows, and law tables cut at k_next = 2 ... 30, whose omitted
+        # lines carry a large part of the trace at small t: c is the smallest
+        # weighted eigenvalue, and C e^{-c t} bounds the super trace of every
+        # line, omitted ones included, for t >= t_min
         spec = _certificate_table(index)
         C, c = decay_certificate(spec, t_min)
         lines = listed(spec)
         weighted = lines["lam"][(lines["q"] >= 1) & (lines["lam"] > 0.0)]
-        assert c == weighted.min() / 2.0
+        assert c == weighted.min()
         if not spec.implied:
             assert spectral_gap(spec, 0) < weighted.min()
+        whole = spec
+        if spec.implied and spec.tail.k_next < 201:
+            # the same law and rows to k = 4999, past the underflow at t_min
+            tail = dataclasses.replace(spec.tail, k_next=5000)
+            whole = SpectrumTable.from_law(spec.stored, n=1, tail=tail)
+        assert C >= spec._supertrace.abs_weight
         for t in t_min * np.array([1.0, 1.25, 2.0, 3.0, 8.0, 40.0, 300.0]):
-            value = heat_supertrace_N(spec, float(t), True).value
+            value = heat_supertrace_N(whole, float(t), True).value
             # the product of the two exponentials may round below the exact
             # e^{-lam t} of a dominant line by a few ulps
             assert abs(value) <= C * math.exp(-c * t) * (1.0 + 1e-12)
-        # the lines read in chunks of 7 sum to the same C up to rounding
+
+    @pytest.mark.parametrize("index", range(16))
+    def test_decay_certificate_reads_no_line(self, index, monkeypatch):
+        # C and c come from the record's closed-form sum |w| and lam_1 and
+        # the omitted lines' tail bound: no run is read
         from crtorsion import spectra
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "_CHUNK", 7)
-            C7, c7 = decay_certificate(spec, t_min)
-        assert c7 == c and C7 == pytest.approx(C, rel=1e-14, abs=0)
+        def refuse(*args):
+            raise AssertionError("decay_certificate read a line")
+
+        for spec in (_certificate_table(index), cp1_spectrum(index + 1), cp1_spectrum(1000)):
+            spec._supertrace  # the record is built on the table, not read
+            with monkeypatch.context() as mp:
+                mp.setattr(spectra._LawRun, "read", refuse)
+                mp.setattr(spectra._StoredRun, "read", refuse)
+                C, c = decay_certificate(spec, 1.0 / 64)
+            assert (C, c) == decay_certificate(spec, 1.0 / 64)
+            assert math.isfinite(C) and C >= spec._supertrace.abs_weight and c > 0.0
 
     def test_decay_certificate_of_a_table_without_weighted_lines(self):
         spec = SpectrumTable.from_lines([(0, 2.0, 3), (1, 0.0, 2)], n=1)
@@ -535,8 +583,9 @@ def _kernel_table(kind: str, rng) -> SpectrumTable:
 
 
 def _certificate_table(index: int) -> SpectrumTable:
-    """Table ``index`` of twelve: four finite n = 1, four finite n = 2, four
-    law-backed n = 1."""
+    """Table ``index`` of sixteen: four finite n = 1, four finite n = 2, four
+    law-backed n = 1 to k_next = 201 and four cut at k_next = 2, 4, 9 and
+    30."""
     rng = np.random.default_rng(2026 + index)
     if index < 8:
         n = 1 + index // 4
@@ -544,7 +593,7 @@ def _certificate_table(index: int) -> SpectrumTable:
             (int(rng.integers(1, n + 1)), float(rng.uniform(0.5, 40.0)), int(rng.integers(1, 6)))
             for _ in range(30)
         ]
-        # lam t_min / 2 >= 745 already at t_min = 1 / 64
+        # lam t_min >= 745 already at t_min = 1 / 64
         lines += [(int(rng.integers(1, n + 1)), float(rng.uniform(1e5, 1e6)), 2) for _ in range(3)]
         low = min(lam for _, lam, _ in lines)
         lines += [(0, float(rng.uniform(0.01, low)), int(rng.integers(1, 4))) for _ in range(5)]
@@ -561,7 +610,8 @@ def _certificate_table(index: int) -> SpectrumTable:
         (int(rng.integers(0, 2)), float(rng.uniform(0.1, 60.0)), int(rng.integers(1, 5)))
         for _ in range(6)
     ]
-    tail = QuadraticTail(201, law, (0, 1), covers_all_lines=True)
+    k_next = 201 if index < 12 else (2, 4, 9, 30)[index - 12]
+    tail = QuadraticTail(k_next, law, (0, 1), covers_all_lines=True)
     return SpectrumTable.from_law(extra, n=1, tail=tail)
 
 

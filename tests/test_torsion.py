@@ -260,18 +260,25 @@ class TestDirectRoute:
         # theta'(0) = 4 zeta'(-1) + 2 log H(N) - N log N! - N^2 / 2, N = m + 1,
         # with log H(N) = sum_{j <= N} j log j = zeta'(-1, N + 1) - zeta'(-1)
         direct, err = theta_prime_zero_direct_result(cp1_spectrum(m))
-        with mpmath.workdps(50):
-            n = m + 1
-            zeta_prime = mpmath.zeta(-1, 1, 1)
-            log_h = mpmath.zeta(-1, n + 1, 1) - zeta_prime
-            exact = 4 * zeta_prime + 2 * log_h - n * mpmath.loggamma(n + 1) - mpmath.mpf(n) ** 2 / 2
-            actual = float(abs(mpmath.mpf(direct) - exact))
+        actual = _cp1_closed_form_error(m, direct)
         assert actual <= err <= 100 * actual
 
     def test_stable_under_kmax_doubling(self):
         a = theta_prime_zero_direct_result(cp1_spectrum(10, 10_000))[0]
         b = theta_prime_zero_direct_result(cp1_spectrum(10, 20_000))[0]
         assert abs(a - b) < 1e-6
+
+
+def _cp1_closed_form_error(m: int, value: float) -> float:
+    """|value - theta'(0)| for the circle bundle at weight m, where
+    theta'(0) = 4 zeta'(-1) + 2 log H(N) - N log N! - N^2 / 2, N = m + 1,
+    with log H(N) = sum_{j <= N} j log j = zeta'(-1, N + 1) - zeta'(-1)."""
+    with mpmath.workdps(50):
+        n = m + 1
+        zeta_prime = mpmath.zeta(-1, 1, 1)
+        log_h = mpmath.zeta(-1, n + 1, 1) - zeta_prime
+        exact = 4 * zeta_prime + 2 * log_h - n * mpmath.loggamma(n + 1) - mpmath.mpf(n) ** 2 / 2
+        return float(abs(mpmath.mpf(value) - exact))
 
 
 def _three_degree_law_table() -> SpectrumTable:
@@ -656,8 +663,8 @@ class TestLawBackedReports:
         monkeypatch.setattr(SpectrumTable, "_supertrace_value", counting_value)
         monkeypatch.setattr(spectra, "trust_floor", counting_floor)
         seen = []
-        # at m = 1 the starting panels meet 1e-9 (126 nodes) but not 1e-12,
-        # which takes one bisection (168); from m = 4 on the first 7 panels
+        # at m = 1 the starting panels meet 1e-9 (105 nodes) but not 1e-12,
+        # which takes one bisection (147); from m = 8 on the starting panels
         # meet every tolerance down to 1e-14, and the roundoff floors stop
         # bisection below that
         for tol in (1e-9, 1e-12):
@@ -668,11 +675,29 @@ class TestLawBackedReports:
         assert seen[0]["tail_bound"] == seen[1]["tail_bound"] > 0
         assert seen[0]["trust_floor"] == seen[1]["trust_floor"] == 1
 
+    @pytest.mark.parametrize("m", [8, 128, 1000, 65536])
+    def test_one_kernel_call_per_report(self, m, monkeypatch):
+        # the heat route's one rule evaluates the panel on [sqrt(floor), 1]
+        # and the tail's doubling panels in one round, so one call of the
+        # super-trace kernel; the decay certificate reads no line
+        from crtorsion import spectra
+
+        sizes, value = [], spectra._Supertrace.value
+
+        def spy(self, t):
+            sizes.append(np.size(t))
+            return value(self, t)
+
+        spec = cp1_spectrum(m)
+        monkeypatch.setattr(spectra._Supertrace, "value", spy)
+        torsion_report(spec, cp1_geometry(), m)
+        assert len(sizes) == 1 and sizes[0] % 21 == 0
+
     def test_sub_roundoff_tol_stops_at_the_floors(self, monkeypatch):
         # below the roundoff, the error net of the panels' 50 eps resabs
-        # floors is within the floors: the [sqrt(floor), 1] integral keeps
-        # its starting panel instead of bisecting into noise (8 379 nodes
-        # and an estimate of 5.0e-14 at tol = 1e-15)
+        # floors is within the floors: the one rule keeps its starting
+        # panels instead of bisecting into noise on [sqrt(floor), 1]
+        # (8 379 nodes and an estimate of 5.0e-14 at tol = 1e-15)
         from crtorsion import mellin
 
         seen = []
@@ -690,8 +715,8 @@ class TestLawBackedReports:
         for tol in (1e-15, 5e-16):
             seen.clear()
             torsion_report(cp1_spectrum(8, 1024), cp1_geometry(), 8, tol)
-            (mid_nodes, mid_error), _ = seen
-            assert mid_nodes < 500 and mid_error <= 5.0e-14, tol
+            [(nodes, error)] = seen
+            assert nodes < 500 and error <= 5.0e-14, tol
 
 
 class TestGeneralLawReports:
@@ -740,6 +765,17 @@ class TestLargeWeight:
         assert _scaling_identity_gap(spec, rep) < 1e-8
         assert abs(rep.residual) < abs(rep128.residual)
         assert rep.theta_prime_0_direct == pytest.approx(self.DIRECT_M256, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [3084, 3195, 3291, 3391, 4001])
+    def test_heat_error_within_its_estimate_where_1_over_m_rounds(self, m):
+        # weights where a product with the rounded m^{-n}, which gives every
+        # node one relative error, put the heat error above its estimate:
+        # 3291 and 4001 failed the gate (exit 3), and 3084, 3195 and 3391
+        # did once the kernel summed its rows over power-of-two widths
+        rep = torsion_report(cp1_spectrum(m), cp1_geometry(), m)
+        eps_log = math.ulp(1.0) * math.log(m)
+        err_heat = m * (rep.theta_tilde_error + eps_log * abs(rep.theta_tilde_0))
+        assert _cp1_closed_form_error(m, rep.theta_prime_0) <= err_heat
 
     # frozen direct-route theta'(0) of cp1_spectrum(512, 262144)
     DIRECT_M512 = 1130.0078237935431
